@@ -9,8 +9,8 @@ time-slice one CPU; bit-identity is asserted unconditionally):
 * the TMR planner's task-batch workload (seed-sharded candidate
   evaluations + speculative lookahead) iterates at least 1.5x faster
   than the serial planner, with identical planning results;
-* the sample-sharding workload — a *single* (BER, seed) point under the
-  counter RNG scheme, split into sample slices — completes at least
+* the sample-sharding workload — a *single* (BER, seed) point split
+  into sample slices — completes at least
   1.5x faster with 4 workers than the unsharded run, bit-identically;
 * the replay workload — a low-BER sweep plus a planner-style batch of
   protection-plan candidates, where most samples are untouched by
@@ -43,7 +43,6 @@ import numpy as np
 from repro.datasets import DatasetSpec, make_dataset
 from repro.faultsim import (
     CampaignConfig,
-    FaultModelConfig,
     ProtectionPlan,
     run_point,
     run_sweep,
@@ -202,7 +201,7 @@ def run_sample_shard_comparison(workers: int = 4, shard: int = 24) -> dict:
 
     The single-point case is where seed sharding cannot help (one seed =
     one subtask) and the dominant wall-clock case for ``plan_tmr`` on big
-    models.  Sample sharding under the counter RNG scheme splits the
+    models.  Sample sharding splits the
     point's evaluation batch into slices and must stay bit-identical to
     the unsharded run while filling the pool.
     """
@@ -211,7 +210,6 @@ def run_sample_shard_comparison(workers: int = 4, shard: int = 24) -> dict:
         seeds=(0,),
         batch_size=base.batch_size,
         max_samples=base.max_samples,
-        fault_config=FaultModelConfig(rng_scheme="counter"),
     )
     ber = BERS[2]
 
@@ -252,7 +250,6 @@ def run_replay_comparison(workers: int = 4) -> dict:
         seeds=SEEDS,
         batch_size=base.batch_size,
         max_samples=base.max_samples,
-        fault_config=FaultModelConfig(rng_scheme="counter"),
     )
     # Low-BER grid: a handful of events per (BER, seed) unit, so dirty
     # sets stay small.  BER 0 rides along as the pure-lookup case.
@@ -349,7 +346,6 @@ def run_adaptive_comparison(workers: int = 4) -> dict:
         seeds=SEEDS,
         batch_size=base.batch_size,
         max_samples=base.max_samples,
-        fault_config=FaultModelConfig(rng_scheme="counter"),
     )
     # Low-BER-heavy grid: the regime where points settle early.
     bers = (1e-8, 1e-7) + BERS
@@ -509,7 +505,7 @@ def test_speculative_planner_speedup():
 
 def test_sample_shard_speedup():
     """>= 1.5x on a single (BER, seed) point with 4 workers and >= 4
-    cores; always bit-identical to the unsharded counter-scheme run."""
+    cores; always bit-identical to the unsharded run."""
     import pytest
 
     stats = run_sample_shard_comparison(workers=4)

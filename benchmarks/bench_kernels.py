@@ -141,16 +141,16 @@ def run_backend_comparison(
     keep_intermediates: bool = False,
     backends: list[str] | None = None,
 ) -> dict:
-    """Time every available backend on the comparison workload.
+    """Time the kernel backends on the comparison workload.
 
     Returns a JSON-serializable report with per-backend timings, the
     speedup of each backend over ``reference``, and a ``gate_passed``
     flag: ``optimized`` must be at least ``min_speedup`` faster than
-    ``reference``.  Other backends (``torch``) are informational only.
+    ``reference``.
     """
-    from repro.backends import available_backends, get_backend
+    from repro.backends import get_backend
 
-    names = backends if backends is not None else list(available_backends())
+    names = list(backends) if backends is not None else ["reference", "optimized"]
     if "reference" not in names:
         names.insert(0, "reference")
 
@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         "--backends",
         nargs="+",
         default=None,
-        help="backend names to time (default: every available backend)",
+        help="backend names to time (default: reference and optimized)",
     )
     args = parser.parse_args(argv)
 

@@ -1,17 +1,15 @@
 """Pluggable kernel backends for the quantized per-layer hot paths.
 
-Three backends serve the :class:`~repro.backends.base.KernelBackend`
-protocol (filter/input/output tile transforms, the ``_channel_reduce``
+Two backends serve the :class:`~repro.backends.base.KernelBackend`
+protocol (filter/input/output tile transforms, the ``channel_reduce``
 channel GEMM, the im2col direct-convolution GEMM, requantization):
 
 * ``reference`` — the original NumPy kernels, extracted verbatim; the
-  bit-identity baseline.
+  bit-identity baseline and the differential oracle every other backend
+  is tested against.
 * ``optimized`` — fused Kronecker transform GEMMs, preallocated scratch
   buffers, zero-copy strided im2col consumption, blocked int64
   fallbacks, in-place requantize.  Bit-identical, substantially faster.
-* ``torch`` — optional PyTorch implementation, import-gated: selecting
-  it without torch installed raises
-  :class:`~repro.errors.BackendUnavailableError`.
 
 Backends are identified by these plain string names everywhere (model
 fields, engine/CLI options) and resolved to per-process instances
@@ -33,7 +31,7 @@ from repro.backends.base import (
 )
 from repro.backends.optimized import OptimizedBackend
 from repro.backends.reference import ReferenceBackend
-from repro.errors import BackendUnavailableError, ConfigurationError
+from repro.errors import ConfigurationError
 
 __all__ = [
     "BACKEND_NAMES",
@@ -43,7 +41,6 @@ __all__ = [
     "KernelBackend",
     "OptimizedBackend",
     "ReferenceBackend",
-    "available_backends",
     "cached_einsum",
     "format_bound",
     "get_backend",
@@ -51,23 +48,20 @@ __all__ = [
     "row_bound",
 ]
 
-#: Every selectable backend name (torch may still be unavailable).
-BACKEND_NAMES = ("reference", "optimized", "torch")
+#: Every selectable backend name.
+BACKEND_NAMES = ("reference", "optimized")
 
 #: The backend models use unless told otherwise.
 DEFAULT_BACKEND = "reference"
 
-#: Per-process singleton instances; lazy so the torch import only
-#: happens when the torch backend is actually requested.
+#: Per-process singleton instances, created on first request.
 _INSTANCES: dict[str, KernelBackend] = {}
 
 
 def get_backend(name: str = DEFAULT_BACKEND) -> KernelBackend:
     """Resolve a backend name to its per-process singleton instance.
 
-    Raises :class:`~repro.errors.ConfigurationError` for unknown names
-    and :class:`~repro.errors.BackendUnavailableError` when the torch
-    backend is requested without torch installed.
+    Raises :class:`~repro.errors.ConfigurationError` for unknown names.
     """
     backend = _INSTANCES.get(name)
     if backend is not None:
@@ -76,10 +70,6 @@ def get_backend(name: str = DEFAULT_BACKEND) -> KernelBackend:
         backend = ReferenceBackend()
     elif name == "optimized":
         backend = OptimizedBackend()
-    elif name == "torch":
-        from repro.backends.torch_backend import TorchBackend
-
-        backend = TorchBackend()
     else:
         raise ConfigurationError(
             f"unknown kernel backend {name!r}; choose from {BACKEND_NAMES}"
@@ -87,18 +77,3 @@ def get_backend(name: str = DEFAULT_BACKEND) -> KernelBackend:
     _INSTANCES[name] = backend
     return backend
 
-
-def available_backends() -> tuple[str, ...]:
-    """The backend names that can actually be instantiated here.
-
-    ``torch`` is included only when PyTorch imports cleanly, so callers
-    (benchmarks, CI matrix steps) can skip it gracefully.
-    """
-    names = ["reference", "optimized"]
-    try:
-        get_backend("torch")
-    except BackendUnavailableError:
-        pass
-    else:
-        names.append("torch")
-    return tuple(names)

@@ -7,7 +7,7 @@ for every input, from four levers:
   ``A^T M A`` are evaluated as a single float64 BLAS GEMM against the
   precomputed Kronecker square ``kron(M, M)`` (cached per (transform,
   stage, dtype)), replacing the int64 einsum which has no BLAS kernel.
-  The float64-exactness fast path of ``_channel_reduce`` is thereby
+  The float64-exactness fast path of ``channel_reduce`` is thereby
   extended to the transform stages: a transform output entry is a dot
   product against one row of the Kronecker square, so every partial sum
   is bounded by ``operand_bound * max_row_abs_sum`` and the f64 GEMM is

@@ -134,15 +134,6 @@ class TaskQuarantinedError(TaskExecutionError):
         self.quarantined_keys = tuple(quarantined_keys)
 
 
-class BackendUnavailableError(ConfigurationError):
-    """A kernel backend was requested whose runtime dependency is missing.
-
-    Subclasses :class:`ConfigurationError` so generic configuration
-    guards keep working; raised by the backend registry when e.g. the
-    ``torch`` backend is selected in an environment without PyTorch.
-    """
-
-
 class QuantizationError(ReproError):
     """A fixed-point format or quantization request is invalid."""
 

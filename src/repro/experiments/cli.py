@@ -26,16 +26,13 @@ wall-clock much lower on multi-core machines (see ``docs/RUNTIME.md``).
 ``--shard-samples N`` additionally splits every (BER, seed) evaluation
 into N-sample slices, filling the pool even when a figure evaluates a
 single point at a time (``--shard-samples auto`` picks the slice size
-per batch).  Sample sharding needs partition-invariant fault draws, so
-it switches the campaigns to the counter RNG scheme (``--rng-scheme
-counter``) — a different, equally valid Monte-Carlo draw than the
-default stream scheme, cached and checkpointed separately.
+per batch).  Fault draws are keyed by (seed, layer, site, sample
+chunk), so results are bit-identical for any slice size.
 
 ``--replay`` serves every figure's campaigns through the golden-run
 cache: the fault-free forward runs once per (model, data) and each
 evaluation recomputes only its fault-touched samples — bit-identical
-results, a fraction of the arithmetic at low BER.  Replay also requires
-the counter RNG scheme, which it implies just like ``--shard-samples``.
+results, a fraction of the arithmetic at low BER.
 
 ``--adaptive-ber`` switches figs 2/6/7 from their fixed BER grids to the
 adaptive engine (:mod:`repro.stats`): the BER points are chosen by knee
@@ -45,12 +42,11 @@ once its confidence interval is inside ``--ci-halfwidth`` (seed budget
 per-seed results, so adaptive runs stay bit-reproducible and resumable
 for any ``--workers``/``--shard-samples``/``--replay`` combination.
 
-``--kernel-backend {reference,optimized,torch}`` selects the per-layer
+``--kernel-backend {reference,optimized}`` selects the per-layer
 compute backend (:mod:`repro.backends`) for every model: the same int64
 results bit-for-bit — backends are differentially tested against the
 reference — so campaign checkpoints are shared across kernel backends;
-only wall-clock changes.  ``torch`` is available only where PyTorch is
-installed and fails with a clean error otherwise.
+only wall-clock changes.
 
 ``--backend distributed`` swaps the forked pool for the work-queue
 backend (:mod:`repro.runtime.distributed`): ``--workers`` worker
@@ -86,7 +82,6 @@ retry exhaustion, 6 checkpoint corruption, 1 anything else.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -356,16 +351,14 @@ def _figures_main(argv: list[str]) -> int:
         metavar="N",
         help="split every (BER, seed) evaluation into N-sample slices so "
         "a single point fills the worker pool ('auto' picks the slice "
-        "size per batch); implies --rng-scheme counter (pairs with "
-        "--workers)",
+        "size per batch; pairs with --workers)",
     )
     parser.add_argument(
         "--replay",
         action="store_true",
         help="serve every campaign through the golden-run cache: one "
         "fault-free forward per (model, data), each evaluation recomputes "
-        "only fault-touched samples (bit-identical results); implies "
-        "--rng-scheme counter",
+        "only fault-touched samples (bit-identical results)",
     )
     parser.add_argument(
         "--no-replay",
@@ -394,14 +387,6 @@ def _figures_main(argv: list[str]) -> int:
         default=None,
         metavar="N",
         help="adaptive mode: seed budget per BER point (default: 8)",
-    )
-    parser.add_argument(
-        "--rng-scheme",
-        choices=("stream", "counter"),
-        default=None,
-        help="injector RNG scheme: 'stream' (legacy sequential draws, "
-        "default) or 'counter' (site-keyed partition-invariant draws, "
-        "required by --shard-samples)",
     )
     parser.add_argument(
         "--backend",
@@ -449,34 +434,17 @@ def _figures_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--kernel-backend",
-        choices=("reference", "optimized", "torch"),
+        choices=("reference", "optimized"),
         default=None,
         help="per-layer compute backend for every model (see "
         "repro.backends): 'reference' (default NumPy kernels), "
         "'optimized' (fused-transform/scratch-buffer NumPy, same bits, "
-        "faster) or 'torch' (optional, needs PyTorch installed).  "
-        "Bit-identical by contract, so checkpoints are shared across "
+        "faster).  Bit-identical by contract, so checkpoints are shared across "
         "kernel backends",
     )
     args = parser.parse_args(argv)
     if args.queue is not None and args.backend != "distributed":
         parser.error("--queue requires --backend distributed")
-
-    scheme = args.rng_scheme
-    if args.shard_samples is not None:
-        if scheme == "stream":
-            parser.error(
-                "--shard-samples requires the counter RNG scheme; drop "
-                "--rng-scheme stream"
-            )
-        scheme = "counter"
-    if args.replay:
-        if scheme == "stream":
-            parser.error(
-                "--replay requires the counter RNG scheme; drop "
-                "--rng-scheme stream"
-            )
-        scheme = "counter"
 
     rule = None
     if args.adaptive_ber:
@@ -502,8 +470,6 @@ def _figures_main(argv: list[str]) -> int:
         retry = RetryPolicy(**retry_kwargs)
 
     profile = FULL if args.profile == "full" else QUICK
-    if scheme is not None:
-        profile = dataclasses.replace(profile, rng_scheme=scheme)
     if rule is not None:
         # min_seeds anchors at the profile's configured seed count, so a
         # settled point's estimate matches the fixed-grid estimate (and

@@ -27,13 +27,7 @@ import numpy as np
 
 from repro.datasets import SyntheticDataset, make_dataset
 from repro.errors import ConfigurationError
-from repro.faultsim import (
-    CampaignConfig,
-    CampaignResult,
-    FaultModelConfig,
-    RNG_STREAM,
-    run_sweep,
-)
+from repro.faultsim import CampaignConfig, CampaignResult, run_sweep
 from repro.runtime import CampaignEngine, adaptive_fingerprint
 from repro.stats import KneeConfig, StopRule, adaptive_sweep, knee_search
 from repro.models import BENCHMARKS, build_benchmark_model
@@ -79,10 +73,9 @@ def make_engine(
     The shared checkpoint file is safe across figures and models: points
     are keyed by a content hash of (model, campaign, BER, seed[, sample
     slice]).  ``sample_shard`` splits every (BER, seed) subtask into
-    sample slices (requires a counter-scheme profile; see the CLI's
-    ``--shard-samples``); ``replay`` serves campaigns through the
-    golden-run cache (CLI ``--replay``) — both change wall-clock only,
-    never results.  ``backend="distributed"`` executes batches through
+    sample slices (CLI ``--shard-samples``); ``replay`` serves campaigns
+    through the golden-run cache (CLI ``--replay``) — both change
+    wall-clock only, never results.  ``backend="distributed"`` executes batches through
     the work-queue backend (CLI ``--backend distributed``) with its batch
     directories under ``queue`` (default ``<results>/queue``) —
     bit-identical to the pool.  ``kernel_backend`` selects the per-layer
@@ -127,11 +120,6 @@ class ExperimentProfile:
     #: BER sweep for Fig. 2-style curves (0 is always prepended).
     ber_grid: tuple[float, ...] = (1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5)
     train_epochs: int = 8
-    #: Injector RNG scheme ("stream" or "counter"); the CLI switches to
-    #: "counter" when sample sharding is requested.  The two schemes are
-    #: different (equally valid) Monte-Carlo draws, so curves and
-    #: checkpoints are cached per scheme.
-    rng_scheme: str = RNG_STREAM
 
     def campaign(self, injector: str = "operation") -> CampaignConfig:
         """Campaign configuration matching this profile."""
@@ -140,7 +128,6 @@ class ExperimentProfile:
             batch_size=self.batch_size,
             injector=injector,
             max_samples=self.eval_samples,
-            fault_config=FaultModelConfig(rng_scheme=self.rng_scheme),
         )
 
 
@@ -274,8 +261,7 @@ def _curve_cache_key(qmodel: QuantizedModel, bers, config: CampaignConfig) -> st
             "semantics": config.fault_config.semantics.value,
             "convention": config.fault_config.convention.value,
             "amplify": config.fault_config.amplify_input_transform_adds,
-            # Empty at the stream default (historical cache keys stay
-            # valid); counter-scheme curves cache separately.
+            # Sampling protocol + chunking (see FaultModelConfig.rng_identity).
             **config.fault_config.rng_identity(),
         },
         sort_keys=True,

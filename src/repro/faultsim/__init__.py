@@ -1,12 +1,6 @@
 """Fault-injection platform: operation-level and neuron-level injectors."""
 
-from repro.faultsim.model import (
-    BerConvention,
-    FaultModelConfig,
-    FaultSemantics,
-    RNG_COUNTER,
-    RNG_STREAM,
-)
+from repro.faultsim.model import BerConvention, FaultModelConfig, FaultSemantics
 from repro.faultsim.protection import (
     ProtectionPlan,
     SCHEME_ABFT,
@@ -54,8 +48,6 @@ __all__ = [
     "FaultModelConfig",
     "FaultSemantics",
     "BerConvention",
-    "RNG_STREAM",
-    "RNG_COUNTER",
     "ProtectionPlan",
     "SCHEME_NONE",
     "SCHEME_ABFT",

@@ -15,10 +15,10 @@ arithmetic.  Any operation-level fault that perturbs one output's
 accumulator breaks the identity at that position, so comparing the two
 sides detects (and spatially locates) faults with one extra output
 channel's worth of compute.  Both sides are computed with pure int64
-contractions (:func:`repro.winograd.conv2d._cached_einsum` /
-``_channel_reduce``) — a float64 path would silently round past 2^53 and
-flag *clean* positions, breaking the exactness contract in precisely the
-int64-accumulator regime the campaign operates in.
+contractions (:func:`repro.backends.cached_einsum` and the reference
+backend's ``channel_reduce``) — a float64 path would silently round past
+2^53 and flag *clean* positions, breaking the exactness contract in
+precisely the int64-accumulator regime the campaign operates in.
 
 :class:`AbftChecker` plays two roles:
 
@@ -46,8 +46,10 @@ import numpy as np
 from repro.errors import FaultModelError
 from repro.quantized.interface import Injector
 from repro.quantized.qmodel import QuantizedModel
+from repro.backends import cached_einsum
+from repro.backends.reference import channel_reduce
 from repro.quantized.qops import QConvDirect
-from repro.winograd.conv2d import _cached_einsum
+from repro.winograd.tiling import assemble_tiles
 
 __all__ = ["AbftReport", "AbftChecker"]
 
@@ -108,8 +110,8 @@ class AbftChecker(Injector):
 
     The checker is engine-compatible: :attr:`event_counts` merges the
     inner injector's per-category counts with ``abft_detected`` /
-    ``abft_corrected``, and the replay protocol (:attr:`replay_ready`,
-    :meth:`set_replay_rows`, :meth:`replay_struck`) forwards to ``inner``
+    ``abft_corrected``, and the replay protocol (:meth:`set_replay_rows`,
+    :meth:`replay_struck`) forwards to ``inner``
     so golden-run replay drives struck-sample discovery exactly as it
     would unwrapped.
     """
@@ -159,14 +161,6 @@ class AbftChecker(Injector):
         return self.layers is None or layer.name in self.layers
 
     # --- replay protocol --------------------------------------------------------
-    @property
-    def replay_ready(self) -> bool:
-        """True when the inner injector supports golden-run replay."""
-        return (
-            self.inner is not None
-            and getattr(self.inner, "replay_ready", False)
-        )
-
     def set_replay_rows(self, rows) -> None:
         """Forward the replay row restriction to the inner injector."""
         if self.inner is None:
@@ -207,7 +201,7 @@ class AbftChecker(Injector):
         # past 2^53 and false-detected on clean accumulators.
         w_sum = layer.weight_int.sum(axis=0, dtype=np.int64)
         x64 = np.ascontiguousarray(x_int, dtype=np.int64)
-        expected = _cached_einsum(
+        expected = cached_einsum(
             "nr,r->n", x64, w_sum, key=(x64.shape[1:], w_sum.shape)
         )
         expected = expected + int(layer.bias_acc.sum())
@@ -271,7 +265,7 @@ class AbftChecker(Injector):
             .sum(axis=0, dtype=np.int64)
         )
         cols64 = np.ascontiguousarray(cols, dtype=np.int64)
-        checksum = _cached_einsum(
+        checksum = cached_einsum(
             "r,nrp->np", w_sum, cols64, key=(w_sum.shape, cols64.shape[1:])
         )
         checksum = checksum + int(layer.bias_acc.sum())
@@ -281,11 +275,8 @@ class AbftChecker(Injector):
     @staticmethod
     def _winograd_checksum(ctx, v_sum: np.ndarray) -> np.ndarray:
         """Single-channel Winograd pipeline on the channel-summed filters."""
-        from repro.winograd.conv2d import _channel_reduce
-        from repro.winograd.tiling import assemble_tiles
-
         tf = ctx.transform
-        m_arr = _channel_reduce(ctx.u_int, v_sum.astype(np.int64))
+        m_arr = channel_reduce(ctx.u_int, v_sum.astype(np.int64))
         at = tf.at_int
         y_tiles = np.einsum("ui,nktij,vj->nktuv", at, m_arr, at)
         return assemble_tiles(y_tiles, ctx.grid)

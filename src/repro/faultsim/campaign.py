@@ -14,8 +14,7 @@ campaign engine (:mod:`repro.runtime`) wraps it in a
 and recombines them with :func:`combine_seed_results`, bit-identical to
 the serial loop in :func:`run_point`.
 
-Under the counter RNG scheme (``FaultModelConfig.rng_scheme ==
-"counter"``) the unit splits further: :func:`evaluate_sample_slice` scores
+The unit splits further: :func:`evaluate_sample_slice` scores
 one contiguous slice of the evaluation samples, and
 :func:`combine_slice_results` folds a full partition of slices back into
 the exact :class:`SeedPointResult` the unsliced evaluation produces —
@@ -24,12 +23,11 @@ bit-identical for *any* slice size, because every fault draw is keyed by
 
 Both units accept a pre-built golden run (``golden=``,
 :class:`repro.faultsim.replay.GoldenRun`): BER = 0 evaluations become
-pure lookups of the cached clean predictions, and faulty counter-scheme
-evaluations execute through the dirty-sample replay executor
+pure lookups of the cached clean predictions, and faulty evaluations
+execute through the dirty-sample replay executor
 (:func:`repro.faultsim.replay.replay_forward`) — bit-identical, but only
-fault-touched samples are recomputed.  Faulty *stream*-scheme
-evaluations silently bypass the cache (stream draws are not
-partition-invariant), so passing ``golden=`` never changes any result.
+fault-touched samples are recomputed, so passing ``golden=`` never
+changes any result.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, FaultModelError
 from repro.faultsim.abft import AbftChecker
-from repro.faultsim.model import FaultModelConfig, RNG_COUNTER
+from repro.faultsim.model import FaultModelConfig
 from repro.faultsim.neuron_level import NeuronLevelInjector
 from repro.faultsim.operation_level import OperationLevelInjector
 from repro.faultsim.protection import ProtectionPlan
@@ -165,8 +163,8 @@ class SampleSliceResult:
     (``max_samples``-trimmed) evaluation set, and correct/total counts —
     not a ratio — are carried so a partition of slices recombines into the
     *exact* accuracy of the unsliced evaluation
-    (:func:`combine_slice_results`).  Only meaningful under the counter
-    RNG scheme (or at BER 0), where fault draws are partition-invariant.
+    (:func:`combine_slice_results`), because fault draws are
+    partition-invariant.
     """
 
     ber: float
@@ -243,23 +241,6 @@ def _make_injector(
     raise ValueError(f"unknown injector kind '{config.injector}'")
 
 
-def _replay_usable(golden, config: CampaignConfig, ber: float, n: int) -> bool:
-    """Whether a golden run can serve this evaluation.
-
-    BER 0 is always a cache lookup; faulty points additionally need the
-    partition-invariant counter RNG scheme (stream draws depend on visit
-    order, so replay would change the Monte-Carlo realization).  When
-    usable, structural identity is validated; otherwise the caller falls
-    back to the full forward and results are unchanged either way.
-    """
-    if golden is None:
-        return False
-    if ber != 0.0 and config.fault_config.rng_scheme != RNG_COUNTER:
-        return False
-    golden.check(config.injector, config.fault_config, n)
-    return True
-
-
 def evaluate_seed_point(
     qmodel: QuantizedModel,
     x: np.ndarray,
@@ -283,7 +264,9 @@ def evaluate_seed_point(
     ber = validate_ber(ber)
     if config.max_samples is not None:
         x, labels = x[: config.max_samples], labels[: config.max_samples]
-    use_golden = _replay_usable(golden, config, ber, len(x))
+    use_golden = golden is not None
+    if use_golden:
+        golden.check(config.injector, config.fault_config, len(x))
     if ber == 0.0:
         if use_golden:
             accuracy = float((golden.preds == labels).mean())
@@ -322,16 +305,13 @@ def evaluate_sample_slice(
     ``sample_slice`` is a ``[start, stop)`` window into the
     (``max_samples``-trimmed) evaluation set.  Pure like
     :func:`evaluate_seed_point`, and additionally *partition-invariant*:
-    under the counter RNG scheme, the faults a sample receives depend only
-    on its dataset-global index, never on which slice or batch carries it,
-    so any disjoint cover of ``[0, N)`` recombines
-    (:func:`combine_slice_results`) into exactly the unsliced result.
+    the faults a sample receives depend only on its dataset-global index,
+    never on which slice or batch carries it, so any disjoint cover of
+    ``[0, N)`` recombines (:func:`combine_slice_results`) into exactly the
+    unsliced result.
     ``golden`` optionally serves the slice from the golden-run cache
     (the cache spans the whole evaluation set; the slice gathers its
     window), bit-identically.
-
-    Raises :class:`~repro.errors.ConfigurationError` when ``ber > 0`` under
-    the legacy stream scheme, whose draws are not partition-invariant.
     """
     config = config or CampaignConfig()
     ber = validate_ber(ber)
@@ -342,7 +322,9 @@ def evaluate_sample_slice(
         raise ConfigurationError(
             f"sample slice [{start}, {stop}) out of range for {len(x)} samples"
         )
-    use_golden = _replay_usable(golden, config, ber, len(x))
+    use_golden = golden is not None
+    if use_golden:
+        golden.check(config.injector, config.fault_config, len(x))
     xs, ys = x[start:stop], labels[start:stop]
     if ber == 0.0:
         if use_golden:
@@ -352,12 +334,6 @@ def evaluate_sample_slice(
         return SampleSliceResult(
             ber=ber, seed=seed, start=start, stop=stop,
             correct=int((preds == ys).sum()), total=stop - start, events=0,
-        )
-    if config.fault_config.rng_scheme != RNG_COUNTER:
-        raise ConfigurationError(
-            "sample-slice evaluation requires the partition-invariant "
-            "counter RNG scheme; set FaultModelConfig(rng_scheme='counter') "
-            f"(got '{config.fault_config.rng_scheme}')"
         )
     injector = _make_injector(config, ber, seed, protection, sample_base=start)
     if use_golden:

@@ -34,20 +34,15 @@ per-operation probability (``lambda = ber * n``).  The paper's phrasing
 PER_BIT additionally explains why int16 models degrade earlier than int8
 ones at the same BER (twice the exposed bits), which Fig. 2 reports.
 
-RNG schemes
------------
-``RNG_STREAM`` (default, legacy): both injectors pull every draw from one
-sequential PCG64 stream, so a result depends on the *order* in which
-sites are visited — the scheme the frozen PR 2/3 parity references were
-recorded under.  ``RNG_COUNTER``: every draw is a pure function of
-``(campaign seed, layer, site, sample chunk)`` via keyed Philox streams
-(:func:`repro.utils.rng.site_rng`); event counts and coordinates are
-sampled per fixed-size chunk of ``chunk_samples`` evaluation samples, so
-any partition of the sample set — slice sizes, batch sizes, worker
-counts — reproduces bit-identical faults.  The two schemes realize the
-same statistical fault model (identical per-category lambda), but their
-Monte-Carlo draws differ, so a campaign's scheme is part of its identity
-(checkpoint keys and result caches never mix schemes).
+Fault sampling
+--------------
+Every draw is a pure function of ``(campaign seed, layer, site, sample
+chunk)`` via keyed Philox streams (:func:`repro.utils.rng.site_rng`);
+event counts and coordinates are sampled per fixed-size chunk of
+``chunk_samples`` evaluation samples, so any partition of the sample set
+— slice sizes, batch sizes, worker counts — reproduces bit-identical
+faults (:mod:`repro.faultsim.sampling`).  The chunking is part of a
+campaign's identity (:meth:`FaultModelConfig.rng_identity`).
 """
 
 from __future__ import annotations
@@ -61,14 +56,7 @@ __all__ = [
     "FaultSemantics",
     "BerConvention",
     "FaultModelConfig",
-    "RNG_STREAM",
-    "RNG_COUNTER",
 ]
-
-#: Legacy sequential-stream sampling (order-dependent draws).
-RNG_STREAM = "stream"
-#: Counter-based, site-keyed sampling (partition-invariant draws).
-RNG_COUNTER = "counter"
 
 
 class FaultSemantics(Enum):
@@ -96,23 +84,17 @@ class FaultModelConfig:
     convention:
         Per-bit or per-operation BER.
     max_events_per_category:
-        Safety cap on sampled events per (layer, category, batch); BERs past
-        the accuracy cliff can request millions of events whose effect
-        saturates long before that.  The cap is high enough not to bias any
-        reported operating point (campaigns warn when it binds).  Under the
-        counter scheme the cap applies per (layer, site, chunk) — the unit
-        a Poisson count is drawn for — which keeps capping itself
-        partition-invariant.
-    rng_scheme:
-        ``RNG_STREAM`` (default) or ``RNG_COUNTER``; see the module docs.
-        Only the counter scheme supports sample-level sharding
-        (:func:`repro.faultsim.campaign.evaluate_sample_slice`).
+        Safety cap on sampled events per (layer, site, chunk) — the unit a
+        Poisson count is drawn for, which keeps capping itself
+        partition-invariant.  BERs past the accuracy cliff can request
+        millions of events whose effect saturates long before that; the
+        cap is high enough not to bias any reported operating point
+        (campaigns warn when it binds).
     chunk_samples:
-        Counter-scheme sampling granularity: Poisson event counts and
-        fault coordinates are drawn per chunk of this many consecutive
-        evaluation samples.  Part of a counter campaign's identity (a
-        different chunking is a different Monte-Carlo draw); irrelevant
-        under the stream scheme.
+        Sampling granularity: Poisson event counts and fault coordinates
+        are drawn per chunk of this many consecutive evaluation samples.
+        Part of a campaign's identity (a different chunking is a
+        different Monte-Carlo draw).
     """
 
     semantics: FaultSemantics = FaultSemantics.PAPER
@@ -126,34 +108,26 @@ class FaultModelConfig:
     #: variant is an ablation (``benchmarks/bench_ablation_semantics.py``)
     #: showing how strongly the Winograd advantage depends on this choice.
     amplify_input_transform_adds: bool = False
-    rng_scheme: str = RNG_STREAM
     chunk_samples: int = 8
 
     def __post_init__(self) -> None:
         if self.max_events_per_category < 1:
             raise FaultModelError("max_events_per_category must be >= 1")
-        if self.rng_scheme not in (RNG_STREAM, RNG_COUNTER):
-            raise FaultModelError(
-                f"rng_scheme must be '{RNG_STREAM}' or '{RNG_COUNTER}', "
-                f"got {self.rng_scheme!r}"
-            )
         if self.chunk_samples < 1:
             raise FaultModelError("chunk_samples must be >= 1")
 
     def rng_identity(self) -> dict:
-        """RNG-scheme fields that belong in a campaign's content identity.
+        """Sampling fields that belong in a campaign's content identity.
 
-        Empty at the stream default — the scheme fields postdate the
-        stream-era checkpoint keys and curve caches, so omitting them
-        keeps every historical key valid; any other scheme contributes
-        both the scheme and its chunking (a different chunking is a
-        different Monte-Carlo draw).  The single source of truth for
-        checkpoint hashing (:func:`repro.runtime.hashing.campaign_fingerprint`)
-        and the figure curve cache.
+        The single source of truth for checkpoint hashing
+        (:func:`repro.runtime.hashing.campaign_fingerprint`) and the figure
+        curve cache.  The constant ``"rng_scheme": "counter"`` entry names
+        the keyed sampling protocol: it keeps every key recorded since
+        that protocol was introduced valid, while entries recorded under
+        the retired sequential-stream protocol (which carried no such
+        entry) are never matched and simply get recomputed.
         """
-        if self.rng_scheme == RNG_STREAM:
-            return {}
-        return {"rng_scheme": self.rng_scheme, "chunk_samples": self.chunk_samples}
+        return {"rng_scheme": "counter", "chunk_samples": self.chunk_samples}
 
     def exposure_bits(self, is_mul: bool, data_width: int, acc_width: int) -> int:
         """Bits of state exposed per operation for lambda computation.

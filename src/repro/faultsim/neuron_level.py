@@ -6,11 +6,9 @@ identical activations, this injector cannot distinguish the two execution
 modes — the point the paper makes with Fig. 1, and the reason it builds the
 operation-level platform.
 
-Like the operation-level injector, it supports both RNG schemes: the
-legacy sequential ``"stream"`` draws, and the ``"counter"`` scheme whose
-draws are keyed per (seed, layer, chunk of samples) and therefore
-invariant under any partition of the sample axis (see
-:mod:`repro.faultsim.sampling`).
+Like the operation-level injector, its draws are keyed per (seed, layer,
+chunk of samples) and therefore invariant under any partition of the
+sample axis (see :mod:`repro.faultsim.sampling`).
 """
 
 from __future__ import annotations
@@ -20,10 +18,9 @@ from collections import defaultdict
 import numpy as np
 
 from repro.fixedpoint.bits import flip_bit
-from repro.faultsim.model import BerConvention, FaultModelConfig, RNG_COUNTER
+from repro.faultsim.model import BerConvention, FaultModelConfig
 from repro.faultsim.sampling import CounterSampler, ReplayHooks
 from repro.quantized.interface import Injector
-from repro.utils.rng import as_rng
 
 __all__ = ["NeuronLevelInjector"]
 
@@ -35,15 +32,15 @@ class NeuronLevelInjector(ReplayHooks, Injector):
     (``ber * n_neurons`` per-op), mirroring how neuron-level platforms
     parameterize their injections.
 
-    ``sample_base`` (counter scheme only) anchors the injector's first
-    evaluation sample on the global sample axis, so a sample slice injects
-    exactly the faults the full-set run would inject into those samples.
+    ``sample_base`` anchors the injector's first evaluation sample on the
+    global sample axis, so a sample slice injects exactly the faults the
+    full-set run would inject into those samples.
     """
 
     def __init__(
         self,
         ber: float,
-        seed: int | np.random.Generator = 0,
+        seed: int = 0,
         config: FaultModelConfig | None = None,
         sample_base: int = 0,
     ):
@@ -51,20 +48,10 @@ class NeuronLevelInjector(ReplayHooks, Injector):
             raise ValueError(f"ber must be non-negative, got {ber}")
         self.ber = float(ber)
         self.config = config or FaultModelConfig()
-        if self.config.rng_scheme == RNG_COUNTER:
-            self._sampler: CounterSampler | None = CounterSampler(
-                seed, self.ber, self.config, sample_base=sample_base
-            )
-            self.rng = None
-        else:
-            self._sampler = None
-            self.rng = as_rng(seed)
+        self._sampler = CounterSampler(
+            seed, self.ber, self.config, sample_base=sample_base
+        )
         self.event_counts: dict[str, int] = defaultdict(int)
-
-    def begin_inference(self, batch_size: int) -> None:
-        """Track the forward batch's position on the global sample axis."""
-        if self._sampler is not None:
-            self._sampler.begin_batch(batch_size)
 
     def visit_output(self, layer, y_int: np.ndarray) -> np.ndarray:
         """Flip bits of requantized output neurons (post-accumulator)."""
@@ -73,29 +60,15 @@ class NeuronLevelInjector(ReplayHooks, Injector):
         n = y_int.shape[0]
         per_sample = y_int.size // n if n else 0
 
-        if self._sampler is not None:
-            events = self._sampler.site_events(
-                layer.name, "neuron", n, per_sample, exposure, 1.0, (per_sample,)
-            )
-            if events is None:
-                return y_int
-            self.event_counts["neuron"] += len(events)
-            rows = y_int.reshape(n, -1)
-            img = events.img
-            (idx,) = events.coords
-            bits = events.bits(width)
-            rows[img, idx] = flip_bit(rows[img, idx], bits, width)
+        events = self._sampler.site_events(
+            layer.name, "neuron", n, per_sample, exposure, 1.0, (per_sample,)
+        )
+        if events is None:
             return y_int
-
-        lam = self.ber * y_int.size * exposure
-        count = int(self.rng.poisson(lam))
-        if count == 0:
-            return y_int
-        count = min(count, self.config.max_events_per_category)
-        self.event_counts["neuron"] += count
-
-        flat = y_int.reshape(-1)
-        idx = self.rng.integers(0, flat.size, size=count)
-        bits = self.rng.integers(0, width, size=count)
-        flat[idx] = flip_bit(flat[idx], bits, width)
+        self.event_counts["neuron"] += len(events)
+        rows = y_int.reshape(n, -1)
+        img = events.img
+        (idx,) = events.coords
+        bits = events.bits(width)
+        rows[img, idx] = flip_bit(rows[img, idx], bits, width)
         return y_int

@@ -27,20 +27,15 @@ input-transform addition faults perturb the additive chain locally — the
 fully physical weight-amplified fan-out propagation is available as the
 ``amplify_input_transform_adds`` ablation.
 
-RNG schemes
------------
-Fault sites are sampled under one of two schemes
-(``FaultModelConfig.rng_scheme``):
-
-* ``"stream"`` (legacy): all draws come from one sequential PCG64 stream in
-  visit order, and sum-register widths are sized to the *batch* dynamic
-  range — the scheme the frozen parity references were recorded under.
-* ``"counter"``: draws are pure functions of ``(campaign seed, layer, site,
-  sample chunk)`` via :class:`repro.faultsim.sampling.CounterSampler`, and
-  sum-register widths are sized per *sample*.  Results are then invariant
-  under any partition of the sample axis (slice sizes, batch sizes, worker
-  counts), which is what enables sample-level sharding
-  (:func:`repro.faultsim.campaign.evaluate_sample_slice`).
+Fault sampling
+--------------
+Draws are pure functions of ``(campaign seed, layer, site, sample chunk)``
+via :class:`repro.faultsim.sampling.CounterSampler`, and sum-register
+widths are sized per *sample*.  Results are therefore invariant under any
+partition of the sample axis (slice sizes, batch sizes, worker counts),
+which is what enables sample-level sharding
+(:func:`repro.faultsim.campaign.evaluate_sample_slice`) and golden-run
+replay (:mod:`repro.faultsim.replay`).
 """
 
 from __future__ import annotations
@@ -50,37 +45,12 @@ from collections import defaultdict
 import numpy as np
 
 from repro.fixedpoint.bits import flip_delta, flip_delta_var  # noqa: F401  (flip_delta re-exported via register_flip_delta)
-from repro.faultsim.model import (
-    BerConvention,
-    FaultModelConfig,
-    FaultSemantics,
-    RNG_COUNTER,
-)
+from repro.faultsim.model import FaultModelConfig, FaultSemantics
 from repro.faultsim.protection import ProtectionPlan
-from repro.faultsim.sampling import (
-    CounterSampler,
-    ReplayHooks,
-    StreamEvents,
-    bit_lengths,
-)
+from repro.faultsim.sampling import CounterSampler, ReplayHooks, bit_lengths
 from repro.quantized.interface import Injector
-from repro.utils.rng import as_rng
 
 __all__ = ["OperationLevelInjector", "register_scale_pow", "register_flip_delta"]
-
-
-def _stage_register_width(max_abs: int, acc_width: int) -> int:
-    """Register width of an addition stage holding values up to ``max_abs``.
-
-    Hardware sizes each sum register to its stage's dynamic range, capped at
-    the accumulator width: ``min(acc_width, bit_length(max_abs) + 1)``.
-    Without the cap, guard bits far above a narrow stage's actual span would
-    let bit flips inject deltas orders of magnitude beyond any physical
-    signal of that stage.
-    """
-    if max_abs <= 0:
-        return 2
-    return max(2, min(acc_width, int(max_abs).bit_length() + 1))
 
 
 def register_scale_pow(max_abs: int, width: int) -> int:
@@ -116,25 +86,23 @@ class OperationLevelInjector(ReplayHooks, Injector):
     ber:
         Bit error rate (interpretation set by ``config.convention``).
     seed:
-        RNG seed or generator; a single injector instance is deterministic
-        given its seed and the visit sequence.  The counter scheme requires
-        an integer seed (streams are keyed by it).
+        Integer campaign seed; every draw is keyed by it.
     config:
-        Fault-model parameters, including the RNG scheme.
+        Fault-model parameters.
     protection:
         Optional :class:`ProtectionPlan`; protected fractions thin the
         event rate of their (layer, category).
     sample_base:
-        Global index of the first evaluation sample this injector will see
-        (counter scheme only).  Sample-slice evaluation passes the slice
-        start so every sample keeps its dataset-global identity; the
-        default 0 covers whole-set evaluation.
+        Global index of the first evaluation sample this injector will
+        see.  Sample-slice evaluation passes the slice start so every
+        sample keeps its dataset-global identity; the default 0 covers
+        whole-set evaluation.
     """
 
     def __init__(
         self,
         ber: float,
-        seed: int | np.random.Generator = 0,
+        seed: int = 0,
         config: FaultModelConfig | None = None,
         protection: ProtectionPlan | None = None,
         sample_base: int = 0,
@@ -144,42 +112,15 @@ class OperationLevelInjector(ReplayHooks, Injector):
         self.ber = float(ber)
         self.config = config or FaultModelConfig()
         self.protection = protection
-        if self.config.rng_scheme == RNG_COUNTER:
-            self._sampler: CounterSampler | None = CounterSampler(
-                seed, self.ber, self.config, sample_base=sample_base
-            )
-            self.rng = None
-        else:
-            self._sampler = None
-            self.rng = as_rng(seed)
+        self._sampler = CounterSampler(
+            seed, self.ber, self.config, sample_base=sample_base
+        )
         #: Events actually injected, keyed by category (diagnostics).
         self.event_counts: dict[str, int] = defaultdict(int)
         #: True when the per-category event cap ever bound.
         self.capped = False
 
-    def begin_inference(self, batch_size: int) -> None:
-        """Track the forward batch's position on the global sample axis."""
-        if self._sampler is not None:
-            self._sampler.begin_batch(batch_size)
-
     # ------------------------------------------------------------------ sampling
-    def _num_events(self, layer_name: str, category: str, n_ops: int, bits: int) -> int:
-        """Draw the Poisson event count for a category, with thinning and cap."""
-        if self.ber == 0.0 or n_ops <= 0:
-            return 0
-        rho = self._protected_fraction(layer_name, category)
-        if rho >= 1.0:
-            return 0
-        exposure = 1 if self.config.convention is BerConvention.PER_OP else bits
-        lam = self.ber * float(n_ops) * exposure * (1.0 - rho)
-        count = int(self.rng.poisson(lam))
-        if count > self.config.max_events_per_category:
-            count = self.config.max_events_per_category
-            self.capped = True
-        if count:
-            self.event_counts[category] += count
-        return count
-
     def _protected_fraction(self, layer_name: str, category: str) -> float:
         return (
             self.protection.fraction(layer_name, category)
@@ -198,7 +139,7 @@ class OperationLevelInjector(ReplayHooks, Injector):
         highs: tuple[int, ...],
         with_signs: bool = False,
     ):
-        """Sample one site's events for the current batch, either scheme.
+        """Sample one site's events for the current batch.
 
         ``category`` is the diagnostics/protection bucket; ``site``
         uniquely names this draw sequence within the layer (categories
@@ -206,16 +147,6 @@ class OperationLevelInjector(ReplayHooks, Injector):
         sub-convolutions — carry distinguishing suffixes so their keyed
         streams never collide).
         """
-        if self._sampler is None:
-            count = self._num_events(
-                layer_name, category, ops_per_sample * n_batch, exposure_bits
-            )
-            if count == 0:
-                return None
-            rng = self.rng
-            img = rng.integers(0, n_batch, size=count)
-            coords = [rng.integers(0, high, size=count) for high in highs]
-            return StreamEvents(rng, img, coords)
         events = self._sampler.site_events(
             layer_name,
             site,
@@ -231,16 +162,17 @@ class OperationLevelInjector(ReplayHooks, Injector):
         self.capped = self.capped or self._sampler.capped
         return events
 
-    def _stage_widths(self, ref: np.ndarray, acc_width: int, events):
-        """Sum-register width(s) for ``events``, sized to ``ref``'s range.
+    @staticmethod
+    def _stage_widths(ref: np.ndarray, acc_width: int, events):
+        """Per-event sum-register widths, sized to ``ref``'s range.
 
-        Stream scheme: one batch-wide scalar width (legacy semantics).
-        Counter scheme: each event's register is sized to its *own
-        sample's* maximum, so a fault's delta never depends on which other
-        samples share the batch (partition invariance).
+        Hardware sizes each sum register to its stage's dynamic range,
+        capped at the accumulator width:
+        ``min(acc_width, bit_length(max_abs) + 1)`` (at least 2).  Each
+        event's register is sized to its *own sample's* maximum, so a
+        fault's delta never depends on which other samples share the
+        batch (partition invariance).
         """
-        if self._sampler is None:
-            return _stage_register_width(int(np.abs(ref).max(initial=1)), acc_width)
         axes = tuple(range(1, ref.ndim))
         per_sample = np.abs(ref).max(axis=axes, initial=1)
         widths = np.clip(bit_lengths(per_sample) + 1, 2, acc_width)

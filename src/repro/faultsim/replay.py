@@ -16,8 +16,8 @@ pass.  This module exploits that sparsity:
    recomputing, per layer, only the **dirty set**: samples whose input
    already differs from the clean pass, plus samples the layer's own
    fault draws strike.  Which samples are struck is a pure function of
-   (campaign seed, layer, site, sample chunk) under the counter RNG
-   scheme — :meth:`CounterSampler.struck_samples` replays only the count
+   (campaign seed, layer, site, sample chunk) —
+   :meth:`CounterSampler.struck_samples` replays only the count
    and offset draws, no operand values needed — so the executor knows the
    recompute set *before* computing anything.  The dirty subset is
    gathered, pushed through the existing kernels with the existing
@@ -25,17 +25,14 @@ pass.  This module exploits that sparsity:
    copy of the cached clean output.
 
 Bit-identity with the full forward follows from two properties the
-counter scheme already guarantees: draws are keyed by *what* is sampled
+fault sampler guarantees: draws are keyed by *what* is sampled
 (never by batch shape), and register widths are sized per sample.  The
 only value-dependent choices left — the float64-vs-int64 fast paths of
 the exact GEMMs — are exact on both branches.  The parity suite
 (``tests/test_replay_parity.py``) pins accuracy, total events and
-per-category event counts against the non-replay path.
-
-Replay requires the counter RNG scheme for any faulty evaluation (stream
-draws depend on visit order and batch position).  BER = 0 evaluations
-need no forward at all under either scheme: they are pure lookups of the
-cached predictions.
+per-category event counts against the non-replay path.  BER = 0
+evaluations need no forward at all: they are pure lookups of the cached
+predictions.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.faultsim.model import BerConvention, FaultModelConfig, RNG_STREAM
+from repro.faultsim.model import BerConvention, FaultModelConfig
 from repro.faultsim.neuron_level import NeuronLevelInjector
 from repro.faultsim.operation_level import OperationLevelInjector
 from repro.quantized.qmodel import QuantizedModel
@@ -239,19 +236,10 @@ def build_golden_run(
     site layout) but no randomness is consumed.
     """
     fault_config = fault_config or FaultModelConfig()
-    # The recorder never samples, so record the census under the stream
-    # scheme: it accepts any config and skips the counter key plumbing.
-    recorder_config = FaultModelConfig(
-        semantics=fault_config.semantics,
-        convention=fault_config.convention,
-        max_events_per_category=fault_config.max_events_per_category,
-        amplify_input_transform_adds=fault_config.amplify_input_transform_adds,
-        rng_scheme=RNG_STREAM,
-    )
     if injector_kind == "neuron":
-        recorder = _NeuronCensusRecorder(recorder_config)
+        recorder = _NeuronCensusRecorder(fault_config)
     elif injector_kind == "operation":
-        recorder = _OperationCensusRecorder(recorder_config)
+        recorder = _OperationCensusRecorder(fault_config)
     else:
         raise ConfigurationError(f"unknown injector kind '{injector_kind}'")
 
@@ -302,11 +290,6 @@ def replay_forward(
         raise ConfigurationError(
             f"replay window [{start}, {stop}) out of range for "
             f"{golden.n_samples} cached samples"
-        )
-    if injector is not None and not injector.replay_ready:
-        raise ConfigurationError(
-            "replay requires the partition-invariant counter RNG scheme; "
-            "set FaultModelConfig(rng_scheme='counter')"
         )
 
     dirty_rows: dict[str, np.ndarray] = {}

@@ -1,11 +1,9 @@
 """Counter-based fault-event sampling: partition-invariant draws.
 
-The legacy (``"stream"``) injectors pull every random number from one
-sequential PCG64 stream, so a draw's value depends on its *position* —
-visit order, batch boundaries and sample partitioning all shift the
-stream.  This module implements the ``"counter"`` scheme: every draw is a
-pure function of ``(campaign seed, layer, site, sample chunk)``, realized
-as keyed Philox streams (:func:`repro.utils.rng.site_rng`).
+Every draw is a pure function of ``(campaign seed, layer, site, sample
+chunk)``, realized as keyed Philox streams
+(:func:`repro.utils.rng.site_rng`), so no draw depends on visit order,
+batch boundaries or how the sample set is partitioned.
 
 Sampling protocol
 -----------------
@@ -40,10 +38,10 @@ protocol to report *which* samples of a window receive events at a site —
 without needing any operand values, which is what lets the replay
 executor decide what to recompute before computing anything.
 
-The per-category expected fault count is identical to the stream scheme's
-(``lambda = ber · n_ops · exposure · thinning``); only the Monte-Carlo
-realization differs, which is why the scheme is part of a campaign's
-content identity.
+The per-category expected fault count is
+``lambda = ber · n_ops · exposure · thinning``; the chunking fixes the
+Monte-Carlo realization, which is why it is part of a campaign's content
+identity (:meth:`repro.faultsim.model.FaultModelConfig.rng_identity`).
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from repro.utils.rng import site_rng
 
 __all__ = [
     "SiteEvents",
-    "StreamEvents",
     "CounterSampler",
     "ReplayHooks",
     "bit_lengths",
@@ -91,9 +88,8 @@ class SiteEvents:
 
     ``img`` holds batch-local sample rows and ``coords`` one array per
     requested coordinate axis.  :meth:`bits` and :meth:`signs` complete
-    the per-event draws; callers must invoke them in that order, at most
-    once each (the stream implementation consumes a shared sequential
-    generator, so the call order *is* the draw order).
+    the per-event draws from values drawn up front, so neither consumes
+    randomness.
     """
 
     __slots__ = ("img", "coords", "_bit_u", "_sign")
@@ -124,63 +120,27 @@ class SiteEvents:
         return self._sign
 
 
-class StreamEvents(SiteEvents):
-    """Legacy sequential-stream events: draws come from the shared RNG.
-
-    Reproduces the pre-refactor injectors draw-for-draw: coordinates were
-    taken first, then ``rng.integers(0, width)`` for bits, then (where
-    used) the sign draw — so :meth:`bits`/:meth:`signs` pull from the
-    shared generator lazily, in call order.
-    """
-
-    __slots__ = ("_rng", "_count")
-
-    def __init__(self, rng, img, coords):
-        super().__init__(img, coords, bit_u=None, sign=None)
-        self._rng = rng
-        self._count = len(img)
-
-    def bits(self, width) -> np.ndarray:
-        """Register bit per event, drawn sequentially from the stream RNG."""
-        if np.ndim(width) != 0:
-            raise FaultModelError(
-                "per-event register widths require the counter RNG scheme"
-            )
-        return self._rng.integers(0, int(width), size=self._count)
-
-    def signs(self) -> np.ndarray:
-        """±1 sign per event, drawn sequentially from the stream RNG."""
-        return self._rng.integers(0, 2, size=self._count).astype(np.int64) * 2 - 1
-
-
 class ReplayHooks:
-    """Golden-run replay hooks shared by the counter-scheme injectors.
+    """Golden-run replay hooks shared by both injectors.
 
-    Mixed into both injectors (which own a ``self._sampler``:
-    a :class:`CounterSampler` under the counter scheme, ``None``
-    otherwise).  Protection-aware injectors override
+    Mixed into both injectors, which own a :class:`CounterSampler` as
+    ``self._sampler``.  Protection-aware injectors override
     :meth:`_protected_fraction`; the default is unprotected.
     """
 
-    _sampler: "CounterSampler | None" = None
+    _sampler: "CounterSampler"
 
     def _protected_fraction(self, layer_name: str, category: str) -> float:
         """Protected fraction rho of one (layer, category); 0 = unprotected."""
         return 0.0
 
-    @property
-    def replay_ready(self) -> bool:
-        """True when draws are partition-invariant (counter scheme), which
-        the golden-run replay executor requires."""
-        return self._sampler is not None
+    def begin_inference(self, batch_size: int) -> None:
+        """Track the forward batch's position on the global sample axis."""
+        self._sampler.begin_batch(batch_size)
 
     def set_replay_rows(self, rows: np.ndarray) -> None:
         """Pin the next layer forward to explicit global sample rows
-        (:meth:`CounterSampler.set_rows`); counter scheme only."""
-        if self._sampler is None:
-            raise FaultModelError(
-                "replay row pinning requires the counter RNG scheme"
-            )
+        (:meth:`CounterSampler.set_rows`)."""
         self._sampler.set_rows(rows)
 
     def replay_struck(self, layer_name: str, sites, start: int, stop: int):
@@ -192,8 +152,6 @@ class ReplayHooks:
         it, so the probe reports precisely the samples the full injection
         would touch.
         """
-        if self._sampler is None:
-            raise FaultModelError("replay probing requires the counter RNG scheme")
         hits = [
             self._sampler.struck_samples(
                 layer_name,
@@ -213,7 +171,7 @@ class ReplayHooks:
 
 
 class CounterSampler:
-    """Draws counter-scheme fault events for batches of a larger sample set.
+    """Draws fault events for batches of a larger sample set.
 
     One sampler serves one injector instance; it tracks only the rolling
     position of the current batch within the global sample axis
@@ -223,8 +181,8 @@ class CounterSampler:
     def __init__(self, seed: int, ber: float, config, sample_base: int = 0):
         if isinstance(seed, np.random.Generator):
             raise FaultModelError(
-                "the counter RNG scheme keys streams by integer campaign "
-                "seed; pass an int seed, not a Generator"
+                "fault draws are keyed by integer campaign seed; pass an "
+                "int seed, not a Generator"
             )
         self.seed = int(seed)
         self.ber = float(ber)

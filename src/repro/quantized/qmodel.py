@@ -51,9 +51,8 @@ class QuantizedModel:
         """Select the kernel backend for this model and all its nodes.
 
         Validates the name against the backend registry (raising
-        :class:`~repro.errors.ConfigurationError` for unknown names and
-        :class:`~repro.errors.BackendUnavailableError` when e.g. torch is
-        missing), then propagates it to every backend-aware node.  Node
+        :class:`~repro.errors.ConfigurationError` for unknown names),
+        then propagates it to every backend-aware node.  Node
         state stays a plain string — instances resolve lazily per
         process, so models remain picklable and fork-safe.  Returns
         ``self`` for chaining.

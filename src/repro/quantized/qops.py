@@ -19,8 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from repro.backends import format_bound, get_backend
-# Compatibility alias: the exact GEMM kernel now lives in the backend layer.
-from repro.backends.reference import exact_int_gemm as _exact_int_gemm  # noqa: F401
 from repro.errors import ShapeError
 from repro.fixedpoint import QFormat, rescale_round, saturate
 from repro.quantized.interface import Injector

@@ -29,7 +29,7 @@ CRCs with an offline :func:`fsck` checker/repairer.  See
 for the data flow.
 """
 
-from repro.runtime.chaos import CHAOS_KINDS, ChaosSpec, chaos_from_env
+from repro.runtime.chaos import CHAOS_KINDS, ChaosSpec
 from repro.runtime.checkpoint import (
     CampaignCheckpoint,
     FsckFileReport,
@@ -75,7 +75,6 @@ __all__ = [
     "FsckReport",
     "RetryPolicy",
     "SweepStats",
-    "chaos_from_env",
     "fsck",
     "unit_deadline",
     "BACKEND_DISTRIBUTED",

@@ -1,14 +1,11 @@
 """Deterministic chaos framework for the campaign runtime.
 
 Chaos testing asks: *does the runtime's detect/contain/recover machinery
-actually recover?*  The previous answer hung off two undocumented
-environment variables (``REPRO_WORKER_TASK_DELAY`` and
-``REPRO_WORKER_FAIL_TAGS``, now deprecated aliases); this module replaces
-them with a first-class, serializable :class:`ChaosSpec` whose every
-injection decision is a **pure function of (chaos seed, task key,
-attempt)** — the same keyed-Philox philosophy
-(:func:`repro.utils.rng.site_rng`) that makes the fault injectors
-partition-invariant.  Consequences:
+actually recover?*  This module answers it with a first-class,
+serializable :class:`ChaosSpec` whose every injection decision is a
+**pure function of (chaos seed, task key, attempt)** — the same
+keyed-Philox philosophy (:func:`repro.utils.rng.site_rng`) that makes
+the fault injectors partition-invariant.  Consequences:
 
 * a chaos run is **reproducible**: rerunning the same spec against the
   same batch injects the same faults at the same units, whatever the
@@ -50,7 +47,7 @@ Fault kinds
                    (harmlessly, content-addressed) double-executed
 =================  ==================================================
 
-``fail_tags`` is the legacy poison-task hook: units whose *tag* matches
+``fail_tags`` is the poison-task hook: units whose *tag* matches
 raise on **every** attempt, so the retry budget exhausts and the unit is
 quarantined — the one chaos kind meant to *not* converge.
 
@@ -68,8 +65,7 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from repro.errors import ChaosError, ConfigurationError, WorkerCrashError
 from repro.utils.rng import site_rng
@@ -78,7 +74,6 @@ __all__ = [
     "CHAOS_KINDS",
     "ChaosSpec",
     "apply_unit_chaos",
-    "chaos_from_env",
 ]
 
 #: Recognized fault kinds, in documentation order.
@@ -94,10 +89,6 @@ CHAOS_KINDS = (
 #: Exit status used by chaos-crashed distributed workers (mirrors the
 #: shell convention for SIGKILLed processes).
 CRASH_EXIT_STATUS = 137
-
-#: Deprecated environment hooks (aliases onto ChaosSpec since PR 10).
-ENV_TASK_DELAY = "REPRO_WORKER_TASK_DELAY"
-ENV_FAIL_TAGS = "REPRO_WORKER_FAIL_TAGS"
 
 #: Short CLI names for the rate fields of :class:`ChaosSpec`.
 _RATE_FIELDS = {
@@ -143,8 +134,7 @@ class ChaosSpec:
         Probability a distributed worker's heartbeat goes silent for
         one claimed lease.
     fail_tags:
-        Task tags that raise on **every** attempt (poison tasks; the
-        deprecated ``REPRO_WORKER_FAIL_TAGS`` alias feeds this).
+        Task tags that raise on **every** attempt (poison tasks).
     """
 
     seed: int = 0
@@ -361,33 +351,3 @@ def apply_unit_chaos(
             f"chaos: simulated worker crash (task {key}, attempt {attempt})"
         )
 
-
-def chaos_from_env(environ=None) -> "ChaosSpec | None":
-    """Deprecated env-var chaos hooks, expressed as a :class:`ChaosSpec`.
-
-    ``REPRO_WORKER_TASK_DELAY=S`` (every unit sleeps ``S`` seconds) maps
-    to ``slow_unit_rate=1.0, slow_unit_seconds=S``;
-    ``REPRO_WORKER_FAIL_TAGS=a,b`` maps to ``fail_tags=("a", "b")``.
-    Returns ``None`` when neither variable is set.  Emits a
-    :class:`DeprecationWarning` — pass ``CampaignEngine(chaos=...)`` or
-    the CLI's ``--chaos`` instead — but keeps the variables working so
-    existing harnesses (and mid-flight fleets) survive the migration.
-    """
-    environ = os.environ if environ is None else environ
-    delay = float(environ.get(ENV_TASK_DELAY, "0") or 0.0)
-    tags = tuple(
-        tag for tag in environ.get(ENV_FAIL_TAGS, "").split(",") if tag
-    )
-    if delay <= 0.0 and not tags:
-        return None
-    warnings.warn(
-        f"{ENV_TASK_DELAY}/{ENV_FAIL_TAGS} are deprecated chaos hooks; "
-        "use CampaignEngine(chaos=ChaosSpec(...)) or the CLI --chaos "
-        "flag instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = ChaosSpec(fail_tags=tags)
-    if delay > 0.0:
-        spec = replace(spec, slow_unit_rate=1.0, slow_unit_seconds=delay)
-    return spec

@@ -34,8 +34,11 @@ but fails its CRC — a bit flip on disk, a torn write whose prefix happens
 to be valid JSON — is treated exactly like an unparseable line: dropped
 at load with a warning, recomputed on resume, and reported by
 :func:`fsck`.  Version-2 files (no CRC) still load; when a v2 row *does*
-carry a ``crc`` it is verified.  Loaded v1/v2 stores are compacted to a
-clean version-3 file on the first flush.
+carry a ``crc`` it is verified.  Loaded v2 stores are compacted to a
+clean version-3 file on the first flush.  Headerless version-1
+single-document files are no longer read: loading one raises
+:class:`~repro.errors.CheckpointError` naming the version, and
+:func:`fsck` reports it as not a checkpoint.
 
 Durability
 ----------
@@ -86,7 +89,6 @@ __all__ = [
 
 _VERSION = 3
 _V2_VERSION = 2
-_LEGACY_VERSION = 1
 
 #: Either stored record shape.
 _Result = SeedPointResult | SampleSliceResult
@@ -172,12 +174,11 @@ def _parse_file(
     """Parse checkpoint ``text`` into (points, damaged line numbers, legacy).
 
     Raises :class:`CheckpointError` when the file is unrecoverable (no
-    readable header and not a legacy document); individual damaged point
+    readable header, or an unsupported version); individual damaged point
     lines — unparseable, malformed, or failing their CRC — are tolerated
     and reported by number.  ``legacy`` is True when the file needs a
-    compacting rewrite on the next flush: the version-1 single-document
-    format, a version-2 (pre-CRC) file, or an empty file without a
-    header.
+    compacting rewrite on the next flush: a version-2 (pre-CRC) file, or
+    an empty file without a header.
     """
     if not text.strip():
         # A zero-byte (or whitespace-only) file — e.g. `touch`-created, or
@@ -211,7 +212,8 @@ def _parse_file(
             else:
                 damaged.append(lineno)
         return points, damaged, version != _VERSION
-    # No versioned header: either a legacy version-1 document or garbage.
+    # No versioned header: a multi-line document (the retired version-1
+    # format) or garbage.  Name the version when there is one.
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -219,15 +221,10 @@ def _parse_file(
             f"checkpoint {path} has no readable header and is not valid JSON "
             f"({exc}); repair it or delete it to start fresh"
         ) from exc
-    if not isinstance(doc, dict) or doc.get("version") != _LEGACY_VERSION:
-        version = doc.get("version") if isinstance(doc, dict) else None
-        raise CheckpointError(
-            f"checkpoint {path} has unsupported version {version!r}"
-        )
-    points = {
-        key: _row_result(row) for key, row in doc.get("points", {}).items()
-    }
-    return points, [], True
+    version = doc.get("version") if isinstance(doc, dict) else None
+    raise CheckpointError(
+        f"checkpoint {path} has unsupported version {version!r}"
+    )
 
 
 class CampaignCheckpoint:
@@ -529,7 +526,7 @@ class FsckFileReport:
     """Integrity findings for one checkpoint file.
 
     ``version`` is ``None`` when the file is not recognizably a
-    checkpoint (no readable header, not a legacy document) — such files
+    checkpoint (no readable v2/v3 header) — such files
     are reported but never repaired, so pointing fsck at the wrong
     directory cannot destroy anything.  ``damaged`` holds one entry per
     bad line: ``{"line": n, "key": key-or-None, "reason": DAMAGE_*}``.
@@ -609,38 +606,27 @@ def _fsck_scan(path: Path) -> tuple[FsckFileReport, dict[str, _Result], list[str
         header = json.loads(lines[0])
     except json.JSONDecodeError:
         header = None
-    if isinstance(header, dict) and header.get("version") in (
+    if not isinstance(header, dict) or header.get("version") not in (
         _VERSION,
         _V2_VERSION,
     ):
-        version = header["version"]
-        report.version = version
-        require_crc = version == _VERSION
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            report.lines += 1
-            key, result, damage = _scan_line(line, require_crc)
-            if damage is None:
-                if key in intact:
-                    report.duplicates += 1
-                intact[key] = result
-            else:
-                report.damaged.append(
-                    {"line": lineno, "key": key, "reason": damage}
-                )
-                bad_lines.append(line)
-        report.records = len(intact)
-        return report, intact, bad_lines
-    # Legacy v1 document, or not a checkpoint at all.
-    try:
-        points, _, _ = _parse_file(path, text)
-    except CheckpointError:
         return report, intact, bad_lines  # version=None: not a checkpoint
-    report.version = _LEGACY_VERSION
-    report.lines = len(points)
-    report.records = len(points)
-    intact.update(points)
+    version = header["version"]
+    report.version = version
+    require_crc = version == _VERSION
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        report.lines += 1
+        key, result, damage = _scan_line(line, require_crc)
+        if damage is None:
+            if key in intact:
+                report.duplicates += 1
+            intact[key] = result
+        else:
+            report.damaged.append({"line": lineno, "key": key, "reason": damage})
+            bad_lines.append(line)
+    report.records = len(intact)
     return report, intact, bad_lines
 
 
@@ -697,7 +683,7 @@ def fsck(path: str | Path, repair: bool = False) -> FsckReport:
     Scans every record line of ``path`` (a single store, or a directory
     of shards/stores): JSON validity, record shape, and the version-3
     CRC32 (required for v3 rows, verified-when-present for v2).  With
-    ``repair=True`` every damaged or legacy file is compacted to a clean
+    ``repair=True`` every damaged or version-2 file is compacted to a clean
     version-3 store — damaged raw lines are quarantined into a
     ``*.quarantined`` sidecar first, never silently destroyed — so a
     subsequent fsck reports the store clean.  The returned

@@ -30,7 +30,7 @@ code (:func:`repro.runtime.engine._evaluate_unit` — the same function the
 pool backend dispatches), append the result to the worker's own shard,
 complete the lease.  A worker that dies mid-lease simply stops
 heartbeating; the lease expires and another worker reclaims the task.
-Because every unit is a pure function of its spec (counter-scheme RNG),
+Because every unit is a pure function of its spec (keyed fault draws),
 a reclaimed task recomputes to byte-identical results — double execution
 is wasteful, never wrong.
 
@@ -52,10 +52,7 @@ under test), torn shard appends (a prefix of the record hits disk, then
 the worker dies; CRC salvage drops the torn line and the reclaiming
 worker's intact row wins), and silent lost heartbeats (the lease expires
 under a live worker; content-addressed completion keeps double execution
-harmless).  The legacy env hooks ``REPRO_WORKER_TASK_DELAY`` /
-``REPRO_WORKER_FAIL_TAGS`` remain as deprecated aliases
-(:func:`~repro.runtime.chaos.chaos_from_env`) consulted only when the
-payload carries no spec.
+harmless).
 """
 
 from __future__ import annotations
@@ -75,13 +72,8 @@ from repro.errors import (
     TaskExecutionError,
     TaskQuarantinedError,
 )
-from repro.faultsim.model import RNG_COUNTER
 from repro.faultsim.replay import build_golden_run
-from repro.runtime.chaos import (
-    CRASH_EXIT_STATUS,
-    apply_unit_chaos,
-    chaos_from_env,
-)
+from repro.runtime.chaos import CRASH_EXIT_STATUS, apply_unit_chaos
 from repro.runtime.checkpoint import (
     CampaignCheckpoint,
     _VERSION as _CHECKPOINT_VERSION,
@@ -139,12 +131,10 @@ def write_payload(
 def load_payload(root, timeout: float = 30.0, poll: float = 0.1):
     """Load a batch payload, waiting briefly for the coordinator to write it.
 
-    Returns ``(qmodel, x, labels, config, units, replay, chaos)``.
-    Version-1 payloads (pre-chaos coordinators) still load, with
-    ``chaos=None``.  The wait tolerates a worker started against a
-    directory the coordinator is still preparing; after ``timeout``
-    seconds a missing payload raises
-    :class:`~repro.errors.ConfigurationError`.
+    Returns ``(qmodel, x, labels, config, units, replay, chaos)``.  The
+    wait tolerates a worker started against a directory the coordinator
+    is still preparing; after ``timeout`` seconds a missing payload
+    raises :class:`~repro.errors.ConfigurationError`.
     """
     path = Path(root) / PAYLOAD_NAME
     deadline = time.monotonic() + timeout
@@ -158,16 +148,11 @@ def load_payload(root, timeout: float = 30.0, poll: float = 0.1):
     with open(path, "rb") as handle:
         blob = pickle.load(handle)
     version = blob[0]
-    if version == 1:
-        _, qmodel, x, labels, config, units, replay = blob
-        chaos = None
-    elif version == _PAYLOAD_VERSION:
-        _, qmodel, x, labels, config, units, replay, chaos = blob
-    else:
+    if version != _PAYLOAD_VERSION:
         raise ConfigurationError(
             f"batch payload {path} has unsupported version {version!r}"
         )
-    return qmodel, x, labels, config, units, replay, chaos
+    return blob[1:]
 
 
 def shard_paths(root) -> list[Path]:
@@ -218,21 +203,13 @@ def prepare_batch(
 
 
 def _golden_for_worker(qmodel, x, labels, config, units, replay):
-    """Build this worker's golden-run cache when replay can serve the batch.
+    """Build this worker's golden-run cache when the batch asks for replay.
 
-    Mirrors the engine's pool-side decision: replay helps when the
-    counter RNG scheme makes faulty units cache-servable, or when the
-    batch carries BER-0 units (pure lookups).  Each worker pays one
-    clean forward — the price of not sharing the coordinator's address
-    space — and every unit it claims is then served through the cache,
-    bit-identically to a full forward.
+    Each worker pays one clean forward — the price of not sharing the
+    coordinator's address space — and every unit it claims is then
+    served through the cache, bit-identically to a full forward.
     """
     if not replay or not units:
-        return None
-    usable = config.fault_config.rng_scheme == RNG_COUNTER or any(
-        u.ber == 0.0 for u in units
-    )
-    if not usable:
         return None
     trim_x = x if config.max_samples is None else x[: config.max_samples]
     return build_golden_run(
@@ -299,8 +276,6 @@ def run_worker(
     root = Path(root)
     worker_id = worker_id or f"worker-{os.uname().nodename}-{os.getpid()}"
     qmodel, x, labels, config, units, replay, chaos = load_payload(root)
-    if chaos is None:
-        chaos = chaos_from_env()
     queue = WorkQueue(root)
     retry = RetryPolicy(max_attempts=queue.max_attempts)
     shard = CampaignCheckpoint(

@@ -35,17 +35,14 @@ single (BER, seed) point — the dominant wall-clock case for the TMR
 planner on big models.  Slice subtasks are scheduled and checkpointed
 exactly like seed subtasks (an interrupted point resumes with only its
 missing slices recomputed) and reduced back with
-:func:`repro.faultsim.combine_slice_results`.  Because fault draws must
-not depend on how the sample axis is partitioned, sample sharding
-requires the counter RNG scheme
-(``FaultModelConfig(rng_scheme="counter")``) whenever faults are
-injected; results are then **bit-identical for any slice size and any
-worker count**, including the unsharded serial run.
+:func:`repro.faultsim.combine_slice_results`.  Because fault draws do
+not depend on how the sample axis is partitioned, results are
+**bit-identical for any slice size and any worker count**, including the
+unsharded serial run.
 ``sample_shard="auto"`` picks the slice size per batch with
 :func:`auto_sample_shard`: just enough slices that every worker owns at
 least one subtask, no finer (over-splitting pays per-slice dispatch and
-checkpoint overhead for nothing).  Under the stream RNG scheme auto
-sharding quietly declines to split rather than erroring.
+checkpoint overhead for nothing).
 
 Golden-run replay
 -----------------
@@ -58,10 +55,10 @@ forward; protection plans never enter the key (protection only thins
 event rates — the clean pass is invariant).  The cache is built in the
 parent *before* the pool forks, so workers inherit it by copy-on-write
 like the rest of the payload.  BER = 0 subtasks become pure lookups of
-the cached predictions; faulty counter-scheme subtasks recompute only
-their fault-touched samples (:func:`repro.faultsim.replay.replay_forward`);
-faulty stream-scheme subtasks bypass the cache.  Replay is an execution
-strategy, not an identity: checkpoint keys and results are unchanged.
+the cached predictions; faulty subtasks recompute only their
+fault-touched samples (:func:`repro.faultsim.replay.replay_forward`).
+Replay is an execution strategy, not an identity: checkpoint keys and
+results are unchanged.
 
 Determinism contract
 --------------------
@@ -133,7 +130,6 @@ from repro.faultsim.campaign import (
     evaluate_sample_slice,
     evaluate_seed_point,
 )
-from repro.faultsim.model import RNG_COUNTER
 from repro.faultsim.protection import ProtectionPlan
 from repro.faultsim.replay import GoldenRun, build_golden_run
 from repro.quantized.qmodel import QuantizedModel
@@ -348,16 +344,15 @@ class CampaignEngine:
     sample_shard:
         When set, every (BER, seed) subtask is split into sample slices of
         this many evaluation samples (see *Sample sharding* in the module
-        docs).  Requires the counter RNG scheme for any faulty point.
-        ``"auto"`` picks the slice size per batch
-        (:func:`auto_sample_shard`, declining to split under the stream
-        scheme); ``None`` (default) disables sample sharding.
+        docs).  ``"auto"`` picks the slice size per batch
+        (:func:`auto_sample_shard`); ``None`` (default) disables sample
+        sharding.
     replay:
         When True, every ``evaluate_tasks`` batch is served through the
         golden-run cache (see *Golden-run replay* in the module docs):
         one clean forward per (model, data, census identity), shared
         copy-on-write with all workers; BER = 0 units become lookups and
-        faulty counter-scheme units recompute only fault-touched samples.
+        faulty units recompute only fault-touched samples.
         Results and checkpoint keys are bit-identical to ``replay=False``.
     backend:
         ``"pool"`` (default) executes pending units on the forked
@@ -399,8 +394,8 @@ class CampaignEngine:
         once the runtime's recovery machinery drains the injected
         faults.  ``None`` (default) injects nothing.
     kernel_backend:
-        Optional kernel backend name (``"reference"``, ``"optimized"``
-        or ``"torch"``; see :mod:`repro.backends`) applied to every
+        Optional kernel backend name (``"reference"`` or
+        ``"optimized"``; see :mod:`repro.backends`) applied to every
         model evaluated through this engine.  Kernel backends are
         bit-identical by contract, so results, event counts and
         checkpoint keys are unchanged — the selection never enters task
@@ -428,7 +423,7 @@ class CampaignEngine:
     ):
         self.workers = resolve_workers(workers)
         if kernel_backend is not None:
-            # Validate eagerly (unknown name / missing torch) so a bad
+            # Validate eagerly (unknown name) so a bad
             # selection fails at construction, not mid-campaign.
             get_kernel_backend(kernel_backend)
         self.kernel_backend = kernel_backend
@@ -558,7 +553,7 @@ class CampaignEngine:
         )
         per_task_subtasks = [task.subtasks() for task in tasks]
         shard = self._effective_shard(
-            n_samples, sum(len(s) for s in per_task_subtasks), config
+            n_samples, sum(len(s) for s in per_task_subtasks)
         )
         units: list[TaskSpec] = []
         groups: list[list[tuple[int, int]]] = []
@@ -574,7 +569,6 @@ class CampaignEngine:
                 units.extend(expanded)
                 group.append((start, len(units)))
             groups.append(group)
-        self._check_slice_scheme(units, config)
 
         keys = self._unit_keys(qmodel, x, labels, units, config)
         checkpoint = self._open_checkpoint()
@@ -602,17 +596,11 @@ class CampaignEngine:
                 if on_result is not None:
                     on_result(index, units[index], result, True)
 
-        # Golden run built only when live work remains that can actually
-        # use it (faulty stream-scheme units bypass replay, so a stream
-        # batch without BER-0 units would pay the clean forward for
-        # nothing), in the parent, so a forked pool inherits it
-        # copy-on-write with the payload.
-        replay_usable = config.fault_config.rng_scheme == RNG_COUNTER or any(
-            units[i].ber == 0.0 for i in pending
-        )
+        # Golden run built only when live work remains, in the parent, so
+        # a forked pool inherits it copy-on-write with the payload.
         golden = (
             self._golden_run(qmodel, x, labels, config)
-            if self.replay and pending and replay_usable
+            if self.replay and pending
             and self.backend != BACKEND_DISTRIBUTED
             else None
         )
@@ -725,40 +713,15 @@ class CampaignEngine:
         return self.evaluate_tasks(qmodel, x, labels, tasks, config=config)
 
     # --- internals ---------------------------------------------------------------
-    def _effective_shard(
-        self, n_samples: int, n_seed_units: int, config: CampaignConfig
-    ) -> int | None:
+    def _effective_shard(self, n_samples: int, n_seed_units: int) -> int | None:
         """Resolve the sample-shard setting for one batch.
 
-        An explicit integer is used as-is (invalid scheme combinations
-        fail loudly in :meth:`_check_slice_scheme`); ``"auto"`` consults
-        :func:`auto_sample_shard`, and declines to split under the stream
-        RNG scheme, whose faulty points cannot be sliced.
+        An explicit integer is used as-is; ``"auto"`` consults
+        :func:`auto_sample_shard`.
         """
-        if self.sample_shard is None:
-            return None
         if self.sample_shard == SAMPLE_SHARD_AUTO:
-            if config.fault_config.rng_scheme != RNG_COUNTER:
-                return None
             return auto_sample_shard(n_samples, self.workers, n_seed_units)
         return self.sample_shard
-
-    @staticmethod
-    def _check_slice_scheme(units: list[TaskSpec], config: CampaignConfig) -> None:
-        """Reject sample-sliced faulty units under the stream RNG scheme.
-
-        Stream draws depend on batch position, so slicing would silently
-        change results; only the counter scheme is partition-invariant.
-        Fault-free (BER 0) units slice fine under either scheme.
-        """
-        if config.fault_config.rng_scheme == RNG_COUNTER:
-            return
-        if any(u.sample_slice is not None and u.ber > 0.0 for u in units):
-            raise ConfigurationError(
-                "sample sharding with fault injection requires the "
-                "partition-invariant counter RNG scheme; set "
-                "FaultModelConfig(rng_scheme='counter') on the campaign"
-            )
 
     def _open_checkpoint(self) -> CampaignCheckpoint | None:
         if self.checkpoint_path is None:
@@ -998,8 +961,8 @@ class CampaignEngine:
         """Build (or reuse) the golden run for one evaluation payload.
 
         Keyed by :func:`repro.runtime.hashing.golden_key`, which is
-        invariant across protection plans, BERs, seeds and RNG schemes —
-        one clean forward serves a whole planner run.
+        invariant across protection plans, BERs and seeds — one clean
+        forward serves a whole planner run.
         """
         model_fp, data_fp = self._fingerprint(qmodel, x, labels, config)
         key = golden_key(model_fp, data_fp, config)

@@ -131,7 +131,7 @@ def golden_key(model_fp: str, data_fp: str, config: CampaignConfig) -> str:
 
     Deliberately *coarser* than a campaign fingerprint: the golden run is
     the fault-free forward plus the injection-site census, so protection
-    plans, BER points, seeds, RNG scheme and chunking all share one cache
+    plans, BER points, seeds and sample chunking all share one cache
     entry (protection only thins event rates — the clean pass is
     invariant).  Only fields that change the clean outputs or the census
     layout contribute: the model, the trimmed evaluation data, the

@@ -68,7 +68,7 @@ class RetryPolicy:
     jitter:
         Jitter half-width as a fraction of the delay (``0.25`` means the
         realized delay is uniform in ``[0.75, 1.25] * delay``).  The draw
-        is keyed by ``(key, attempt)`` through the counter RNG, so it is
+        is keyed by ``(key, attempt)`` through ``site_rng``, so it is
         deterministic per unit — reproducible chaos runs sleep the same.
     deadline:
         Optional per-unit wall-clock budget in seconds, enforced by

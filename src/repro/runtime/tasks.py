@@ -18,7 +18,7 @@ evaluates a freshly grown plan every iteration.
   statistics code) into one
   :class:`~repro.faultsim.campaign.CampaignResult`.
 
-Under the counter RNG scheme a point task can shard once more, along the
+A point task can shard once more, along the
 *sample* axis: :meth:`TaskSpec.sample_subtasks` expands a (BER, seed)
 point into **sample-slice subtasks** (``sample_slice=(start, stop)``),
 each scoring one contiguous window of the evaluation set via

@@ -17,9 +17,7 @@ larger kernels and strides are handled one level up by the DWM decomposition
 The integer pipeline's per-stage kernels (tile transforms and the channel
 reduction) execute through a pluggable :mod:`repro.backends` backend —
 bit-identical across backends by contract, so the choice affects
-wall-clock only.  ``_channel_reduce``, ``_cached_einsum`` and the bounded
-``_EINSUM_PATHS`` path cache remain importable here for compatibility
-(they now live in the backend layer).
+wall-clock only.
 """
 
 from __future__ import annotations
@@ -29,12 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backends import get_backend, kron_row_bound
-# Legacy aliases: the bounded einsum-path cache and the reference
-# kernels now live in the backend layer, but tests and the ABFT checker
-# import them from here.
-from repro.backends.base import EINSUM_PATHS as _EINSUM_PATHS  # noqa: F401
-from repro.backends.base import cached_einsum as _cached_einsum  # noqa: F401
-from repro.backends.reference import channel_reduce as _channel_reduce  # noqa: F401
 from repro.backends.reference import filter_transform_int as _filter_transform_int
 from repro.errors import ShapeError
 from repro.utils.im2col import conv_output_size, pad_nchw

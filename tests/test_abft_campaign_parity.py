@@ -25,7 +25,6 @@ import pytest
 
 from repro.faultsim import (
     CampaignConfig,
-    FaultModelConfig,
     ProtectionPlan,
     SCHEME_ABFT,
     SCHEME_TMR,
@@ -52,7 +51,6 @@ def counter_config(seeds=(0, 1)):
         seeds=seeds,
         batch_size=BATCH,
         max_samples=N_SAMPLES,
-        fault_config=FaultModelConfig(rng_scheme="counter"),
     )
 
 

@@ -47,11 +47,10 @@ RULE = StopRule(halfwidth=0.05, min_seeds=2, max_seeds=5)
 
 
 def counter_config() -> CampaignConfig:
-    """Counter-scheme campaign over the tiny fixtures' full 48 samples."""
+    """Campaign over the tiny fixtures' full 48 samples."""
     return CampaignConfig(
         seeds=(0, 1),
         batch_size=12,
-        fault_config=FaultModelConfig(rng_scheme="counter"),
     )
 
 
@@ -299,7 +298,7 @@ class TestLambdaGuards:
 
     def test_poisson_rate_guard_names_the_site(self):
         sampler = CounterSampler(
-            seed=0, ber=0.5, config=FaultModelConfig(rng_scheme="counter")
+            seed=0, ber=0.5, config=FaultModelConfig()
         )
         with pytest.raises(FaultModelError, match="layer 'conv1'.*site 'weight'"):
             sampler._chunk_head("conv1", "weight", 0, 1e19)
@@ -308,7 +307,7 @@ class TestLambdaGuards:
 
     def test_sane_rate_still_draws(self):
         sampler = CounterSampler(
-            seed=0, ber=1e-6, config=FaultModelConfig(rng_scheme="counter")
+            seed=0, ber=1e-6, config=FaultModelConfig()
         )
         rng, samples = sampler._chunk_head("conv1", "weight", 0, 2.0)
         assert rng is not None

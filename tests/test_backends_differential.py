@@ -28,13 +28,12 @@ from repro.backends import (
     BACKEND_NAMES,
     BoundedCache,
     EINSUM_PATHS,
-    available_backends,
     format_bound,
     get_backend,
     kron_row_bound,
     row_bound,
 )
-from repro.errors import BackendUnavailableError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.faultsim import (
     CampaignConfig,
     INJECTOR_NEURON,
@@ -49,15 +48,15 @@ from repro.winograd import get_transform
 #: Worker count for the engine-based parity tests (CI sets 2).
 PARITY_WORKERS = int(os.environ.get("REPRO_PARITY_WORKERS", "1"))
 
-#: Every non-reference backend that can be instantiated here.
-ALT_BACKENDS = [n for n in available_backends() if n != "reference"]
+#: Every non-reference backend, each checked against the reference oracle.
+ALT_BACKENDS = [n for n in BACKEND_NAMES if n != "reference"]
 
 REFERENCE = get_backend("reference")
 
 
 @pytest.fixture(params=ALT_BACKENDS)
 def alt(request):
-    """Each available non-reference backend instance."""
+    """Each non-reference backend instance."""
     return get_backend(request.param)
 
 
@@ -376,18 +375,9 @@ class TestRegistry:
         assert get_backend("optimized") is get_backend("optimized")
 
     def test_names_and_availability(self):
-        assert BACKEND_NAMES == ("reference", "optimized", "torch")
-        avail = available_backends()
-        assert avail[:2] == ("reference", "optimized")
-
-    @pytest.mark.skipif(
-        "torch" in ALT_BACKENDS, reason="torch is installed here"
-    )
-    def test_torch_missing_raises_backend_unavailable(self):
-        with pytest.raises(BackendUnavailableError, match="torch"):
-            get_backend("torch")
-        assert "torch" not in available_backends()
-        assert issubclass(BackendUnavailableError, ConfigurationError)
+        assert BACKEND_NAMES == ("reference", "optimized")
+        for name in BACKEND_NAMES:
+            assert get_backend(name).name == name
 
 
 class TestBoundedCache:
@@ -429,11 +419,11 @@ class TestBoundedCache:
             BoundedCache(capacity=0)
 
     def test_einsum_path_cache_is_bounded_and_shared(self):
-        """conv2d's legacy alias and the backend layer share one capped
+        """The reference kernels and the backend layer share one capped
         cache (the previously unbounded module global)."""
-        from repro.winograd import conv2d
+        from repro.backends import reference
 
-        assert conv2d._EINSUM_PATHS is EINSUM_PATHS
+        assert reference.EINSUM_PATHS is EINSUM_PATHS
         assert isinstance(EINSUM_PATHS, BoundedCache)
         assert EINSUM_PATHS.capacity == 256
 
@@ -465,18 +455,3 @@ class TestBoundHelpers:
         for node in qm.injectable_layers():
             assert format_bound(node.in_fmt.width) >= node.in_fmt.qmax
 
-
-class TestTorchBackend:
-    """Torch-only checks (the generic parametrization covers parity)."""
-
-    @pytest.fixture(autouse=True)
-    def _requires_torch(self):
-        pytest.importorskip("torch")
-
-    def test_registered_and_available(self):
-        assert "torch" in available_backends()
-        assert get_backend("torch").name == "torch"
-
-    def test_cache_stats_hook(self):
-        stats = get_backend("torch").cache_stats()
-        assert "einsum_paths" in stats

@@ -23,9 +23,9 @@ from repro.errors import (
     UnitDeadlineError,
     WorkerCrashError,
 )
-from repro.faultsim import CampaignConfig, FaultModelConfig
+from repro.faultsim import CampaignConfig
 from repro.runtime import CampaignEngine, ChaosSpec, RetryPolicy, unit_deadline
-from repro.runtime.chaos import apply_unit_chaos, chaos_from_env
+from repro.runtime.chaos import apply_unit_chaos
 
 BERS = [1e-5, 1e-4]
 
@@ -36,7 +36,6 @@ def config():
         seeds=(0, 1),
         batch_size=12,
         max_samples=24,
-        fault_config=FaultModelConfig(rng_scheme="counter"),
     )
 
 
@@ -135,23 +134,6 @@ class TestApplyUnitChaos:
             with pytest.raises(ChaosError, match="poison"):
                 apply_unit_chaos(spec, "k", "poison", attempt)
         apply_unit_chaos(spec, "k", "healthy", 1)  # other tags untouched
-
-
-class TestChaosFromEnv:
-    def test_returns_none_when_unset(self):
-        assert chaos_from_env({}) is None
-        assert chaos_from_env({"REPRO_WORKER_TASK_DELAY": "0"}) is None
-
-    def test_delay_maps_to_certain_slow_unit(self):
-        with pytest.warns(DeprecationWarning, match="deprecated chaos hooks"):
-            spec = chaos_from_env({"REPRO_WORKER_TASK_DELAY": "2.5"})
-        assert spec.slow_unit_rate == 1.0
-        assert spec.slow_unit_seconds == 2.5
-
-    def test_fail_tags_map_to_poison_tags(self):
-        with pytest.warns(DeprecationWarning):
-            spec = chaos_from_env({"REPRO_WORKER_FAIL_TAGS": "a,b,"})
-        assert spec.fail_tags == ("a", "b")
 
 
 class TestRetryPolicy:
@@ -274,7 +256,6 @@ class TestEngineChaos:
             batch_size=12,
             max_samples=24,
             injector="no-such-injector",
-            fault_config=FaultModelConfig(rng_scheme="counter"),
         )
         with pytest.raises(TaskExecutionError) as info:
             engine.evaluate_tasks(

@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from repro.faultsim import CampaignConfig, FaultModelConfig
+from repro.faultsim import CampaignConfig
 from repro.runtime import CampaignEngine, ChaosSpec, RetryPolicy, fsck
 
 BERS = [1e-5, 1e-4]
@@ -44,7 +44,6 @@ def config():
         seeds=(0, 1),
         batch_size=12,
         max_samples=24,
-        fault_config=FaultModelConfig(rng_scheme="counter"),
     )
 
 

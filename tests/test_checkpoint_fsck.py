@@ -233,7 +233,7 @@ class TestDurableFlush:
     def test_engine_degrades_checkpoint_less_when_disk_stays_broken(
         self, tiny_quantized, tiny_eval, tmp_path, monkeypatch
     ):
-        from repro.faultsim import CampaignConfig, FaultModelConfig
+        from repro.faultsim import CampaignConfig
         from repro.runtime import CampaignEngine, RetryPolicy, TaskSpec
 
         qm, _ = tiny_quantized
@@ -242,7 +242,6 @@ class TestDurableFlush:
             seeds=(0,),
             batch_size=12,
             max_samples=24,
-            fault_config=FaultModelConfig(rng_scheme="counter"),
         )
         ref = CampaignEngine(workers=1).evaluate_tasks(
             qm, x, y, [TaskSpec(ber=1e-5, seed=0)], config=config

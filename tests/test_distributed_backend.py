@@ -20,11 +20,12 @@ import random
 import pytest
 
 from repro.errors import CheckpointError, TaskExecutionError
-from repro.faultsim import CampaignConfig, FaultModelConfig, ProtectionPlan
+from repro.faultsim import CampaignConfig, ProtectionPlan
 from repro.faultsim.campaign import SampleSliceResult, SeedPointResult
 from repro.runtime import (
     CampaignCheckpoint,
     CampaignEngine,
+    ChaosSpec,
     TaskSpec,
     WorkQueue,
     data_fingerprint,
@@ -41,7 +42,6 @@ def config():
         seeds=(0, 1),
         batch_size=12,
         max_samples=24,
-        fault_config=FaultModelConfig(rng_scheme="counter"),
     )
 
 
@@ -276,14 +276,14 @@ class TestFailurePropagation:
         assert "ZeroDivisionError: injected failure" in message
 
     def test_distributed_backend_quarantines_poison_task(
-        self, tiny_quantized, tiny_eval, config, tmp_path, monkeypatch
+        self, tiny_quantized, tiny_eval, config, tmp_path
     ):
         qm, _ = tiny_quantized
         x, y = tiny_eval
-        monkeypatch.setenv("REPRO_WORKER_FAIL_TAGS", "poison")
         task = TaskSpec(ber=1e-5, seed=0, tag="poison")
         engine = dist_engine(
-            tmp_path, "q", workers=2, max_attempts=2, lease_timeout=10.0
+            tmp_path, "q", workers=2, max_attempts=2, lease_timeout=10.0,
+            chaos=ChaosSpec(fail_tags=("poison",)),
         )
         with pytest.raises(TaskExecutionError) as err:
             engine.evaluate_tasks(qm, x, y, [task], config=config)

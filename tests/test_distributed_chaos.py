@@ -8,11 +8,12 @@ is a pure function of its spec — the final sweep is bit-identical
 (checkpoint keys, accuracies, event counts) to the pool backend, with
 nothing quarantined and nothing lost.
 
-The victim is stalled deterministically via the worker's
-``REPRO_WORKER_TASK_DELAY`` chaos hook: it claims one task, then sleeps
-far past the test's deadline while its heartbeat thread keeps the lease
-alive — so only SIGKILL (which stops the heartbeats) can release the
-task, which is exactly the failure mode under test.
+The victim is stalled deterministically by a certain ``slow_unit`` chaos
+spec in the batch payload: it claims one task, then sleeps far past the
+test's deadline while its heartbeat thread keeps the lease alive — so
+only SIGKILL (which stops the heartbeats) can release the task, which is
+exactly the failure mode under test.  The payload is then rewritten
+without chaos before the healthy worker starts.
 
 CI tier-2 re-runs this module with ``REPRO_PARITY_WORKERS=2``.
 """
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.faultsim import CampaignConfig, FaultModelConfig
+from repro.faultsim import CampaignConfig
 from repro.runtime import (
     CampaignEngine,
     TaskSpec,
@@ -37,7 +38,8 @@ from repro.runtime import (
     data_fingerprint,
     model_fingerprint,
 )
-from repro.runtime.distributed import prepare_batch, shard_paths
+from repro.runtime.chaos import ChaosSpec
+from repro.runtime.distributed import prepare_batch, shard_paths, write_payload
 from repro.runtime.checkpoint import CampaignCheckpoint
 
 BERS = [0.0, 1e-5, 1e-4]
@@ -51,18 +53,15 @@ def config():
         seeds=(0, 1),
         batch_size=12,
         max_samples=24,
-        fault_config=FaultModelConfig(rng_scheme="counter"),
     )
 
 
-def spawn_worker(root: Path, name: str, extra_env: dict | None = None):
+def spawn_worker(root: Path, name: str):
     """Start one real CLI worker subprocess against ``root``."""
     env = dict(os.environ)
-    env.pop("REPRO_WORKER_TASK_DELAY", None)
     src = str(Path(__file__).resolve().parents[1] / "src")
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
-    env.update(extra_env or {})
     log = open(root / f"{name}.log", "wb")
     try:
         return subprocess.Popen(
@@ -121,15 +120,14 @@ class TestSigkillChaos:
         queue = prepare_batch(
             root, qm, x, y, config, units, keys, list(range(len(units))),
             lease_timeout=LEASE_TIMEOUT, max_attempts=5,
+            chaos=ChaosSpec(slow_unit_rate=1.0, slow_unit_seconds=600),
         )
 
         victim = healthy = None
         try:
             # The victim claims one task and stalls inside it, heartbeat
             # thread running, until SIGKILLed.
-            victim = spawn_worker(
-                root, "victim", {"REPRO_WORKER_TASK_DELAY": "600"}
-            )
+            victim = spawn_worker(root, "victim")
             wait_until(
                 lambda: queue.stats().leased >= 1,
                 message="the victim to claim a lease",
@@ -140,6 +138,9 @@ class TestSigkillChaos:
 
             victim.send_signal(signal.SIGKILL)
             victim.wait(timeout=30)
+            # Drop the stall before the survivor loads the payload (the
+            # rewrite is atomic, so no reader sees a partial file).
+            write_payload(root, qm, x, y, config, units, chaos=None)
 
             # A healthy worker drains the queue; the victim's lease
             # expires (no more heartbeats) and is reclaimed on attempt 2.

@@ -121,5 +121,4 @@ def test_gate_actually_covers_both_packages():
     }
     assert {p.name for p in backends} == {
         "__init__.py", "base.py", "optimized.py", "reference.py",
-        "torch_backend.py",
     }

@@ -92,15 +92,10 @@ class TestZeroBerFalsePositives:
     @pytest.mark.parametrize(
         "injector_cls", [OperationLevelInjector, NeuronLevelInjector]
     )
-    @pytest.mark.parametrize("scheme", ["stream", "counter"])
-    def test_zero_detections(
-        self, tiny_quantized, tiny_eval, mode_index, injector_cls, scheme
-    ):
+    def test_zero_detections(self, tiny_quantized, tiny_eval, mode_index, injector_cls):
         qm = tiny_quantized[mode_index]
         x, _ = tiny_eval
-        inner = injector_cls(
-            0.0, seed=0, config=FaultModelConfig(rng_scheme=scheme)
-        )
+        inner = injector_cls(0.0, seed=0, config=FaultModelConfig())
         report = detection_coverage(qm, x[:8], inner)
         assert sum(inner.event_counts.values()) == 0
         assert report.total_detections == 0

@@ -12,19 +12,27 @@ from repro.faultsim import (
     ProtectionPlan,
     expected_faults_per_image,
 )
-from repro.faultsim.operation_level import _stage_register_width, register_flip_delta
+from repro.faultsim.operation_level import register_flip_delta
+from repro.faultsim.sampling import SiteEvents
 from repro.winograd.opcount import ALL_CATEGORIES
+
+
+def stage_width(max_abs: int, acc_width: int) -> int:
+    """Sum-register width the injector picks for a sample peaking at ``max_abs``."""
+    ref = np.array([[max_abs, -1]], dtype=np.int64)
+    events = SiteEvents(np.array([0]), [], bit_u=None, sign=None)
+    return int(OperationLevelInjector._stage_widths(ref, acc_width, events)[0])
 
 
 class TestStageRegisterWidth:
     def test_caps_at_acc_width(self):
-        assert _stage_register_width(2**40, 20) == 20
+        assert stage_width(2**40, 20) == 20
 
     def test_narrow_stage_gets_narrow_register(self):
-        assert _stage_register_width(100, 20) == 8  # 7 bits + sign
+        assert stage_width(100, 20) == 8  # 7 bits + sign
 
     def test_degenerate(self):
-        assert _stage_register_width(0, 20) == 2
+        assert stage_width(0, 20) == 2
 
 
 class TestRegisterFlipDelta:

@@ -61,7 +61,6 @@ def counter_config(injector="operation", seeds=(0, 1)):
         batch_size=BATCH,
         max_samples=N_SAMPLES,
         injector=injector,
-        fault_config=FaultModelConfig(rng_scheme="counter"),
     )
 
 
@@ -156,9 +155,9 @@ class TestReplayBitIdentity:
         )
         assert (replayed.accuracy, replayed.events) == (full.accuracy, full.events)
 
-    def test_stream_scheme_bypasses_replay(self, tiny_quantized, tiny_eval):
-        """Faulty stream-scheme points fall back to the full forward
-        (stream draws are order-dependent); BER 0 still serves the cache."""
+    def test_default_config_replays_bit_identically(self, tiny_quantized, tiny_eval):
+        """A campaign on the default fault model replays bit-identically,
+        both the BER-0 cache lookup and a faulty point."""
         _, qm = tiny_quantized
         x, y = tiny_eval
         config = CampaignConfig(seeds=(0,), batch_size=BATCH, max_samples=N_SAMPLES)
@@ -189,15 +188,12 @@ class TestReplayBitIdentity:
             )
         short = CampaignConfig(
             seeds=(0,), batch_size=BATCH, max_samples=N_SAMPLES - 4,
-            fault_config=FaultModelConfig(rng_scheme="counter"),
         )
         with pytest.raises(ConfigurationError, match="samples"):
             evaluate_seed_point(qm, x, y, 0.0, 0, config=short, golden=golden)
         ablated = CampaignConfig(
             seeds=(0,), batch_size=BATCH, max_samples=N_SAMPLES,
-            fault_config=FaultModelConfig(
-                rng_scheme="counter", amplify_input_transform_adds=True
-            ),
+            fault_config=FaultModelConfig(amplify_input_transform_adds=True),
         )
         with pytest.raises(ConfigurationError, match="fault model"):
             evaluate_seed_point(qm, x, y, 0.0, 0, config=ablated, golden=golden)
@@ -258,9 +254,6 @@ class TestReplayDirtySets:
         injector = make_injector(config, BER_LOW, 0)
         with pytest.raises(ConfigurationError, match="out of range"):
             replay_forward(qm, golden, injector, (0, N_SAMPLES + 1))
-        stream_injector = OperationLevelInjector(BER_LOW, seed=0)
-        with pytest.raises(ConfigurationError, match="counter"):
-            replay_forward(qm, golden, stream_injector, (0, N_SAMPLES))
 
 
 class TestReplayEngine:

@@ -1,19 +1,14 @@
-"""Partition-invariance and statistics suite for the counter RNG scheme.
+"""Partition-invariance and statistics suite for the keyed fault sampler.
 
-The acceptance gate of the sample-sharding refactor: under
-``FaultModelConfig(rng_scheme="counter")`` every fault draw is a pure
-function of (campaign seed, layer, site, sample chunk), so
+The acceptance gate of the sample-sharding refactor: every fault draw is
+a pure function of (campaign seed, layer, site, sample chunk), so
 
 * a (BER, seed) evaluation recombined from sample slices of *any* size —
   and through the engine with *any* worker count — is bit-identical to
   the unsliced serial run (CI tier-2 re-runs this module with
   ``REPRO_PARITY_WORKERS=2``);
 * the evaluation batch size cannot change results either;
-* per-chunk Poisson event totals still realize the stream scheme's
-  lambda (the two schemes are the same statistical fault model);
-* the legacy stream scheme is left untouched (its frozen parity refs are
-  enforced by ``tests/test_engine_tasks_parity.py``) and refuses to
-  sample-shard.
+* per-chunk Poisson event totals realize the analytic lambda.
 """
 
 from __future__ import annotations
@@ -54,9 +49,7 @@ def counter_config(seeds=(0, 1), chunk_samples=8, injector="operation"):
         batch_size=BATCH,
         max_samples=N_SAMPLES,
         injector=injector,
-        fault_config=FaultModelConfig(
-            rng_scheme="counter", chunk_samples=chunk_samples
-        ),
+        fault_config=FaultModelConfig(chunk_samples=chunk_samples),
     )
 
 
@@ -115,7 +108,7 @@ class TestSlicePartitionInvariance:
                 seeds=(0, 1),
                 batch_size=batch_size,
                 max_samples=N_SAMPLES,
-                fault_config=FaultModelConfig(rng_scheme="counter", chunk_samples=8),
+                fault_config=FaultModelConfig(chunk_samples=8),
             )
             other = evaluate_seed_point(qm, x, y, BER, 0, config=config)
             assert (other.accuracy, other.events) == (
@@ -156,15 +149,6 @@ class TestSlicePartitionInvariance:
         with pytest.raises(ConfigurationError, match="stops at"):
             combine_slice_results(head, expected_total=N_SAMPLES)
 
-    def test_stream_scheme_refuses_sample_slices(self, tiny_quantized, tiny_eval):
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        config = CampaignConfig(seeds=(0,), batch_size=BATCH, max_samples=N_SAMPLES)
-        with pytest.raises(ConfigurationError, match="counter"):
-            evaluate_sample_slice(qm, x, y, BER, 0, (0, 7), config=config)
-        # BER 0 has no injector, so slicing is legal under either scheme.
-        clean = evaluate_sample_slice(qm, x, y, 0.0, 0, (0, 7), config=config)
-        assert clean.total == 7 and clean.events == 0
 
 
 class TestEngineSampleSharding:
@@ -202,20 +186,6 @@ class TestEngineSampleSharding:
         engine = CampaignEngine(workers=1, sample_shard=N_SAMPLES)
         engine.run_point(qm, x, y, BER, config=config)
         assert engine.last_stats.total_units == 2
-
-    def test_stream_scheme_sharding_rejected_by_engine(
-        self, tiny_quantized, tiny_eval
-    ):
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        engine = CampaignEngine(workers=1, sample_shard=7)
-        with pytest.raises(ConfigurationError, match="counter"):
-            engine.run_point(
-                qm, x, y, BER,
-                config=CampaignConfig(
-                    seeds=(0,), batch_size=BATCH, max_samples=N_SAMPLES
-                ),
-            )
 
     def test_kill_mid_point_resume_recomputes_only_missing_slices(
         self, tiny_quantized, tiny_eval, tmp_path
@@ -284,17 +254,17 @@ class _FakeLayer:
 
 
 class TestCounterSchemeStatistics:
-    """The counter scheme realizes the stream scheme's lambda."""
+    """Keyed per-chunk draws realize the fault model's analytic lambda."""
 
     NEURONS = 64
     N = 32
     RUNS = 40
 
-    def _events(self, scheme: str) -> np.ndarray:
+    def _events(self) -> np.ndarray:
         """Injected event totals over RUNS independent campaigns."""
         ber = 1e-3
         layer = _FakeLayer()
-        config = FaultModelConfig(rng_scheme=scheme, chunk_samples=8)
+        config = FaultModelConfig(chunk_samples=8)
         totals = []
         for seed in range(self.RUNS):
             injector = NeuronLevelInjector(ber, seed=seed, config=config)
@@ -306,16 +276,14 @@ class TestCounterSchemeStatistics:
         return np.asarray(totals, dtype=np.float64)
 
     def test_chunk_poisson_totals_match_stream_lambda(self):
-        """Mean/variance bounds: per-run totals under both schemes are
-        Poisson(lambda) with lambda = ber * neurons * width * n."""
+        """Mean/variance bounds: per-run totals are Poisson(lambda) with
+        lambda = ber * neurons * width * n."""
         lam = 1e-3 * self.NEURONS * _FakeFmt.width * self.N  # = 16.384
-        counter = self._events("counter")
-        stream = self._events("stream")
+        counter = self._events()
         sigma = np.sqrt(lam / self.RUNS)
         # Means within 4 standard errors of the analytic lambda (the
         # seeds are fixed, so this is deterministic, not flaky).
         assert abs(counter.mean() - lam) < 4 * sigma
-        assert abs(stream.mean() - lam) < 4 * sigma
         # Poisson variance ~ lambda; allow a loose factor-of-two band for
         # the small sample of runs.
         assert lam / 2 < counter.var() < lam * 2
@@ -325,7 +293,7 @@ class TestCounterSchemeStatistics:
         per-run totals (the statistics test's invariance counterpart)."""
         ber = 1e-3
         layer = _FakeLayer()
-        config = FaultModelConfig(rng_scheme="counter", chunk_samples=8)
+        config = FaultModelConfig(chunk_samples=8)
         for seed in (0, 1, 2):
             whole = NeuronLevelInjector(ber, seed=seed, config=config)
             whole.begin_inference(self.N)

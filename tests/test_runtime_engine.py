@@ -199,11 +199,14 @@ class TestCheckpointResume:
             assert set(row) == {"key", "ber", "seed", "accuracy", "events", "crc"}
             assert row["crc"] == record_crc(row)
 
-    def test_legacy_v1_checkpoint_still_loads(
+    def test_legacy_v1_checkpoint_rejected(
         self, tiny_quantized, tiny_eval, config, tmp_path
     ):
-        """A version-1 single-document file is read and upgraded on flush."""
-        from repro.faultsim import SeedPointResult
+        """A headerless version-1 single-document file is no longer read:
+        loading names the unsupported version, and fsck reports it as not
+        a checkpoint and leaves it byte-for-byte untouched."""
+        from repro.errors import CheckpointError
+        from repro.runtime import fsck
 
         qm, _ = tiny_quantized
         x, y = tiny_eval
@@ -212,18 +215,21 @@ class TestCheckpointResume:
         engine.run_sweep(qm, x, y, BERS[:1], config=config)
         points = checkpoint_points(ckpt)
 
-        # Rewrite the same content in the legacy format.
+        # Rewrite the same content in the retired format.
         ckpt.write_text(json.dumps({"version": 1, "points": points}, indent=2))
-        resumed = CampaignEngine(workers=1, checkpoint_path=ckpt, resume=True)
-        resumed.run_sweep(qm, x, y, BERS[:2], config=config)
-        assert resumed.last_stats.cached_units == len(config.seeds)
-        # The flush upgraded the file to version 3 with all points intact.
-        header, rows = checkpoint_lines(ckpt)
-        assert header == {"version": 3}
-        assert len(rows) == 2 * len(config.seeds)
-        store = CampaignCheckpoint(ckpt)
-        for key, row in points.items():
-            assert store.get(key) == SeedPointResult.from_dict(row)
+        before = ckpt.read_bytes()
+        with pytest.raises(CheckpointError, match="unsupported version 1"):
+            CampaignCheckpoint(ckpt)
+        with pytest.raises(CheckpointError, match="unsupported version 1"):
+            CampaignEngine(workers=1, checkpoint_path=ckpt, resume=True).run_sweep(
+                qm, x, y, BERS[:1], config=config
+            )
+        report = fsck(ckpt, repair=True)
+        (file_report,) = report.files
+        assert file_report.version is None
+        assert file_report.records == 0
+        assert not file_report.repaired and not report.repaired
+        assert ckpt.read_bytes() == before
 
 
 class TestHashing:

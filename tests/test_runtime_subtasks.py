@@ -207,13 +207,10 @@ class TestAutoSampleShard:
     """sample_shard="auto": fill the pool, never over-split."""
 
     def counter_config(self, seeds=(0,)):
-        from repro.faultsim import FaultModelConfig
-
         return CampaignConfig(
             seeds=seeds,
             batch_size=12,
             max_samples=24,
-            fault_config=FaultModelConfig(rng_scheme="counter"),
         )
 
     def test_chooser_math(self):
@@ -271,18 +268,6 @@ class TestAutoSampleShard:
         engine = CampaignEngine(workers=4, sample_shard="auto")
         result = engine.run_point(qm, x, y, BER, config=config)
         assert engine.last_stats.total_units == 4
-        assert result.to_dict() == serial.to_dict()
-
-    def test_auto_declines_under_stream_scheme(self, tiny_quantized, tiny_eval):
-        """Auto never forces the counter requirement: stream batches just
-        run unsliced (an explicit integer shard still errors)."""
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        config = CampaignConfig(seeds=(0, 1), batch_size=12, max_samples=24)
-        engine = CampaignEngine(workers=4, sample_shard="auto")
-        serial = run_point(qm, x, y, BER, config=config)
-        result = engine.run_point(qm, x, y, BER, config=config)
-        assert engine.last_stats.total_units == 2  # one per seed, unsliced
         assert result.to_dict() == serial.to_dict()
 
     def test_auto_no_split_when_pool_already_full(

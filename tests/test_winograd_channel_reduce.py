@@ -1,4 +1,4 @@
-"""Exactness tests for the ``_channel_reduce`` fast-path boundary.
+"""Exactness tests for the reference ``channel_reduce`` fast-path boundary.
 
 The integer Winograd pipeline reduces over channels either as a float64
 BLAS matmul (exact only while every partial product magnitude stays inside
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.winograd.conv2d import _channel_reduce
+from repro.backends.reference import channel_reduce
 
 THRESHOLD = 2**52
 
@@ -66,7 +66,7 @@ class TestChannelReduceBoundary:
         u, v = make_inputs(2**26, [2**26 - 1])
         assert int(np.abs(u).max()) * int(np.abs(v).max()) * 1 < THRESHOLD
         spy = RintSpy(monkeypatch)
-        got = _channel_reduce(u, v)
+        got = channel_reduce(u, v)
         assert spy.calls > 0, "expected the float64 fast path"
         np.testing.assert_array_equal(got, exact_reference(u, v))
 
@@ -75,7 +75,7 @@ class TestChannelReduceBoundary:
         u, v = make_inputs(2**26, [2**26])
         assert int(np.abs(u).max()) * int(np.abs(v).max()) * 1 == THRESHOLD
         spy = RintSpy(monkeypatch)
-        got = _channel_reduce(u, v)
+        got = channel_reduce(u, v)
         assert spy.calls == 0, "expected the int64 fallback"
         np.testing.assert_array_equal(got, exact_reference(u, v))
 
@@ -84,7 +84,7 @@ class TestChannelReduceBoundary:
         # 2**53 with low-order bits set, which float64 could not represent.
         u, v = make_inputs(2**26, [2**26 - 1, 2**26 - 3, 2**26 - 5])
         spy = RintSpy(monkeypatch)
-        got = _channel_reduce(u, v)
+        got = channel_reduce(u, v)
         assert spy.calls == 0, "expected the int64 fallback"
         ref = exact_reference(u, v)
         assert int(ref.max()) > 2**53
@@ -95,7 +95,7 @@ class TestChannelReduceBoundary:
         # threshold must also take the fallback.
         u, v = make_inputs(-(2**26), [2**26])
         spy = RintSpy(monkeypatch)
-        got = _channel_reduce(u, v)
+        got = channel_reduce(u, v)
         assert spy.calls == 0, "expected the int64 fallback"
         np.testing.assert_array_equal(got, exact_reference(u, v))
 
@@ -105,6 +105,6 @@ class TestChannelReduceBoundary:
         u = rng.integers(-(2**15), 2**15, size=(2, 4, 3, 4, 4)).astype(np.int64)
         v = rng.integers(-(2**15), 2**15, size=(3, 4, 4, 4)).astype(np.int64)
         spy = RintSpy(monkeypatch)
-        got = _channel_reduce(u, v)
+        got = channel_reduce(u, v)
         assert spy.calls > 0, "expected the float64 fast path"
         np.testing.assert_array_equal(got, exact_reference(u, v))

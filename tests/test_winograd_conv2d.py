@@ -158,7 +158,7 @@ class TestEinsumPathCache:
     """The integer path's cached contraction paths stay integer-exact."""
 
     def test_cached_paths_match_unoptimized_einsum(self):
-        from repro.winograd.conv2d import _EINSUM_PATHS
+        from repro.backends import EINSUM_PATHS
         from repro.winograd.transforms import get_transform
 
         rng = np.random.default_rng(3)
@@ -170,7 +170,7 @@ class TestEinsumPathCache:
         ctx = winograd_conv2d_int(x, v, padding=0, m=2)
         # The filter transform, input transform and output transform each
         # memoize one path per operand-shape signature.
-        assert len(_EINSUM_PATHS) >= 3
+        assert len(EINSUM_PATHS) >= 3
 
         g, bt = tf.g_int, tf.bt_int
         v_ref = np.einsum("ij,kcjl,ml->kcim", g, w, g, optimize=False)
@@ -181,14 +181,14 @@ class TestEinsumPathCache:
         np.testing.assert_array_equal(ctx.u_int, u_ref)
 
     def test_repeated_shapes_reuse_one_path(self):
-        from repro.winograd.conv2d import _EINSUM_PATHS
+        from repro.backends import EINSUM_PATHS
         from repro.winograd.transforms import get_transform
 
         tf = get_transform(2, 3)
         rng = np.random.default_rng(4)
         w = rng.integers(-10, 10, size=(4, 3, 3, 3)).astype(np.int64)
-        before = len(_EINSUM_PATHS)
+        before = len(EINSUM_PATHS)
         transform_filter_int(w, tf)
-        after_first = len(_EINSUM_PATHS)
+        after_first = len(EINSUM_PATHS)
         transform_filter_int(w, tf)
-        assert len(_EINSUM_PATHS) == after_first >= before
+        assert len(EINSUM_PATHS) == after_first >= before
