@@ -4,18 +4,18 @@ Two backends serve the :class:`~repro.backends.base.KernelBackend`
 protocol (filter/input/output tile transforms, the ``channel_reduce``
 channel GEMM, the im2col direct-convolution GEMM, requantization):
 
+* ``optimized`` — fused Kronecker transform GEMMs, fused casts,
+  zero-copy strided im2col consumption, blocked int64 fallbacks,
+  in-place requantize.  Every production forward runs on it.
 * ``reference`` — the original NumPy kernels, extracted verbatim; the
-  bit-identity baseline and the differential oracle every other backend
-  is tested against.
-* ``optimized`` — fused Kronecker transform GEMMs, preallocated scratch
-  buffers, zero-copy strided im2col consumption, blocked int64
-  fallbacks, in-place requantize.  Bit-identical, substantially faster.
+  bit-identity oracle the differential tests check ``optimized``
+  against (selected with ``QuantizedModel.set_kernel_backend``).
 
-Backends are identified by these plain string names everywhere (model
-fields, engine/CLI options) and resolved to per-process instances
-lazily, which keeps models picklable and fork-safe and — together with
-the bit-identity contract — keeps the backend choice out of checkpoint
-keys and campaign fingerprints.
+Backends are identified by these plain string names on models and their
+nodes and resolved to per-process instances lazily, which keeps models
+picklable and fork-safe and — together with the bit-identity contract —
+keeps the backend choice out of checkpoint keys and campaign
+fingerprints.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ __all__ = [
 #: Every selectable backend name.
 BACKEND_NAMES = ("reference", "optimized")
 
-#: The backend models use unless told otherwise.
-DEFAULT_BACKEND = "reference"
+#: The backend every model runs on unless a test selects the oracle.
+DEFAULT_BACKEND = "optimized"
 
 #: Per-process singleton instances, created on first request.
 _INSTANCES: dict[str, KernelBackend] = {}

@@ -11,9 +11,8 @@ shareable across backends.
 
 This module also hosts :class:`BoundedCache` — the size-capped mapping
 behind the einsum-path memo (previously an unbounded module global in
-``winograd/conv2d.py``), the fused-transform-matrix cache and the
-scratch-buffer pool — plus the magnitude-bound helpers used by the
-float64-exactness probes.
+``winograd/conv2d.py``) and the fused-transform-matrix cache — plus the
+magnitude-bound helpers used by the float64-exactness probes.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ class BoundedCache:
 
     Eviction is FIFO: when a *new* key would exceed ``capacity``, the
     oldest entry is dropped.  The cached workloads (einsum contraction
-    paths, fused transform matrices, scratch buffers) are keyed by a
+    paths, fused transform matrices) are keyed by a
     small set of recurring layer geometries, so FIFO behaves like LRU in
     practice while keeping ``put`` O(1) and the implementation trivial
     to reason about in forked worker processes.
@@ -181,8 +180,7 @@ class KernelBackend(ABC):
     so results never depend on which was used.
 
     Returned arrays are always freshly allocated (callers accumulate
-    into them and retain them in injector contexts); scratch buffers may
-    be reused only for internal temporaries.
+    into them and retain them in injector contexts).
     """
 
     #: Registry name of the backend.

@@ -12,18 +12,17 @@ for every input, from four levers:
   product against one row of the Kronecker square, so every partial sum
   is bounded by ``operand_bound * max_row_abs_sum`` and the f64 GEMM is
   provably exact whenever that product stays under ``2**52``.
-* **Preallocated scratch buffers** — per-layer f64/int64 temporaries are
-  reused across calls via a bounded (tag, shape, dtype) pool, and the
-  int64→f64→int64 conversions run as single fused ``np.copyto`` casts
-  (including straight out of strided im2col views: zero-copy gather +
-  cast in one pass).  Returned arrays are always freshly allocated.
+* **Fused casts** — each int64→f64→int64 conversion is one cast into a
+  plain ``np.empty`` temporary, with transposes folded into the cast and
+  im2col patches read straight out of the strided view (zero-copy
+  gather + cast in one pass).  No buffer outlives its call.
 * **No redundant rounding** — f64 GEMM results are provably exact
   integers, so the ``np.rint`` pass is skipped and the cast truncates
   exactly.
 * **Blocked int64 fallbacks + vectorized requantize** — when a bound
   exceeds the f64 window the kernels fall back to cache-blocked 2-D
   int64 matmuls (still exact), and requantization runs the fixedpoint
-  fast path in-place on a scratch buffer (2 allocations instead of ~6).
+  fast path in place on one fresh int64 array (1 allocation instead of ~6).
 
 Bounds passed by callers are conservative (derived from quantization
 formats); both probe outcomes select exact paths, so path choice never
@@ -51,28 +50,17 @@ _F64_EXACT = 2**52
 
 
 class OptimizedBackend(KernelBackend):
-    """Scratch-buffer + fused-transform NumPy backend (bit-identical)."""
+    """Fused-transform NumPy backend (bit-identical)."""
 
     name = "optimized"
 
     def __init__(self):
-        """Set up the fused-matrix cache and the scratch-buffer pool."""
+        """Set up the fused-matrix cache."""
         self._reference = ReferenceBackend()
         #: (stage, m, r, dtype) -> (kron(M, M) as that dtype, row bound).
         self._fused = BoundedCache(capacity=64)
-        #: (tag, shape, dtype) -> reusable scratch ndarray.
-        self._scratch = BoundedCache(capacity=24)
 
     # --- internal helpers ----------------------------------------------------
-    def _buf(self, tag: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """Reusable uninitialized scratch array for one internal temporary."""
-        key = (tag, shape, np.dtype(dtype).str)
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._scratch.put(key, buf)
-        return buf
-
     def _fused_matrix(self, stage: str, tf, matrix: np.ndarray) -> tuple:
         """``(kron(M, M) as float64, max abs row sum)`` for a transform stage."""
         key = (stage, tf.m, tf.r, "float64")
@@ -86,7 +74,7 @@ class OptimizedBackend(KernelBackend):
         return entry
 
     def _fused_apply(
-        self, tag: str, kron_f: np.ndarray, flat_src: np.ndarray, out_shape: tuple
+        self, kron_f: np.ndarray, flat_src: np.ndarray, out_shape: tuple
     ) -> np.ndarray:
         """One fused cast + GEMM + cast: ``out = flat_src @ kron_f.T`` exactly.
 
@@ -95,15 +83,8 @@ class OptimizedBackend(KernelBackend):
         kron's output dim).  Only valid when the caller proved every
         partial sum fits the f64 mantissa.
         """
-        rows, in_dim = flat_src.shape
-        out_dim = kron_f.shape[0]
-        src_f = self._buf(tag + ".in", (rows, in_dim))
-        np.copyto(src_f, flat_src, casting="unsafe")
-        prod = self._buf(tag + ".out", (rows, out_dim))
-        np.matmul(src_f, kron_f.T, out=prod)
-        out = np.empty(out_shape, dtype=np.int64)
-        np.copyto(out.reshape(rows, out_dim), prod, casting="unsafe")
-        return out
+        prod = np.matmul(flat_src.astype(np.float64), kron_f.T)
+        return prod.astype(np.int64).reshape(out_shape)
 
     # --- protocol ------------------------------------------------------------
     def filter_transform(self, tf, weight_int: np.ndarray) -> np.ndarray:
@@ -122,7 +103,7 @@ class OptimizedBackend(KernelBackend):
         n, c, t_count, th, tw = tiles.shape
         if x_max * amp < _F64_EXACT:
             flat = np.ascontiguousarray(tiles).reshape(n * c * t_count, th * tw)
-            return self._fused_apply("it", kron_f, flat, tiles.shape)
+            return self._fused_apply(kron_f, flat, tiles.shape)
         return self._reference.input_transform(tf, tiles, x_bound=x_bound)
 
     def output_transform(
@@ -137,9 +118,7 @@ class OptimizedBackend(KernelBackend):
         n, k, t_count, th, tw = m_arr.shape
         if m_max * amp < _F64_EXACT:
             flat = np.ascontiguousarray(m_arr).reshape(n * k * t_count, th * tw)
-            return self._fused_apply(
-                "ot", kron_f, flat, (n, k, t_count, tf.m, tf.m)
-            )
+            return self._fused_apply(kron_f, flat, (n, k, t_count, tf.m, tf.m))
         return self._reference.output_transform(tf, m_arr, m_bound=m_bound)
 
     def channel_reduce(
@@ -155,23 +134,23 @@ class OptimizedBackend(KernelBackend):
         u_max = int(u_bound) if u_bound is not None else int(np.abs(u).max(initial=0))
         v_max = int(v_bound) if v_bound is not None else int(np.abs(v).max(initial=0))
         nt = n * t_count
-        out = np.empty((n, k, t_count, th, tw), dtype=np.int64)
         if u_max * v_max * c < _F64_EXACT:
             # One fused cast+transpose per operand, one batched DGEMM,
             # one fused cast+transpose back — no rint pass (the products
             # are exact integers) and no intermediate int64 copies.
-            u_f = self._buf("cr.u", (th * tw, c, nt))
+            u_f = np.empty((th * tw, c, nt))
             np.copyto(
                 u_f.reshape(th, tw, c, n, t_count),
                 u.transpose(3, 4, 1, 0, 2),
                 casting="unsafe",
             )
-            v_f = self._buf("cr.v", (th * tw, k, c))
+            v_f = np.empty((th * tw, k, c))
             np.copyto(
                 v_f.reshape(th, tw, k, c), v.transpose(2, 3, 0, 1), casting="unsafe"
             )
-            m_f = self._buf("cr.m", (th * tw, k, nt))
-            np.matmul(v_f, u_f, out=m_f)
+            m_f = np.matmul(v_f, u_f)
+            del u_f  # the largest temporary; free it before the output exists
+            out = np.empty((n, k, t_count, th, tw), dtype=np.int64)
             np.copyto(
                 out.transpose(3, 4, 1, 0, 2),
                 m_f.reshape(th, tw, k, n, t_count),
@@ -181,8 +160,9 @@ class OptimizedBackend(KernelBackend):
         # Exact int64 fallback: per tile position, a 2-D matmul blocked
         # over the (N*T) columns so operands stay cache-resident.
         block = max(1, _INT64_BLOCK_ELEMS // max(1, c))
-        um = self._buf("cr.ui", (c, nt), np.int64)
-        res = self._buf("cr.mi", (k, nt), np.int64)
+        out = np.empty((n, k, t_count, th, tw), dtype=np.int64)
+        um = np.empty((c, nt), dtype=np.int64)
+        res = np.empty((k, nt), dtype=np.int64)
         for i in range(th):
             for j in range(tw):
                 vm = np.ascontiguousarray(v[:, :, i, j])
@@ -216,22 +196,20 @@ class OptimizedBackend(KernelBackend):
             else int(np.abs(cols).max(initial=0))
         )
         if w_max * x_max * reduction < _F64_EXACT:
-            cols_f = self._buf("gm.cols", (n, reduction, pq))
+            cols_f = np.empty((n, reduction, pq))
             # Fused gather + cast: reads the strided view (or the
-            # materialized matrix) directly into f64 scratch in one pass.
+            # materialized matrix) directly into f64 in one pass.
             np.copyto(
                 cols_f.reshape(cols.shape) if cols.ndim == 6 else cols_f,
                 cols,
                 casting="unsafe",
             )
-            acc_f = self._buf("gm.acc", (n, k, pq))
-            np.matmul(weight2d.astype(np.float64), cols_f, out=acc_f)
-            out = np.empty((n, k, pq), dtype=np.int64)
-            np.copyto(out, acc_f, casting="unsafe")
-            return out
+            acc_f = np.matmul(weight2d.astype(np.float64), cols_f)
+            del cols_f  # the largest temporary; free it before the output exists
+            return acc_f.astype(np.int64)
         # Blocked exact int64 fallback.
         if cols.ndim == 6:
-            cols_i = self._buf("gm.cols64", (n, reduction, pq), np.int64)
+            cols_i = np.empty((n, reduction, pq), dtype=np.int64)
             np.copyto(cols_i.reshape(cols.shape), cols)
         else:
             cols_i = cols
@@ -259,16 +237,8 @@ class OptimizedBackend(KernelBackend):
             else int(np.abs(x).max(initial=0))
         )
         if w_max * x_max * weight.shape[1] < _F64_EXACT:
-            n, f = x.shape
-            k = weight.shape[0]
-            x_f = self._buf("ln.x", (n, f))
-            np.copyto(x_f, x, casting="unsafe")
-            w_f = weight.astype(np.float64)
-            acc_f = self._buf("ln.acc", (n, k))
-            np.matmul(x_f, w_f.T, out=acc_f)
-            out = np.empty((n, k), dtype=np.int64)
-            np.copyto(out, acc_f, casting="unsafe")
-            return out
+            acc_f = np.matmul(x.astype(np.float64), weight.astype(np.float64).T)
+            return acc_f.astype(np.int64)
         return x @ weight.T
 
     def requantize(
@@ -280,10 +250,10 @@ class OptimizedBackend(KernelBackend):
     ) -> np.ndarray:
         """In-place vectorized fixedpoint fast path (bit-identical).
 
-        Runs the int64 rescale-round on a scratch buffer (multiply, abs,
-        round, sign restore all in place) and returns the fresh clipped
-        array; extreme scales delegate to the exact object-dtype
-        fallback of :func:`repro.fixedpoint.requantize`.
+        Runs the int64 rescale-round on one fresh array (multiply, abs,
+        round, sign restore and clip all in place) and returns it;
+        extreme scales delegate to the exact object-dtype fallback of
+        :func:`repro.fixedpoint.requantize`.
         """
         shift = out_fmt.frac - acc_frac
         ratio = extra_ratio * (Fraction(2) ** shift)
@@ -291,22 +261,20 @@ class OptimizedBackend(KernelBackend):
         num, den = ratio.numerator, ratio.denominator
         if acc.size == 0 or ratio <= 0:
             return _fixedpoint_requantize(acc, acc_frac, out_fmt, extra_ratio=extra_ratio)
-        max_abs = int(np.max(np.abs(acc)))
+        max_abs = max(int(acc.max()), -int(acc.min()))
         if max_abs * num + den // 2 >= 2**62:
             return _fixedpoint_requantize(acc, acc_frac, out_fmt, extra_ratio=extra_ratio)
-        buf = self._buf("rq", acc.shape, np.int64)
-        np.multiply(acc, num, out=buf)
+        buf = np.multiply(acc, num)
         neg = buf < 0
         np.abs(buf, out=buf)
         buf += den // 2
         buf //= den
         np.negative(buf, out=buf, where=neg)
-        return np.clip(buf, out_fmt.qmin, out_fmt.qmax)
+        return np.clip(buf, out_fmt.qmin, out_fmt.qmax, out=buf)
 
     def cache_stats(self) -> dict:
-        """Counters for the einsum-path, fused-matrix and scratch caches."""
+        """Counters for the einsum-path and fused-matrix caches."""
         return {
             "einsum_paths": EINSUM_PATHS.stats(),
             "fused_transforms": self._fused.stats(),
-            "scratch_buffers": self._scratch.stats(),
         }

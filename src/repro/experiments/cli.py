@@ -42,12 +42,6 @@ once its confidence interval is inside ``--ci-halfwidth`` (seed budget
 per-seed results, so adaptive runs stay bit-reproducible and resumable
 for any ``--workers``/``--shard-samples``/``--replay`` combination.
 
-``--kernel-backend {reference,optimized}`` selects the per-layer
-compute backend (:mod:`repro.backends`) for every model: the same int64
-results bit-for-bit — backends are differentially tested against the
-reference — so campaign checkpoints are shared across kernel backends;
-only wall-clock changes.
-
 ``--backend distributed`` swaps the forked pool for the work-queue
 backend (:mod:`repro.runtime.distributed`): ``--workers`` worker
 *subprocesses* pull task leases from a SQLite queue under ``--queue``
@@ -432,16 +426,6 @@ def _figures_main(argv: list[str]) -> int:
         help="per-unit deadline watchdog: a unit running longer is "
         "aborted and retried under the same budget (default: none)",
     )
-    parser.add_argument(
-        "--kernel-backend",
-        choices=("reference", "optimized"),
-        default=None,
-        help="per-layer compute backend for every model (see "
-        "repro.backends): 'reference' (default NumPy kernels), "
-        "'optimized' (fused-transform/scratch-buffer NumPy, same bits, "
-        "faster).  Bit-identical by contract, so checkpoints are shared across "
-        "kernel backends",
-    )
     args = parser.parse_args(argv)
     if args.queue is not None and args.backend != "distributed":
         parser.error("--queue requires --backend distributed")
@@ -484,7 +468,6 @@ def _figures_main(argv: list[str]) -> int:
         replay=args.replay,
         backend=args.backend,
         queue=args.queue,
-        kernel_backend=args.kernel_backend,
         chaos=chaos,
         retry=retry,
     )

@@ -64,7 +64,6 @@ def make_engine(
     replay: bool = False,
     backend: str = "pool",
     queue: str | Path | None = None,
-    kernel_backend: str | None = None,
     chaos=None,
     retry=None,
 ) -> CampaignEngine:
@@ -75,15 +74,12 @@ def make_engine(
     slice]).  ``sample_shard`` splits every (BER, seed) subtask into
     sample slices (CLI ``--shard-samples``); ``replay`` serves campaigns
     through the golden-run cache (CLI ``--replay``) — both change
-    wall-clock only, never results.  ``backend="distributed"`` executes batches through
-    the work-queue backend (CLI ``--backend distributed``) with its batch
-    directories under ``queue`` (default ``<results>/queue``) —
-    bit-identical to the pool.  ``kernel_backend`` selects the per-layer
-    compute backend (CLI ``--kernel-backend``; see :mod:`repro.backends`)
-    applied to every model the engine evaluates — also bit-identical by
-    contract, so checkpoints stay shareable across kernel backends.
-    ``chaos`` (a :class:`repro.runtime.ChaosSpec`; CLI ``--chaos``)
-    injects deterministic faults for resilience drills, and ``retry``
+    wall-clock only, never results.  ``backend="distributed"`` executes
+    batches through the work-queue backend (CLI ``--backend
+    distributed``) with its batch directories under ``queue`` (default
+    ``<results>/queue``) — bit-identical to the pool.  ``chaos`` (a
+    :class:`repro.runtime.ChaosSpec`; CLI ``--chaos``) injects
+    deterministic faults for resilience drills, and ``retry``
     (a :class:`repro.runtime.RetryPolicy`; CLI ``--max-attempts`` /
     ``--unit-deadline``) sets the shared retry/backoff/deadline policy —
     neither changes completed results, chaos only perturbs the road
@@ -102,7 +98,6 @@ def make_engine(
         replay=replay,
         backend=backend,
         queue_dir=queue_dir,
-        kernel_backend=kernel_backend,
         chaos=chaos,
         retry=retry,
     )

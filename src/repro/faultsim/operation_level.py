@@ -174,7 +174,10 @@ class OperationLevelInjector(ReplayHooks, Injector):
         batch (partition invariance).
         """
         axes = tuple(range(1, ref.ndim))
-        per_sample = np.abs(ref).max(axis=axes, initial=1)
+        # max(max, -min) is max(|ref|) without a full-size |ref| copy.
+        per_sample = np.maximum(
+            ref.max(axis=axes, initial=1), -ref.min(axis=axes, initial=-1)
+        )
         widths = np.clip(bit_lengths(per_sample) + 1, 2, acc_width)
         return widths[events.img]
 

@@ -70,17 +70,20 @@ _POISSON_LAM_MAX = 9.0e18
 def bit_lengths(values: np.ndarray) -> np.ndarray:
     """Vectorized ``int.bit_length`` for non-negative int64 arrays.
 
-    Implemented with integer shifts (no float log) so boundary powers of
-    two are exact for the full int64 range.
+    A fixed binary-search ladder of integer shifts (32, 16, 8, 4, 2, 1,
+    then the last bit): no float log, so boundary powers of two are exact
+    for the full int64 range, and six passes however large the values.
     """
-    x = np.asarray(values, dtype=np.int64).copy()
+    x = np.asarray(values, dtype=np.int64)
     if np.any(x < 0):
         raise FaultModelError("bit_lengths requires non-negative values")
     out = np.zeros(x.shape, dtype=np.int64)
-    while np.any(x > 0):
-        out[x > 0] += 1
-        x >>= np.int64(1)
-    return out
+    for shift in (32, 16, 8, 4, 2, 1):
+        high = x >> shift
+        wide = high > 0
+        out += wide * shift
+        x = np.where(wide, high, x)
+    return out + (x > 0)
 
 
 class SiteEvents:

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backends import DEFAULT_BACKEND, get_backend
 from repro.errors import ConfigurationError
 from repro.fixedpoint import QFormat
 from repro.quantized.interface import Injector
@@ -38,18 +39,20 @@ class QuantizedModel:
     #: :mod:`repro.backends`).  Execution strategy only: every backend is
     #: bit-identical by contract, so this field is deliberately excluded
     #: from model fingerprints and checkpoint keys.
-    kernel_backend: str = "reference"
+    kernel_backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         self._by_name = {node.name: node for node in self.nodes}
         if self.output_name not in self._by_name:
             raise ConfigurationError(f"unknown output node '{self.output_name}'")
-        if self.kernel_backend != "reference":
+        if self.kernel_backend != DEFAULT_BACKEND:
             self.set_kernel_backend(self.kernel_backend)
 
     def set_kernel_backend(self, name: str) -> "QuantizedModel":
         """Select the kernel backend for this model and all its nodes.
 
+        The seam the differential tests use to run the ``reference``
+        oracle; production models keep :data:`DEFAULT_BACKEND`.
         Validates the name against the backend registry (raising
         :class:`~repro.errors.ConfigurationError` for unknown names),
         then propagates it to every backend-aware node.  Node
@@ -57,8 +60,6 @@ class QuantizedModel:
         process, so models remain picklable and fork-safe.  Returns
         ``self`` for chaining.
         """
-        from repro.backends import get_backend
-
         get_backend(name)  # validate eagerly, before any worker forks
         self.kernel_backend = name
         for node in self.nodes:

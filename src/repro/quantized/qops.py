@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from repro.backends import format_bound, get_backend
+from repro.backends import DEFAULT_BACKEND, format_bound, get_backend
 from repro.errors import ShapeError
 from repro.fixedpoint import QFormat, rescale_round, saturate
 from repro.quantized.interface import Injector
@@ -114,7 +114,7 @@ class QConvDirect(QNode):
     op_counts: OpCounts = field(default_factory=OpCounts)
     #: Kernel backend name (resolved lazily per process; bit-identical
     #: across backends, so never part of model fingerprints).
-    kernel_backend: str = "reference"
+    kernel_backend: str = DEFAULT_BACKEND
 
     @property
     def acc_frac(self) -> int:
@@ -177,7 +177,7 @@ class QConvWinograd(QNode):
     sub_filter_bounds: list[int] = field(default_factory=list)
     #: Kernel backend name (resolved lazily per process; bit-identical
     #: across backends, so never part of model fingerprints).
-    kernel_backend: str = "reference"
+    kernel_backend: str = DEFAULT_BACKEND
 
     @property
     def acc_frac(self) -> int:
@@ -259,7 +259,7 @@ class QLinear(QNode):
     op_counts: OpCounts = field(default_factory=OpCounts)
     #: Kernel backend name (resolved lazily per process; bit-identical
     #: across backends, so never part of model fingerprints).
-    kernel_backend: str = "reference"
+    kernel_backend: str = DEFAULT_BACKEND
 
     @property
     def acc_frac(self) -> int:

@@ -113,7 +113,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backends import get_backend as get_kernel_backend
 from repro.errors import (
     CheckpointWriteError,
     ConfigurationError,
@@ -393,15 +392,6 @@ class CampaignEngine:
         so a chaos run completes bit-identically to the undisturbed run
         once the runtime's recovery machinery drains the injected
         faults.  ``None`` (default) injects nothing.
-    kernel_backend:
-        Optional kernel backend name (``"reference"`` or
-        ``"optimized"``; see :mod:`repro.backends`) applied to every
-        model evaluated through this engine.  Kernel backends are
-        bit-identical by contract, so results, event counts and
-        checkpoint keys are unchanged — the selection never enters task
-        keys or ``campaign_fingerprint``, keeping checkpoints shareable
-        across backends.  ``None`` (default) leaves each model's own
-        setting untouched.
     """
 
     def __init__(
@@ -417,16 +407,10 @@ class CampaignEngine:
         queue_dir: str | Path | None = None,
         lease_timeout: float = 30.0,
         max_attempts: int = 3,
-        kernel_backend: str | None = None,
         retry: RetryPolicy | None = None,
         chaos: ChaosSpec | None = None,
     ):
         self.workers = resolve_workers(workers)
-        if kernel_backend is not None:
-            # Validate eagerly (unknown name) so a bad
-            # selection fails at construction, not mid-campaign.
-            get_kernel_backend(kernel_backend)
-        self.kernel_backend = kernel_backend
         if backend not in (BACKEND_POOL, BACKEND_DISTRIBUTED):
             raise ConfigurationError(
                 f"backend must be '{BACKEND_POOL}' or '{BACKEND_DISTRIBUTED}', "
@@ -534,14 +518,6 @@ class CampaignEngine:
         results.
         """
         config = config or CampaignConfig()
-        if (
-            self.kernel_backend is not None
-            and qmodel.kernel_backend != self.kernel_backend
-        ):
-            # Execution strategy only: bit-identical results and
-            # unchanged fingerprints, so this never invalidates the
-            # engine's memoized hashes or existing checkpoint rows.
-            qmodel.set_kernel_backend(self.kernel_backend)
         meter = ThroughputMeter()
 
         # Expand to subtask granularity.  Two levels: tasks fan out into

@@ -184,7 +184,7 @@ def winograd_conv2d_int(
         no fault injection is requested).
     backend:
         :class:`~repro.backends.base.KernelBackend` serving the transform
-        and channel-reduction stages (default: the ``reference`` backend).
+        and channel-reduction stages (default: the ``optimized`` backend).
         Every backend is bit-identical, so this changes wall-clock only.
     x_bound, v_bound:
         Optional conservative magnitude bounds on ``x_int``/``v_int``

@@ -1,7 +1,9 @@
 """Cross-backend differential suite: the bit-identity contract.
 
-Every kernel backend must return exactly the int64 values the
-``reference`` backend produces — stage by stage (each protocol method,
+Every production forward runs on ``optimized``; ``reference`` is the
+oracle it is checked against here, selected per model with
+``set_kernel_backend``.  Every kernel backend must return exactly the
+int64 values the ``reference`` backend produces — stage by stage (each protocol method,
 fast paths and int64 fallbacks, bound-fed and bound-free probes) and end
 to end (model forward, campaign evaluation under both conv modes, both
 injectors and BERs from zero through the accuracy knee).  Because the
@@ -19,6 +21,7 @@ checkpoint rows.
 from __future__ import annotations
 
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +30,7 @@ import pytest
 from repro.backends import (
     BACKEND_NAMES,
     BoundedCache,
+    DEFAULT_BACKEND,
     EINSUM_PATHS,
     format_bound,
     get_backend,
@@ -61,8 +65,8 @@ def alt(request):
 
 
 def restore_backend(qmodel):
-    """Reset a (session-scoped, shared) model to the reference backend."""
-    qmodel.set_kernel_backend("reference")
+    """Reset a (session-scoped, shared) model to the production backend."""
+    qmodel.set_kernel_backend(DEFAULT_BACKEND)
 
 
 # --- stage-level differential tests ------------------------------------------
@@ -110,7 +114,7 @@ class TestStageParity:
     @pytest.mark.parametrize(
         "magnitude", [1 << 15, 1 << 25], ids=["f64", "int64-blocked"]
     )
-    def test_channel_reduce(self, alt, rng, magnitude):
+    def test_channel_gemm(self, alt, rng, magnitude):
         """f64 BLAS path and the blocked int64 fallback (2^25·2^25·64 > 2^52)."""
         n, c, k, t_count, t = 2, 64, 5, 7, 4
         u = rng.integers(-magnitude, magnitude, size=(n, c, t_count, t, t)).astype(
@@ -203,7 +207,9 @@ class TestWholeConvParity:
         x = rng.integers(-(1 << 12), 1 << 12, size=(2, 8, 12, 12)).astype(np.int64)
         w = rng.integers(-(1 << 7), 1 << 7, size=(4, 8, 3, 3)).astype(np.int64)
         v = transform_filter_int(w, tf)
-        ref = winograd_conv2d_int(x, v, padding=1, m=m, keep_intermediates=keep)
+        ref = winograd_conv2d_int(
+            x, v, padding=1, m=m, keep_intermediates=keep, backend=REFERENCE
+        )
         out = winograd_conv2d_int(
             x,
             v,
@@ -230,7 +236,7 @@ class TestModelParity:
         qm = tiny_quantized[model_idx]
         x, _ = tiny_eval
         try:
-            restore_backend(qm)
+            qm.set_kernel_backend("reference")
             ref = qm.forward_trace(x[:8])
             qm.set_kernel_backend(alt.name)
             out = qm.forward_trace(x[:8])
@@ -252,7 +258,7 @@ class TestModelParity:
         config = CampaignConfig(seeds=(0, 1), batch_size=12, max_samples=24,
                                 injector=injector)
         try:
-            restore_backend(qm)
+            qm.set_kernel_backend("reference")
             ref = [evaluate_seed_point(qm, x, y, ber, s, config) for s in config.seeds]
             qm.set_kernel_backend(alt.name)
             out = [evaluate_seed_point(qm, x, y, ber, s, config) for s in config.seeds]
@@ -268,9 +274,10 @@ class TestModelParity:
         bers = [1e-5, 3e-5]
         config = CampaignConfig(seeds=(0, 1), batch_size=12, max_samples=24)
         try:
-            restore_backend(qm)
+            qm.set_kernel_backend("reference")
             serial = [r.to_dict() for r in run_sweep(qm, x, y, bers, config=config)]
-            engine = CampaignEngine(workers=PARITY_WORKERS, kernel_backend=alt.name)
+            qm.set_kernel_backend(alt.name)
+            engine = CampaignEngine(workers=PARITY_WORKERS)
             swept = [
                 r.to_dict() for r in engine.run_sweep(qm, x, y, bers, config=config)
             ]
@@ -293,13 +300,14 @@ class TestCheckpointByteIdentity:
         ref_ckpt = tmp_path / "reference.json"
         alt_ckpt = tmp_path / "alt.json"
         try:
-            restore_backend(qm)
-            CampaignEngine(
-                workers=1, checkpoint_path=ref_ckpt, kernel_backend="reference"
-            ).run_sweep(qm, x, y, bers, config=config)
-            CampaignEngine(
-                workers=1, checkpoint_path=alt_ckpt, kernel_backend=alt.name
-            ).run_sweep(qm, x, y, bers, config=config)
+            qm.set_kernel_backend("reference")
+            CampaignEngine(workers=1, checkpoint_path=ref_ckpt).run_sweep(
+                qm, x, y, bers, config=config
+            )
+            qm.set_kernel_backend(alt.name)
+            CampaignEngine(workers=1, checkpoint_path=alt_ckpt).run_sweep(
+                qm, x, y, bers, config=config
+            )
         finally:
             restore_backend(qm)
         ref_bytes = ref_ckpt.read_bytes()
@@ -317,13 +325,12 @@ class TestCheckpointByteIdentity:
         config = CampaignConfig(seeds=(0, 1), batch_size=12, max_samples=24)
         ckpt = tmp_path / "shared.json"
         try:
-            restore_backend(qm)
-            CampaignEngine(
-                workers=1, checkpoint_path=ckpt, kernel_backend="reference"
-            ).run_sweep(qm, x, y, bers, config=config)
-            engine = CampaignEngine(
-                workers=1, checkpoint_path=ckpt, resume=True, kernel_backend=alt.name
+            qm.set_kernel_backend("reference")
+            CampaignEngine(workers=1, checkpoint_path=ckpt).run_sweep(
+                qm, x, y, bers, config=config
             )
+            qm.set_kernel_backend(alt.name)
+            engine = CampaignEngine(workers=1, checkpoint_path=ckpt, resume=True)
             engine.run_sweep(qm, x, y, bers, config=config)
         finally:
             restore_backend(qm)
@@ -337,7 +344,7 @@ class TestFingerprintStability:
     def test_model_fingerprint_ignores_backend(self, alt, tiny_quantized):
         for qm in tiny_quantized:
             try:
-                restore_backend(qm)
+                qm.set_kernel_backend("reference")
                 before = model_fingerprint(qm)
                 qm.set_kernel_backend(alt.name)
                 assert model_fingerprint(qm) == before
@@ -347,13 +354,14 @@ class TestFingerprintStability:
     def test_set_kernel_backend_propagates_to_nodes(self, tiny_quantized):
         qm = tiny_quantized[1]
         try:
-            qm.set_kernel_backend("optimized")
+            qm.set_kernel_backend("reference")
             for node in qm.injectable_layers():
-                assert node.kernel_backend == "optimized"
+                assert node.kernel_backend == "reference"
         finally:
             restore_backend(qm)
+        assert DEFAULT_BACKEND == "optimized"
         for node in qm.injectable_layers():
-            assert node.kernel_backend == "reference"
+            assert node.kernel_backend == "optimized"
 
 
 # --- registry, errors, caches ------------------------------------------------
@@ -365,10 +373,6 @@ class TestRegistry:
     def test_model_validates_backend_eagerly(self, tiny_quantized):
         with pytest.raises(ConfigurationError):
             tiny_quantized[0].set_kernel_backend("numba")
-
-    def test_engine_validates_backend_eagerly(self):
-        with pytest.raises(ConfigurationError):
-            CampaignEngine(workers=1, kernel_backend="numba")
 
     def test_singletons(self):
         assert get_backend("reference") is get_backend("reference")
@@ -429,11 +433,35 @@ class TestBoundedCache:
 
     def test_cache_stats_hook(self, alt):
         stats = alt.cache_stats()
-        assert "einsum_paths" in stats
+        assert set(stats) == {"einsum_paths", "fused_transforms"}
         for counters in stats.values():
             assert set(counters) == {
                 "size", "capacity", "hits", "misses", "evictions",
             }
+
+
+class TestMemoryRetention:
+    def test_forwards_retain_no_activation_buffers(self, tiny_quantized, tiny_eval):
+        """Backend temporaries die with their call: after two fault-free
+        forwards only the fused-matrix and einsum-path caches may remain
+        allocated from the backend layer, nothing activation-sized."""
+        qm = tiny_quantized[1]
+        x, _ = tiny_eval
+        try:
+            qm.set_kernel_backend("optimized")
+            tracemalloc.start()
+            try:
+                for _ in range(2):
+                    qm.forward(x)
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+        finally:
+            restore_backend(qm)
+        retained = snapshot.filter_traces(
+            [tracemalloc.Filter(True, "*/repro/backends/*")]
+        )
+        assert sum(stat.size for stat in retained.statistics("filename")) < 64 * 1024
 
 
 class TestBoundHelpers:

@@ -13,15 +13,19 @@ from repro.faultsim import (
     expected_faults_per_image,
 )
 from repro.faultsim.operation_level import register_flip_delta
-from repro.faultsim.sampling import SiteEvents
+from repro.faultsim.sampling import SiteEvents, bit_lengths
 from repro.winograd.opcount import ALL_CATEGORIES
+
+
+def stage_width_of(ref: np.ndarray, acc_width: int) -> int:
+    """Sum-register width the injector picks for the one sample of ``ref``."""
+    events = SiteEvents(np.array([0]), [], bit_u=None, sign=None)
+    return int(OperationLevelInjector._stage_widths(ref, acc_width, events)[0])
 
 
 def stage_width(max_abs: int, acc_width: int) -> int:
     """Sum-register width the injector picks for a sample peaking at ``max_abs``."""
-    ref = np.array([[max_abs, -1]], dtype=np.int64)
-    events = SiteEvents(np.array([0]), [], bit_u=None, sign=None)
-    return int(OperationLevelInjector._stage_widths(ref, acc_width, events)[0])
+    return stage_width_of(np.array([[max_abs, -1]], dtype=np.int64), acc_width)
 
 
 class TestStageRegisterWidth:
@@ -33,6 +37,24 @@ class TestStageRegisterWidth:
 
     def test_degenerate(self):
         assert stage_width(0, 20) == 2
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 15, 30])
+    def test_negative_extreme_dominates(self, k):
+        ref = np.array([[-(2**k), 1]], dtype=np.int64)
+        assert stage_width_of(ref, 40) == max(2, (2**k).bit_length() + 1)
+
+    def test_all_zero_sample(self):
+        assert stage_width_of(np.zeros((1, 4), dtype=np.int64), 20) == 2
+
+    def test_bit_lengths_matches_int_bit_length(self):
+        edges = [0, 2**63 - 1]
+        for k in range(63):
+            edges += [2**k - 1, 2**k]
+        random = np.random.default_rng(0).integers(0, 2**63 - 1, size=10_000)
+        random >>= np.random.default_rng(1).integers(0, 63, size=10_000)
+        for values in (edges, random.tolist()):
+            got = bit_lengths(np.array(values, dtype=np.int64))
+            assert got.tolist() == [int(v).bit_length() for v in values]
 
 
 class TestRegisterFlipDelta:
