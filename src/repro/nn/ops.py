@@ -8,6 +8,18 @@ Each operator implements::
 where ``xs``/``input_grads`` are lists aligned with ``node.inputs`` and
 ``param_grads`` maps parameter names to gradients.  All math is float32
 NumPy with float64 accumulation where it matters (batch statistics).
+
+Convolution runs on one GEMM layout: the input is gathered once into
+``(N*P*Q, C*k*k)`` patch rows, the forward pass and both gradients are
+three plain matmuls, and :func:`~repro.utils.im2col.col2im` folds the
+input gradient from the transposed ``(C*k*k, N*P*Q)`` view.  Layouts are
+invariants here, because float results depend on memory order: the
+forward output is an NCHW view of NHWC memory (BatchNorm's batch
+statistics over an NCHW-contiguous copy round differently), and the
+matmul operands keep the memory orders the pinned weights were trained
+with (BLAS rounds small products by operand order).  Pooling
+gathers per-channel windows into ``(k*k, N*C*P*Q)`` and folds through
+the same ``col2im``.
 """
 
 from __future__ import annotations
@@ -16,48 +28,61 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn.graph import Graph, Node
-from repro.utils.im2col import col2im, conv_output_size, im2col
+from repro.utils.im2col import col2im, im2col_patches
 
 __all__ = ["forward_op", "backward_op", "init_node_params"]
 
 
 # --------------------------------------------------------------------------- conv2d
+def _patch_rows(x, k, stride, padding):
+    """Gather ``x`` once into ``(N*P*Q, C*k*k)`` rows, one patch per row.
+
+    The rows are C-ordered, but F-ordered for a single image.  BLAS
+    rounds small products differently for the two orders, and these are
+    the orders the pinned weights were trained with: the orders
+    ``np.tensordot`` gives the batched einsum reference in
+    ``tests/test_nn_ops_gradients.py``.
+    """
+    n, c = x.shape[:2]
+    patches = im2col_patches(x, (k, k), stride, padding)  # (N, C, k, k, P, Q)
+    p, q = patches.shape[4:]
+    rows = patches.transpose(0, 4, 5, 1, 2, 3).reshape(n * p * q, c * k * k)
+    return np.require(rows, requirements="F" if n == 1 else "C"), (p, q)
+
+
 def _conv2d_forward(node: Node, graph: Graph, xs, train):
     (x,) = xs
     weight = graph.params[node.name]["weight"]
     k = node.attrs["kernel"]
-    stride, padding = node.attrs["stride"], node.attrs["padding"]
-    n, c, h, w = x.shape
-    out_c = weight.shape[0]
-    p = conv_output_size(h, k, stride, padding)
-    q = conv_output_size(w, k, stride, padding)
-
-    cols = im2col(x, (k, k), stride, padding)  # (N, C*k*k, P*Q)
-    w2 = weight.reshape(out_c, -1)
-    y = np.einsum("kr,nrp->nkp", w2, cols, optimize=True).reshape(n, out_c, p, q)
+    n, out_c = x.shape[0], weight.shape[0]
+    cols, (p, q) = _patch_rows(x, k, node.attrs["stride"], node.attrs["padding"])
+    y = cols @ weight.reshape(out_c, -1).T  # (N*P*Q, K)
     if node.attrs.get("bias", True):
-        y = y + graph.params[node.name]["bias"].reshape(1, out_c, 1, 1)
+        y += graph.params[node.name]["bias"]
     cache = {"cols": cols if train else None, "x_shape": x.shape}
-    return y.astype(np.float32), cache
+    # NCHW view of NHWC memory: the layout the batch statistics are reduced in.
+    return y.reshape(n, p, q, out_c).transpose(0, 3, 1, 2), cache
 
 
 def _conv2d_backward(node: Node, graph: Graph, cache, grad_y):
     weight = graph.params[node.name]["weight"]
     k = node.attrs["kernel"]
-    stride, padding = node.attrs["stride"], node.attrs["padding"]
-    n, out_c, p, q = grad_y.shape
-    cols = cache["cols"]
-    g2 = grad_y.reshape(n, out_c, p * q)
+    out_c = weight.shape[0]
+    n, _, p, q = grad_y.shape
+    # (N*P*Q, K); the two-step reshape copies exactly when the einsum
+    # reference does, so BLAS sees its operand orders (see _patch_rows).
+    gt = grad_y.reshape(n, out_c, p * q).transpose(0, 2, 1).reshape(-1, out_c)
 
-    grad_w = np.einsum("nkp,nrp->kr", g2, cols, optimize=True).reshape(weight.shape)
-    param_grads = {"weight": grad_w.astype(np.float32)}
+    grad_w = np.ascontiguousarray(cache["cols"].T) @ gt  # (C*k*k, K)
+    param_grads = {"weight": grad_w.T.reshape(weight.shape)}
     if node.attrs.get("bias", True):
         param_grads["bias"] = grad_y.sum(axis=(0, 2, 3)).astype(np.float32)
 
-    w2 = weight.reshape(out_c, -1)
-    grad_cols = np.einsum("kr,nkp->nrp", w2, g2, optimize=True)
-    grad_x = col2im(grad_cols, cache["x_shape"], (k, k), stride, padding)
-    return param_grads, [grad_x.astype(np.float32)]
+    grad_cols = (gt @ weight.reshape(out_c, -1)).T  # (C*k*k, N*P*Q)
+    grad_x = col2im(
+        grad_cols, cache["x_shape"], (k, k), node.attrs["stride"], node.attrs["padding"]
+    )
+    return param_grads, [grad_x]
 
 
 # --------------------------------------------------------------------------- linear
@@ -148,67 +173,54 @@ def _relu_backward(node: Node, graph: Graph, cache, grad_y):
 
 
 # --------------------------------------------------------------------------- pooling
-def _pool_cols(x, k, stride, padding):
+def _pool_cols(x, k, stride, padding, fill):
+    """Per-channel windows in the GEMM layout ``(k*k, N*C*P*Q)``, padded with ``fill``."""
     n, c, h, w = x.shape
-    cols = im2col(x.reshape(n * c, 1, h, w), (k, k), stride, padding)
-    p = conv_output_size(h, k, stride, padding)
-    q = conv_output_size(w, k, stride, padding)
-    return cols.reshape(n, c, k * k, p * q), (p, q)
+    x = x.reshape(n * c, 1, h, w)
+    if padding:
+        pad = (padding, padding)
+        x = np.pad(x, ((0, 0), (0, 0), pad, pad), constant_values=fill)
+    patches = im2col_patches(x, (k, k), stride, 0)  # (N*C, 1, k, k, P, Q)
+    p, q = patches.shape[4:]
+    return patches.transpose(1, 2, 3, 0, 4, 5).reshape(k * k, -1), (p, q)
 
 
 def _maxpool_forward(node: Node, graph: Graph, xs, train):
     (x,) = xs
     k, stride, padding = node.attrs["kernel"], node.attrs["stride"], node.attrs["padding"]
-    cols, (p, q) = _pool_cols(x, k, stride, padding)
-    arg = cols.argmax(axis=2)
-    y = np.take_along_axis(cols, arg[:, :, None, :], axis=2)[:, :, 0, :]
-    n, c = x.shape[0], x.shape[1]
-    cache = {
-        "arg": arg if train else None,
-        "x_shape": x.shape,
-        "out_hw": (p, q),
-    }
-    return y.reshape(n, c, p, q), cache
+    # -inf padding: a padded position never wins a window (nor its gradient).
+    cols, (p, q) = _pool_cols(x, k, stride, padding, -np.inf)
+    cache = {"arg": cols.argmax(axis=0) if train else None, "x_shape": x.shape}
+    return cols.max(axis=0).reshape(x.shape[0], x.shape[1], p, q), cache
 
 
 def _maxpool_backward(node: Node, graph: Graph, cache, grad_y):
     k = node.attrs["kernel"]
-    stride, padding = node.attrs["stride"], node.attrs["padding"]
     n, c, h, w = cache["x_shape"]
-    p, q = cache["out_hw"]
-    arg = cache["arg"]  # (N, C, P*Q)
-    grad_cols = np.zeros((n, c, k * k, p * q), dtype=np.float32)
-    np.put_along_axis(
-        grad_cols, arg[:, :, None, :], grad_y.reshape(n, c, 1, p * q), axis=2
-    )
+    arg = cache["arg"]  # (N*C*P*Q,)
+    grad_cols = np.zeros((k * k, arg.size), dtype=np.float32)
+    grad_cols[arg, np.arange(arg.size)] = grad_y.reshape(-1)
     grad_x = col2im(
-        grad_cols.reshape(n * c, k * k, p * q),
-        (n * c, 1, h, w),
-        (k, k),
-        stride,
-        padding,
-    ).reshape(n, c, h, w)
-    return {}, [grad_x]
+        grad_cols, (n * c, 1, h, w), (k, k), node.attrs["stride"], node.attrs["padding"]
+    )
+    return {}, [grad_x.reshape(n, c, h, w)]
 
 
 def _avgpool_forward(node: Node, graph: Graph, xs, train):
     (x,) = xs
     k, stride, padding = node.attrs["kernel"], node.attrs["stride"], node.attrs["padding"]
-    cols, (p, q) = _pool_cols(x, k, stride, padding)
-    y = cols.mean(axis=2)
-    n, c = x.shape[0], x.shape[1]
-    return y.reshape(n, c, p, q), {"x_shape": x.shape, "out_hw": (p, q)}
+    cols, (p, q) = _pool_cols(x, k, stride, padding, 0.0)
+    y = cols.mean(axis=0)
+    return y.reshape(x.shape[0], x.shape[1], p, q), {"x_shape": x.shape}
 
 
 def _avgpool_backward(node: Node, graph: Graph, cache, grad_y):
     k = node.attrs["kernel"]
-    stride, padding = node.attrs["stride"], node.attrs["padding"]
     n, c, h, w = cache["x_shape"]
-    p, q = cache["out_hw"]
-    grad_cols = np.broadcast_to(
-        grad_y.reshape(n * c, 1, p * q) / (k * k), (n * c, k * k, p * q)
-    ).astype(np.float32)
-    grad_x = col2im(grad_cols, (n * c, 1, h, w), (k, k), stride, padding)
+    grad_cols = np.broadcast_to(grad_y.reshape(1, -1) / (k * k), (k * k, grad_y.size))
+    grad_x = col2im(
+        grad_cols, (n * c, 1, h, w), (k, k), node.attrs["stride"], node.attrs["padding"]
+    )
     return {}, [grad_x.reshape(n, c, h, w)]
 
 

@@ -1,10 +1,15 @@
 """im2col / col2im and padding helpers for NCHW convolution.
 
-These are the workhorses of both the float training path (:mod:`repro.nn`)
-and the quantized direct-convolution path (:mod:`repro.quantized`).  The
-im2col layout is chosen so that the reduction axis enumerates ``(c, r, s)``
-in C-major order — the *canonical accumulation order* that the operation-
+:func:`im2col_patches` is the zero-copy gather behind both the float
+training path (:mod:`repro.nn`) and the quantized direct-convolution path
+(:mod:`repro.quantized`).  The reduction axis enumerates ``(c, r, s)`` in
+C-major order — the *canonical accumulation order* that the operation-
 level fault injector assumes when it reconstructs partial sums.
+
+:func:`im2col` materializes the integer path's batched
+``(N, C*R*S, P*Q)`` matrix.  :func:`col2im` is the adjoint of the float
+path's single GEMM matrix ``(C*R*S, N*P*Q)`` (batch folded into the
+columns), which :mod:`repro.nn` gathers straight from the patches view.
 """
 
 from __future__ import annotations
@@ -111,29 +116,32 @@ def col2im(
     stride: int = 1,
     padding: int = 0,
 ) -> np.ndarray:
-    """Fold convolution columns back into an NCHW array (adjoint of im2col).
+    """Fold GEMM-layout columns back into an NCHW array (adjoint of the gather).
 
-    Overlapping contributions are summed, which makes this the correct
-    gradient operator for :func:`im2col` during backpropagation.
+    ``cols`` has shape ``(C * R * S, N * P * Q)``: the float training path's
+    GEMM layout, ``im2col(x).transpose(1, 0, 2).reshape(C * R * S, -1)``.
+    Overlapping contributions are summed in ``(r, s)`` order, which makes
+    this the gradient operator of that gather during backpropagation.
+    Returns a C-contiguous ``(N, C, H, W)`` array.
     """
     n, c, h, w = input_shape
     r, s = kernel
     p = conv_output_size(h, r, stride, padding)
     q = conv_output_size(w, s, stride, padding)
-    if cols.shape != (n, c * r * s, p * q):
+    if cols.shape != (c * r * s, n * p * q):
         raise ShapeError(
             f"cols shape {cols.shape} does not match expected "
-            f"{(n, c * r * s, p * q)}"
+            f"{(c * r * s, n * p * q)}"
         )
 
-    hp, wp = h + 2 * padding, w + 2 * padding
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, r, s, p, q)
+    # Fold into an NHWC buffer: the patch-row-major columns the float conv
+    # backward produces then read with a short stride.
+    out = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    cols6 = cols.T.reshape(n, p, q, c, r, s)
     for i in range(r):
         i_max = i + stride * p
         for j in range(s):
             j_max = j + stride * q
-            out[:, :, i:i_max:stride, j:j_max:stride] += cols6[:, :, i, j]
-    if padding == 0:
-        return out
-    return out[:, :, padding : padding + h, padding : padding + w]
+            out[:, i:i_max:stride, j:j_max:stride] += cols6[..., i, j]
+    out = out[:, padding : padding + h, padding : padding + w]
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))

@@ -76,11 +76,17 @@ class TestIm2colConvolution:
         assert cols.dtype == np.int64
 
 
+def gemm_cols(x, kernel, stride, padding):
+    """The ``(C*R*S, N*P*Q)`` gather whose adjoint :func:`col2im` is."""
+    cols = im2col(x, kernel, stride, padding)
+    return cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
+
+
 class TestCol2im:
     def test_adjoint_property(self, rng):
-        """<im2col(x), y> == <x, col2im(y)> — required for conv backward."""
+        """<gather(x), y> == <x, col2im(y)> — required for conv backward."""
         x = rng.standard_normal((2, 3, 6, 6))
-        cols = im2col(x, (3, 3), 2, 1)
+        cols = gemm_cols(x, (3, 3), 2, 1)
         y = rng.standard_normal(cols.shape)
         lhs = float((cols * y).sum())
         rhs = float((x * col2im(y, x.shape, (3, 3), 2, 1)).sum())
@@ -95,13 +101,18 @@ class TestCol2im:
     )
     def test_adjoint_property_hypothesis(self, h, w, stride, padding):
         rng = np.random.default_rng(h * 100 + w * 10 + stride + padding)
-        x = rng.standard_normal((1, 2, h, w))
-        cols = im2col(x, (3, 3), stride, padding)
+        x = rng.standard_normal((2, 2, h, w))
+        cols = gemm_cols(x, (3, 3), stride, padding)
         y = rng.standard_normal(cols.shape)
         lhs = float((cols * y).sum())
         rhs = float((x * col2im(y, x.shape, (3, 3), stride, padding)).sum())
         assert abs(lhs - rhs) < 1e-8
 
     def test_rejects_shape_mismatch(self, rng):
+        x = rng.standard_normal((2, 2, 5, 6))
+        cols = gemm_cols(x, (3, 3), 1, 0)  # (18, 2 * 3 * 4)
+        assert col2im(cols, x.shape, (3, 3), 1, 0).shape == x.shape
+        with pytest.raises(ShapeError):  # the batched (N, C*R*S, P*Q) layout
+            col2im(im2col(x, (3, 3), 1, 0), x.shape, (3, 3), 1, 0)
         with pytest.raises(ShapeError):
-            col2im(rng.standard_normal((1, 18, 4)), (1, 2, 5, 5), (3, 3), 1, 0)
+            col2im(cols.T, x.shape, (3, 3), 1, 0)
