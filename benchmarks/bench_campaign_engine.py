@@ -11,16 +11,7 @@ time-slice one CPU; bit-identity is asserted unconditionally):
   than the serial planner, with identical planning results;
 * the sample-sharding workload — a *single* (BER, seed) point split
   into sample slices — completes at least
-  1.5x faster with 4 workers than the unsharded run, bit-identically;
-* the replay workload — a low-BER sweep plus a planner-style batch of
-  protection-plan candidates, where most samples are untouched by
-  faults — completes at least 3x faster through a
-  ``CampaignEngine(replay=True)`` golden-run cache than through the same
-  engine without it (golden-build time included), bit-identically.
-
-The distributed work-queue backend is also measured against the pool on
-the same sweep; it is gated on bit-identity only (single-host runs pay
-subprocess + SQLite coordination overhead by design).
+  1.5x faster with 4 workers than the unsharded run, bit-identically.
 
 Run standalone for a timing report::
 
@@ -41,15 +32,10 @@ import time
 import numpy as np
 
 from repro.datasets import DatasetSpec, make_dataset
-from repro.faultsim import (
-    CampaignConfig,
-    ProtectionPlan,
-    run_point,
-    run_sweep,
-)
+from repro.faultsim import CampaignConfig, run_point, run_sweep
 from repro.nn import GraphBuilder, initialize
 from repro.quantized import QuantConfig, quantize_model
-from repro.runtime import CampaignEngine, TaskSpec, resolve_workers
+from repro.runtime import CampaignEngine, resolve_workers
 
 #: 4 BERs x 2 seeds = 8 independent (BER, seed) units.
 BERS = (1e-6, 3e-6, 1e-5, 3e-5)
@@ -234,99 +220,6 @@ def run_sample_shard_comparison(workers: int = 4, shard: int = 24) -> dict:
     }
 
 
-def run_replay_comparison(workers: int = 4) -> dict:
-    """Time a low-BER sweep + planner candidate batch: replay off vs on.
-
-    The regime the golden-run cache targets: rare Poisson events leave
-    most samples bit-identical to the fault-free pass, so the replay
-    engine runs one clean forward (shared copy-on-write by the pool and
-    by every protection-plan candidate — plans only thin event rates)
-    and recomputes just the fault-touched samples of each unit.  Both
-    sides use the same worker count; the speedup measures replay alone,
-    with the golden build included in the replay side's wall-clock.
-    """
-    qmodel, x, y, base = build_workload()
-    config = CampaignConfig(
-        seeds=SEEDS,
-        batch_size=base.batch_size,
-        max_samples=base.max_samples,
-    )
-    # Low-BER grid: a handful of events per (BER, seed) unit, so dirty
-    # sets stay small.  BER 0 rides along as the pure-lookup case.
-    bers = (0.0, 5e-10, 1e-9, 2e-9, 4e-9)
-    names = [layer.name for layer in qmodel.injectable_layers()]
-    plans = [ProtectionPlan.fault_free_layer(name, names) for name in names]
-    tasks = [TaskSpec(ber=ber, seeds=SEEDS) for ber in bers] + [
-        TaskSpec(ber=bers[3], seeds=SEEDS, protection=plan) for plan in plans
-    ]
-
-    baseline = CampaignEngine(workers=workers)
-    start = time.perf_counter()
-    base_results = baseline.evaluate_tasks(qmodel, x, y, tasks, config=config)
-    baseline_seconds = time.perf_counter() - start
-
-    replaying = CampaignEngine(workers=workers, replay=True)
-    start = time.perf_counter()
-    replay_results = replaying.evaluate_tasks(qmodel, x, y, tasks, config=config)
-    replay_seconds = time.perf_counter() - start
-
-    events = sum(sum(r.events_per_seed) for r in base_results)
-    return {
-        "units": baseline.last_stats.total_units,
-        "workers": replaying.workers,
-        "available_cores": resolve_workers(0),
-        "events": events,
-        "baseline_seconds": baseline_seconds,
-        "replay_seconds": replay_seconds,
-        "speedup": baseline_seconds / replay_seconds
-        if replay_seconds
-        else float("inf"),
-        "bit_identical": [r.to_dict() for r in base_results]
-        == [r.to_dict() for r in replay_results],
-    }
-
-
-def run_distributed_comparison(workers: int = 4) -> dict:
-    """Time the same sweep through the pool vs the work-queue backend.
-
-    Measures the distributed backend's coordination overhead (worker
-    subprocess startup, SQLite leasing, shard tailing + merge) against
-    the fork pool's on the standard 8-unit sweep, and asserts the
-    contract that justifies it: bit-identical results.  The distributed
-    side is expected to be *slower* on one host — its value is going
-    wider than one host — so the interesting numbers are the absolute
-    overhead and the identity flag, not a speedup gate.
-    """
-    import tempfile
-
-    qmodel, x, y, config = build_workload()
-    bers = list(BERS)
-
-    pool = CampaignEngine(workers=workers)
-    start = time.perf_counter()
-    pool_results = pool.run_sweep(qmodel, x, y, bers, config=config)
-    pool_seconds = time.perf_counter() - start
-
-    with tempfile.TemporaryDirectory() as queue_dir:
-        distributed = CampaignEngine(
-            workers=workers, backend="distributed", queue_dir=queue_dir
-        )
-        start = time.perf_counter()
-        dist_results = distributed.run_sweep(qmodel, x, y, bers, config=config)
-        distributed_seconds = time.perf_counter() - start
-
-    return {
-        "units": len(bers) * len(config.seeds),
-        "workers": pool.workers,
-        "available_cores": resolve_workers(0),
-        "pool_seconds": pool_seconds,
-        "distributed_seconds": distributed_seconds,
-        "overhead_seconds": distributed_seconds - pool_seconds,
-        "bit_identical": [r.to_dict() for r in pool_results]
-        == [r.to_dict() for r in dist_results],
-    }
-
-
 def run_adaptive_comparison(workers: int = 4) -> dict:
     """Count (seed x point) units: fixed grid at full budget vs early stop.
 
@@ -410,19 +303,6 @@ def format_sample_shard_report(stats: dict) -> str:
     )
 
 
-def format_replay_report(stats: dict) -> str:
-    return (
-        f"replay benchmark — {stats['units']} low-BER units "
-        f"({stats['events']} injected events)\n"
-        f"  available cores : {stats['available_cores']}\n"
-        f"  workers         : {stats['workers']}\n"
-        f"  no replay       : {stats['baseline_seconds']:.2f} s\n"
-        f"  replay          : {stats['replay_seconds']:.2f} s (incl. golden build)\n"
-        f"  speedup         : {stats['speedup']:.2f}x\n"
-        f"  bit-identical   : {stats['bit_identical']}"
-    )
-
-
 def format_adaptive_report(stats: dict) -> str:
     return (
         f"adaptive benchmark — {stats['bers']} BER points, "
@@ -436,19 +316,6 @@ def format_adaptive_report(stats: dict) -> str:
         f"{stats['rounds']} rounds)\n"
         f"  saved units     : {stats['saved_ratio']:.1%}\n"
         f"  speedup         : {stats['speedup']:.2f}x"
-    )
-
-
-def format_distributed_report(stats: dict) -> str:
-    return (
-        f"distributed benchmark — {stats['units']} (BER, seed) units "
-        f"via the work-queue backend\n"
-        f"  available cores : {stats['available_cores']}\n"
-        f"  workers         : {stats['workers']}\n"
-        f"  pool            : {stats['pool_seconds']:.2f} s\n"
-        f"  distributed     : {stats['distributed_seconds']:.2f} s "
-        f"(+{stats['overhead_seconds']:.2f} s coordination)\n"
-        f"  bit-identical   : {stats['bit_identical']}"
     )
 
 
@@ -523,26 +390,6 @@ def test_sample_shard_speedup():
     )
 
 
-def test_replay_speedup():
-    """>= 3x on the low-BER replay workload with 4 workers and >= 4
-    cores; always bit-identical to the non-replay engine."""
-    import pytest
-
-    stats = run_replay_comparison(workers=4)
-    print()
-    print(format_replay_report(stats))
-    assert stats["bit_identical"], "replay results diverged from full forward"
-    assert stats["events"] > 0, "workload too quiet to exercise replay"
-    if stats["available_cores"] < 4:
-        pytest.skip(
-            f"speedup needs >= 4 cores, machine has {stats['available_cores']}"
-        )
-    assert stats["speedup"] >= 3.0, (
-        f"expected >= 3x replay speedup with 4 workers, "
-        f"got {stats['speedup']:.2f}x"
-    )
-
-
 def test_adaptive_saves_units():
     """Early stopping must evaluate measurably fewer (seed x point) units
     than the fixed grid on the low-BER workload — on any machine (the
@@ -561,18 +408,6 @@ def test_adaptive_saves_units():
     )
 
 
-def test_distributed_backend_parity():
-    """The work-queue backend must stay bit-identical to the pool on the
-    full benchmark sweep; overhead is reported but not gated (one host
-    pays subprocess + SQLite coordination costs the pool doesn't)."""
-    stats = run_distributed_comparison(workers=2)
-    print()
-    print(format_distributed_report(stats))
-    assert stats["bit_identical"], (
-        "distributed backend diverged from the pool on the benchmark sweep"
-    )
-
-
 if __name__ == "__main__":
     np.random.seed(0)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -587,9 +422,7 @@ if __name__ == "__main__":
     tasks = run_task_batch_comparison(workers=args.workers)
     planner = run_planner_comparison(workers=args.workers)
     sample_shard = run_sample_shard_comparison(workers=args.workers)
-    replay = run_replay_comparison(workers=args.workers)
     adaptive = run_adaptive_comparison(workers=args.workers)
-    distributed = run_distributed_comparison(workers=args.workers)
     print(format_report(sweep))
     print(
         f"task-batch benchmark — {tasks['units']} protected tasks "
@@ -601,9 +434,7 @@ if __name__ == "__main__":
     )
     print(format_planner_report(planner))
     print(format_sample_shard_report(sample_shard))
-    print(format_replay_report(replay))
     print(format_adaptive_report(adaptive))
-    print(format_distributed_report(distributed))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(
@@ -612,9 +443,7 @@ if __name__ == "__main__":
                     "task_batch": tasks,
                     "planner": planner,
                     "sample_shard": sample_shard,
-                    "replay": replay,
                     "adaptive": adaptive,
-                    "distributed": distributed,
                 },
                 handle, indent=2, sort_keys=True,
             )

@@ -112,10 +112,10 @@ def cached_einsum(
     """``np.einsum`` with a memoized contraction path.
 
     ``key`` names the contraction's *structure*; callers whose operands
-    carry a batch axis pass shapes with that axis dropped, so the replay
-    executor's variable dirty-subset sizes share one cache entry per
-    layer geometry instead of growing the cache per batch size (a path
-    is a contraction order — valid for any batch extent).  ``None``
+    carry a batch axis pass shapes with that axis dropped, so variable
+    batch sizes share one cache entry per layer geometry instead of
+    growing the cache per batch size (a path is a contraction order —
+    valid for any batch extent).  ``None``
     falls back to the full operand shapes.
     """
     if key is None:

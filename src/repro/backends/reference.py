@@ -10,9 +10,7 @@ the exact rational :func:`repro.fixedpoint.requantize`.
 
 The exactness probes accept optional operand magnitude bounds (derived
 from the layer's quantization format) and fall back to an actual
-``np.abs(...).max()`` scan when no bound is supplied — replay's tiny
-dirty subsets no longer pay a full-tensor-shaped scan per call when the
-format bound is available.
+``np.abs(...).max()`` scan when no bound is supplied.
 """
 
 from __future__ import annotations

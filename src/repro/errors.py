@@ -16,8 +16,8 @@ class TransientError(ReproError):
     """A failure expected to clear on retry (infrastructure, not logic).
 
     The unified :class:`repro.runtime.RetryPolicy` classifies exceptions
-    into *transient* (worth retrying with backoff: lock contention, chaos
-    injections, lost workers) and *permanent* (retrying re-raises the
+    into *transient* (worth retrying with backoff: chaos injections, lost
+    workers, deadline aborts) and *permanent* (retrying re-raises the
     same error: bad configuration, shape mismatches).  Library code
     raises a :class:`TransientError` subclass whenever the failure is an
     infrastructure condition rather than a property of the task itself.
@@ -38,10 +38,8 @@ class ChaosError(TransientError):
 class WorkerCrashError(ChaosError):
     """Chaos injection: the executing worker was declared dead mid-unit.
 
-    The distributed backend realizes this as a real ``os._exit`` (the
-    lease protocol recovers); the pool backend — whose queue dies with
-    its process — raises this in-band instead, and the engine's retry
-    path re-runs the unit exactly as a lease reclaim would.
+    Raised in-band (a pool whose worker really died would lose its
+    result queue with it), and the engine's retry path re-runs the unit.
     """
 
 
@@ -52,16 +50,6 @@ class UnitDeadlineError(TransientError):
     the worker executing the unit.  Transient by classification: a stall
     is usually environmental (a stolen core, a chaos slow-unit
     injection), so the retry policy re-runs the unit before giving up.
-    """
-
-
-class QueueContentionError(TransientError):
-    """SQLite work-queue lock contention outlasted the retry budget.
-
-    Every :class:`repro.runtime.WorkQueue` operation retries
-    ``database is locked`` errors with backoff on top of SQLite's own
-    ``busy_timeout``; when the budget is spent the operation surfaces
-    this typed error instead of a raw ``sqlite3.OperationalError``.
     """
 
 
@@ -92,13 +80,12 @@ class CheckpointWriteError(CheckpointError, TransientError):
 
 
 class TaskExecutionError(ReproError):
-    """A campaign task failed while executing on a backend worker.
+    """A campaign task failed while executing.
 
-    Raised by :class:`repro.runtime.CampaignEngine` for both backends —
-    a task that raises inside a forked pool worker and a task a
-    distributed queue quarantines after its retry budget — with the
-    failing task's identity attached, so campaign drivers report
-    failures uniformly regardless of where the work ran.
+    Raised by :class:`repro.runtime.CampaignEngine` — in-process or in a
+    forked pool worker — with the failing task's identity attached, so
+    campaign drivers report failures uniformly regardless of where the
+    work ran.
     """
 
     def __init__(self, message: str, task_key: str = "", tag: str = ""):
@@ -113,11 +100,10 @@ class TaskExecutionError(ReproError):
 class TaskQuarantinedError(TaskExecutionError):
     """One or more tasks exhausted their retry budget and were quarantined.
 
-    Both backends raise this same subclass — the pool after the unified
-    :class:`repro.runtime.RetryPolicy` spends a unit's attempts, the
-    distributed queue when a task's claim budget is spent — so campaign
-    scripts can branch on quarantine as a failure class distinct from a
-    first-attempt execution error.  ``task_key``/``tag`` name the first
+    The engine raises this subclass once the unified
+    :class:`repro.runtime.RetryPolicy` spends a unit's attempts, so
+    campaign scripts can branch on quarantine as a failure class
+    distinct from a first-attempt execution error.  ``task_key``/``tag`` name the first
     quarantined unit; :attr:`quarantined_keys` lists every one.
     """
 

@@ -18,8 +18,10 @@ execute through the same :class:`repro.runtime.CampaignEngine`.
 ``--speculative`` applies to the planner figures (fig5 and portfolio):
 the planner evaluates several candidate protection plans per iteration
 concurrently and keeps the first (in the deterministic growth order) that
-meets the accuracy goal — results identical to the serial heuristic,
-wall-clock much lower on multi-core machines (see ``docs/RUNTIME.md``).
+meets the accuracy goal — results identical to the serial heuristic.  It
+is not a speedup on small machines: warm quick ``fig5`` on 2 cores took
+23.0–24.0 s with it against 19.1–20.3 s for plain ``--workers 2`` (see
+``docs/RUNTIME.md``).
 ``--protection {tmr,abft,portfolio,all}`` selects which strategies the
 ``portfolio`` figure compares.
 
@@ -29,27 +31,13 @@ single point at a time (``--shard-samples auto`` picks the slice size
 per batch).  Fault draws are keyed by (seed, layer, site, sample
 chunk), so results are bit-identical for any slice size.
 
-``--replay`` serves every figure's campaigns through the golden-run
-cache: the fault-free forward runs once per (model, data) and each
-evaluation recomputes only its fault-touched samples — bit-identical
-results, a fraction of the arithmetic at low BER.
-
 ``--adaptive-ber`` switches figs 2/6/7 from their fixed BER grids to the
 adaptive engine (:mod:`repro.stats`): the BER points are chosen by knee
 bisection over the grid's extremes, and every point stops adding seeds
 once its confidence interval is inside ``--ci-halfwidth`` (seed budget
 ``--max-seeds``).  Stopping decisions depend only on canonically ordered
 per-seed results, so adaptive runs stay bit-reproducible and resumable
-for any ``--workers``/``--shard-samples``/``--replay`` combination.
-
-``--backend distributed`` swaps the forked pool for the work-queue
-backend (:mod:`repro.runtime.distributed`): ``--workers`` worker
-*subprocesses* pull task leases from a SQLite queue under ``--queue``
-(default ``<results>/queue``) and report through per-worker checkpoint
-shards — bit-identical results, and resilient to worker death (lease
-expiry reclaims the task).  ``python -m repro.experiments.cli worker
---queue DIR`` runs one such worker by hand against an existing batch
-directory.
+for any ``--workers``/``--shard-samples`` combination.
 
 ``--chaos SPEC`` arms the deterministic chaos framework
 (:mod:`repro.runtime.chaos`) for resilience drills: ``SPEC`` is either a
@@ -59,10 +47,10 @@ pure function of (chaos seed, task key, attempt) — reruns reproduce the
 same faults, and a chaos run that completes is bit-identical to an
 undisturbed one.
 ``--max-attempts`` / ``--unit-deadline`` configure the unified retry
-policy (:class:`repro.runtime.RetryPolicy`) both backends share.
+policy (:class:`repro.runtime.RetryPolicy`).
 
 ``python -m repro.experiments.cli checkpoint fsck PATH [--repair]
-[--json]`` verifies a checkpoint store or shard directory offline
+[--json]`` verifies a checkpoint store or a directory of stores offline
 (per-record CRCs, record shape, duplicates) and with ``--repair``
 compacts it to a clean version-3 store, quarantining damaged raw lines
 into ``*.quarantined`` sidecars.
@@ -115,61 +103,6 @@ def _shard_samples(value: str):
     if shard < 1:
         raise argparse.ArgumentTypeError("--shard-samples must be >= 1")
     return shard
-
-
-def _worker_main(argv: list[str]) -> int:
-    """Entry point of ``cli worker``: run one queue worker to completion.
-
-    Distinct from the figure interface — a worker serves exactly one
-    batch directory (prepared by a coordinating engine) and exits when
-    the batch settles, so fleets can be scripted with nothing but this
-    command and a shared filesystem.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments worker",
-        description="Pull-based campaign worker over one batch directory.",
-    )
-    parser.add_argument(
-        "--queue",
-        required=True,
-        metavar="DIR",
-        help="batch directory holding the payload, queue database and shards",
-    )
-    parser.add_argument(
-        "--worker-id",
-        default=None,
-        metavar="ID",
-        help="stable worker identity; names the checkpoint shard "
-        "(default: worker-<host>-<pid>)",
-    )
-    parser.add_argument(
-        "--poll",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help="sleep between claim attempts while leases are outstanding "
-        "elsewhere (default: 0.1)",
-    )
-    parser.add_argument(
-        "--max-tasks",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after completing N tasks (default: run until the "
-        "batch settles)",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.runtime.distributed import run_worker
-
-    completed = run_worker(
-        args.queue,
-        worker_id=args.worker_id,
-        poll=args.poll,
-        max_tasks=args.max_tasks,
-    )
-    print(f"worker finished: {completed} task(s) completed")
-    return EXIT_OK
 
 
 def _format_fsck_report(report) -> str:
@@ -263,16 +196,13 @@ def _checkpoint_main(argv: list[str]) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Parse arguments, run the requested experiments, print reports.
 
-    Dispatches the ``worker`` and ``checkpoint`` subcommands, then the
-    figure interface.  :class:`~repro.errors.ReproError` failures exit
-    with the taxonomy's code (see the module docstring) instead of a
-    traceback.
+    Dispatches the ``checkpoint`` subcommand, then the figure interface.
+    :class:`~repro.errors.ReproError` failures exit with the taxonomy's
+    code (see the module docstring) instead of a traceback.
     """
     if argv is None:
         argv = sys.argv[1:]
     try:
-        if argv and argv[0] == "worker":
-            return _worker_main(argv[1:])
         if argv and argv[0] == "checkpoint":
             return _checkpoint_main(argv[1:])
         return _figures_main(argv)
@@ -305,7 +235,8 @@ def _figures_main(argv: list[str]) -> int:
         default=1,
         metavar="N",
         help="campaign worker processes for all figures, including the "
-        "figs 3-5 analysis batches; 0 = all visible cores (default: 1)",
+        "figs 3-5 analysis batches; 0 = all visible cores, negative "
+        "counts are rejected (default: 1)",
     )
     parser.add_argument(
         "--resume",
@@ -328,7 +259,8 @@ def _figures_main(argv: list[str]) -> int:
         action="store_true",
         help="fig5/portfolio only: evaluate several planner candidates per "
         "iteration concurrently (result-identical to the paper's serial "
-        "heuristic; pairs with --workers)",
+        "heuristic; pairs with --workers; measured slower than plain "
+        "--workers 2 on 2 cores)",
     )
     parser.add_argument(
         "--protection",
@@ -348,24 +280,11 @@ def _figures_main(argv: list[str]) -> int:
         "size per batch; pairs with --workers)",
     )
     parser.add_argument(
-        "--replay",
-        action="store_true",
-        help="serve every campaign through the golden-run cache: one "
-        "fault-free forward per (model, data), each evaluation recomputes "
-        "only fault-touched samples (bit-identical results)",
-    )
-    parser.add_argument(
-        "--no-replay",
-        dest="replay",
-        action="store_false",
-        help="disable golden-run replay (the default)",
-    )
-    parser.add_argument(
         "--adaptive-ber",
         action="store_true",
         help="figs 2/6/7: replace the fixed BER grid with adaptive "
         "knee-bisection sampling and per-point early stopping "
-        "(deterministic for any --workers/--shard-samples/--replay)",
+        "(deterministic for any --workers/--shard-samples)",
     )
     parser.add_argument(
         "--ci-halfwidth",
@@ -383,29 +302,13 @@ def _figures_main(argv: list[str]) -> int:
         help="adaptive mode: seed budget per BER point (default: 8)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("pool", "distributed"),
-        default="pool",
-        help="campaign executor: 'pool' (forked multiprocessing pool, "
-        "default) or 'distributed' (work-queue worker subprocesses with "
-        "lease/heartbeat/retry; bit-identical results; pairs with "
-        "--workers)",
-    )
-    parser.add_argument(
-        "--queue",
-        metavar="DIR",
-        default=None,
-        help="distributed backend only: directory for its batch "
-        "directories (default: <results>/queue)",
-    )
-    parser.add_argument(
         "--chaos",
         metavar="SPEC",
         default=None,
         help="deterministic chaos injection for resilience drills: a JSON "
         "object or pairs like 'seed=7,worker_crash=0.2,torn_write=0.1,"
         "slow_unit=0.05' (rates: unit_error, slow_unit, worker_crash, "
-        "torn_write, enospc, lost_heartbeat; plus seed, "
+        "torn_write, enospc; plus seed, "
         "slow_unit_seconds, fail_tags=a|b).  Decisions are pure "
         "functions of (seed, task key, attempt); a completing chaos run "
         "is bit-identical to an undisturbed one",
@@ -415,8 +318,8 @@ def _figures_main(argv: list[str]) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="retry budget per campaign unit on both backends before it "
-        "is quarantined (default: 3)",
+        help="retry budget per campaign unit before it is quarantined "
+        "(default: 3)",
     )
     parser.add_argument(
         "--unit-deadline",
@@ -427,8 +330,6 @@ def _figures_main(argv: list[str]) -> int:
         "aborted and retried under the same budget (default: none)",
     )
     args = parser.parse_args(argv)
-    if args.queue is not None and args.backend != "distributed":
-        parser.error("--queue requires --backend distributed")
 
     rule = None
     if args.adaptive_ber:
@@ -465,9 +366,6 @@ def _figures_main(argv: list[str]) -> int:
         checkpoint=args.checkpoint,
         progress=stream_reporter() if args.progress else None,
         sample_shard=args.shard_samples,
-        replay=args.replay,
-        backend=args.backend,
-        queue=args.queue,
         chaos=chaos,
         retry=retry,
     )

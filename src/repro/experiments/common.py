@@ -61,9 +61,6 @@ def make_engine(
     checkpoint: str | Path | None = None,
     progress=None,
     sample_shard: int | str | None = None,
-    replay: bool = False,
-    backend: str = "pool",
-    queue: str | Path | None = None,
     chaos=None,
     retry=None,
 ) -> CampaignEngine:
@@ -72,12 +69,8 @@ def make_engine(
     The shared checkpoint file is safe across figures and models: points
     are keyed by a content hash of (model, campaign, BER, seed[, sample
     slice]).  ``sample_shard`` splits every (BER, seed) subtask into
-    sample slices (CLI ``--shard-samples``); ``replay`` serves campaigns
-    through the golden-run cache (CLI ``--replay``) — both change
-    wall-clock only, never results.  ``backend="distributed"`` executes
-    batches through the work-queue backend (CLI ``--backend
-    distributed``) with its batch directories under ``queue`` (default
-    ``<results>/queue``) — bit-identical to the pool.  ``chaos`` (a
+    sample slices (CLI ``--shard-samples``), which changes wall-clock
+    only, never results.  ``chaos`` (a
     :class:`repro.runtime.ChaosSpec`; CLI ``--chaos``) injects
     deterministic faults for resilience drills, and ``retry``
     (a :class:`repro.runtime.RetryPolicy`; CLI ``--max-attempts`` /
@@ -86,18 +79,12 @@ def make_engine(
     there.
     """
     path = Path(checkpoint) if checkpoint else results_dir() / "checkpoints" / "campaign.json"
-    queue_dir = None
-    if backend == "distributed":
-        queue_dir = Path(queue) if queue else results_dir() / "queue"
     return CampaignEngine(
         workers=workers,
         checkpoint_path=path,
         resume=resume,
         progress=progress,
         sample_shard=sample_shard,
-        replay=replay,
-        backend=backend,
-        queue_dir=queue_dir,
         chaos=chaos,
         retry=retry,
     )

@@ -11,7 +11,7 @@ each strategy pays".
 
 Every vulnerability analysis and planner iteration routes through the
 campaign engine, so this experiment honors the CLI's
-``--workers/--resume/--checkpoint/--shard-samples/--replay`` flags;
+``--workers/--resume/--checkpoint/--shard-samples`` flags;
 ``--protection`` restricts which strategies run and ``--speculative``
 turns on the planner's result-identical lookahead mode.
 """

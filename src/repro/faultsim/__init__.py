@@ -19,13 +19,6 @@ from repro.faultsim.operation_level import (
     register_scale_pow,
 )
 from repro.faultsim.neuron_level import NeuronLevelInjector
-from repro.faultsim.replay import (
-    GoldenRun,
-    ReplayStats,
-    SiteSpec,
-    build_golden_run,
-    replay_forward,
-)
 from repro.faultsim.abft import AbftChecker, AbftReport, detection_coverage
 from repro.faultsim.campaign import (
     CampaignConfig,
@@ -58,11 +51,6 @@ __all__ = [
     "expected_faults_per_image",
     "OperationLevelInjector",
     "NeuronLevelInjector",
-    "GoldenRun",
-    "ReplayStats",
-    "SiteSpec",
-    "build_golden_run",
-    "replay_forward",
     "AbftChecker",
     "AbftReport",
     "detection_coverage",

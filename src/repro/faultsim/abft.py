@@ -27,9 +27,8 @@ precisely the int64-accumulator regime the campaign operates in.
 * **engine-grade protection** — ``AbftChecker(inner, layers=..,
   correct=True)`` checks only the plan's ABFT layers and *repairs* flagged
   accumulator positions from a pre-injection snapshot (detect ⇒ recompute).
-  It exposes merged ``event_counts`` and forwards the golden-run replay
-  protocol to the inner injector, so ABFT-protected campaign points run
-  through the pool, sample sharding and the replay executor unchanged.
+  It exposes merged ``event_counts``, so ABFT-protected campaign points
+  run through the pool and sample sharding unchanged.
 
 Limitations mirror real ABFT: faults that cancel within a checksum group
 escape detection, post-requantization neuron flips are outside the
@@ -110,10 +109,7 @@ class AbftChecker(Injector):
 
     The checker is engine-compatible: :attr:`event_counts` merges the
     inner injector's per-category counts with ``abft_detected`` /
-    ``abft_corrected``, and the replay protocol (:meth:`set_replay_rows`,
-    :meth:`replay_struck`) forwards to ``inner``
-    so golden-run replay drives struck-sample discovery exactly as it
-    would unwrapped.
+    ``abft_corrected``.
     """
 
     def __init__(
@@ -159,19 +155,6 @@ class AbftChecker(Injector):
     def _active(self, layer) -> bool:
         """Whether this layer is in the checked set."""
         return self.layers is None or layer.name in self.layers
-
-    # --- replay protocol --------------------------------------------------------
-    def set_replay_rows(self, rows) -> None:
-        """Forward the replay row restriction to the inner injector."""
-        if self.inner is None:
-            raise FaultModelError("AbftChecker has no inner injector to replay")
-        self.inner.set_replay_rows(rows)
-
-    def replay_struck(self, layer_name, sites, start, stop):
-        """Forward struck-sample discovery to the inner injector."""
-        if self.inner is None:
-            raise FaultModelError("AbftChecker has no inner injector to replay")
-        return self.inner.replay_struck(layer_name, sites, start, stop)
 
     # --- injector protocol ------------------------------------------------------
     def begin_inference(self, batch_size: int) -> None:
@@ -231,8 +214,8 @@ class AbftChecker(Injector):
             if ctx.u_int is None:
                 raise FaultModelError(
                     f"ABFT checksum for '{layer.name}' needs the transformed "
-                    "input (u_int=None): run the forward with an injector "
-                    "whose needs_intermediates is True"
+                    "input (u_int=None): run the forward with "
+                    "keep_intermediates=True"
                 )
             v_sum = ctx.v_int.sum(axis=0, keepdims=True)  # (1, C, t, t)
             part = self._winograd_checksum(ctx, v_sum)

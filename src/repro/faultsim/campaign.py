@@ -20,14 +20,6 @@ one contiguous slice of the evaluation samples, and
 the exact :class:`SeedPointResult` the unsliced evaluation produces —
 bit-identical for *any* slice size, because every fault draw is keyed by
 (seed, layer, site, sample chunk) rather than by stream position.
-
-Both units accept a pre-built golden run (``golden=``,
-:class:`repro.faultsim.replay.GoldenRun`): BER = 0 evaluations become
-pure lookups of the cached clean predictions, and faulty evaluations
-execute through the dirty-sample replay executor
-(:func:`repro.faultsim.replay.replay_forward`) — bit-identical, but only
-fault-touched samples are recomputed, so passing ``golden=`` never
-changes any result.
 """
 
 from __future__ import annotations
@@ -43,7 +35,6 @@ from repro.faultsim.model import FaultModelConfig
 from repro.faultsim.neuron_level import NeuronLevelInjector
 from repro.faultsim.operation_level import OperationLevelInjector
 from repro.faultsim.protection import ProtectionPlan
-from repro.faultsim.replay import GoldenRun, replay_forward
 from repro.faultsim.sites import expected_faults_per_image
 from repro.quantized.qmodel import QuantizedModel
 
@@ -249,38 +240,24 @@ def evaluate_seed_point(
     seed: int,
     config: CampaignConfig | None = None,
     protection: ProtectionPlan | None = None,
-    golden: GoldenRun | None = None,
 ) -> SeedPointResult:
     """Evaluate accuracy for exactly one (BER, seed) pair.
 
     Pure with respect to the sweep: the result depends only on the
     arguments (the injector owns its RNG, seeded here), so units may be
     executed in any order or on any process and recombined afterwards.
-    ``golden`` optionally serves the evaluation from the golden-run cache
-    (see the module docs); it is an execution strategy, never part of the
-    result's identity — outputs are bit-identical with or without it.
     """
     config = config or CampaignConfig()
     ber = validate_ber(ber)
     if config.max_samples is not None:
         x, labels = x[: config.max_samples], labels[: config.max_samples]
-    use_golden = golden is not None
-    if use_golden:
-        golden.check(config.injector, config.fault_config, len(x))
     if ber == 0.0:
-        if use_golden:
-            accuracy = float((golden.preds == labels).mean())
-            return SeedPointResult(ber=ber, seed=seed, accuracy=accuracy, events=0)
         accuracy = qmodel.evaluate(x, labels, batch_size=config.batch_size)
         return SeedPointResult(ber=ber, seed=seed, accuracy=float(accuracy), events=0)
     injector = _make_injector(config, ber, seed, protection)
-    if use_golden:
-        preds = replay_forward(qmodel, golden, injector, (0, len(x)))
-        accuracy = float((preds == labels).mean())
-    else:
-        accuracy = qmodel.evaluate(
-            x, labels, injector=injector, batch_size=config.batch_size
-        )
+    accuracy = qmodel.evaluate(
+        x, labels, injector=injector, batch_size=config.batch_size
+    )
     return SeedPointResult(
         ber=ber,
         seed=seed,
@@ -298,7 +275,6 @@ def evaluate_sample_slice(
     sample_slice: tuple[int, int],
     config: CampaignConfig | None = None,
     protection: ProtectionPlan | None = None,
-    golden: GoldenRun | None = None,
 ) -> SampleSliceResult:
     """Evaluate one (BER, seed) pair over one slice of the sample set.
 
@@ -309,9 +285,6 @@ def evaluate_sample_slice(
     never on which slice or batch carries it, so any disjoint cover of
     ``[0, N)`` recombines (:func:`combine_slice_results`) into exactly the
     unsliced result.
-    ``golden`` optionally serves the slice from the golden-run cache
-    (the cache spans the whole evaluation set; the slice gathers its
-    window), bit-identically.
     """
     config = config or CampaignConfig()
     ber = validate_ber(ber)
@@ -322,24 +295,15 @@ def evaluate_sample_slice(
         raise ConfigurationError(
             f"sample slice [{start}, {stop}) out of range for {len(x)} samples"
         )
-    use_golden = golden is not None
-    if use_golden:
-        golden.check(config.injector, config.fault_config, len(x))
     xs, ys = x[start:stop], labels[start:stop]
     if ber == 0.0:
-        if use_golden:
-            preds = golden.preds[start:stop]
-        else:
-            preds = qmodel.predict(xs, batch_size=config.batch_size)
+        preds = qmodel.predict(xs, batch_size=config.batch_size)
         return SampleSliceResult(
             ber=ber, seed=seed, start=start, stop=stop,
             correct=int((preds == ys).sum()), total=stop - start, events=0,
         )
     injector = _make_injector(config, ber, seed, protection, sample_base=start)
-    if use_golden:
-        preds = replay_forward(qmodel, golden, injector, (start, stop))
-    else:
-        preds = qmodel.predict(xs, injector=injector, batch_size=config.batch_size)
+    preds = qmodel.predict(xs, injector=injector, batch_size=config.batch_size)
     return SampleSliceResult(
         ber=ber,
         seed=seed,

@@ -19,13 +19,13 @@ import numpy as np
 
 from repro.fixedpoint.bits import flip_bit
 from repro.faultsim.model import BerConvention, FaultModelConfig
-from repro.faultsim.sampling import CounterSampler, ReplayHooks
+from repro.faultsim.sampling import CounterSampler
 from repro.quantized.interface import Injector
 
 __all__ = ["NeuronLevelInjector"]
 
 
-class NeuronLevelInjector(ReplayHooks, Injector):
+class NeuronLevelInjector(Injector):
     """Flips bits in the quantized outputs of conv and linear layers.
 
     ``lambda = ber * n_neurons * width`` under the per-bit convention
@@ -52,6 +52,10 @@ class NeuronLevelInjector(ReplayHooks, Injector):
             seed, self.ber, self.config, sample_base=sample_base
         )
         self.event_counts: dict[str, int] = defaultdict(int)
+
+    def begin_inference(self, batch_size: int) -> None:
+        """Track the forward batch's position on the global sample axis."""
+        self._sampler.begin_batch(batch_size)
 
     def visit_output(self, layer, y_int: np.ndarray) -> np.ndarray:
         """Flip bits of requantized output neurons (post-accumulator)."""

@@ -34,8 +34,7 @@ via :class:`repro.faultsim.sampling.CounterSampler`, and sum-register
 widths are sized per *sample*.  Results are therefore invariant under any
 partition of the sample axis (slice sizes, batch sizes, worker counts),
 which is what enables sample-level sharding
-(:func:`repro.faultsim.campaign.evaluate_sample_slice`) and golden-run
-replay (:mod:`repro.faultsim.replay`).
+(:func:`repro.faultsim.campaign.evaluate_sample_slice`).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import numpy as np
 from repro.fixedpoint.bits import flip_delta, flip_delta_var  # noqa: F401  (flip_delta re-exported via register_flip_delta)
 from repro.faultsim.model import FaultModelConfig, FaultSemantics
 from repro.faultsim.protection import ProtectionPlan
-from repro.faultsim.sampling import CounterSampler, ReplayHooks, bit_lengths
+from repro.faultsim.sampling import CounterSampler, bit_lengths
 from repro.quantized.interface import Injector
 
 __all__ = ["OperationLevelInjector", "register_scale_pow", "register_flip_delta"]
@@ -78,7 +77,7 @@ def register_flip_delta(
     return flip_delta(held, bits, width) << np.int64(scale_pow)
 
 
-class OperationLevelInjector(ReplayHooks, Injector):
+class OperationLevelInjector(Injector):
     """Injects operation-level faults during quantized inference.
 
     Parameters
@@ -121,6 +120,10 @@ class OperationLevelInjector(ReplayHooks, Injector):
         self.capped = False
 
     # ------------------------------------------------------------------ sampling
+    def begin_inference(self, batch_size: int) -> None:
+        """Track the forward batch's position on the global sample axis."""
+        self._sampler.begin_batch(batch_size)
+
     def _protected_fraction(self, layer_name: str, category: str) -> float:
         return (
             self.protection.fraction(layer_name, category)
@@ -294,8 +297,6 @@ class OperationLevelInjector(ReplayHooks, Injector):
             u, v, m_arr = ctx.u_int, ctx.v_int, ctx.m_int
             grid = ctx.grid
             tiles = grid.num_tiles
-            # Channel count from the (always-present) transformed filters:
-            # u/m may be None for census-only passes (needs_intermediates).
             c_in = v.shape[1]
             t = tf.t
             prefix = f"sub{sub_index}:"

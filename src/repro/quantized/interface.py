@@ -20,12 +20,6 @@ class Injector:
     integer working buffers owned by the layer's forward pass).
     """
 
-    #: Whether Winograd layers must retain their transformed intermediates
-    #: (``u_int``/``m_int``) for this injector.  Operation-level injection
-    #: reads them; census-only passes (the golden-run recorder) set this
-    #: False so the clean forward keeps no extra memory.
-    needs_intermediates: bool = True
-
     def begin_inference(self, batch_size: int) -> None:
         """Called once per quantized forward pass before any layer runs."""
 

@@ -112,9 +112,7 @@ class QuantizedModel:
     ) -> dict[str, np.ndarray]:
         """Integer forward pass returning *every* node's output by name.
 
-        Same execution as :meth:`forward`; used by the golden-run cache
-        (:func:`repro.faultsim.replay.build_golden_run`) to capture the
-        fault-free activations the replay executor scatters into.
+        :meth:`forward` returns this trace's output node.
         """
         if injector is not None:
             injector.begin_inference(x.shape[0])

@@ -218,7 +218,7 @@ class QConvWinograd(QNode):
         x_bound = format_bound(self.in_fmt.width)
         v_bounds = self.sub_filter_bounds or [None] * len(self.sub_specs)
         xp = pad_nchw(np.asarray(x, dtype=np.int64), self.padding)
-        keep = injector is not None and injector.needs_intermediates
+        keep = injector is not None
         scale = self.transform.output_scale_2d
 
         y_scaled = None

@@ -13,15 +13,11 @@ only its missing seeds recomputed, while results stay bit-identical to
 serial execution.  Accuracy sweeps (:meth:`CampaignEngine.run_sweep`,
 figs 1–2/6–7), layer vulnerability (Fig. 3), operation-type sensitivity
 (Fig. 4) and the TMR planner (Fig. 5, including its speculative mode) all
-route through the same engine.  Two executors sit behind the same API:
-the forked pool (default) and the distributed work-queue backend
-(``CampaignEngine(backend="distributed")`` — :mod:`repro.runtime.queue` +
-:mod:`repro.runtime.distributed`: SQLite task leases, heartbeats,
-stale-lease reclaim, retry/quarantine, per-worker checkpoint shards
-merged by content key), bit-identical to each other.  Resilience is a
-first-class surface: a unified :class:`RetryPolicy` (bounded attempts,
-seeded exponential backoff, transient-vs-permanent classification,
-optional per-unit deadline) governs both executors, the deterministic
+route through the same engine, which runs units serially in-process or
+on a forked pool, bit-identically.  Resilience is a first-class surface:
+a unified :class:`RetryPolicy` (bounded attempts, seeded exponential
+backoff, transient-vs-permanent classification, optional per-unit
+deadline) governs every unit attempt, the deterministic
 chaos framework (:class:`ChaosSpec`, :mod:`repro.runtime.chaos`) injects
 reproducible faults for drills, and checkpoint stores carry per-record
 CRCs with an offline :func:`fsck` checker/repairer.  See
@@ -37,21 +33,17 @@ from repro.runtime.checkpoint import (
     fsck,
 )
 from repro.runtime.engine import (
-    BACKEND_DISTRIBUTED,
-    BACKEND_POOL,
     CampaignEngine,
     SAMPLE_SHARD_AUTO,
     SweepStats,
     auto_sample_shard,
     resolve_workers,
 )
-from repro.runtime.queue import Lease, QueueStats, WorkQueue
 from repro.runtime.hashing import (
     adaptive_fingerprint,
     batch_task_keys,
     campaign_fingerprint,
     data_fingerprint,
-    golden_key,
     model_fingerprint,
     point_key,
     task_key,
@@ -77,19 +69,13 @@ __all__ = [
     "SweepStats",
     "fsck",
     "unit_deadline",
-    "BACKEND_DISTRIBUTED",
-    "BACKEND_POOL",
     "SAMPLE_SHARD_AUTO",
     "TaskSpec",
-    "WorkQueue",
-    "Lease",
-    "QueueStats",
     "auto_sample_shard",
     "resolve_workers",
     "model_fingerprint",
     "campaign_fingerprint",
     "data_fingerprint",
-    "golden_key",
     "point_key",
     "task_key",
     "batch_task_keys",

@@ -16,9 +16,8 @@ the fault injectors partition-invariant.  Consequences:
   the campaign completes **bit-identically** to the undisturbed run
   (enforced by ``tests/test_chaos_matrix.py`` and the CI chaos-matrix
   step);
-* chaos decisions need no shared state, so the spec pickles into the
-  distributed batch payload and every worker process reaches identical
-  verdicts.
+* chaos decisions need no shared state, so every forked worker reaches
+  the same verdicts as the parent.
 
 Fault kinds
 -----------
@@ -27,24 +26,18 @@ Fault kinds
                    (a transient exception; retry re-runs it)
 ``slow_unit``      the unit sleeps ``slow_unit_seconds`` first (pairs
                    with the retry policy's per-unit deadline watchdog)
-``worker_crash``   the executing worker dies mid-unit: a real
-                   ``os._exit`` in distributed workers (lease expiry
-                   recovers), an in-band
-                   :class:`~repro.errors.WorkerCrashError` in pool
-                   workers (whose queue would die with the process —
-                   the retry path re-runs the unit exactly as a lease
-                   reclaim would)
-``torn_write``     a checkpoint/shard append persists only a prefix of
-                   the record (a crash mid-write); CRC/salvage drops
-                   the torn line and the record is re-flushed or
-                   recomputed
+``worker_crash``   the executing worker is declared dead mid-unit: an
+                   in-band :class:`~repro.errors.WorkerCrashError`
+                   (a ``multiprocessing.Pool`` cannot lose a process
+                   without losing the result queue it shares), which
+                   the retry path re-runs
+``torn_write``     a checkpoint append persists only a prefix of the
+                   record (a crash mid-write); the store rolls the
+                   file back and the record is re-flushed
 ``enospc``         the checkpoint flush fails with ``ENOSPC``; records
                    stay in memory and the flush is retried with
                    backoff (the engine degrades checkpoint-less when
                    the budget is spent)
-``lost_heartbeat`` a distributed worker's heartbeat thread goes silent
-                   for one lease; the lease expires and the unit is
-                   (harmlessly, content-addressed) double-executed
 =================  ==================================================
 
 ``fail_tags`` is the poison-task hook: units whose *tag* matches
@@ -54,8 +47,8 @@ quarantined — the one chaos kind meant to *not* converge.
 Threading
 ---------
 ``CampaignEngine(chaos=spec)`` / CLI ``--chaos SPEC`` threads one spec
-through both backends; ``ChaosSpec.parse`` accepts either a JSON object
-or compact ``key=value`` pairs (``"seed=7,unit_error=0.2,
+through the serial path and the pool; ``ChaosSpec.parse`` accepts either
+a JSON object or compact ``key=value`` pairs (``"seed=7,unit_error=0.2,
 worker_crash=0.1,torn_write=0.2"``).  Production runs simply leave
 ``chaos=None`` — every hook is a no-op.
 """
@@ -63,7 +56,8 @@ worker_crash=0.1,torn_write=0.2"``).  Production runs simply leave
 from __future__ import annotations
 
 import json
-import os
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -83,12 +77,7 @@ CHAOS_KINDS = (
     "worker_crash",
     "torn_write",
     "enospc",
-    "lost_heartbeat",
 )
-
-#: Exit status used by chaos-crashed distributed workers (mirrors the
-#: shell convention for SIGKILLed processes).
-CRASH_EXIT_STATUS = 137
 
 #: Short CLI names for the rate fields of :class:`ChaosSpec`.
 _RATE_FIELDS = {
@@ -97,7 +86,6 @@ _RATE_FIELDS = {
     "worker_crash": "worker_crash_rate",
     "torn_write": "torn_write_rate",
     "enospc": "enospc_rate",
-    "lost_heartbeat": "lost_heartbeat_rate",
 }
 
 
@@ -123,18 +111,21 @@ class ChaosSpec:
         Probability a unit attempt first sleeps ``slow_unit_seconds``.
     worker_crash_rate:
         Probability the worker executing a unit attempt dies mid-unit
-        (see the module docs for the per-backend realization).
+        (see the module docs for how the crash is realized).
     torn_write_rate:
-        Probability a checkpoint/shard append persists only a prefix of
-        its record.
+        Probability a checkpoint append persists only a prefix of its
+        record.
     enospc_rate:
         Probability a checkpoint flush attempt fails as if the disk
         were full.
-    lost_heartbeat_rate:
-        Probability a distributed worker's heartbeat goes silent for
-        one claimed lease.
     fail_tags:
-        Task tags that raise on **every** attempt (poison tasks).
+        Task tags that raise on **every** attempt (poison tasks): a
+        list or tuple of strings.
+
+    Every field is type-checked at construction: a rate or duration
+    that is not a real number, a seed that is not an integer, or tags
+    that are not a sequence of strings raise
+    :class:`~repro.errors.ConfigurationError`.
     """
 
     seed: int = 0
@@ -144,26 +135,38 @@ class ChaosSpec:
     worker_crash_rate: float = 0.0
     torn_write_rate: float = 0.0
     enospc_rate: float = 0.0
-    lost_heartbeat_rate: float = 0.0
     fail_tags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        """Validate rates, durations and tag list at construction."""
+        """Validate the types and ranges of every field at construction."""
         for short, name in _RATE_FIELDS.items():
-            rate = getattr(self, name)
-            if not 0.0 <= float(rate) <= 1.0:
+            rate = _real(short, getattr(self, name))
+            if not 0.0 <= rate <= 1.0:
                 raise ConfigurationError(
                     f"chaos rate {short} must be in [0, 1], got {rate!r}"
                 )
-            object.__setattr__(self, name, float(rate))
-        if self.slow_unit_seconds < 0:
+            object.__setattr__(self, name, rate)
+        seconds = _real("slow_unit_seconds", self.slow_unit_seconds)
+        if not 0.0 <= seconds < math.inf:
             raise ConfigurationError(
-                f"slow_unit_seconds must be >= 0, got {self.slow_unit_seconds}"
+                f"slow_unit_seconds must be >= 0 and finite, got {seconds!r}"
+            )
+        object.__setattr__(self, "slow_unit_seconds", seconds)
+        if isinstance(self.seed, bool) or not isinstance(
+            self.seed, numbers.Integral
+        ):
+            raise ConfigurationError(
+                f"chaos seed must be an integer, got {self.seed!r}"
             )
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(
-            self, "fail_tags", tuple(str(tag) for tag in self.fail_tags)
-        )
+        tags = self.fail_tags
+        if not isinstance(tags, (list, tuple)) or not all(
+            isinstance(tag, str) for tag in tags
+        ):
+            raise ConfigurationError(
+                f"chaos fail_tags must be a list of strings, got {tags!r}"
+            )
+        object.__setattr__(self, "fail_tags", tuple(tags))
 
     @property
     def active(self) -> bool:
@@ -187,8 +190,8 @@ class ChaosSpec:
 
         The verdict compares one keyed-Philox uniform draw —
         ``site_rng(seed, "chaos", kind, key, attempt)`` — against the
-        kind's rate, so any process (pool worker, distributed worker,
-        coordinator, a rerun next week) reaches the same answer, and a
+        kind's rate, so any process (pool worker, the parent, a rerun
+        next week) reaches the same answer, and a
         *retried* attempt of the same unit draws independently: bounded
         retry drains injected faults deterministically.
         """
@@ -201,7 +204,7 @@ class ChaosSpec:
         return bool(draw < rate)
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (CLI round-trip, payload transport)."""
+        """JSON-serializable form (the inverse of :meth:`from_dict`)."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["fail_tags"] = list(self.fail_tags)
         return doc
@@ -293,6 +296,20 @@ class ChaosSpec:
         return ",".join(parts)
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float, or a typed error if it is not a real number.
+
+    Strings, ``None`` and booleans are rejected rather than coerced, so
+    a JSON spec like ``{"unit_error_rate": "x"}`` fails as a
+    configuration error instead of a raw ``ValueError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(
+            f"chaos {name} must be a number, got {value!r}"
+        )
+    return float(value)
+
+
 def _parse_float(name: str, value: str) -> float:
     """Parse one ``--chaos`` numeric value with a typed error."""
     try:
@@ -308,25 +325,17 @@ def apply_unit_chaos(
     key: str,
     tag: str,
     attempt: int,
-    allow_exit: bool = False,
 ) -> None:
     """Run the pre-evaluation chaos hooks for one unit attempt.
 
-    Called by every executor immediately before evaluating a unit —
-    the pool worker, the serial path and the distributed worker all
-    share this one function, so a given ``(key, attempt)`` suffers the
-    same injected fate wherever it is scheduled.  Order: slow-unit sleep
-    first (so a slow *and* doomed unit exercises the deadline watchdog
-    before dying), then poison tags, then the transient unit error, then
-    the worker crash.
-
-    ``allow_exit=True`` (distributed workers) realizes ``worker_crash``
-    as a real ``os._exit(137)`` — the lease protocol's recovery path is
-    the thing under test.  Pool and serial executors pass ``False`` and
-    get an in-band :class:`~repro.errors.WorkerCrashError` instead (a
-    ``multiprocessing.Pool`` cannot lose a process without losing the
-    result queue it shares), which the engine's retry path re-runs
-    exactly as a lease reclaim would.
+    Called immediately before evaluating a unit — the pool worker and
+    the serial path share this one function, so a given ``(key,
+    attempt)`` suffers the same injected fate wherever it is scheduled.
+    Order: slow-unit sleep first (so a slow *and* doomed unit exercises
+    the deadline watchdog before dying), then poison tags, then the
+    transient unit error, then the worker crash, raised in-band as a
+    :class:`~repro.errors.WorkerCrashError` that the engine's retry path
+    re-runs.
     """
     if chaos is None or not chaos.active:
         return
@@ -343,10 +352,6 @@ def apply_unit_chaos(
             f"{attempt})"
         )
     if chaos.decide("worker_crash", key, attempt):
-        if allow_exit:
-            # A real mid-unit death: no cleanup, no shard row, no
-            # heartbeat — precisely what lease expiry must recover from.
-            os._exit(CRASH_EXIT_STATUS)
         raise WorkerCrashError(
             f"chaos: simulated worker crash (task {key}, attempt {attempt})"
         )

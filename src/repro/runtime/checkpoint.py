@@ -58,11 +58,10 @@ resolved last-line-wins.  Keys already encode model + campaign +
 protection + point content, so one checkpoint file safely accumulates
 tasks from many figures and models without collisions.
 
-``fsck`` / :meth:`CampaignCheckpoint.merge_shards` are the offline
-integrity tools: fsck verifies (and with ``repair=True`` rewrites) a
-store or a whole shard directory, quarantining damaged raw lines into a
-``*.quarantined`` sidecar and naming every dropped key; merge_shards
-folds per-worker shards into one store by content key.
+``fsck`` is the offline integrity tool: it verifies (and with
+``repair=True`` rewrites) a store or a whole directory of stores,
+quarantining damaged raw lines into a ``*.quarantined`` sidecar and
+naming every dropped key.
 """
 
 from __future__ import annotations
@@ -327,41 +326,6 @@ class CampaignCheckpoint:
     def pending_records(self) -> int:
         """Records put but not yet persisted (nonzero after a failed flush)."""
         return len(self._pending)
-
-    @classmethod
-    def merge_shards(
-        cls,
-        target: str | Path,
-        shards,
-        strict: bool = False,
-    ) -> "CampaignCheckpoint":
-        """Fold per-worker checkpoint shards into one store at ``target``.
-
-        Every shard is an ordinary checkpoint file (the distributed
-        backend's workers each append to their own), so merging is pure
-        content-key dedupe: rows duplicated across shards — a reclaimed
-        lease recomputed bit-identically by a second worker — collapse to
-        one entry, and any partition of rows into shards, read in any
-        order, loads identically to the single-file checkpoint the pool
-        backend would have written.  Corrupt-line salvage applies per
-        shard exactly as for a single file, CRC verification included —
-        a torn trailing line left by a worker killed mid-append is
-        dropped here and the intact recomputed copy from the reclaiming
-        worker's shard wins (``strict=True`` raises instead); shard paths
-        that do not exist are skipped — a spawned worker that never
-        claimed a task writes no shard.  An existing ``target`` is merged
-        into, never truncated.  The merged store is flushed and returned.
-        """
-        merged = cls(target, flush_every=1_000_000_000, strict=strict)
-        for path in shards:
-            path = Path(path)
-            if not path.exists():
-                continue
-            shard = cls(path, strict=strict)
-            for key, result in shard.items():
-                merged.put(key, result)
-        merged.flush()
-        return merged
 
     def put(self, key: str, result: _Result) -> None:
         """Record a completed task; flushes every ``flush_every`` puts.
@@ -658,9 +622,8 @@ def _fsck_repair(path: Path, intact: dict[str, _Result], bad_lines) -> None:
 def _fsck_targets(path: Path) -> list[Path]:
     """The checkpoint files one fsck invocation covers.
 
-    A file is checked alone; a directory is walked for ``*.jsonl`` shard
-    files and ``*.json`` stores (the engine's default checkpoint and the
-    distributed backend's ``merged.json`` both use ``.json``) — anything
+    A file is checked alone; a directory is walked for ``*.jsonl`` and
+    ``*.json`` stores (the engine's default checkpoint is ``.json``) — anything
     that turns out not to be a checkpoint is reported unreadable and left
     untouched.
     """

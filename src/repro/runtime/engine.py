@@ -44,22 +44,6 @@ unsharded serial run.
 least one subtask, no finer (over-splitting pays per-slice dispatch and
 checkpoint overhead for nothing).
 
-Golden-run replay
------------------
-``CampaignEngine(replay=True)`` builds the fault-free **golden run**
-(:func:`repro.faultsim.replay.build_golden_run`) once per (model, data,
-census identity) — keyed by :func:`repro.runtime.hashing.golden_key` and
-memoized across ``evaluate_tasks`` calls, so the TMR planner's many
-candidate batches and the figs 3–5 analyses share a single clean
-forward; protection plans never enter the key (protection only thins
-event rates — the clean pass is invariant).  The cache is built in the
-parent *before* the pool forks, so workers inherit it by copy-on-write
-like the rest of the payload.  BER = 0 subtasks become pure lookups of
-the cached predictions; faulty subtasks recompute only their
-fault-touched samples (:func:`repro.faultsim.replay.replay_forward`).
-Replay is an execution strategy, not an identity: checkpoint keys and
-results are unchanged.
-
 Determinism contract
 --------------------
 Each subtask (:func:`repro.faultsim.evaluate_seed_point`) owns its RNG
@@ -83,22 +67,9 @@ payload crosses into children via copy-on-write page sharing rather than
 per-task pickling — the model and evaluation batch are megabytes, the
 dispatched unit a single integer index into the task table.  On platforms
 without ``fork`` the engine degrades to the serial path rather than
-failing.
-
-Distributed backend
--------------------
-``CampaignEngine(backend="distributed", queue_dir=...)`` swaps the forked
-pool for the work-queue executor (:mod:`repro.runtime.distributed`): each
-batch becomes a directory holding a pickled payload, a SQLite queue of
-content-keyed task leases, and per-worker checkpoint shards; pull-based
-worker *subprocesses* claim leases, heartbeat them, evaluate units with
-this module's own :func:`_evaluate_unit`, and the shards merge back by
-content key.  Lease expiry reclaims work from dead workers and a bounded
-retry budget quarantines poison tasks
-(:class:`~repro.errors.TaskExecutionError` names the failing task's key
-and tag, for either backend).  The determinism contract is unchanged:
-every unit is a pure function of its spec, so accuracies, event counts
-and checkpoint keys are bit-identical across backends.
+failing.  The serial path and the pool are the engine's only executors,
+and both run every unit through :func:`_attempt_unit` as a full forward
+pass.
 """
 
 from __future__ import annotations
@@ -130,7 +101,6 @@ from repro.faultsim.campaign import (
     evaluate_seed_point,
 )
 from repro.faultsim.protection import ProtectionPlan
-from repro.faultsim.replay import GoldenRun, build_golden_run
 from repro.quantized.qmodel import QuantizedModel
 from repro.runtime.chaos import ChaosSpec, apply_unit_chaos
 from repro.runtime.checkpoint import CampaignCheckpoint
@@ -138,7 +108,6 @@ from repro.runtime.retry import RetryPolicy, unit_deadline
 from repro.runtime.hashing import (
     batch_task_keys,
     data_fingerprint,
-    golden_key,
     model_fingerprint,
 )
 from repro.runtime.progress import (
@@ -152,8 +121,6 @@ from repro.runtime.tasks import TaskSpec
 __all__ = [
     "CampaignEngine",
     "SweepStats",
-    "BACKEND_DISTRIBUTED",
-    "BACKEND_POOL",
     "SAMPLE_SHARD_AUTO",
     "auto_sample_shard",
     "resolve_workers",
@@ -163,19 +130,18 @@ __all__ = [
 #: ``--shard-samples auto``: pick the slice size per batch.
 SAMPLE_SHARD_AUTO = "auto"
 
-#: The default executor: a forked ``multiprocessing`` pool (or the serial
-#: in-process path for one worker / platforms without ``fork``).
-BACKEND_POOL = "pool"
-
-#: The work-queue executor: worker *subprocesses* pull leases from a
-#: SQLite-backed queue and report through checkpoint shards
-#: (:mod:`repro.runtime.distributed`).  Bit-identical results.
-BACKEND_DISTRIBUTED = "distributed"
-
 
 def resolve_workers(workers: int | None) -> int:
-    """Normalize a worker-count request (None/0 = all visible cores)."""
-    if workers is None or workers <= 0:
+    """Normalize a worker-count request (None/0 = all visible cores).
+
+    Negative counts raise :class:`~repro.errors.ConfigurationError`
+    rather than silently meaning "every core".
+    """
+    if workers is not None and workers < 0:
+        raise ConfigurationError(
+            f"workers must be >= 0 (0 or None = all cores), got {workers}"
+        )
+    if not workers:
         try:
             return len(os.sched_getaffinity(0))
         except AttributeError:
@@ -252,8 +218,7 @@ class _UnitFailure:
     return this sentinel *as the result* instead: the consumer still
     knows which unit failed and raises a
     :class:`~repro.errors.TaskExecutionError` naming its checkpoint key
-    and tag — the same identity the distributed backend's quarantine
-    reports.  ``transient`` carries the worker-side
+    and tag.  ``transient`` carries the worker-side
     :meth:`RetryPolicy.is_transient` classification across the process
     boundary (the exception object itself does not cross), so the
     consumer can re-dispatch retryable units and quarantine exhausted
@@ -265,16 +230,16 @@ class _UnitFailure:
     transient: bool = False
 
 
-def _evaluate_unit(qmodel, x, labels, config, task: TaskSpec, golden=None):
+def _evaluate_unit(qmodel, x, labels, config, task: TaskSpec):
     """Evaluate one subtask unit: a (BER, seed) point or a sample slice."""
     if task.sample_slice is None:
         return evaluate_seed_point(
             qmodel, x, labels, task.ber, task.seed,
-            config=config, protection=task.protection, golden=golden,
+            config=config, protection=task.protection,
         )
     return evaluate_sample_slice(
         qmodel, x, labels, task.ber, task.seed, task.sample_slice,
-        config=config, protection=task.protection, golden=golden,
+        config=config, protection=task.protection,
     )
 
 
@@ -288,17 +253,13 @@ def _attempt_unit(payload: tuple, index: int, attempt: int):
     when the retry policy carries one, and classifies any exception
     transient/permanent for the consumer's retry decision.
     """
-    qmodel, x, labels, config, tasks, golden, keys, chaos, retry = payload
+    qmodel, x, labels, config, tasks, keys, chaos, retry = payload
     start = time.perf_counter()
     try:
-        apply_unit_chaos(
-            chaos, keys[index], tasks[index].tag, attempt, allow_exit=False
-        )
+        apply_unit_chaos(chaos, keys[index], tasks[index].tag, attempt)
         deadline = retry.deadline if retry is not None else None
         with unit_deadline(deadline, what=f"unit {keys[index] or index}"):
-            result = _evaluate_unit(
-                qmodel, x, labels, config, tasks[index], golden
-            )
+            result = _evaluate_unit(qmodel, x, labels, config, tasks[index])
     except Exception as exc:
         result = _UnitFailure(
             message=f"{type(exc).__name__}: {exc}",
@@ -346,48 +307,21 @@ class CampaignEngine:
         docs).  ``"auto"`` picks the slice size per batch
         (:func:`auto_sample_shard`); ``None`` (default) disables sample
         sharding.
-    replay:
-        When True, every ``evaluate_tasks`` batch is served through the
-        golden-run cache (see *Golden-run replay* in the module docs):
-        one clean forward per (model, data, census identity), shared
-        copy-on-write with all workers; BER = 0 units become lookups and
-        faulty units recompute only fault-touched samples.
-        Results and checkpoint keys are bit-identical to ``replay=False``.
-    backend:
-        ``"pool"`` (default) executes pending units on the forked
-        ``multiprocessing`` pool; ``"distributed"`` hands each batch to
-        the work-queue backend (:mod:`repro.runtime.distributed`):
-        ``workers`` worker *subprocesses* pull leases from a SQLite
-        queue under ``queue_dir``, append results to per-worker
-        checkpoint shards, and the shards merge back by content key.
-        Results, event counts and checkpoint keys are bit-identical
-        across backends for every engine feature (sample sharding,
-        replay, resume, planners).
-    queue_dir:
-        Directory holding the distributed backend's batch directories
-        (queue database, payload, shards, logs).  Required when
-        ``backend="distributed"``; ignored for the pool backend.
-    lease_timeout:
-        Distributed only: seconds a claimed task's lease lasts without a
-        heartbeat before another worker may reclaim it.
     max_attempts:
-        Execution/claim budget per unit — shared by both backends since
-        the unified retry policy: the pool re-runs transiently failed
-        units this many times before quarantining them, the distributed
-        queue uses the same number as its lease claim budget.
-        Quarantine surfaces as
-        :class:`~repro.errors.TaskQuarantinedError` naming every
-        quarantined key, uniformly across backends.  Ignored when an
-        explicit ``retry`` policy is passed.
+        Execution budget per unit: transiently failed units are re-run
+        this many times before they are quarantined.  Quarantine
+        surfaces as :class:`~repro.errors.TaskQuarantinedError` naming
+        every quarantined key.  Ignored when an explicit ``retry``
+        policy is passed.
     retry:
         Optional :class:`repro.runtime.RetryPolicy` governing attempt
-        budgets, backoff and the per-unit deadline for both backends
+        budgets, backoff and the per-unit deadline
         (see :mod:`repro.runtime.retry`).  ``None`` builds one from
         ``max_attempts`` with default backoff and no deadline.
     chaos:
         Optional :class:`repro.runtime.ChaosSpec` injecting
         deterministic faults — unit errors, slow units, worker crashes,
-        torn checkpoint writes, ENOSPC flushes, lost heartbeats — whose
+        torn checkpoint writes, ENOSPC flushes — whose
         decisions are pure functions of (chaos seed, task key, attempt),
         so a chaos run completes bit-identically to the undisturbed run
         once the runtime's recovery machinery drains the injected
@@ -402,44 +336,24 @@ class CampaignEngine:
         flush_every: int = 1,
         progress: ProgressReporter | None = None,
         sample_shard: int | str | None = None,
-        replay: bool = False,
-        backend: str = BACKEND_POOL,
-        queue_dir: str | Path | None = None,
-        lease_timeout: float = 30.0,
         max_attempts: int = 3,
         retry: RetryPolicy | None = None,
         chaos: ChaosSpec | None = None,
     ):
         self.workers = resolve_workers(workers)
-        if backend not in (BACKEND_POOL, BACKEND_DISTRIBUTED):
-            raise ConfigurationError(
-                f"backend must be '{BACKEND_POOL}' or '{BACKEND_DISTRIBUTED}', "
-                f"got {backend!r}"
-            )
-        if backend == BACKEND_DISTRIBUTED and queue_dir is None:
-            raise ConfigurationError(
-                "the distributed backend needs a queue_dir to hold its "
-                "batch directories (queue database, payload, shards)"
-            )
-        self.backend = backend
-        self.queue_dir = Path(queue_dir) if queue_dir is not None else None
-        self.lease_timeout = float(lease_timeout)
-        #: Unified retry policy (attempt budget, backoff, deadline) for
-        #: both backends; an explicit policy overrides ``max_attempts``.
+        #: Unified retry policy (attempt budget, backoff, deadline); an
+        #: explicit policy overrides ``max_attempts``.
         self.retry = (
             retry
             if retry is not None
             else RetryPolicy(max_attempts=int(max_attempts))
         )
-        self.max_attempts = self.retry.max_attempts
         if chaos is not None and not isinstance(chaos, ChaosSpec):
             raise ConfigurationError(
                 f"chaos must be a ChaosSpec (or None), got {type(chaos).__name__}"
             )
         #: Deterministic fault-injection spec (None = inject nothing).
         self.chaos = chaos if chaos is not None and chaos.active else None
-        #: Batches dispatched so far (names distributed batch directories).
-        self._batch_count = 0
         if isinstance(sample_shard, str):
             if sample_shard != SAMPLE_SHARD_AUTO:
                 raise ConfigurationError(
@@ -451,7 +365,6 @@ class CampaignEngine:
                 f"sample_shard must be >= 1 (or None), got {sample_shard}"
             )
         self.sample_shard = sample_shard
-        self.replay = bool(replay)
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         self.resume = resume
         self.flush_every = flush_every
@@ -467,13 +380,6 @@ class CampaignEngine:
         #: (id(model), id(x), id(labels), max_samples) -> (model_fp,
         #: data_fp, pinned object refs).
         self._fingerprints: dict[tuple, tuple] = {}
-        #: golden_key -> GoldenRun, shared across evaluate_tasks calls
-        #: (the planner's candidate batches reuse one clean forward).
-        #: Holds the *most recent* key only: a GoldenRun pins every
-        #: node's activations over the whole evaluation set, and figure
-        #: drivers work through models sequentially, so keeping older
-        #: entries would only accumulate memory.
-        self._golden: dict[str, GoldenRun] = {}
 
     # --- public API --------------------------------------------------------------
     def evaluate_tasks(
@@ -572,18 +478,7 @@ class CampaignEngine:
                 if on_result is not None:
                     on_result(index, units[index], result, True)
 
-        # Golden run built only when live work remains, in the parent, so
-        # a forked pool inherits it copy-on-write with the payload.
-        golden = (
-            self._golden_run(qmodel, x, labels, config)
-            if self.replay and pending
-            and self.backend != BACKEND_DISTRIBUTED
-            else None
-        )
-        payload = (
-            qmodel, x, labels, config, units, golden,
-            keys, self.chaos, self.retry,
-        )
+        payload = (qmodel, x, labels, config, units, keys, self.chaos, self.retry)
 
         def absorb(index: int, result, elapsed: float) -> None:
             """Fold one completed live unit into slots/checkpoint/progress."""
@@ -611,21 +506,9 @@ class CampaignEngine:
         # checkpoint-less completion — with a loud warning — when the
         # disk never recovers.
         try:
-            if pending and self.backend == BACKEND_DISTRIBUTED:
-                for index, result, elapsed in self._run_distributed(
-                    payload, pending, keys
-                ):
-                    if isinstance(result, _UnitFailure):
-                        self._raise_unit_failure(
-                            qmodel, x, labels, config, units, keys, index,
-                            result,
-                        )
-                    absorb(index, result, elapsed)
-            elif pending:
-                self._run_pool_waves(
-                    payload, pending, absorb,
-                    qmodel, x, labels, config, units, keys,
-                )
+            self._run_pool_waves(
+                payload, pending, absorb, qmodel, x, labels, config, units, keys
+            )
         finally:
             self._flush_with_retry(checkpoint)
 
@@ -753,13 +636,11 @@ class CampaignEngine:
         (chaos injections, deadline aborts, lost workers — per
         :meth:`RetryPolicy.is_transient`) with budget remaining are
         collected and re-dispatched as the next wave after a
-        deterministic backoff, exactly mirroring the distributed queue's
-        fail-requeue-reclaim cycle.  Permanent failures raise
-        immediately (the unit would fail identically forever); units
-        whose budget is spent are *quarantined* — the rest of the batch
-        still completes and persists, then one
-        :class:`~repro.errors.TaskQuarantinedError` names every
-        quarantined key, the same shape the distributed backend raises.
+        deterministic backoff.  Permanent failures raise immediately
+        (the unit would fail identically forever); units whose budget is
+        spent are *quarantined* — the rest of the batch still completes
+        and persists, then one :class:`~repro.errors.TaskQuarantinedError`
+        names every quarantined key.
         """
         attempts = {index: 1 for index in pending}
         quarantined: list[tuple[int, _UnitFailure]] = []
@@ -807,10 +688,8 @@ class CampaignEngine:
     ) -> None:
         """Raise exhausted-budget units as one :class:`TaskQuarantinedError`.
 
-        Mirrors the distributed backend's quarantine report: the error
-        names the first quarantined unit's key and tag plus *every*
-        quarantined key, so campaign scripts see one uniform failure
-        shape whichever backend ran the batch.
+        The error names the first quarantined unit's key and tag plus
+        *every* quarantined key.
         """
         resolved = []
         for index, failure in quarantined:
@@ -823,8 +702,8 @@ class CampaignEngine:
         more = f" (+{len(resolved) - 1} more)" if len(resolved) > 1 else ""
         raise TaskQuarantinedError(
             f"task {first_key} (tag {units[first_index].tag!r}) quarantined "
-            f"after {self.retry.max_attempts} attempt(s) in the "
-            f"{self.backend} backend{more}: {first_failure.message}\n"
+            f"after {self.retry.max_attempts} attempt(s){more}: "
+            f"{first_failure.message}\n"
             f"{first_failure.details}",
             task_key=first_key,
             tag=units[first_index].tag,
@@ -881,18 +760,12 @@ class CampaignEngine:
     ) -> list[str]:
         """Checkpoint keys for a subtask-granularity unit table.
 
-        Without a checkpoint the pool backend never consults the keys,
-        so they are skipped (hashing the model costs a pass over its
-        weights); the distributed backend always needs them — they are
-        the queue's task identities and the shard rows' content keys —
-        and so does an active chaos spec, whose injection decisions are
+        Without a checkpoint the engine never consults the keys, so they
+        are skipped (hashing the model costs a pass over its weights) —
+        unless a chaos spec is active, whose injection decisions are
         keyed by the unit's content hash.
         """
-        if (
-            self.checkpoint_path is None
-            and self.backend != BACKEND_DISTRIBUTED
-            and self.chaos is None
-        ):
+        if self.checkpoint_path is None and self.chaos is None:
             return [""] * len(units)
         model_fp, data_fp = self._fingerprint(qmodel, x, labels, config)
         return batch_task_keys(model_fp, data_fp, config, units)
@@ -910,10 +783,8 @@ class CampaignEngine:
     ) -> None:
         """Raise a failed unit as :class:`TaskExecutionError` with identity.
 
-        Attaches the failing unit's content-hash key and tag — computing
-        the key on demand when the batch ran keyless (pool backend
-        without a checkpoint) — so pool and distributed failures read
-        the same.
+        Attaches the failing unit's content-hash key and tag, computing
+        the key on demand when the batch ran keyless (no checkpoint).
         """
         unit = units[index]
         key = keys[index]
@@ -921,41 +792,11 @@ class CampaignEngine:
             model_fp, data_fp = self._fingerprint(qmodel, x, labels, config)
             key = unit.key(model_fp, data_fp, config)
         raise TaskExecutionError(
-            f"task {key} (tag {unit.tag!r}) failed in a {self.backend} "
-            f"worker: {failure.message}\n{failure.details}",
+            f"task {key} (tag {unit.tag!r}) failed: "
+            f"{failure.message}\n{failure.details}",
             task_key=key,
             tag=unit.tag,
         )
-
-    def _golden_run(
-        self,
-        qmodel: QuantizedModel,
-        x: np.ndarray,
-        labels: np.ndarray,
-        config: CampaignConfig,
-    ) -> GoldenRun:
-        """Build (or reuse) the golden run for one evaluation payload.
-
-        Keyed by :func:`repro.runtime.hashing.golden_key`, which is
-        invariant across protection plans, BERs and seeds — one clean
-        forward serves a whole planner run.
-        """
-        model_fp, data_fp = self._fingerprint(qmodel, x, labels, config)
-        key = golden_key(model_fp, data_fp, config)
-        cached = self._golden.get(key)
-        if cached is None:
-            trim_x = x if config.max_samples is None else x[: config.max_samples]
-            cached = build_golden_run(
-                qmodel,
-                trim_x,
-                injector_kind=config.injector,
-                fault_config=config.fault_config,
-                batch_size=config.batch_size,
-                key=key,
-            )
-            self._golden.clear()  # bound memory: most recent (model, data) only
-            self._golden[key] = cached
-        return cached
 
     def _report(
         self,
@@ -985,46 +826,13 @@ class CampaignEngine:
         """In-process executor; failures come back as :class:`_UnitFailure`.
 
         Wrapping the serial path too keeps failure reporting identical
-        across ``workers=1``, the pool and the distributed backend: the
-        consumer always sees the failing unit's index and raises with
-        its key and tag attached.  ``items`` are ``(table index,
-        attempt)`` pairs, exactly what the pool dispatches.
+        across ``workers=1`` and the pool: the consumer always sees the
+        failing unit's index and raises with its key and tag attached.
+        ``items`` are ``(table index, attempt)`` pairs, exactly what the
+        pool dispatches.
         """
         for index, attempt in items:
             yield _attempt_unit(payload, index, attempt)
-
-    def _run_distributed(self, payload: tuple, pending: list[int], keys):
-        """Work-queue executor: one batch directory under ``queue_dir``.
-
-        Delegates to :func:`repro.runtime.distributed.run_distributed_batch`
-        (imported lazily — the distributed module imports back into this
-        one for ``_evaluate_unit``).  Each batch gets its own directory,
-        named by PID and a per-engine counter; because queue entries and
-        shard rows are content-keyed, even a recycled directory only ever
-        deduplicates work, never corrupts it.  The coordinator does not
-        build a golden run — each worker process builds its own, being in
-        another address space — so the payload's golden slot is ignored.
-        """
-        from repro.runtime.distributed import run_distributed_batch
-
-        qmodel, x, labels, config, units = payload[:5]
-        root = self.queue_dir / f"batch-{os.getpid()}-{self._batch_count:04d}"
-        self._batch_count += 1
-        yield from run_distributed_batch(
-            root,
-            qmodel,
-            x,
-            labels,
-            config,
-            units,
-            keys,
-            pending,
-            workers=self.workers,
-            replay=self.replay,
-            lease_timeout=self.lease_timeout,
-            max_attempts=self.max_attempts,
-            chaos=self.chaos,
-        )
 
     def _run_parallel(self, payload: tuple, items: list[tuple[int, int]]):
         global _WORKER_PAYLOAD

@@ -29,7 +29,6 @@ __all__ = [
     "model_fingerprint",
     "campaign_fingerprint",
     "data_fingerprint",
-    "golden_key",
     "point_key",
     "task_key",
     "batch_task_keys",
@@ -124,31 +123,6 @@ def data_fingerprint(x, labels) -> str:
         digest.update(str(arr.dtype).encode())
         digest.update(arr.tobytes())
     return digest.hexdigest()
-
-
-def golden_key(model_fp: str, data_fp: str, config: CampaignConfig) -> str:
-    """Identity of a golden run: model, data window, and census shape.
-
-    Deliberately *coarser* than a campaign fingerprint: the golden run is
-    the fault-free forward plus the injection-site census, so protection
-    plans, BER points, seeds and sample chunking all share one cache
-    entry (protection only thins event rates — the clean pass is
-    invariant).  Only fields that change the clean outputs or the census
-    layout contribute: the model, the trimmed evaluation data, the
-    injector kind and the fault model's structural flags.  Batch size is
-    excluded — clean activations are batch-invariant.
-    """
-    fc = config.fault_config
-    payload = {
-        "model": model_fp,
-        "data": data_fp,
-        "injector": config.injector,
-        "max_samples": config.max_samples,
-        "semantics": fc.semantics.value,
-        "convention": fc.convention.value,
-        "amplify": fc.amplify_input_transform_adds,
-    }
-    return _digest(payload)[:32]
 
 
 def point_key(

@@ -1,14 +1,10 @@
 """Unified retry policy: bounded attempts, deterministic backoff, deadlines.
 
-Before this module, every part of the campaign runtime handled transient
-infrastructure faults with its own ad-hoc rules: the pool backend
-propagated the first unit exception and lost the rest of the batch, the
-distributed queue carried a separate ``max_attempts`` budget, and nothing
-retried a failed checkpoint flush.  :class:`RetryPolicy` is the single
-policy object all of them now share:
+:class:`RetryPolicy` is the single policy object the campaign runtime
+uses for transient infrastructure faults, both for unit executions and
+for checkpoint flushes:
 
-* **Attempt budget** — ``max_attempts`` claims/executions per unit, the
-  same number the distributed queue uses for lease quarantine, so "how
+* **Attempt budget** — ``max_attempts`` executions per unit, so "how
   many times may this computation fail" has exactly one answer per
   engine.
 * **Exponential backoff with deterministic jitter** — ``backoff(attempt,
@@ -20,8 +16,8 @@ policy object all of them now share:
   clock *shape*, not just in results.
 * **Transient-vs-permanent classification** — :meth:`is_transient` maps
   the :mod:`repro.errors` taxonomy onto the retry decision: a
-  :class:`~repro.errors.TransientError` (chaos injections, queue
-  contention, deadline aborts, lost workers) is worth retrying; a
+  :class:`~repro.errors.TransientError` (chaos injections, deadline
+  aborts, lost workers) is worth retrying; a
   :class:`~repro.errors.ConfigurationError` or any other logic error
   would fail identically on every attempt and is surfaced immediately.
 * **Per-unit deadline** — ``deadline`` seconds per unit execution,
@@ -30,9 +26,8 @@ policy object all of them now share:
   hung unit into a retryable :class:`~repro.errors.UnitDeadlineError`
   instead of a stalled campaign.
 
-The policy is a frozen dataclass: safe to share between the engine, the
-queue and every worker process, and safe to pickle into the distributed
-backend's batch payload.
+The policy is a frozen dataclass: safe to share between the engine and
+every forked worker process.
 """
 
 from __future__ import annotations
@@ -55,10 +50,9 @@ class RetryPolicy:
     Parameters
     ----------
     max_attempts:
-        Execution/claim budget per unit (>= 1).  The pool backend re-runs
-        a transiently failed unit until this many attempts are spent and
-        then quarantines it; the distributed queue uses the same number
-        as its lease claim budget.
+        Execution budget per unit (>= 1).  The engine re-runs a
+        transiently failed unit until this many attempts are spent and
+        then quarantines it.
     base_delay:
         Backoff before the *second* attempt, in seconds.  Attempt ``n``
         waits ``base_delay * 2**(n-1)`` (capped at ``max_delay``) times
@@ -108,8 +102,8 @@ class RetryPolicy:
 
         Transient means the failure is an infrastructure condition —
         anything in the :class:`~repro.errors.TransientError` branch of
-        the taxonomy (chaos injections, queue contention, deadline
-        aborts, lost workers) plus bare ``OSError``/``IOError`` (torn
+        the taxonomy (chaos injections, deadline aborts, lost workers)
+        plus bare ``OSError``/``IOError`` (torn
         writes, full disks, vanished files on shared mounts).  Logic
         errors (:class:`~repro.errors.ConfigurationError`, shape/type
         errors, arbitrary exceptions from user code) are permanent: the
@@ -137,7 +131,7 @@ class RetryPolicy:
         return delay * (1.0 - self.jitter + 2.0 * self.jitter * u)
 
     def identity(self) -> dict:
-        """JSON-serializable form (engine metadata, payload transport)."""
+        """JSON-serializable form (the inverse of :meth:`from_identity`)."""
         return {
             "max_attempts": self.max_attempts,
             "base_delay": self.base_delay,

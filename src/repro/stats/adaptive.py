@@ -16,8 +16,8 @@ Two drivers sit on top of the sequential stop rule
 
 Determinism
 -----------
-Both drivers are deterministic by construction, for any worker count,
-``--shard-samples`` setting and ``--replay`` mode:
+Both drivers are deterministic by construction, for any worker count and
+``--shard-samples`` setting:
 
 * every scheduled unit is an ordinary engine point task — bit-identical
   across execution strategies by the runtime's existing contract;
@@ -174,8 +174,8 @@ def adaptive_sweep(
     but — by the determinism contract — never influences scheduling.
 
     Returns an :class:`AdaptiveSweepResult` with points in ``bers``
-    order.  Results are bit-identical for any worker count, sample-shard
-    setting and replay mode, and resume from the engine's checkpoint like
+    order.  Results are bit-identical for any worker count and
+    sample-shard setting, and resume from the engine's checkpoint like
     any other batch.
     """
     config = config or CampaignConfig()

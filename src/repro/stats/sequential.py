@@ -13,15 +13,14 @@ Determinism contract
 --------------------
 The hard constraint (and the point): stopping decisions must be
 bit-reproducible across every execution strategy the runtime offers —
-worker counts, ``--shard-samples`` slicing, ``--replay``, resume from a
+worker counts, ``--shard-samples`` slicing, resume from a
 checkpoint.  Three rules enforce it:
 
 1. **Canonical order, not arrival order.**  Counts are pushed one whole
    seed at a time, in campaign seed order (the checkpoint's canonical
    subtask order) — never in pool-completion order.  The engine's
-   per-seed results are themselves bit-identical across workers / slicing
-   / replay (the PR 4/5 invariants), so a decision computed from them in
-   canonical order is too.
+   per-seed results are themselves bit-identical across workers and
+   slicing, so a decision computed from them in canonical order is too.
 2. **Whole seeds only.**  The decision granularity is the seed, the unit
    whose folded result is partition-invariant.  Deciding mid-seed (after
    a sample slice lands) would make the decision depend on the engine's

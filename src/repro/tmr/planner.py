@@ -64,9 +64,8 @@ each step the most *cost-efficient* upgrade (vulnerability × coverage gain
 per unit overhead energy).  The increment rule is, like
 :func:`_next_increment`, independent of measured accuracy — the candidate
 chain is predetermined from the vulnerability ranking and the cost model
-alone — so the same speculative/adaptive machinery (and the engine's
-shared golden-run cache) applies verbatim to the portfolio's larger
-per-step candidate space.
+alone — so the same speculative/adaptive machinery applies verbatim to
+the portfolio's larger per-step candidate space.
 """
 
 from __future__ import annotations
@@ -539,9 +538,9 @@ def plan_portfolio(
     (see :func:`_portfolio_increment`).  Candidate plans are evaluated
     exactly like :func:`plan_tmr` candidates — one seed-batch task per
     candidate through the engine, so worker pools, sample sharding,
-    golden-run replay, checkpointing and the speculative/adaptive
-    machinery all apply; results are bit-identical for any worker count
-    and for ``speculative`` on or off.
+    checkpointing and the speculative/adaptive machinery all apply;
+    results are bit-identical for any worker count and for
+    ``speculative`` on or off.
 
     Parameters mirror :func:`plan_tmr` except:
 

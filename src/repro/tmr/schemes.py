@@ -216,7 +216,7 @@ def run_protection_portfolio(
     the ascending ``goals`` with warm-started plans — ``"tmr"`` may only
     assign whole-layer TMR, ``"abft"`` only the checksum scheme, and
     ``"portfolio"`` chooses per layer.  All evaluations route through
-    ``engine`` (worker pools, checkpointing, sample sharding and replay
+    ``engine`` (worker pools, checkpointing and sample sharding
     included) and are bit-identical for any worker count.  Returns one
     :class:`SchemeCurve` per strategy, keyed by strategy name.
     """

@@ -3,8 +3,8 @@
 The adaptive contract under test (``docs/RUNTIME.md``): stopping
 decisions depend only on checkpoint-ordered per-seed results, so an
 adaptive run is bit-identical — same stopped-point set, same accuracies,
-same checkpoint keys — for any ``workers`` x ``sample_shard`` x
-``replay`` combination, and resumable from its checkpoint with zero
+same checkpoint keys — for any ``workers`` x ``sample_shard``
+combination, and resumable from its checkpoint with zero
 recomputation.
 
 CI runs this file as the tier-2 adaptive-parity step with
@@ -33,8 +33,8 @@ from repro.stats import KneeConfig, StopRule, adaptive_sweep, knee_search
 
 PARITY_WORKERS = int(os.environ.get("REPRO_PARITY_WORKERS", "4"))
 
-# BER landmarks of the tiny fixture model (same map as the replay parity
-# suite): quiet floor, low-event region, the accuracy knee, saturation.
+# BER landmarks of the tiny fixture model: quiet floor, low-event region,
+# the accuracy knee, saturation.
 BER_QUIET = 1e-12
 BER_LOW = 2e-6
 BER_KNEE = 2e-4
@@ -79,20 +79,16 @@ def sweep_signature(sweep) -> list[dict]:
 
 # --- the determinism matrix -------------------------------------------------
 
-# (workers, sample_shard, replay): ISSUE acceptance matrix — workers
-# {1, N} x --shard-samples {off, auto} x --replay {on, off}, plus a
-# fixed-size shard pair to pin key-set identity across worker counts.
+# (workers, sample_shard): workers {1, N} x --shard-samples {off, auto,
+# 8}; the fixed-size shard pair pins key-set identity across worker
+# counts.
 MATRIX = [
-    (1, None, False),
-    (PARITY_WORKERS, None, False),
-    (1, None, True),
-    (PARITY_WORKERS, None, True),
-    (1, "auto", False),
-    (PARITY_WORKERS, "auto", False),
-    (1, "auto", True),
-    (PARITY_WORKERS, "auto", True),
-    (1, 8, False),
-    (PARITY_WORKERS, 8, True),
+    (1, None),
+    (PARITY_WORKERS, None),
+    (1, "auto"),
+    (PARITY_WORKERS, "auto"),
+    (1, 8),
+    (PARITY_WORKERS, 8),
 ]
 
 
@@ -102,25 +98,22 @@ def matrix_runs(tiny_quantized, tiny_eval, tmp_path_factory):
     qm_st, _ = tiny_quantized
     x, labels = tiny_eval
     runs = {}
-    for workers, shard, replay in MATRIX:
+    for workers, shard in MATRIX:
         ckpt = tmp_path_factory.mktemp("adaptive") / "campaign.json"
         engine = CampaignEngine(
-            workers=workers,
-            checkpoint_path=ckpt,
-            sample_shard=shard,
-            replay=replay,
+            workers=workers, checkpoint_path=ckpt, sample_shard=shard
         )
         sweep = adaptive_sweep(
             qm_st, x, labels, BERS, config=counter_config(), rule=RULE,
             engine=engine,
         )
-        runs[(workers, shard, replay)] = (sweep, checkpoint_keys(ckpt))
+        runs[(workers, shard)] = (sweep, checkpoint_keys(ckpt))
     return runs
 
 
 class TestAdaptiveDeterminism:
     def test_sweep_exercises_both_outcomes(self, matrix_runs):
-        sweep, _ = matrix_runs[(1, None, False)]
+        sweep, _ = matrix_runs[(1, None)]
         by_ber = {p.ber: p for p in sweep.points}
         assert by_ber[BER_QUIET].stopped_early
         assert by_ber[BER_QUIET].seeds_used == RULE.min_seeds
@@ -128,19 +121,19 @@ class TestAdaptiveDeterminism:
         assert by_ber[BER_SATURATE].seeds_used == RULE.max_seeds
 
     def test_decisions_identical_across_the_matrix(self, matrix_runs):
-        reference = sweep_signature(matrix_runs[(1, None, False)][0])
+        reference = sweep_signature(matrix_runs[(1, None)][0])
         for cell, (sweep, _) in matrix_runs.items():
             assert sweep_signature(sweep) == reference, (
-                f"adaptive decisions diverged at workers/shard/replay={cell}"
+                f"adaptive decisions diverged at workers/shard={cell}"
             )
 
     def test_checkpoint_keys_identical_at_fixed_granularity(self, matrix_runs):
         """Same shard granularity => same persisted key set.
 
-        Point granularity (shard off) must agree across workers x replay;
-        likewise a fixed slice size across worker counts and replay.
-        'auto' picks its slice size from the worker count, so its keys are
-        only pinned per worker count (slice keys bind their window).
+        Point granularity (shard off) must agree across worker counts;
+        likewise a fixed slice size.  'auto' picks its slice size from
+        the worker count (slice keys bind their window), so its key set
+        is not compared across cells.
         """
         point_cells = [c for c in MATRIX if c[1] is None]
         point_keys = [matrix_runs[c][1] for c in point_cells]
@@ -151,19 +144,14 @@ class TestAdaptiveDeterminism:
         assert all(k == slice8_keys[0] for k in slice8_keys)
         assert slice8_keys[0] != point_keys[0]
 
-        auto_same_workers = [
-            matrix_runs[c][1] for c in MATRIX if c[1] == "auto" and c[0] == 1
-        ]
-        assert all(k == auto_same_workers[0] for k in auto_same_workers)
-
     def test_units_match_seed_ledger(self, matrix_runs):
-        sweep, _ = matrix_runs[(1, None, False)]
+        sweep, _ = matrix_runs[(1, None)]
         assert sweep.total_units == sum(p.seeds_evaluated for p in sweep.points)
         assert sweep.total_units == sweep.computed_units + sweep.cached_units
 
     def test_saves_units_versus_fixed_grid(self, matrix_runs):
         """The whole point: fewer (seed x point) units than the fixed grid."""
-        sweep, _ = matrix_runs[(1, None, False)]
+        sweep, _ = matrix_runs[(1, None)]
         fixed_units = len(BERS) * RULE.max_seeds
         assert sweep.total_units < fixed_units
         assert any(p.stopped_early for p in sweep.points)
@@ -296,19 +284,23 @@ class TestLambdaGuards:
         with pytest.raises(ConfigurationError, match="ber"):
             campaign_lambda(qm_st, -1.0, CampaignConfig())
 
-    def test_poisson_rate_guard_names_the_site(self):
-        sampler = CounterSampler(
-            seed=0, ber=0.5, config=FaultModelConfig()
+    @staticmethod
+    def draw(ber: float, ops_per_sample: int, exposure: float = 1):
+        """One site draw over a single-sample batch (λ = ber·ops·exp·chunk)."""
+        sampler = CounterSampler(seed=0, ber=ber, config=FaultModelConfig())
+        sampler.begin_batch(1)
+        return sampler.site_events(
+            "conv1", "weight", 1, ops_per_sample, exposure, 1.0, (4,)
         )
+
+    def test_poisson_rate_guard_names_the_site(self):
+        chunk = FaultModelConfig().chunk_samples
         with pytest.raises(FaultModelError, match="layer 'conv1'.*site 'weight'"):
-            sampler._chunk_head("conv1", "weight", 0, 1e19)
+            self.draw(0.5, int(1e19 / (0.5 * chunk)))
         with pytest.raises(FaultModelError, match="sampler's limit"):
-            sampler._chunk_head("conv1", "weight", 0, float("inf"))
+            self.draw(0.5, 1, exposure=float("inf"))
 
     def test_sane_rate_still_draws(self):
-        sampler = CounterSampler(
-            seed=0, ber=1e-6, config=FaultModelConfig()
-        )
-        rng, samples = sampler._chunk_head("conv1", "weight", 0, 2.0)
-        assert rng is not None
-        assert samples is None or len(samples) > 0
+        chunk = FaultModelConfig().chunk_samples
+        events = self.draw(2.0 / chunk, 1)  # λ = 2 per chunk
+        assert events is None or len(events) > 0

@@ -6,8 +6,8 @@ so chaos runs are reproducible across processes and schedules, and a
 retried attempt draws fresh — bounded retry drains the injected faults
 and the campaign completes **bit-identically** to an undisturbed run.
 Poison tags are the one deliberately non-convergent kind: they fail every
-attempt, exhaust the retry budget, and surface as a uniform
-:class:`~repro.errors.TaskQuarantinedError` on both backends.
+attempt, exhaust the retry budget, and surface as a
+:class:`~repro.errors.TaskQuarantinedError`.
 """
 
 from __future__ import annotations
@@ -111,6 +111,57 @@ class TestChaosSpec:
         with pytest.raises(ConfigurationError):
             ChaosSpec.parse(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"unit_error_rate": "x"}',
+            '{"unit_error_rate": null}',
+            '{"unit_error_rate": true}',
+            '{"slow_unit_seconds": "x"}',
+            '{"slow_unit_seconds": NaN}',
+            '{"seed": "abc"}',
+            '{"seed": 1.5}',
+            '{"fail_tags": "poison"}',
+            '{"fail_tags": ["poison", 3]}',
+        ],
+    )
+    def test_json_specs_are_type_checked(self, text):
+        with pytest.raises(ConfigurationError):
+            ChaosSpec.parse(text)
+
+    @pytest.mark.parametrize("value", ["0.1", None], ids=["str", "none"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "unit_error_rate",
+            "slow_unit_rate",
+            "worker_crash_rate",
+            "torn_write_rate",
+            "enospc_rate",
+        ],
+    )
+    def test_every_rate_field_is_type_checked(self, name, value):
+        with pytest.raises(ConfigurationError, match="must be a number"):
+            ChaosSpec(**{name: value})
+
+    @pytest.mark.parametrize(
+        "seconds", [-1.0, float("inf"), None], ids=["negative", "inf", "none"]
+    )
+    def test_slow_unit_seconds_must_be_finite_and_non_negative(self, seconds):
+        with pytest.raises(ConfigurationError, match="slow_unit_seconds"):
+            ChaosSpec(slow_unit_rate=0.5, slow_unit_seconds=seconds)
+
+    def test_json_fail_tags_list_is_kept_whole(self):
+        spec = ChaosSpec.parse('{"fail_tags": ["poison"]}')
+        assert spec.fail_tags == ("poison",)
+
+    @pytest.mark.parametrize(
+        "text", ["lost_heartbeat=0.5", '{"lost_heartbeat_rate": 0.5}']
+    )
+    def test_lost_heartbeat_is_rejected(self, text):
+        with pytest.raises(ConfigurationError, match="lost_heartbeat"):
+            ChaosSpec.parse(text)
+
 
 class TestApplyUnitChaos:
     def test_none_and_inactive_are_noops(self):
@@ -126,7 +177,7 @@ class TestApplyUnitChaos:
     def test_worker_crash_in_band_without_allow_exit(self):
         spec = ChaosSpec(worker_crash_rate=1.0)
         with pytest.raises(WorkerCrashError, match="simulated worker crash"):
-            apply_unit_chaos(spec, "k", "tag", 1, allow_exit=False)
+            apply_unit_chaos(spec, "k", "tag", 1)
 
     def test_poison_tag_fails_every_attempt(self):
         spec = ChaosSpec(fail_tags=("poison",))

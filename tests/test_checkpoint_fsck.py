@@ -1,11 +1,11 @@
 """Crash-safe checkpoint integrity: CRCs, atomic flushes, fsck, ENOSPC.
 
-Property under test (ISSUE satellite): inflict randomized damage —
-truncated lines, bit flips, duplicated lines — across a set of
-checkpoint shards, and ``fsck --repair`` + ``merge_shards`` must recover
-*exactly* the records whose lines were intact, with the report naming
-every dropped key.  Plus the durability contract of the v3 store: flushes
-append whole lines atomically, torn/ENOSPC flushes roll back and retain
+Property under test: inflict randomized damage — truncated lines, bit
+flips, duplicated lines — across a directory of checkpoint shards, and
+``fsck --repair`` must leave shards that reopen to *exactly* the records
+whose lines were intact, with the report naming every dropped key.
+Plus the durability contract of the v3 store: flushes append whole
+lines atomically, torn/ENOSPC flushes roll back and retain
 records in memory, and the engine degrades checkpoint-less (loudly)
 rather than crashing when the disk stays broken.
 """
@@ -161,12 +161,14 @@ class TestFsckProperty:
         assert rescan.intact_records == len(intact)
         assert list(shard_dir.glob("*.quarantined"))
 
-        merged = CampaignCheckpoint.merge_shards(
-            tmp_path / "merged.json", sorted(shard_dir.glob("*.jsonl"))
-        )
-        assert set(dict(merged.items())) == intact
+        # Reopening every repaired shard yields exactly the intact set,
+        # each record with its original result.
+        recovered = {}
+        for shard in sorted(shard_dir.glob("*.jsonl")):
+            recovered.update(CampaignCheckpoint(shard, strict=True).items())
+        assert set(recovered) == intact
         for key in intact:
-            assert merged.get(key) == result_for(int(key.split("-")[1]))
+            assert recovered[key] == result_for(int(key.split("-")[1]))
 
     def test_fsck_never_repairs_foreign_files(self, tmp_path):
         target = tmp_path / "notes.json"

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.errors import (
     TaskQuarantinedError,
     exit_code_for,
 )
+from repro.experiments import cli
 from repro.faultsim import SeedPointResult
 from repro.runtime import CampaignCheckpoint
 
@@ -97,6 +99,55 @@ class TestSubprocessExitCodes:
         proc = run_cli("fig2", "--chaos", "meteor=1.0")
         assert proc.returncode == EXIT_CONFIG
         assert "error:" in proc.stderr and "meteor" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"unit_error_rate": "x"}',
+            '{"seed": "abc"}',
+            '{"slow_unit_seconds": "x"}',
+            '{"unit_error_rate": null}',
+        ],
+    )
+    def test_mistyped_json_chaos_spec_exits_config_code(self, spec):
+        proc = run_cli("fig2", "--chaos", spec)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture()
+def stub_figure(monkeypatch):
+    """Swap fig1 for a no-op, so a flag the CLI accepts returns at once."""
+    runs = []
+    stub = SimpleNamespace(
+        run=lambda **kwargs: runs.append(kwargs) or {},
+        format_report=lambda payload: "stub report",
+    )
+    monkeypatch.setitem(cli._FIGURES, "fig1", stub)
+    return runs
+
+
+class TestConfigurationRejectedBeforeAnyFigure:
+    """Bad settings exit 3 without running a figure (in-process CLI)."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "lost_heartbeat=0.5",
+            '{"lost_heartbeat_rate": 0.5}',
+            '{"fail_tags": "poison"}',
+        ],
+    )
+    def test_retired_or_mistyped_chaos_fields(self, stub_figure, capsys, spec):
+        assert cli.main(["fig1", "--chaos", spec]) == EXIT_CONFIG
+        assert stub_figure == []
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_worker_count(self, stub_figure, capsys):
+        assert cli.main(["fig1", "--workers", "-2"]) == EXIT_CONFIG
+        assert stub_figure == []
+        assert "workers" in capsys.readouterr().err
 
 
 class TestExitCodeMapping:

@@ -185,7 +185,7 @@ class TestWinogradGuards:
         checker = AbftChecker(None)
         layer = SimpleNamespace(name="wg")
         ctx = SimpleNamespace(u_int=None)
-        with pytest.raises(FaultModelError, match="needs_intermediates"):
+        with pytest.raises(FaultModelError, match="keep_intermediates"):
             checker.visit_winograd(
                 layer, [(None, ctx)], np.zeros((1, 1, 2, 2), dtype=np.int64)
             )

@@ -13,13 +13,17 @@ import json
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError, TaskExecutionError
 from repro.faultsim import CampaignConfig, ProtectionPlan, run_sweep
 from repro.runtime import (
     CampaignCheckpoint,
     CampaignEngine,
+    TaskSpec,
     campaign_fingerprint,
+    data_fingerprint,
     model_fingerprint,
     point_key,
+    resolve_workers,
     task_key,
 )
 from repro.runtime.checkpoint import record_crc
@@ -614,3 +618,58 @@ class TestProtectionPlanTaskHashing:
         # The tag is a label, not identity.
         retagged = TaskSpec(ber=3e-5, seed=4, protection=plan, tag="other")
         assert retagged.key("m", "d", config) == spec.key("m", "d", config)
+
+
+class TestWorkerCount:
+    def test_zero_and_none_mean_every_visible_core(self):
+        assert resolve_workers(0) == resolve_workers(None) >= 1
+
+    def test_positive_counts_pass_through(self):
+        for workers in (1, 2, 3, 64):
+            assert resolve_workers(workers) == workers
+            assert CampaignEngine(workers=workers).workers == workers
+
+    @pytest.mark.parametrize("workers", [-1, -2])
+    def test_negative_counts_are_rejected(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            resolve_workers(workers)
+        with pytest.raises(ConfigurationError, match="workers"):
+            CampaignEngine(workers=workers)
+
+
+class TestFailurePropagation:
+    """A unit's exception carries the failing task's key and tag."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unit_failure_reports_key_and_tag(
+        self, tiny_quantized, tiny_eval, config, monkeypatch, workers
+    ):
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+
+        def explode(*args, **kwargs):
+            raise ZeroDivisionError("injected failure")
+
+        # Patching the engine module's reference survives fork, so the
+        # pool path exercises the same failure route as workers=1.
+        monkeypatch.setattr(
+            "repro.runtime.engine.evaluate_seed_point", explode
+        )
+        # Two units, so workers=2 really dispatches through the pool.
+        tasks = [
+            TaskSpec(ber=1e-5, seed=seed, tag="regression/fails")
+            for seed in (0, 1)
+        ]
+        engine = CampaignEngine(workers=workers)
+        with pytest.raises(TaskExecutionError) as err:
+            engine.evaluate_tasks(qm, x, y, tasks, config=config)
+        trim_x, trim_y = x[: config.max_samples], y[: config.max_samples]
+        model_fp = model_fingerprint(qm)
+        data_fp = data_fingerprint(trim_x, trim_y)
+        keys = {task.key(model_fp, data_fp, config) for task in tasks}
+        assert err.value.tag == "regression/fails"
+        assert err.value.task_key in keys
+        message = str(err.value)
+        assert "regression/fails" in message
+        assert err.value.task_key in message
+        assert "ZeroDivisionError: injected failure" in message
