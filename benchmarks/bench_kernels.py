@@ -28,6 +28,7 @@ except ImportError:  # pragma: no cover - standalone CLI use without pytest
 
 from repro.utils.im2col import im2col
 from repro.winograd import (
+    filter_stage_layout,
     get_transform,
     transform_filter_int,
     winograd_conv2d_float,
@@ -111,7 +112,7 @@ def _bench_inputs(x_bound: int, w_bound: int):
 def _time_backend(backend, x, w, x_bound, repeats: int, keep: bool) -> dict:
     """Best/mean wall-clock of the full int Winograd conv on one backend."""
     tf = get_transform(2, 3)
-    v = backend.filter_transform(tf, w)
+    v = filter_stage_layout(backend.filter_transform(tf, w))
     v_bound = int(np.abs(v).max(initial=0))
 
     def run():

@@ -200,7 +200,9 @@ class KernelBackend(ABC):
     ) -> np.ndarray:
         """Integer input transform ``B^T d B`` per tile.
 
-        ``(N, C, T, t, t) -> (N, C, T, t, t)`` int64.
+        ``(t*t, C, N*T) -> (t*t, C, N*T)`` int64, position-major: row
+        ``i*t + j`` holds tile element ``(i, j)`` and column ``n*T + tile``
+        one tile of one image (see :mod:`repro.winograd.tiling`).
         """
 
     @abstractmethod
@@ -209,7 +211,8 @@ class KernelBackend(ABC):
     ) -> np.ndarray:
         """Integer output transform ``A^T M A`` per tile.
 
-        ``(N, K, T, t, t) -> (N, K, T, m, m)`` int64.
+        ``(t*t, K, N*T) -> (m*m, K, N*T)`` int64, position-major like
+        :meth:`input_transform`.
         """
 
     @abstractmethod
@@ -220,7 +223,12 @@ class KernelBackend(ABC):
         u_bound: int | None = None,
         v_bound: int | None = None,
     ) -> np.ndarray:
-        """``M[n,k,T,i,j] = sum_c U[n,c,T,i,j] * V[k,c,i,j]`` exactly."""
+        """``M[p, k, x] = sum_c V[p, k, c] * U[p, c, x]`` exactly.
+
+        ``u`` is ``(t*t, C, N*T)``, ``v`` is ``(t*t, K, C)`` and the result
+        ``(t*t, K, N*T)``: one ``(K, C) @ (C, N*T)`` product per tile
+        position ``p``.  Axis 1 of ``u`` is the contraction length.
+        """
 
     @abstractmethod
     def im2col_gemm(

@@ -3,19 +3,21 @@
 Same int64 results as :class:`~repro.backends.reference.ReferenceBackend`
 for every input, from four levers:
 
-* **Fused transform matrices** — the 2-D tile transforms ``B^T d B`` /
-  ``A^T M A`` are evaluated as a single float64 BLAS GEMM against the
-  precomputed Kronecker square ``kron(M, M)`` (cached per (transform,
-  stage, dtype)), replacing the int64 einsum which has no BLAS kernel.
-  The float64-exactness fast path of ``channel_reduce`` is thereby
-  extended to the transform stages: a transform output entry is a dot
-  product against one row of the Kronecker square, so every partial sum
-  is bounded by ``operand_bound * max_row_abs_sum`` and the f64 GEMM is
-  provably exact whenever that product stays under ``2**52``.
-* **Fused casts** — each int64→f64→int64 conversion is one cast into a
-  plain ``np.empty`` temporary, with transposes folded into the cast and
-  im2col patches read straight out of the strided view (zero-copy
-  gather + cast in one pass).  No buffer outlives its call.
+* **One GEMM per Winograd stage** — the stages work in the
+  position-major layout (tiles and ``U`` ``(t*t, C, N*T)``, ``V``
+  ``(t*t, K, C)``, ``M`` ``(t*t, K, N*T)``, output tiles
+  ``(m*m, K, N*T)``), so each stage is one plain float64 BLAS GEMM with
+  no transposing copy: ``kron(B^T, B^T) @ D``, then ``V @ U`` batched
+  over the ``t*t`` positions, then ``kron(A^T, A^T) @ M``.  The
+  Kronecker squares are cached per (transform, stage, dtype).  A
+  transform output entry is a dot product against one row of the
+  Kronecker square, so every partial sum is bounded by
+  ``operand_bound * max_row_abs_sum`` and the f64 GEMM is provably exact
+  whenever that product stays under ``2**52``.
+* **Plain casts** — each int64→f64→int64 conversion is one contiguous
+  cast into a fresh temporary, and im2col patches are read straight out
+  of the strided view (zero-copy gather + cast in one pass).  No buffer
+  outlives its call.
 * **No redundant rounding** — f64 GEMM results are provably exact
   integers, so the ``np.rint`` pass is skipped and the cast truncates
   exactly.
@@ -73,18 +75,18 @@ class OptimizedBackend(KernelBackend):
             self._fused.put(key, entry)
         return entry
 
-    def _fused_apply(
-        self, kron_f: np.ndarray, flat_src: np.ndarray, out_shape: tuple
-    ) -> np.ndarray:
-        """One fused cast + GEMM + cast: ``out = flat_src @ kron_f.T`` exactly.
+    def _fused_apply(self, kron_f: np.ndarray, src: np.ndarray) -> np.ndarray:
+        """One cast + GEMM + cast: ``kron_f @ src`` over the position axis.
 
-        ``flat_src`` is int64 ``(rows, in_dim)``; the result is a fresh
-        int64 array of ``out_shape`` (whose trailing dims flatten to the
-        kron's output dim).  Only valid when the caller proved every
-        partial sum fits the f64 mantissa.
+        ``src`` is int64 ``(in_dim, ...)`` in the position-major stage
+        layout; the result is a fresh int64 ``(out_dim, ...)`` array.  Only
+        valid when the caller proved every partial sum fits the f64
+        mantissa.
         """
-        prod = np.matmul(flat_src.astype(np.float64), kron_f.T)
-        return prod.astype(np.int64).reshape(out_shape)
+        flat = src.reshape(src.shape[0], -1).astype(np.float64)
+        prod = np.matmul(kron_f, flat)
+        del flat
+        return prod.astype(np.int64).reshape((kron_f.shape[0],) + src.shape[1:])
 
     # --- protocol ------------------------------------------------------------
     def filter_transform(self, tf, weight_int: np.ndarray) -> np.ndarray:
@@ -94,31 +96,27 @@ class OptimizedBackend(KernelBackend):
     def input_transform(
         self, tf, tiles: np.ndarray, x_bound: int | None = None
     ) -> np.ndarray:
-        """``B^T d B`` as one f64 GEMM against ``kron(B^T, B^T)``."""
+        """``B^T d B`` as one f64 GEMM: ``kron(B^T, B^T) @ D``."""
         kron_f, amp = self._fused_matrix("input", tf, tf.bt_int)
         x_max = (
             int(x_bound) if x_bound is not None
             else int(np.abs(tiles).max(initial=0))
         )
-        n, c, t_count, th, tw = tiles.shape
         if x_max * amp < _F64_EXACT:
-            flat = np.ascontiguousarray(tiles).reshape(n * c * t_count, th * tw)
-            return self._fused_apply(kron_f, flat, tiles.shape)
+            return self._fused_apply(kron_f, tiles)
         return self._reference.input_transform(tf, tiles, x_bound=x_bound)
 
     def output_transform(
         self, tf, m_arr: np.ndarray, m_bound: int | None = None
     ) -> np.ndarray:
-        """``A^T M A`` as one f64 GEMM against ``kron(A^T, A^T)``."""
+        """``A^T M A`` as one f64 GEMM: ``kron(A^T, A^T) @ M``."""
         kron_f, amp = self._fused_matrix("output", tf, tf.at_int)
         m_max = (
             int(m_bound) if m_bound is not None
             else int(np.abs(m_arr).max(initial=0))
         )
-        n, k, t_count, th, tw = m_arr.shape
         if m_max * amp < _F64_EXACT:
-            flat = np.ascontiguousarray(m_arr).reshape(n * k * t_count, th * tw)
-            return self._fused_apply(kron_f, flat, (n, k, t_count, tf.m, tf.m))
+            return self._fused_apply(kron_f, m_arr)
         return self._reference.output_transform(tf, m_arr, m_bound=m_bound)
 
     def channel_reduce(
@@ -128,49 +126,27 @@ class OptimizedBackend(KernelBackend):
         u_bound: int | None = None,
         v_bound: int | None = None,
     ) -> np.ndarray:
-        """Batched f64 GEMM via fused transpose-casts; blocked int64 fallback."""
-        n, c, t_count, th, tw = u.shape
-        k = v.shape[0]
+        """``V @ U`` batched over tile positions; blocked int64 fallback."""
+        positions, c, nt = u.shape
+        k = v.shape[1]
         u_max = int(u_bound) if u_bound is not None else int(np.abs(u).max(initial=0))
         v_max = int(v_bound) if v_bound is not None else int(np.abs(v).max(initial=0))
-        nt = n * t_count
         if u_max * v_max * c < _F64_EXACT:
-            # One fused cast+transpose per operand, one batched DGEMM,
-            # one fused cast+transpose back — no rint pass (the products
-            # are exact integers) and no intermediate int64 copies.
-            u_f = np.empty((th * tw, c, nt))
-            np.copyto(
-                u_f.reshape(th, tw, c, n, t_count),
-                u.transpose(3, 4, 1, 0, 2),
-                casting="unsafe",
-            )
-            v_f = np.empty((th * tw, k, c))
-            np.copyto(
-                v_f.reshape(th, tw, k, c), v.transpose(2, 3, 0, 1), casting="unsafe"
-            )
-            m_f = np.matmul(v_f, u_f)
+            # Both operands are already laid out for the batched DGEMM:
+            # one plain cast each way, no rint pass (the products are exact
+            # integers).
+            u_f = u.astype(np.float64)
+            m_f = np.matmul(v.astype(np.float64), u_f)
             del u_f  # the largest temporary; free it before the output exists
-            out = np.empty((n, k, t_count, th, tw), dtype=np.int64)
-            np.copyto(
-                out.transpose(3, 4, 1, 0, 2),
-                m_f.reshape(th, tw, k, n, t_count),
-                casting="unsafe",
-            )
-            return out
+            return m_f.astype(np.int64)
         # Exact int64 fallback: per tile position, a 2-D matmul blocked
         # over the (N*T) columns so operands stay cache-resident.
         block = max(1, _INT64_BLOCK_ELEMS // max(1, c))
-        out = np.empty((n, k, t_count, th, tw), dtype=np.int64)
-        um = np.empty((c, nt), dtype=np.int64)
-        res = np.empty((k, nt), dtype=np.int64)
-        for i in range(th):
-            for j in range(tw):
-                vm = np.ascontiguousarray(v[:, :, i, j])
-                np.copyto(um.reshape(c, n, t_count), u[:, :, :, i, j].transpose(1, 0, 2))
-                for s in range(0, nt, block):
-                    e = min(nt, s + block)
-                    np.matmul(vm, um[:, s:e], out=res[:, s:e])
-                np.copyto(out[:, :, :, i, j].transpose(1, 0, 2), res.reshape(k, n, t_count))
+        out = np.empty((positions, k, nt), dtype=np.int64)
+        for p in range(positions):
+            for s in range(0, nt, block):
+                e = min(nt, s + block)
+                np.matmul(v[p], u[p, :, s:e], out=out[p, :, s:e])
         return out
 
     def im2col_gemm(

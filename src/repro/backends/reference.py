@@ -45,36 +45,26 @@ def channel_reduce(
     u_bound: int | None = None,
     v_bound: int | None = None,
 ) -> np.ndarray:
-    """Compute ``M[n,k,T,i,j] = sum_c U[n,c,T,i,j] * V[k,c,i,j]`` exactly.
+    """Compute ``M[p, k, x] = sum_c V[p, k, c] * U[p, c, x]`` exactly.
 
-    This is the arithmetic bottleneck of the integer path.  When every
+    ``u`` is ``(t*t, C, N*T)`` and ``v`` is ``(t*t, K, C)``: one matrix
+    product per tile position ``p``.  This is the arithmetic bottleneck
+    of the integer path.  When every
     partial sum provably fits a float64 mantissa, the reduction runs as a
     batched BLAS matmul in float64 — exact and an order of magnitude
-    faster than the int64 einsum fallback.  The proof uses the supplied
+    faster than the int64 fallback.  The proof uses the supplied
     conservative ``u_bound``/``v_bound`` when available (skipping the
     full-tensor magnitude scan), the actual magnitudes otherwise; both
     probe sources choose between two exact paths, so results are
     identical either way.
     """
-    n, c, t_count, th, tw = u.shape
-    k = v.shape[0]
+    c = u.shape[1]
     u_max = int(u_bound) if u_bound is not None else int(np.abs(u).max(initial=0))
     v_max = int(v_bound) if v_bound is not None else int(np.abs(v).max(initial=0))
-    exact_in_f64 = u_max * v_max * c < 2**52
-
-    # Layout: (t*t, C, N*T) and (t*t, K, C) -> (t*t, K, N*T)
-    u_r = u.transpose(3, 4, 1, 0, 2).reshape(th * tw, c, n * t_count)
-    v_r = v.transpose(2, 3, 0, 1).reshape(th * tw, k, c)
-    if exact_in_f64:
-        m_r = np.matmul(v_r.astype(np.float64), u_r.astype(np.float64))
-        m_r = np.rint(m_r).astype(np.int64)
-    else:
-        m_r = np.matmul(v_r, u_r)  # int64 matmul: exact, slower
-    return (
-        m_r.reshape(th, tw, k, n, t_count)
-        .transpose(3, 2, 4, 0, 1)
-        .copy()
-    )
+    if u_max * v_max * c < 2**52:
+        m_f = np.matmul(v.astype(np.float64), u.astype(np.float64))
+        return np.rint(m_f).astype(np.int64)
+    return np.matmul(v, u)  # int64 matmul: exact, slower
 
 
 def materialize_cols(cols: np.ndarray) -> np.ndarray:
@@ -144,20 +134,24 @@ class ReferenceBackend(KernelBackend):
     ) -> np.ndarray:
         """Memoized-path int64 einsum ``B^T d B`` (bounds unused here)."""
         bt = tf.bt_int
-        return cached_einsum(
-            "ij,nctjl,ml->nctim", bt, tiles, bt,
-            key=(bt.shape, tiles.shape[1:], bt.shape),
+        t = bt.shape[0]
+        d = tiles.reshape(t, t, -1)
+        u = cached_einsum(
+            "ia,jb,abx->ijx", bt, bt, d, key=(bt.shape, bt.shape, d.shape[:2])
         )
+        return u.reshape(tiles.shape)
 
     def output_transform(
         self, tf, m_arr: np.ndarray, m_bound: int | None = None
     ) -> np.ndarray:
         """Memoized-path int64 einsum ``A^T M A`` (bounds unused here)."""
         at = tf.at_int
-        return cached_einsum(
-            "ui,nktij,vj->nktuv", at, m_arr, at,
-            key=(at.shape, m_arr.shape[1:], at.shape),
+        t = at.shape[1]
+        m_t = m_arr.reshape(t, t, -1)
+        y = cached_einsum(
+            "ui,vj,ijx->uvx", at, at, m_t, key=(at.shape, at.shape, m_t.shape[:2])
         )
+        return y.reshape((at.shape[0] ** 2,) + m_arr.shape[1:])
 
     def channel_reduce(
         self,

@@ -217,7 +217,7 @@ class AbftChecker(Injector):
                     "input (u_int=None): run the forward with "
                     "keep_intermediates=True"
                 )
-            v_sum = ctx.v_int.sum(axis=0, keepdims=True)  # (1, C, t, t)
+            v_sum = ctx.v_int.sum(axis=1, keepdims=True)  # (t*t, 1, C)
             part = self._winograd_checksum(ctx, v_sum)
             checksum = part if checksum is None else checksum + part
         h, w = y_scaled.shape[2], y_scaled.shape[3]
@@ -242,27 +242,31 @@ class AbftChecker(Injector):
     # --- checksum kernels --------------------------------------------------------
     @staticmethod
     def _conv_checksum(layer: QConvDirect, cols: np.ndarray, acc_shape) -> np.ndarray:
-        """Exact int64 channel checksum of a direct convolution batch."""
-        w_sum = (
-            layer.weight_int.reshape(layer.weight_int.shape[0], -1)
-            .sum(axis=0, dtype=np.int64)
+        """Exact int64 channel checksum of a direct convolution batch.
+
+        ``cols`` is the strided ``(N, C, R, S, P, Q)`` patches view.
+        """
+        w_sum = layer.weight_int.sum(axis=0, dtype=np.int64)  # (C, R, S)
+        n = acc_shape[0]
+        cols64 = np.ascontiguousarray(cols, dtype=np.int64).reshape(
+            n, w_sum.size, -1
         )
-        cols64 = np.ascontiguousarray(cols, dtype=np.int64)
         checksum = cached_einsum(
-            "r,nrp->np", w_sum, cols64, key=(w_sum.shape, cols64.shape[1:])
+            "r,nrp->np", w_sum.reshape(-1), cols64,
+            key=(w_sum.size, cols64.shape[1:]),
         )
         checksum = checksum + int(layer.bias_acc.sum())
-        n = acc_shape[0]
         return checksum.reshape(n, acc_shape[2], acc_shape[3])
 
     @staticmethod
     def _winograd_checksum(ctx, v_sum: np.ndarray) -> np.ndarray:
         """Single-channel Winograd pipeline on the channel-summed filters."""
         tf = ctx.transform
-        m_arr = channel_reduce(ctx.u_int, v_sum.astype(np.int64))
+        m_arr = channel_reduce(ctx.u_int, v_sum.astype(np.int64))  # (t*t, 1, N*T)
         at = tf.at_int
-        y_tiles = np.einsum("ui,nktij,vj->nktuv", at, m_arr, at)
-        return assemble_tiles(y_tiles, ctx.grid)
+        t = tf.t
+        y_tiles = np.einsum("ui,vj,ijx->uvx", at, at, m_arr.reshape(t, t, -1))
+        return assemble_tiles(y_tiles.reshape(tf.m * tf.m, 1, -1), ctx.grid)
 
     def _check(self, layer, acc, actual, expected, snapshot) -> None:
         """Compare channel sums against the checksum; repair on mismatch.

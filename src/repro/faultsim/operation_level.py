@@ -39,6 +39,7 @@ which is what enables sample-level sharding
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 
 import numpy as np
@@ -166,8 +167,13 @@ class OperationLevelInjector(Injector):
         return events
 
     @staticmethod
-    def _stage_widths(ref: np.ndarray, acc_width: int, events):
-        """Per-event sum-register widths, sized to ``ref``'s range.
+    def _sample_widths(ref: np.ndarray, acc_width: int) -> np.ndarray:
+        """Per-sample sum-register widths ``(N,)``, sized to ``ref``'s range.
+
+        ``ref`` is a ``(rows, N, cols)`` view of a stage's values: a
+        sample-major ``(N, F)`` array as ``ref[None]``, a position-major
+        ``(..., N*T)`` stage array as ``ref.reshape(-1, N, T)``.  Both
+        reduce over the physical array, never through a transposed copy.
 
         Hardware sizes each sum register to its stage's dynamic range,
         capped at the accumulator width:
@@ -176,13 +182,15 @@ class OperationLevelInjector(Injector):
         fault's delta never depends on which other samples share the
         batch (partition invariance).
         """
-        axes = tuple(range(1, ref.ndim))
+        if len(ref) > 1:
+            # Folding the rows first streams over contiguous (N, cols)
+            # slabs: several times faster than one reduction over (0, 2).
+            hi, lo = ref.max(axis=0), ref.min(axis=0)
+        else:
+            hi = lo = ref[0]
         # max(max, -min) is max(|ref|) without a full-size |ref| copy.
-        per_sample = np.maximum(
-            ref.max(axis=axes, initial=1), -ref.min(axis=axes, initial=-1)
-        )
-        widths = np.clip(bit_lengths(per_sample) + 1, 2, acc_width)
-        return widths[events.img]
+        per_sample = np.maximum(hi.max(axis=1, initial=1), -lo.min(axis=1, initial=-1))
+        return np.clip(bit_lengths(per_sample) + 1, 2, acc_width)
 
     @staticmethod
     def _register_deltas(values, widths, events):
@@ -225,7 +233,8 @@ class OperationLevelInjector(Injector):
     def visit_linear(self, layer, x_int, acc):
         """Inject faults into a linear layer (a GEMM with one spatial site)."""
         n, k_out = acc.shape
-        cols = x_int[:, :, None]  # (N, F_in, 1) -> GEMM layout with spatial=1
+        # (N, F_in) as a patches view: F_in channels, 1x1 kernel, 1x1 output.
+        cols = x_int[:, :, None, None, None, None]
         weight2d = layer.weight_int
         acc_flat = acc.reshape(n, k_out)
         self._inject_gemm_muls(
@@ -238,7 +247,12 @@ class OperationLevelInjector(Injector):
     def _inject_gemm_muls(
         self, layer, category, cols, weight2d, acc_flat, n, k_out, spatial, reduction
     ):
-        """Multiplication faults in a GEMM: product-result register flips."""
+        """Multiplication faults in a GEMM: product-result register flips.
+
+        ``cols`` is the strided ``(N, C, R, S, P, Q)`` patches view; the
+        reduction index unravels into ``(c, r, s)`` (the canonical im2col
+        order) and the spatial index into ``(p, q)``.
+        """
         events = self._site_events(
             layer.name,
             category,
@@ -252,10 +266,11 @@ class OperationLevelInjector(Injector):
             return
         img = events.img
         out_idx, red = events.coords
-        pq = out_idx % spatial
-        kk = out_idx // spatial
+        kk, pq = np.divmod(out_idx, spatial)
+        cc, rr, ss = np.unravel_index(red, cols.shape[1:4])
+        pp, qq = np.divmod(pq, cols.shape[5])
 
-        x_vals = cols[img, red, pq]
+        x_vals = cols[img, cc, rr, ss, pp, qq]
         w_vals = weight2d[kk, red]
         products = x_vals * w_vals
         width = self._mul_register_width(layer)
@@ -278,7 +293,7 @@ class OperationLevelInjector(Injector):
             return
         img = events.img
         (idx,) = events.coords
-        widths = self._stage_widths(acc_flat, layer.acc_width, events)
+        widths = self._sample_widths(acc_flat[None], layer.acc_width)[img]
         # Sign from the final accumulator value's bit: exact for the last
         # addition of the chain, an unbiased approximation for earlier ones.
         deltas = self._register_deltas(acc_flat[img, idx], widths, events)
@@ -297,17 +312,24 @@ class OperationLevelInjector(Injector):
             u, v, m_arr = ctx.u_int, ctx.v_int, ctx.m_int
             grid = ctx.grid
             tiles = grid.num_tiles
-            c_in = v.shape[1]
+            c_in = v.shape[2]
             t = tf.t
             prefix = f"sub{sub_index}:"
 
             pad = _TilePadAccumulator(y_scaled, grid)
+            # The M-domain register widths serve both the channel-reduction
+            # and the (paper-semantics) input-transform adds; computed at
+            # most once per sub-conv, and only when one of them has events.
+            m_widths = functools.cache(
+                lambda: self._sample_widths(m_arr.reshape(-1, n, tiles), layer.acc_width)
+            )
 
             self._wg_muls_and_acc_adds(
-                layer, prefix, u, v, m_arr, at, pad, n, k_out, c_in, tiles, t
+                layer, prefix, u, v, m_arr, m_widths, at, pad, n, k_out, c_in, tiles, t
             )
             self._wg_input_adds(
-                layer, prefix, u, v, m_arr, bt, at, pad, n, k_out, c_in, tiles, t, m
+                layer, prefix, u, v, m_arr, m_widths, bt, at, pad,
+                n, k_out, c_in, tiles, t, m,
             )
             self._wg_output_adds(layer, prefix, tf, y_scaled, pad, n, k_out, tiles, t, m)
             pad.flush()
@@ -323,10 +345,14 @@ class OperationLevelInjector(Injector):
         )
 
     def _wg_muls_and_acc_adds(
-        self, layer, prefix, u, v, m_arr, at, pad, n, k_out, c_in, tiles, t
+        self, layer, prefix, u, v, m_arr, m_widths, at, pad, n, k_out, c_in, tiles, t
     ):
-        acc_width = layer.acc_width
+        """Element-wise product and channel-reduction addition faults.
 
+        The stage arrays are position-major, so the event at image ``n``,
+        tile ``tl`` and element ``(i, j)`` reads position ``i*t + j`` and
+        column ``n*T + tl`` (see :class:`WinogradConvContext`).
+        """
         # --- element-wise multiplications ---------------------------------------
         events = self._site_events(
             layer.name,
@@ -340,7 +366,8 @@ class OperationLevelInjector(Injector):
         if events is not None:
             img = events.img
             kk, cc, tl, ii, jj = events.coords
-            products = u[img, cc, tl, ii, jj] * v[kk, cc, ii, jj]
+            pos, col = ii * t + jj, img * tiles + tl
+            products = u[pos, cc, col] * v[pos, kk, cc]
             mul_width = self._mul_register_width(layer)
             deltas = self._register_deltas(products, mul_width, events)
             pad.add_rank1(img, kk, tl, deltas, at[:, ii], at[:, jj])
@@ -358,13 +385,13 @@ class OperationLevelInjector(Injector):
         if events is not None:
             img = events.img
             kk, tl, ii, jj = events.coords
-            m_vals = m_arr[img, kk, tl, ii, jj]
-            widths = self._stage_widths(m_arr, acc_width, events)
-            deltas = self._register_deltas(m_vals, widths, events)
+            m_vals = m_arr[ii * t + jj, kk, img * tiles + tl]
+            deltas = self._register_deltas(m_vals, m_widths()[img], events)
             pad.add_rank1(img, kk, tl, deltas, at[:, ii], at[:, jj])
 
     def _wg_input_adds(
-        self, layer, prefix, u, v, m_arr, bt, at, pad, n, k_out, c_in, tiles, t, m
+        self, layer, prefix, u, v, m_arr, m_widths, bt, at, pad,
+        n, k_out, c_in, tiles, t, m,
     ):
         """Input-transform addition faults.
 
@@ -380,7 +407,6 @@ class OperationLevelInjector(Injector):
         """
         per_vector = int(np.maximum((bt != 0).sum(axis=1) - 1, 0).sum())
         pass_ops = c_in * tiles * per_vector * t  # per sample, per pass
-        acc_width = layer.acc_width
 
         if not self.config.amplify_input_transform_adds:
             # Additive-chain locality (paper semantics): the perturbation is a
@@ -402,12 +428,14 @@ class OperationLevelInjector(Injector):
                 return
             img = events.img
             kk, tl, ii, jj = events.coords
-            widths = self._stage_widths(m_arr, acc_width, events)
-            base_vals = m_arr[img, kk, tl, ii, jj]
-            deltas = self._register_deltas(base_vals, widths, events)
+            base_vals = m_arr[ii * t + jj, kk, img * tiles + tl]
+            deltas = self._register_deltas(base_vals, m_widths()[img], events)
             pad.add_rank1(img, kk, tl, deltas, at[:, ii], at[:, jj])
             return
 
+        u_widths = functools.cache(
+            lambda: self._sample_widths(u.reshape(-1, n, tiles), layer.acc_width)
+        )
         for pass_idx in (1, 2):
             events = self._site_events(
                 layer.name,
@@ -422,9 +450,8 @@ class OperationLevelInjector(Injector):
                 continue
             img = events.img
             cc, tl, uu, vv = events.coords
-            u_widths = self._stage_widths(u, acc_width, events)
-            base_vals = u[img, cc, tl, uu, vv]
-            deltas = self._register_deltas(base_vals, u_widths, events)
+            base_vals = u[uu * t + vv, cc, img * tiles + tl]
+            deltas = self._register_deltas(base_vals, u_widths()[img], events)
 
             for f in range(len(events)):
                 delta = int(deltas[f])
@@ -438,7 +465,8 @@ class OperationLevelInjector(Injector):
                     # dZ[u, v] = delta -> dU[u, j] = delta * B[v, j] = delta * bt[j, v].
                     du = np.zeros((t, t), dtype=np.int64)
                     du[uu[f], :] = delta * bt[:, vv[f]]
-                dm = du[None, :, :] * v[:, cc[f]]  # (K, t, t), amplified by weights
+                # (K, t, t), amplified by the weights of channel cc[f].
+                dm = du[None, :, :] * v[:, :, cc[f]].T.reshape(k_out, t, t)
                 dy = np.einsum("ui,kij,vj->kuv", at, dm, at)
                 pad.add_tile_all_k(int(img[f]), int(tl[f]), dy)
 
@@ -447,6 +475,11 @@ class OperationLevelInjector(Injector):
         at = tf.at_int.astype(np.int64)
         per_vector = int(np.maximum((at != 0).sum(axis=1) - 1, 0).sum())
         y_flat = y_scaled.reshape(n, -1)
+        # Both passes size their registers before this sub-conv's deltas
+        # are flushed into y_scaled, so they share one width computation.
+        y_widths = functools.cache(
+            lambda: self._sample_widths(y_flat[None], layer.acc_width)
+        )
 
         # Pass 1: P = AT M, shape (m, t): per tile per k, t applications.
         events = self._site_events(
@@ -462,8 +495,7 @@ class OperationLevelInjector(Injector):
         if events is not None:
             img = events.img
             kk, tl, uu, vv = events.coords
-            widths = self._stage_widths(y_flat, layer.acc_width, events)
-            bits = events.bits(widths)
+            bits = events.bits(y_widths()[img])
             deltas = events.signs() * (np.int64(1) << bits)
             # dY[u, w] = delta * A[v, w] = delta * at[w, v]
             rows = deltas[:, None] * at[:, vv].T  # (F, m)
@@ -483,8 +515,7 @@ class OperationLevelInjector(Injector):
         if events is not None:
             img = events.img
             kk, tl, uu, ww = events.coords
-            widths = self._stage_widths(y_flat, layer.acc_width, events)
-            bits = events.bits(widths)
+            bits = events.bits(y_widths()[img])
             deltas = events.signs() * (np.int64(1) << bits)
             pad.add_element(img, kk, tl, uu, ww, deltas)
 

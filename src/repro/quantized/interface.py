@@ -24,7 +24,12 @@ class Injector:
         """Called once per quantized forward pass before any layer runs."""
 
     def visit_direct(self, layer, x_int: np.ndarray, cols: np.ndarray, acc: np.ndarray) -> None:
-        """Direct conv/GEMM: ``acc`` is the (N, K, P, Q) integer accumulator."""
+        """Direct conv/GEMM: ``acc`` is the (N, K, P, Q) integer accumulator.
+
+        ``cols`` is the strided ``(N, C, R, S, P, Q)`` im2col patches view
+        of ``x_int`` (:func:`repro.utils.im2col.im2col_patches`); it is
+        read in place, never materialized.
+        """
 
     def visit_linear(self, layer, x_int: np.ndarray, acc: np.ndarray) -> None:
         """Fully-connected: ``acc`` is the (N, F) integer accumulator."""

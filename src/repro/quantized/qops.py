@@ -23,7 +23,7 @@ from repro.errors import ShapeError
 from repro.fixedpoint import QFormat, rescale_round, saturate
 from repro.quantized.interface import Injector
 from repro.utils.im2col import conv_output_size, im2col, im2col_patches, pad_nchw
-from repro.winograd.conv2d import winograd_conv2d_int
+from repro.winograd.conv2d import filter_stage_layout, winograd_conv2d_int
 from repro.winograd.decompose import (
     SubConvSpec,
     decompose_conv,
@@ -123,31 +123,25 @@ class QConvDirect(QNode):
 
     def forward(self, xs, injector=None):
         (x,) = xs
-        n, c, h, w = x.shape
+        n, _, h, w = x.shape
         k = self.weight_int.shape[0]
         p = conv_output_size(h, self.kernel, self.stride, self.padding)
         q = conv_output_size(w, self.kernel, self.stride, self.padding)
 
         backend = get_backend(self.kernel_backend)
+        # The backend and the injector both read the strided patches view
+        # in place; the im2col matrix is never materialized.
         patches = im2col_patches(x, (self.kernel, self.kernel), self.stride, self.padding)
-        cols = None
-        gemm_cols = patches
-        if injector is not None:
-            # The injector reads individual column entries by fancy
-            # indexing, so it needs the materialized matrix; without an
-            # injector the backend may consume the strided view directly.
-            cols = np.ascontiguousarray(patches).reshape(n, c * self.kernel * self.kernel, p * q)
-            gemm_cols = cols
         acc = backend.im2col_gemm(
             self.weight_int.reshape(k, -1),
-            gemm_cols,
+            patches,
             w_bound=_lazy_weight_bound(self),
             x_bound=format_bound(self.in_fmt.width),
         )
         acc = acc.reshape(n, k, p, q)
         acc += self.bias_acc.reshape(1, k, 1, 1)
         if injector is not None:
-            injector.visit_direct(self, x, cols, acc)
+            injector.visit_direct(self, x, patches, acc)
         y = backend.requantize(acc, self.acc_frac, self.out_fmt)
         if injector is not None:
             y = injector.visit_output(self, y)
@@ -169,7 +163,8 @@ class QConvWinograd(QNode):
     m: int = 2
     in_shape: tuple = ()
     op_counts: OpCounts = field(default_factory=OpCounts)
-    #: Filled by ``prepare()``: DWM pieces and their transformed filters.
+    #: Filled by ``prepare()``: DWM pieces and their transformed filters,
+    #: in the position-major stage layout ``(t*t, K, C)``.
     sub_specs: list[SubConvSpec] = field(default_factory=list)
     sub_filters: list[np.ndarray] = field(default_factory=list)
     #: Per-sub-filter magnitude bounds, filled by ``prepare()``; lets the
@@ -194,8 +189,10 @@ class QConvWinograd(QNode):
         backend = get_backend(self.kernel_backend)
         self.sub_specs = decompose_conv((self.kernel, self.kernel), self.stride)
         self.sub_filters = [
-            backend.filter_transform(
-                tf, extract_sub_kernel(self.weight_int, spec, self.stride)
+            filter_stage_layout(
+                backend.filter_transform(
+                    tf, extract_sub_kernel(self.weight_int, spec, self.stride)
+                )
             )
             for spec in self.sub_specs
         ]
@@ -217,24 +214,31 @@ class QConvWinograd(QNode):
         backend = get_backend(self.kernel_backend)
         x_bound = format_bound(self.in_fmt.width)
         v_bounds = self.sub_filter_bounds or [None] * len(self.sub_specs)
-        xp = pad_nchw(np.asarray(x, dtype=np.int64), self.padding)
+        x = np.asarray(x, dtype=np.int64)
+        # A 3x3 unit-stride conv is its own single DWM piece: it reads the
+        # input directly and the tile gather folds in the padding.
+        plain = self.kernel == 3 and self.stride == 1
+        xp = None if plain else pad_nchw(x, self.padding)
         keep = injector is not None
         scale = self.transform.output_scale_2d
 
+        # Every ctx.y_int is a fresh C-contiguous (N, K, out_h, out_w)
+        # array; the injector mutates reshape-views of y_scaled in place,
+        # which only alias because of that contiguity.
         y_scaled = None
         sub_contexts = []
         for spec, v_int, v_bound in zip(self.sub_specs, self.sub_filters, v_bounds):
-            view = extract_sub_input(xp, spec, self.stride, out_h, out_w)
+            if plain:
+                view, pad = x, self.padding
+            else:
+                view, pad = extract_sub_input(xp, spec, self.stride, out_h, out_w), 0
             ctx = winograd_conv2d_int(
-                view, v_int, padding=0, m=self.m, r=3, keep_intermediates=keep,
+                view, v_int, padding=pad, m=self.m, r=3, keep_intermediates=keep,
                 backend=backend, x_bound=x_bound, v_bound=v_bound,
             )
             sub_contexts.append((spec, ctx))
             y_scaled = ctx.y_int if y_scaled is None else y_scaled + ctx.y_int
 
-        # Contiguity matters: the injector mutates reshape-views of this
-        # array in place, which only aliases when the array is contiguous.
-        y_scaled = np.ascontiguousarray(y_scaled[:, :, :out_h, :out_w])
         y_scaled += self.bias_acc.reshape(1, k, 1, 1) * scale
         if injector is not None:
             injector.visit_winograd(self, sub_contexts, y_scaled)

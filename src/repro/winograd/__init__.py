@@ -5,6 +5,7 @@ from repro.winograd.transforms import SUPPORTED_TILES, WinogradTransform, get_tr
 from repro.winograd.tiling import TileGrid, assemble_tiles, extract_tiles
 from repro.winograd.conv2d import (
     WinogradConvContext,
+    filter_stage_layout,
     transform_filter_float,
     transform_filter_int,
     winograd_conv2d_float,
@@ -37,6 +38,7 @@ __all__ = [
     "assemble_tiles",
     "extract_tiles",
     "WinogradConvContext",
+    "filter_stage_layout",
     "transform_filter_float",
     "transform_filter_int",
     "winograd_conv2d_float",

@@ -29,11 +29,12 @@ import numpy as np
 from repro.backends import get_backend, kron_row_bound
 from repro.backends.reference import filter_transform_int as _filter_transform_int
 from repro.errors import ShapeError
-from repro.utils.im2col import conv_output_size, pad_nchw
+from repro.utils.im2col import conv_output_size
 from repro.winograd.tiling import TileGrid, assemble_tiles, extract_tiles
 from repro.winograd.transforms import WinogradTransform, get_transform
 
 __all__ = [
+    "filter_stage_layout",
     "transform_filter_float",
     "transform_filter_int",
     "winograd_conv2d_float",
@@ -48,9 +49,23 @@ def transform_filter_float(weight: np.ndarray, tf: WinogradTransform) -> np.ndar
     return np.einsum("ij,kcjl,ml->kcim", g, weight, g, optimize=True)
 
 
+def filter_stage_layout(v: np.ndarray) -> np.ndarray:
+    """Re-lay ``(K, C, t, t)`` transformed filters position-major, ``(t*t, K, C)``.
+
+    Row ``i*t + j`` is the ``(K, C)`` matrix the channel reduction
+    multiplies tile element ``(i, j)`` by.
+    """
+    k, c, t, _ = v.shape
+    return np.ascontiguousarray(v.transpose(2, 3, 0, 1)).reshape(t * t, k, c)
+
+
 def transform_filter_int(weight_int: np.ndarray, tf: WinogradTransform) -> np.ndarray:
-    """Integer filter transform ``G_int g G_int^T``; scale is ``g_scale**2``."""
-    return _filter_transform_int(weight_int, tf)
+    """Integer filter transform ``G_int g G_int^T`` in the stage layout.
+
+    Returns the ``(t*t, K, C)`` filters :func:`winograd_conv2d_int`
+    consumes; the scale is ``g_scale**2``.
+    """
+    return filter_stage_layout(_filter_transform_int(weight_int, tf))
 
 
 def _check_conv_args(x: np.ndarray, weight: np.ndarray) -> tuple[int, int]:
@@ -96,17 +111,22 @@ def winograd_conv2d_float(
     out_w = conv_output_size(w, r, 1, padding)
     grid = TileGrid(out_h, out_w, tf.m, tf.r)
 
-    xp = pad_nchw(x.astype(np.float64, copy=False), padding)
-    tiles = extract_tiles(xp, grid)  # (N, C, T, t, t)
-
+    t = tf.t
+    tiles = extract_tiles(x.astype(np.float64, copy=False), grid, padding)
     bt = tf.bt
-    u = np.einsum("ij,nctjl,ml->nctim", bt, tiles, bt, optimize=True)
-    v = transform_filter_float(weight.astype(np.float64, copy=False), tf)
-    # M[n,k,T,i,j] = sum_c U[n,c,T,i,j] * V[k,c,i,j]
-    m_arr = np.einsum("nctij,kcij->nktij", u, v, optimize=True)
+    u = np.einsum(
+        "ia,jb,abx->ijx", bt, bt, tiles.reshape(t, t, -1), optimize=True
+    ).reshape(t * t, c, -1)
+    v = filter_stage_layout(
+        transform_filter_float(weight.astype(np.float64, copy=False), tf)
+    )
+    # M[p, k, x] = sum_c V[p, k, c] * U[p, c, x], per tile position p.
+    m_arr = np.matmul(v, u)
     at = tf.at
-    y_tiles = np.einsum("ui,nktij,vj->nktuv", at, m_arr, at, optimize=True)
-    y = assemble_tiles(y_tiles, grid)
+    y_tiles = np.einsum(
+        "ui,vj,ijx->uvx", at, at, m_arr.reshape(t, t, -1), optimize=True
+    )
+    y = assemble_tiles(y_tiles.reshape(tf.m * tf.m, k, -1), grid)
     if bias is not None:
         y = y + bias.reshape(1, k, 1, 1)
     return y
@@ -118,6 +138,10 @@ class WinogradConvContext:
 
     The fault injector consumes this to (a) look up operand values at
     sampled fault sites and (b) add fault deltas in the appropriate domain.
+    The tile-domain arrays are position-major: axis 0 is the tile element
+    ``i*t + j`` and the last axis of ``u_int``/``m_int`` is ``n*T + tile``
+    (image-major), so the value image ``n``, channel ``c``, tile ``tile``
+    and element ``(i, j)`` sit at ``[i*t + j, c, n*T + tile]``.
 
     Attributes
     ----------
@@ -126,19 +150,19 @@ class WinogradConvContext:
     grid:
         Tile geometry.
     u_int:
-        Transformed input ``B^T d B`` (integer), shape ``(N, C, T, t, t)``;
+        Transformed input ``B^T d B`` (integer), shape ``(t*t, C, N*T)``;
         scale ``bt_scale**2`` relative to raw input integers.  ``None``
         when the convolution ran with ``keep_intermediates=False``.
     v_int:
-        Transformed filters (integer), shape ``(K, C, t, t)``; scale
+        Transformed filters (integer), shape ``(t*t, K, C)``; scale
         ``g_scale**2`` relative to raw weight integers.
     m_int:
-        Channel-accumulated element-wise products, shape ``(N, K, T, t, t)``.
+        Channel-accumulated element-wise products, shape ``(t*t, K, N*T)``.
         ``None`` when the convolution ran with ``keep_intermediates=False``.
     y_int:
         Scaled integer output accumulator (before bias/requantization),
-        shape ``(N, K, out_h, out_w)``; scale ``output_scale_2d`` relative
-        to the direct convolution accumulator domain.
+        C-contiguous ``(N, K, out_h, out_w)``; scale ``output_scale_2d``
+        relative to the direct convolution accumulator domain.
     """
 
     transform: WinogradTransform
@@ -147,12 +171,6 @@ class WinogradConvContext:
     v_int: np.ndarray
     m_int: np.ndarray | None
     y_int: np.ndarray
-
-    @property
-    def y_tiles_shape(self) -> tuple[int, int, int, int, int]:
-        """Shape of the output in tile layout ``(N, K, T, m, m)``."""
-        n, k = self.y_int.shape[0], self.y_int.shape[1]
-        return (n, k, self.grid.num_tiles, self.grid.m, self.grid.m)
 
 
 def winograd_conv2d_int(
@@ -174,7 +192,7 @@ def winograd_conv2d_int(
         Quantized input activations (stored integers), ``(N, C, H, W)``.
     v_int:
         Pre-transformed integer filters from :func:`transform_filter_int`,
-        shape ``(K, C, t, t)``.
+        in the stage layout ``(t*t, K, C)``.
     padding:
         Symmetric zero padding.
     m, r:
@@ -202,19 +220,19 @@ def winograd_conv2d_int(
         backend = get_backend()
     tf = get_transform(m, r)
     n, c, h, w = x_int.shape
-    k = v_int.shape[0]
-    if v_int.shape[1] != c or v_int.shape[2] != tf.t or v_int.shape[3] != tf.t:
+    t = tf.t
+    if v_int.ndim != 3 or v_int.shape[0] != t * t or v_int.shape[2] != c:
         raise ShapeError(
-            f"v_int shape {v_int.shape} incompatible with C={c}, t={tf.t}"
+            f"v_int shape {v_int.shape} incompatible with C={c}, t={t} "
+            "(expected (t*t, K, C))"
         )
     out_h = conv_output_size(h, r, 1, padding)
     out_w = conv_output_size(w, r, 1, padding)
     grid = TileGrid(out_h, out_w, tf.m, tf.r)
 
-    xp = pad_nchw(np.asarray(x_int, dtype=np.int64), padding)
-    tiles = extract_tiles(xp, grid)
-
+    tiles = extract_tiles(np.asarray(x_int, dtype=np.int64), grid, padding)
     u = backend.input_transform(tf, tiles, x_bound=x_bound)
+    del tiles
     u_bound = None if x_bound is None else int(x_bound) * kron_row_bound(tf.bt_int)
     m_arr = backend.channel_reduce(
         u, np.asarray(v_int, dtype=np.int64), u_bound=u_bound, v_bound=v_bound

@@ -3,8 +3,12 @@
 ``F(m x m, r x r)`` processes the padded input in overlapping ``t x t``
 tiles (``t = m + r - 1``) with stride ``m`` and produces non-overlapping
 ``m x m`` output tiles.  The helpers here convert between NCHW feature maps
-and the ``(N, C, T, t, t)`` tile layout used by the convolution kernels,
-handling edge padding so that any output size is supported.
+and the position-major tile layout the convolution kernels work in:
+``(t*t, C, N*T)`` input tiles and ``(m*m, K, N*T)`` output tiles, one
+row per tile element and one column per (image, tile).  In that layout
+every stage of the pipeline is a plain matrix product over rows or a
+batch of them, with no transposes between stages.  The gather folds in
+the zero padding, so any output size is supported.
 """
 
 from __future__ import annotations
@@ -68,58 +72,79 @@ class TileGrid:
         )
 
 
-def extract_tiles(x: np.ndarray, grid: TileGrid) -> np.ndarray:
-    """Cut an already-padded NCHW input into overlapping ``t x t`` tiles.
+def extract_tiles(x: np.ndarray, grid: TileGrid, padding: int = 0) -> np.ndarray:
+    """Gather the overlapping ``t x t`` input tiles of an NCHW array.
 
-    ``x`` must include the convolution's own zero padding; this function adds
-    only the right/bottom edge padding needed to complete partial tiles.
+    ``padding`` is the convolution's own symmetric zero padding; the
+    right/bottom edge padding that completes partial tiles is added too.
+    Both are folded into the gather, so the input is read once and never
+    padded into a copy.
 
-    Returns an array of shape ``(N, C, T, t, t)`` where ``T = grid.num_tiles``.
+    Returns the position-major layout ``(t*t, C, N*T)`` with
+    ``T = grid.num_tiles``: row ``i*t + j`` holds element ``(i, j)`` of
+    every tile, channel-major, and column ``n*T + tile`` names one tile
+    of one image.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected NCHW input, got ndim={x.ndim}")
     n, c, h, w = x.shape
     need_h = grid.padded_in_h
     need_w = grid.padded_in_w
-    if h > need_h or w > need_w:
+    if h + 2 * padding > need_h or w + 2 * padding > need_w:
         raise ShapeError(
-            f"input {h}x{w} larger than tile grid expects ({need_h}x{need_w})"
+            f"input {h}x{w} (padding {padding}) larger than tile grid expects "
+            f"({need_h}x{need_w})"
         )
-    if h < need_h or w < need_w:
-        x = np.pad(
-            x,
-            ((0, 0), (0, 0), (0, need_h - h), (0, need_w - w)),
-            mode="constant",
-        )
-
     m, t = grid.m, grid.t
-    shape = (n, c, grid.tiles_h, grid.tiles_w, t, t)
-    strides = (
-        x.strides[0],
-        x.strides[1],
-        x.strides[2] * m,
-        x.strides[3] * m,
-        x.strides[2],
-        x.strides[3],
-    )
-    tiles = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    return np.ascontiguousarray(tiles).reshape(n, c, grid.num_tiles, t, t)
+    th, tw = grid.tiles_h, grid.tiles_w
+    tiles = np.zeros((t, t, c, n, th, tw), dtype=x.dtype)
+    for i in range(t):
+        rows = _tile_span(i - padding, m, th, h)
+        for j in range(t):
+            cols = _tile_span(j - padding, m, tw, w)
+            if rows is None or cols is None:
+                continue
+            (a0, a1, h0), (b0, b1, w0) = rows, cols
+            src = x[:, :, h0 : h0 + (a1 - a0 - 1) * m + 1 : m,
+                    w0 : w0 + (b1 - b0 - 1) * m + 1 : m]
+            np.copyto(tiles[i, j, :, :, a0:a1, b0:b1], src.transpose(1, 0, 2, 3))
+    return tiles.reshape(t * t, c, n * grid.num_tiles)
+
+
+def _tile_span(offset: int, m: int, count: int, size: int):
+    """Tiles whose element at ``offset + a*m`` lies inside ``[0, size)``.
+
+    Returns ``(first, stop, first_source_index)`` over the tile index
+    ``a``, or ``None`` when no tile reads a real input element there.
+    """
+    first = max(0, -(offset // m))
+    stop = min(count, (size - 1 - offset) // m + 1)
+    if stop <= first:
+        return None
+    return first, stop, offset + first * m
 
 
 def assemble_tiles(tiles: np.ndarray, grid: TileGrid) -> np.ndarray:
-    """Reassemble ``(N, K, T, m, m)`` output tiles into NCHW, cropping overhang."""
-    if tiles.ndim != 5:
-        raise ShapeError(f"expected (N, K, T, m, m) tiles, got ndim={tiles.ndim}")
-    n, k, num_tiles, m1, m2 = tiles.shape
-    if num_tiles != grid.num_tiles or m1 != grid.m or m2 != grid.m:
-        raise ShapeError(
-            f"tile array {tiles.shape} does not match grid {grid!r}"
-        )
-    full_h = grid.tiles_h * grid.m
-    full_w = grid.tiles_w * grid.m
-    out = (
-        tiles.reshape(n, k, grid.tiles_h, grid.tiles_w, grid.m, grid.m)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, k, full_h, full_w)
-    )
-    return np.ascontiguousarray(out[:, :, : grid.out_h, : grid.out_w])
+    """Scatter ``(m*m, K, N*T)`` output tiles into a C-contiguous NCHW array.
+
+    Row ``u*m + v`` of ``tiles`` holds output element ``(u, v)`` of every
+    tile; the overhang of partial edge tiles is dropped.
+    """
+    if tiles.ndim != 3:
+        raise ShapeError(f"expected (m*m, K, N*T) tiles, got ndim={tiles.ndim}")
+    m = grid.m
+    mm, k, cols = tiles.shape
+    if mm != m * m or cols % grid.num_tiles:
+        raise ShapeError(f"tile array {tiles.shape} does not match grid {grid!r}")
+    n = cols // grid.num_tiles
+    src = tiles.reshape(m, m, k, n, grid.tiles_h, grid.tiles_w)
+    out = np.empty((n, k, grid.out_h, grid.out_w), dtype=tiles.dtype)
+    for u in range(m):
+        rows = -(-(grid.out_h - u) // m)
+        for v in range(m):
+            width = -(-(grid.out_w - v) // m)
+            np.copyto(
+                out[:, :, u::m, v::m],
+                src[u, v, :, :, :rows, :width].transpose(1, 0, 2, 3),
+            )
+    return out

@@ -64,6 +64,12 @@ def alt(request):
     return get_backend(request.param)
 
 
+#: (N, C, T) of the position-major stage tests: the base shape, one
+#: image, one channel, and an odd tile count on an odd batch.
+STAGE_SHAPES = [(2, 3, 5), (1, 3, 5), (2, 1, 5), (3, 3, 9)]
+STAGE_SHAPE_IDS = ["base", "n1", "c1", "odd-t"]
+
+
 def restore_backend(qmodel):
     """Reset a (session-scoped, shared) model to the production backend."""
     qmodel.set_kernel_backend(DEFAULT_BACKEND)
@@ -84,14 +90,16 @@ class TestStageParity:
 
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("magnitude", [1 << 12, 1 << 50], ids=["f64", "int64"])
-    def test_input_transform(self, alt, rng, m, magnitude):
+    @pytest.mark.parametrize("n,c,t_count", STAGE_SHAPES, ids=STAGE_SHAPE_IDS)
+    def test_input_transform(self, alt, rng, m, magnitude, n, c, t_count):
         """Fast fused-GEMM path and the beyond-f64-window fallback."""
         tf = get_transform(m, 3)
         t = tf.m + tf.r - 1
-        tiles = rng.integers(-magnitude, magnitude, size=(2, 3, 5, t, t)).astype(
-            np.int64
-        )
+        tiles = rng.integers(
+            -magnitude, magnitude, size=(t * t, c, n * t_count)
+        ).astype(np.int64)
         ref = REFERENCE.input_transform(tf, tiles)
+        assert ref.shape == tiles.shape
         for x_bound in (None, magnitude):
             out = alt.input_transform(tf, tiles, x_bound=x_bound)
             assert out.dtype == np.int64
@@ -99,29 +107,38 @@ class TestStageParity:
 
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("magnitude", [1 << 16, 1 << 50], ids=["f64", "int64"])
-    def test_output_transform(self, alt, rng, m, magnitude):
+    @pytest.mark.parametrize("n,c,t_count", STAGE_SHAPES, ids=STAGE_SHAPE_IDS)
+    def test_output_transform(self, alt, rng, m, magnitude, n, c, t_count):
         tf = get_transform(m, 3)
         t = tf.m + tf.r - 1
-        m_arr = rng.integers(-magnitude, magnitude, size=(2, 4, 5, t, t)).astype(
-            np.int64
-        )
+        k = c + 1  # output channels; 4 in the base shape
+        m_arr = rng.integers(
+            -magnitude, magnitude, size=(t * t, k, n * t_count)
+        ).astype(np.int64)
         ref = REFERENCE.output_transform(tf, m_arr)
+        assert ref.shape == (m * m, k, n * t_count)
         for m_bound in (None, magnitude):
             out = alt.output_transform(tf, m_arr, m_bound=m_bound)
             assert out.dtype == np.int64
             np.testing.assert_array_equal(out, ref)
 
     @pytest.mark.parametrize(
-        "magnitude", [1 << 15, 1 << 25], ids=["f64", "int64-blocked"]
+        "magnitude", [1 << 15, 1 << 27], ids=["f64", "int64-blocked"]
     )
-    def test_channel_gemm(self, alt, rng, magnitude):
-        """f64 BLAS path and the blocked int64 fallback (2^25·2^25·64 > 2^52)."""
-        n, c, k, t_count, t = 2, 64, 5, 7, 4
-        u = rng.integers(-magnitude, magnitude, size=(n, c, t_count, t, t)).astype(
-            np.int64
-        )
-        v = rng.integers(-magnitude, magnitude, size=(k, c, t, t)).astype(np.int64)
+    @pytest.mark.parametrize(
+        "n,c,t_count", [(2, 64, 7), (1, 64, 7), (2, 1, 7), (3, 64, 9)],
+        ids=STAGE_SHAPE_IDS,
+    )
+    def test_channel_gemm(self, alt, rng, magnitude, n, c, t_count):
+        """f64 BLAS path and the blocked int64 fallback (2^27·2^27·C > 2^52)."""
+        k, t = 5, 4
+        assert (magnitude**2 * c < 2**52) == (magnitude == 1 << 15)
+        u = rng.integers(
+            -magnitude, magnitude, size=(t * t, c, n * t_count)
+        ).astype(np.int64)
+        v = rng.integers(-magnitude, magnitude, size=(t * t, k, c)).astype(np.int64)
         ref = REFERENCE.channel_reduce(u, v)
+        assert ref.shape == (t * t, k, n * t_count)
         for bounds in ({}, {"u_bound": magnitude, "v_bound": magnitude}):
             out = alt.channel_reduce(u, v, **bounds)
             assert out.dtype == np.int64
@@ -186,9 +203,7 @@ class TestStageParity:
     def test_returns_fresh_arrays(self, alt, rng):
         """Two successive calls must not alias each other's output."""
         tf = get_transform(2, 3)
-        tiles = rng.integers(-(1 << 10), 1 << 10, size=(1, 2, 3, 4, 4)).astype(
-            np.int64
-        )
+        tiles = rng.integers(-(1 << 10), 1 << 10, size=(16, 2, 3)).astype(np.int64)
         a = alt.input_transform(tf, tiles)
         snapshot = a.copy()
         alt.input_transform(tf, tiles + 1)

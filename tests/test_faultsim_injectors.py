@@ -13,14 +13,13 @@ from repro.faultsim import (
     expected_faults_per_image,
 )
 from repro.faultsim.operation_level import register_flip_delta
-from repro.faultsim.sampling import SiteEvents, bit_lengths
+from repro.faultsim.sampling import bit_lengths
 from repro.winograd.opcount import ALL_CATEGORIES
 
 
 def stage_width_of(ref: np.ndarray, acc_width: int) -> int:
     """Sum-register width the injector picks for the one sample of ``ref``."""
-    events = SiteEvents(np.array([0]), [], bit_u=None, sign=None)
-    return int(OperationLevelInjector._stage_widths(ref, acc_width, events)[0])
+    return int(OperationLevelInjector._sample_widths(ref[None], acc_width)[0])
 
 
 def stage_width(max_abs: int, acc_width: int) -> int:
@@ -45,6 +44,21 @@ class TestStageRegisterWidth:
 
     def test_all_zero_sample(self):
         assert stage_width_of(np.zeros((1, 4), dtype=np.int64), 20) == 2
+
+    def test_position_major_matches_sample_major(self):
+        """A ``(t*t, K, N*T)`` stage array sizes each image's register the
+        same as its sample-major ``(N, K, T, t*t)`` copy."""
+        rng = np.random.default_rng(5)
+        n, k, tiles = 3, 4, 5
+        stage = rng.integers(-(1 << 20), 1 << 20, size=(16, k, n * tiles))
+        stage[:, :, tiles : 2 * tiles] >>= 12  # a narrow middle image
+        sample_major = stage.reshape(16, k, n, tiles).transpose(2, 1, 3, 0)
+        expected = [
+            stage_width_of(sample_major[i].reshape(1, -1), 40) for i in range(n)
+        ]
+        got = OperationLevelInjector._sample_widths(stage.reshape(-1, n, tiles), 40)
+        assert got.tolist() == expected
+        assert expected[1] < expected[0]
 
     def test_bit_lengths_matches_int_bit_length(self):
         edges = [0, 2**63 - 1]

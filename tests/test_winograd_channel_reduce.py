@@ -2,8 +2,10 @@
 
 The integer Winograd pipeline reduces over channels either as a float64
 BLAS matmul (exact only while every partial product magnitude stays inside
-the 52-bit mantissa) or as an int64 einsum fallback.  The gate is
-``u_max * v_max * c < 2**52`` computed from actual magnitudes; these tests
+the 52-bit mantissa) or as an int64 matmul fallback.  Operands are in
+the position-major stage layout: ``U`` ``(t*t, C, N*T)`` and ``V``
+``(t*t, K, C)``.  The gate is ``u_max * v_max * c < 2**52`` computed
+from actual magnitudes; these tests
 construct inputs straddling that threshold and assert both paths remain
 exact against an independent pure-Python integer reference.
 """
@@ -19,30 +21,28 @@ THRESHOLD = 2**52
 
 
 def exact_reference(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Channel reduction with Python big-int arithmetic (overflow-proof)."""
-    n, c, t_count, th, tw = u.shape
-    k = v.shape[0]
-    out = np.zeros((n, k, t_count, th, tw), dtype=np.int64)
-    for ni in range(n):
+    """Channel reduction with Python big-int arithmetic (overflow-proof).
+
+    Position-major operands: ``u`` is ``(t*t, C, N*T)``, ``v`` is
+    ``(t*t, K, C)`` and the result ``(t*t, K, N*T)``.
+    """
+    positions, c, cols = u.shape
+    k = v.shape[1]
+    out = np.zeros((positions, k, cols), dtype=np.int64)
+    for p in range(positions):
         for ki in range(k):
-            for ti in range(t_count):
-                for i in range(th):
-                    for j in range(tw):
-                        total = sum(
-                            int(u[ni, ci, ti, i, j]) * int(v[ki, ci, i, j])
-                            for ci in range(c)
-                        )
-                        out[ni, ki, ti, i, j] = total
+            for x in range(cols):
+                out[p, ki, x] = sum(
+                    int(v[p, ki, ci]) * int(u[p, ci, x]) for ci in range(c)
+                )
     return out
 
 
 def make_inputs(u_val: int, v_vals: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(1, C, 1, 2, 2) input and (1, C, 2, 2) filter blocks of constants."""
+    """Constant ``(4, C, 1)`` tiles and ``(4, 1, C)`` filters (t = 2, one tile)."""
     c = len(v_vals)
-    u = np.full((1, c, 1, 2, 2), u_val, dtype=np.int64)
-    v = np.stack(
-        [np.full((2, 2), val, dtype=np.int64) for val in v_vals]
-    ).reshape(1, c, 2, 2)
+    u = np.full((4, c, 1), u_val, dtype=np.int64)
+    v = np.broadcast_to(np.array(v_vals, dtype=np.int64), (4, 1, c)).copy()
     return u, v
 
 
@@ -99,11 +99,15 @@ class TestChannelReduceBoundary:
         assert spy.calls == 0, "expected the int64 fallback"
         np.testing.assert_array_equal(got, exact_reference(u, v))
 
+    @pytest.mark.parametrize(
+        "n,c,t_count", [(2, 4, 3), (1, 4, 3), (2, 1, 3), (3, 4, 5)],
+        ids=["base", "n1", "c1", "odd-t"],
+    )
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_random_small_values_fast_path(self, seed, monkeypatch):
+    def test_random_small_values_fast_path(self, seed, n, c, t_count, monkeypatch):
         rng = np.random.default_rng(seed)
-        u = rng.integers(-(2**15), 2**15, size=(2, 4, 3, 4, 4)).astype(np.int64)
-        v = rng.integers(-(2**15), 2**15, size=(3, 4, 4, 4)).astype(np.int64)
+        u = rng.integers(-(2**15), 2**15, size=(16, c, n * t_count)).astype(np.int64)
+        v = rng.integers(-(2**15), 2**15, size=(16, 3, c)).astype(np.int64)
         spy = RintSpy(monkeypatch)
         got = channel_reduce(u, v)
         assert spy.calls > 0, "expected the float64 fast path"

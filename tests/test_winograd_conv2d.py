@@ -9,6 +9,7 @@ from repro.winograd import (
     TileGrid,
     assemble_tiles,
     extract_tiles,
+    filter_stage_layout,
     transform_filter_int,
     winograd_conv2d_float,
     winograd_conv2d_int,
@@ -41,13 +42,50 @@ class TestTiling:
         grid = TileGrid(out_h=6, out_w=6, m=2, r=3)
         x = rng.integers(-10, 10, size=(2, 3, 8, 8)).astype(np.int64)
         tiles = extract_tiles(x, grid)
-        assert tiles.shape == (2, 3, 9, 4, 4)
-        # Tile 0 equals the top-left 4x4 window.
-        np.testing.assert_array_equal(tiles[:, :, 0], x[:, :, :4, :4])
+        assert tiles.shape == (16, 3, 2 * 9)
+        # Column n*T + 0 of every row is image n's top-left 4x4 window.
+        first = tiles.reshape(4, 4, 3, 2, 9)[..., 0].transpose(3, 2, 0, 1)
+        np.testing.assert_array_equal(first, x[:, :, :4, :4])
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_extract_matches_explicit_windows(self, rng, m, padding):
+        """Folded padding + partial edge tiles equal an explicit zero-pad
+        followed by per-tile slicing."""
+        h, w = 7, 9
+        out_h, out_w = h + 2 * padding - 2, w + 2 * padding - 2
+        grid = TileGrid(out_h=out_h, out_w=out_w, m=m, r=3)
+        x = rng.integers(-100, 100, size=(2, 3, h, w)).astype(np.int64)
+        xp = np.zeros((2, 3, grid.padded_in_h, grid.padded_in_w), dtype=np.int64)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+        t = grid.t
+        tiles = extract_tiles(x, grid, padding).reshape(t, t, 3, 2, grid.num_tiles)
+        for tile in range(grid.num_tiles):
+            oh, ow = grid.tile_origin(tile)
+            window = xp[:, :, oh : oh + t, ow : ow + t]
+            np.testing.assert_array_equal(
+                tiles[..., tile].transpose(3, 2, 0, 1), window
+            )
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_assemble_scatters_and_crops(self, rng, m):
+        grid = TileGrid(out_h=7, out_w=5, m=m, r=3)
+        n, k = 2, 3
+        full = rng.integers(
+            -50, 50, size=(n, k, grid.tiles_h * m, grid.tiles_w * m)
+        ).astype(np.int64)
+        tiles = (
+            full.reshape(n, k, grid.tiles_h, m, grid.tiles_w, m)
+            .transpose(3, 5, 1, 0, 2, 4)
+            .reshape(m * m, k, n * grid.num_tiles)
+        )
+        out = assemble_tiles(tiles, grid)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, full[:, :, :7, :5])
 
     def test_assemble_crops_overhang(self, rng):
         grid = TileGrid(out_h=3, out_w=3, m=2, r=3)
-        tiles = rng.integers(0, 5, size=(1, 1, grid.num_tiles, 2, 2)).astype(np.int64)
+        tiles = rng.integers(0, 5, size=(4, 1, grid.num_tiles)).astype(np.int64)
         out = assemble_tiles(tiles, grid)
         assert out.shape == (1, 1, 3, 3)
 
@@ -174,11 +212,11 @@ class TestEinsumPathCache:
 
         g, bt = tf.g_int, tf.bt_int
         v_ref = np.einsum("ij,kcjl,ml->kcim", g, w, g, optimize=False)
-        np.testing.assert_array_equal(v, v_ref)
+        np.testing.assert_array_equal(v, filter_stage_layout(v_ref))
         grid = TileGrid(out_h=8, out_w=8, m=2, r=3)
-        tiles = extract_tiles(x, grid)
-        u_ref = np.einsum("ij,nctjl,ml->nctim", bt, tiles, bt, optimize=False)
-        np.testing.assert_array_equal(ctx.u_int, u_ref)
+        tiles = extract_tiles(x, grid).reshape(4, 4, -1)
+        u_ref = np.einsum("ia,jb,abx->ijx", bt, bt, tiles, optimize=False)
+        np.testing.assert_array_equal(ctx.u_int, u_ref.reshape(ctx.u_int.shape))
 
     def test_repeated_shapes_reuse_one_path(self):
         from repro.backends import EINSUM_PATHS
