@@ -4,7 +4,8 @@ Two backends serve the :class:`~repro.backends.base.KernelBackend`
 protocol (filter/input/output tile transforms, the ``channel_reduce``
 channel GEMM, the im2col direct-convolution GEMM, requantization):
 
-* ``optimized`` — fused Kronecker transform GEMMs, fused casts,
+* ``optimized`` — fused Kronecker transform GEMMs on Winograd stage
+  arrays that stay float64 from tile gather to output scatter,
   zero-copy strided im2col consumption, blocked int64 fallbacks,
   in-place requantize.  Every production forward runs on it.
 * ``reference`` — the original NumPy kernels, extracted verbatim; the

@@ -7,7 +7,10 @@ GEMM, and requantization.  :class:`KernelBackend` is the narrow protocol
 a compute backend implements to serve those paths; every implementation
 must be **bit-identical** to the ``reference`` backend (int64
 accumulator semantics), which is what keeps campaign checkpoints
-shareable across backends.
+shareable across backends.  Inside a Winograd node the stage arrays are
+exact integers in the backend's :meth:`KernelBackend.stage_dtype`
+(float64 in ``optimized``, int64 in ``reference``); int64 appears at
+the node boundary.
 
 This module also hosts :class:`BoundedCache` — the size-capped mapping
 behind the einsum-path memo (previously an unbounded module global in
@@ -165,7 +168,7 @@ class KernelBackend(ABC):
     """Compute backend for the quantized per-layer hot paths.
 
     Implementations MUST be bit-identical to the ``reference`` backend:
-    every method returns exactly the int64 values the reference NumPy
+    every method returns exactly the integer values the reference NumPy
     code produces (the cross-backend differential suite in
     ``tests/test_backends_differential.py`` enforces this).  Because of
     that contract the backend choice never enters checkpoint keys or
@@ -179,12 +182,30 @@ class KernelBackend(ABC):
     magnitudes.  Either probe source selects between two *exact* paths,
     so results never depend on which was used.
 
+    The Winograd stage methods (:meth:`input_transform`,
+    :meth:`channel_reduce`, :meth:`output_transform`) take and return
+    **exact integers, int64 or float64**: a float64 array holds only
+    integer values, each exactly representable.  A backend returns its
+    :meth:`stage_dtype` where its arithmetic is exact in it and int64
+    otherwise, and accepts either dtype from the previous stage, so the
+    stages chain without a cast.  The other methods take and return int64.
+
     Returned arrays are always freshly allocated (callers accumulate
     into them and retain them in injector contexts).
     """
 
     #: Registry name of the backend.
     name: str = ""
+
+    def stage_dtype(self, bound: int | None) -> np.dtype:
+        """dtype to hand this backend Winograd stage operands in.
+
+        ``bound`` is a magnitude bound on the operand (``None``: unknown).
+        int64 here; a backend computing in float64 returns float64 when
+        every integer up to ``bound`` is exactly representable, so the
+        tile gather and the filter re-layout write the dtype it reads.
+        """
+        return np.dtype(np.int64)
 
     @abstractmethod
     def filter_transform(self, tf, weight_int: np.ndarray) -> np.ndarray:
@@ -200,7 +221,7 @@ class KernelBackend(ABC):
     ) -> np.ndarray:
         """Integer input transform ``B^T d B`` per tile.
 
-        ``(t*t, C, N*T) -> (t*t, C, N*T)`` int64, position-major: row
+        ``(t*t, C, N*T) -> (t*t, C, N*T)`` exact integers, position-major: row
         ``i*t + j`` holds tile element ``(i, j)`` and column ``n*T + tile``
         one tile of one image (see :mod:`repro.winograd.tiling`).
         """
@@ -211,7 +232,7 @@ class KernelBackend(ABC):
     ) -> np.ndarray:
         """Integer output transform ``A^T M A`` per tile.
 
-        ``(t*t, K, N*T) -> (m*m, K, N*T)`` int64, position-major like
+        ``(t*t, K, N*T) -> (m*m, K, N*T)`` exact integers, position-major like
         :meth:`input_transform`.
         """
 
@@ -227,7 +248,8 @@ class KernelBackend(ABC):
 
         ``u`` is ``(t*t, C, N*T)``, ``v`` is ``(t*t, K, C)`` and the result
         ``(t*t, K, N*T)``: one ``(K, C) @ (C, N*T)`` product per tile
-        position ``p``.  Axis 1 of ``u`` is the contraction length.
+        position ``p``.  Axis 1 of ``u`` is the contraction length.  All
+        three are exact integers, int64 or float64.
         """
 
     @abstractmethod

@@ -1,6 +1,6 @@
 """Optimized NumPy kernel backend (bit-identical, substantially faster).
 
-Same int64 results as :class:`~repro.backends.reference.ReferenceBackend`
+Same integer results as :class:`~repro.backends.reference.ReferenceBackend`
 for every input, from four levers:
 
 * **One GEMM per Winograd stage** — the stages work in the
@@ -14,17 +14,25 @@ for every input, from four levers:
   Kronecker square, so every partial sum is bounded by
   ``operand_bound * max_row_abs_sum`` and the f64 GEMM is provably exact
   whenever that product stays under ``2**52``.
-* **Plain casts** — each int64→f64→int64 conversion is one contiguous
-  cast into a fresh temporary, and im2col patches are read straight out
-  of the strided view (zero-copy gather + cast in one pass).  No buffer
-  outlives its call.
+* **Stage arrays stay float64** — the Winograd stage arrays are exact
+  integers held in float64 (:meth:`OptimizedBackend.stage_dtype`): the
+  tiles are gathered as f64, the transformed filters are re-laid as f64
+  once per model, and each stage whose probe passes returns its f64 GEMM
+  result as is, so int64 appears only at the node boundary
+  (``assemble_tiles`` casts during its scatter).  A stage whose probe
+  fails runs the exact int64 path on an int64 copy of its input, and the
+  next stage casts back only if its own probe passes.  im2col patches
+  are read straight out of the strided view (zero-copy gather + cast in
+  one pass).  No buffer outlives its call.
 * **No redundant rounding** — f64 GEMM results are provably exact
-  integers, so the ``np.rint`` pass is skipped and the cast truncates
+  integers, so the ``np.rint`` pass is skipped and casts truncate
   exactly.
-* **Blocked int64 fallbacks + vectorized requantize** — when a bound
+* **Blocked int64 fallbacks + branch-free requantize** — when a bound
   exceeds the f64 window the kernels fall back to cache-blocked 2-D
   int64 matmuls (still exact), and requantization runs the fixedpoint
-  fast path in place on one fresh int64 array (1 allocation instead of ~6).
+  fast path in place on one fresh int64 array, rounding half away from
+  zero by one floor division with a sign-dependent offset (no ``|x|``,
+  no masked sign restore).
 
 Bounds passed by callers are conservative (derived from quantization
 formats); both probe outcomes select exact paths, so path choice never
@@ -49,6 +57,9 @@ _INT64_BLOCK_ELEMS = 1 << 16
 
 #: Partial sums below this magnitude are exactly representable in f64.
 _F64_EXACT = 2**52
+
+#: Every integer of at most this magnitude is exactly representable in f64.
+_F64_INT_MAX = 2**53
 
 
 class OptimizedBackend(KernelBackend):
@@ -76,19 +87,23 @@ class OptimizedBackend(KernelBackend):
         return entry
 
     def _fused_apply(self, kron_f: np.ndarray, src: np.ndarray) -> np.ndarray:
-        """One cast + GEMM + cast: ``kron_f @ src`` over the position axis.
+        """One GEMM ``kron_f @ src`` over the position axis, in float64.
 
-        ``src`` is int64 ``(in_dim, ...)`` in the position-major stage
-        layout; the result is a fresh int64 ``(out_dim, ...)`` array.  Only
-        valid when the caller proved every partial sum fits the f64
-        mantissa.
+        ``src`` holds exact integers ``(in_dim, ...)`` in the
+        position-major stage layout; only an int64 ``src`` is cast.  The
+        result is a fresh float64 ``(out_dim, ...)`` array.  Only valid
+        when the caller proved every partial sum fits the f64 mantissa.
         """
-        flat = src.reshape(src.shape[0], -1).astype(np.float64)
-        prod = np.matmul(kron_f, flat)
-        del flat
-        return prod.astype(np.int64).reshape((kron_f.shape[0],) + src.shape[1:])
+        flat = src.reshape(src.shape[0], -1).astype(np.float64, copy=False)
+        return np.matmul(kron_f, flat).reshape((kron_f.shape[0],) + src.shape[1:])
 
     # --- protocol ------------------------------------------------------------
+    def stage_dtype(self, bound: int | None) -> np.dtype:
+        """float64 when every integer up to ``bound`` is exact in it."""
+        if bound is not None and bound <= _F64_INT_MAX:
+            return np.dtype(np.float64)
+        return np.dtype(np.int64)
+
     def filter_transform(self, tf, weight_int: np.ndarray) -> np.ndarray:
         """Offline per-model transform: delegates to the reference einsum."""
         return filter_transform_int(weight_int, tf)
@@ -96,7 +111,11 @@ class OptimizedBackend(KernelBackend):
     def input_transform(
         self, tf, tiles: np.ndarray, x_bound: int | None = None
     ) -> np.ndarray:
-        """``B^T d B`` as one f64 GEMM: ``kron(B^T, B^T) @ D``."""
+        """``B^T d B`` as one f64 GEMM: ``kron(B^T, B^T) @ D``.
+
+        Returns float64 when the probe proves the GEMM exact, else the
+        reference's int64 result.
+        """
         kron_f, amp = self._fused_matrix("input", tf, tf.bt_int)
         x_max = (
             int(x_bound) if x_bound is not None
@@ -109,7 +128,11 @@ class OptimizedBackend(KernelBackend):
     def output_transform(
         self, tf, m_arr: np.ndarray, m_bound: int | None = None
     ) -> np.ndarray:
-        """``A^T M A`` as one f64 GEMM: ``kron(A^T, A^T) @ M``."""
+        """``A^T M A`` as one f64 GEMM: ``kron(A^T, A^T) @ M``.
+
+        Returns float64 when the probe proves the GEMM exact, else the
+        reference's int64 result.
+        """
         kron_f, amp = self._fused_matrix("output", tf, tf.at_int)
         m_max = (
             int(m_bound) if m_bound is not None
@@ -126,21 +149,25 @@ class OptimizedBackend(KernelBackend):
         u_bound: int | None = None,
         v_bound: int | None = None,
     ) -> np.ndarray:
-        """``V @ U`` batched over tile positions; blocked int64 fallback."""
+        """``V @ U`` batched over tile positions; blocked int64 fallback.
+
+        Returns float64 when the probe proves the GEMM exact, else int64.
+        """
         positions, c, nt = u.shape
         k = v.shape[1]
         u_max = int(u_bound) if u_bound is not None else int(np.abs(u).max(initial=0))
         v_max = int(v_bound) if v_bound is not None else int(np.abs(v).max(initial=0))
         if u_max * v_max * c < _F64_EXACT:
-            # Both operands are already laid out for the batched DGEMM:
-            # one plain cast each way, no rint pass (the products are exact
-            # integers).
-            u_f = u.astype(np.float64)
-            m_f = np.matmul(v.astype(np.float64), u_f)
-            del u_f  # the largest temporary; free it before the output exists
-            return m_f.astype(np.int64)
+            # Both operands are already laid out for the batched DGEMM and
+            # normally already float64; no rint pass (the products are
+            # exact integers).
+            return np.matmul(
+                v.astype(np.float64, copy=False), u.astype(np.float64, copy=False)
+            )
         # Exact int64 fallback: per tile position, a 2-D matmul blocked
         # over the (N*T) columns so operands stay cache-resident.
+        u = u.astype(np.int64, copy=False)
+        v = v.astype(np.int64, copy=False)
         block = max(1, _INT64_BLOCK_ELEMS // max(1, c))
         out = np.empty((positions, k, nt), dtype=np.int64)
         for p in range(positions):
@@ -226,10 +253,18 @@ class OptimizedBackend(KernelBackend):
     ) -> np.ndarray:
         """In-place vectorized fixedpoint fast path (bit-identical).
 
-        Runs the int64 rescale-round on one fresh array (multiply, abs,
-        round, sign restore and clip all in place) and returns it;
-        extreme scales delegate to the exact object-dtype fallback of
+        Runs the int64 rescale-round on one fresh array (multiply, round
+        and clip all in place) and returns it; extreme scales delegate to
+        the exact object-dtype fallback of
         :func:`repro.fixedpoint.requantize`.
+
+        Rounding half away from zero needs no ``|x|`` and no sign
+        restore: for ``x = acc * num`` and ``h = den // 2``,
+        ``floor((x + h) / den)`` is the rounded value of every ``x >= 0``,
+        and of every ``x < 0`` too when ``den`` is odd (there are no
+        ties).  With an even ``den`` a negative tie must round down, which
+        ``floor((x + h - 1) / den)`` does without moving any other
+        negative ``x``.
         """
         shift = out_fmt.frac - acc_frac
         ratio = extra_ratio * (Fraction(2) ** shift)
@@ -241,11 +276,10 @@ class OptimizedBackend(KernelBackend):
         if max_abs * num + den // 2 >= 2**62:
             return _fixedpoint_requantize(acc, acc_frac, out_fmt, extra_ratio=extra_ratio)
         buf = np.multiply(acc, num)
-        neg = buf < 0
-        np.abs(buf, out=buf)
+        if den % 2 == 0:
+            buf -= buf < 0
         buf += den // 2
         buf //= den
-        np.negative(buf, out=buf, where=neg)
         return np.clip(buf, out_fmt.qmin, out_fmt.qmax, out=buf)
 
     def cache_stats(self) -> dict:

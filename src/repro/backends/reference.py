@@ -11,6 +11,10 @@ the exact rational :func:`repro.fixedpoint.requantize`.
 The exactness probes accept optional operand magnitude bounds (derived
 from the layer's quantization format) and fall back to an actual
 ``np.abs(...).max()`` scan when no bound is supplied.
+
+This backend is the int64 oracle: the Winograd stages cast their
+operands (exact integers, int64 or float64) to int64 on entry and
+return int64.
 """
 
 from __future__ import annotations
@@ -56,8 +60,12 @@ def channel_reduce(
     conservative ``u_bound``/``v_bound`` when available (skipping the
     full-tensor magnitude scan), the actual magnitudes otherwise; both
     probe sources choose between two exact paths, so results are
-    identical either way.
+    identical either way.  ``u`` and ``v`` may be exact float64 integers;
+    both are cast to int64 on entry, so the int64 fallback never runs
+    in float64.
     """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
     c = u.shape[1]
     u_max = int(u_bound) if u_bound is not None else int(np.abs(u).max(initial=0))
     v_max = int(v_bound) if v_bound is not None else int(np.abs(v).max(initial=0))
@@ -135,6 +143,7 @@ class ReferenceBackend(KernelBackend):
         """Memoized-path int64 einsum ``B^T d B`` (bounds unused here)."""
         bt = tf.bt_int
         t = bt.shape[0]
+        tiles = np.asarray(tiles, dtype=np.int64)
         d = tiles.reshape(t, t, -1)
         u = cached_einsum(
             "ia,jb,abx->ijx", bt, bt, d, key=(bt.shape, bt.shape, d.shape[:2])
@@ -147,6 +156,7 @@ class ReferenceBackend(KernelBackend):
         """Memoized-path int64 einsum ``A^T M A`` (bounds unused here)."""
         at = tf.at_int
         t = at.shape[1]
+        m_arr = np.asarray(m_arr, dtype=np.int64)
         m_t = m_arr.reshape(t, t, -1)
         y = cached_einsum(
             "ui,vj,ijx->uvx", at, at, m_t, key=(at.shape, at.shape, m_t.shape[:2])

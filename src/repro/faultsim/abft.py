@@ -217,7 +217,8 @@ class AbftChecker(Injector):
                     "input (u_int=None): run the forward with "
                     "keep_intermediates=True"
                 )
-            v_sum = ctx.v_int.sum(axis=1, keepdims=True)  # (t*t, 1, C)
+            # (t*t, 1, C); exact-integer filters of either dtype, summed in int64.
+            v_sum = ctx.v_int.sum(axis=1, keepdims=True, dtype=np.int64)
             part = self._winograd_checksum(ctx, v_sum)
             checksum = part if checksum is None else checksum + part
         h, w = y_scaled.shape[2], y_scaled.shape[3]
@@ -260,9 +261,13 @@ class AbftChecker(Injector):
 
     @staticmethod
     def _winograd_checksum(ctx, v_sum: np.ndarray) -> np.ndarray:
-        """Single-channel Winograd pipeline on the channel-summed filters."""
+        """Single-channel Winograd pipeline on the channel-summed filters.
+
+        ``ctx.u_int`` holds exact integers, int64 or float64; the
+        reference ``channel_reduce`` casts it to int64 on entry.
+        """
         tf = ctx.transform
-        m_arr = channel_reduce(ctx.u_int, v_sum.astype(np.int64))  # (t*t, 1, N*T)
+        m_arr = channel_reduce(ctx.u_int, v_sum)  # (t*t, 1, N*T) int64
         at = tf.at_int
         t = tf.t
         y_tiles = np.einsum("ui,vj,ijx->uvx", at, at, m_arr.reshape(t, t, -1))

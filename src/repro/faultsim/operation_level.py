@@ -174,6 +174,8 @@ class OperationLevelInjector(Injector):
         sample-major ``(N, F)`` array as ``ref[None]``, a position-major
         ``(..., N*T)`` stage array as ``ref.reshape(-1, N, T)``.  Both
         reduce over the physical array, never through a transposed copy.
+        The values are exact integers, int64 or float64; only the
+        per-sample maxima are cast to int64.
 
         Hardware sizes each sum register to its stage's dynamic range,
         capped at the accumulator width:
@@ -190,7 +192,7 @@ class OperationLevelInjector(Injector):
             hi = lo = ref[0]
         # max(max, -min) is max(|ref|) without a full-size |ref| copy.
         per_sample = np.maximum(hi.max(axis=1, initial=1), -lo.min(axis=1, initial=-1))
-        return np.clip(bit_lengths(per_sample) + 1, 2, acc_width)
+        return np.clip(bit_lengths(per_sample.astype(np.int64)) + 1, 2, acc_width)
 
     @staticmethod
     def _register_deltas(values, widths, events):
@@ -351,7 +353,9 @@ class OperationLevelInjector(Injector):
 
         The stage arrays are position-major, so the event at image ``n``,
         tile ``tl`` and element ``(i, j)`` reads position ``i*t + j`` and
-        column ``n*T + tl`` (see :class:`WinogradConvContext`).
+        column ``n*T + tl`` (see :class:`WinogradConvContext`).  They hold
+        exact integers, int64 or float64; only the gathered elements are
+        cast to int64.
         """
         # --- element-wise multiplications ---------------------------------------
         events = self._site_events(
@@ -367,7 +371,8 @@ class OperationLevelInjector(Injector):
             img = events.img
             kk, cc, tl, ii, jj = events.coords
             pos, col = ii * t + jj, img * tiles + tl
-            products = u[pos, cc, col] * v[pos, kk, cc]
+            u_vals = u[pos, cc, col].astype(np.int64)
+            products = u_vals * v[pos, kk, cc].astype(np.int64)
             mul_width = self._mul_register_width(layer)
             deltas = self._register_deltas(products, mul_width, events)
             pad.add_rank1(img, kk, tl, deltas, at[:, ii], at[:, jj])
@@ -385,7 +390,7 @@ class OperationLevelInjector(Injector):
         if events is not None:
             img = events.img
             kk, tl, ii, jj = events.coords
-            m_vals = m_arr[ii * t + jj, kk, img * tiles + tl]
+            m_vals = m_arr[ii * t + jj, kk, img * tiles + tl].astype(np.int64)
             deltas = self._register_deltas(m_vals, m_widths()[img], events)
             pad.add_rank1(img, kk, tl, deltas, at[:, ii], at[:, jj])
 
@@ -428,7 +433,7 @@ class OperationLevelInjector(Injector):
                 return
             img = events.img
             kk, tl, ii, jj = events.coords
-            base_vals = m_arr[ii * t + jj, kk, img * tiles + tl]
+            base_vals = m_arr[ii * t + jj, kk, img * tiles + tl].astype(np.int64)
             deltas = self._register_deltas(base_vals, m_widths()[img], events)
             pad.add_rank1(img, kk, tl, deltas, at[:, ii], at[:, jj])
             return
@@ -450,7 +455,7 @@ class OperationLevelInjector(Injector):
                 continue
             img = events.img
             cc, tl, uu, vv = events.coords
-            base_vals = u[uu * t + vv, cc, img * tiles + tl]
+            base_vals = u[uu * t + vv, cc, img * tiles + tl].astype(np.int64)
             deltas = self._register_deltas(base_vals, u_widths()[img], events)
 
             for f in range(len(events)):
@@ -466,7 +471,8 @@ class OperationLevelInjector(Injector):
                     du = np.zeros((t, t), dtype=np.int64)
                     du[uu[f], :] = delta * bt[:, vv[f]]
                 # (K, t, t), amplified by the weights of channel cc[f].
-                dm = du[None, :, :] * v[:, :, cc[f]].T.reshape(k_out, t, t)
+                v_c = v[:, :, cc[f]].astype(np.int64)
+                dm = du[None, :, :] * v_c.T.reshape(k_out, t, t)
                 dy = np.einsum("ui,kij,vj->kuv", at, dm, at)
                 pad.add_tile_all_k(int(img[f]), int(tl[f]), dy)
 

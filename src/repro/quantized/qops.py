@@ -164,7 +164,8 @@ class QConvWinograd(QNode):
     in_shape: tuple = ()
     op_counts: OpCounts = field(default_factory=OpCounts)
     #: Filled by ``prepare()``: DWM pieces and their transformed filters,
-    #: in the position-major stage layout ``(t*t, K, C)``.
+    #: in the position-major stage layout ``(t*t, K, C)`` and the
+    #: backend's stage dtype (exact integers).
     sub_specs: list[SubConvSpec] = field(default_factory=list)
     sub_filters: list[np.ndarray] = field(default_factory=list)
     #: Per-sub-filter magnitude bounds, filled by ``prepare()``; lets the
@@ -188,19 +189,17 @@ class QConvWinograd(QNode):
         tf = self.transform
         backend = get_backend(self.kernel_backend)
         self.sub_specs = decompose_conv((self.kernel, self.kernel), self.stride)
-        self.sub_filters = [
-            filter_stage_layout(
-                backend.filter_transform(
-                    tf, extract_sub_kernel(self.weight_int, spec, self.stride)
-                )
+        self.sub_filters, self.sub_filter_bounds = [], []
+        for spec in self.sub_specs:
+            v = backend.filter_transform(
+                tf, extract_sub_kernel(self.weight_int, spec, self.stride)
             )
-            for spec in self.sub_specs
-        ]
-        # The transformed filters are static, so their magnitude bounds
-        # are computed once here and reused by every forward's probes.
-        self.sub_filter_bounds = [
-            int(np.abs(v).max(initial=0)) for v in self.sub_filters
-        ]
+            # The transformed filters are static, so their magnitude bound
+            # is computed once here and reused by every forward's probes,
+            # and the re-layout casts them to the backend's stage dtype.
+            bound = int(np.abs(v).max(initial=0))
+            self.sub_filters.append(filter_stage_layout(v, backend.stage_dtype(bound)))
+            self.sub_filter_bounds.append(bound)
 
     def forward(self, xs, injector=None):
         (x,) = xs

@@ -49,14 +49,15 @@ def transform_filter_float(weight: np.ndarray, tf: WinogradTransform) -> np.ndar
     return np.einsum("ij,kcjl,ml->kcim", g, weight, g, optimize=True)
 
 
-def filter_stage_layout(v: np.ndarray) -> np.ndarray:
+def filter_stage_layout(v: np.ndarray, dtype=None) -> np.ndarray:
     """Re-lay ``(K, C, t, t)`` transformed filters position-major, ``(t*t, K, C)``.
 
     Row ``i*t + j`` is the ``(K, C)`` matrix the channel reduction
-    multiplies tile element ``(i, j)`` by.
+    multiplies tile element ``(i, j)`` by.  ``dtype`` (default
+    ``v.dtype``) is cast to in the same copy.
     """
     k, c, t, _ = v.shape
-    return np.ascontiguousarray(v.transpose(2, 3, 0, 1)).reshape(t * t, k, c)
+    return np.ascontiguousarray(v.transpose(2, 3, 0, 1), dtype=dtype).reshape(t * t, k, c)
 
 
 def transform_filter_int(weight_int: np.ndarray, tf: WinogradTransform) -> np.ndarray:
@@ -138,6 +139,12 @@ class WinogradConvContext:
 
     The fault injector consumes this to (a) look up operand values at
     sampled fault sites and (b) add fault deltas in the appropriate domain.
+    ``u_int`` and ``m_int`` hold exact integers in the kernel backend's
+    stage dtype — float64 in ``optimized`` (int64 where a stage's
+    exactness probe failed), int64 in ``reference`` — and ``v_int`` is
+    the filters as passed (float64 when ``QConvWinograd.prepare()`` ran
+    on ``optimized``), so readers cast the elements they gather to
+    int64.  ``y_int`` is always int64.
     The tile-domain arrays are position-major: axis 0 is the tile element
     ``i*t + j`` and the last axis of ``u_int``/``m_int`` is ``n*T + tile``
     (image-major), so the value image ``n``, channel ``c``, tile ``tile``
@@ -209,7 +216,9 @@ def winograd_conv2d_int(
         (e.g. from the quantization format).  When given, the stage
         bounds are derived from them — input ``x_bound * kron(B^T)`` row
         sums, channel product ``u_bound * v_bound * C``, and so on — and
-        the backends skip their per-call magnitude scans.
+        the backends skip their per-call magnitude scans.  ``x_bound``
+        also picks the dtype the tiles are gathered into
+        (:meth:`~repro.backends.base.KernelBackend.stage_dtype`).
 
     Returns
     -------
@@ -230,20 +239,20 @@ def winograd_conv2d_int(
     out_w = conv_output_size(w, r, 1, padding)
     grid = TileGrid(out_h, out_w, tf.m, tf.r)
 
-    tiles = extract_tiles(np.asarray(x_int, dtype=np.int64), grid, padding)
+    # The stages chain in the backend's stage dtype; int64 only at the
+    # node boundary, cast during the gather and the scatter.
+    tiles = extract_tiles(x_int, grid, padding, dtype=backend.stage_dtype(x_bound))
     u = backend.input_transform(tf, tiles, x_bound=x_bound)
     del tiles
     u_bound = None if x_bound is None else int(x_bound) * kron_row_bound(tf.bt_int)
-    m_arr = backend.channel_reduce(
-        u, np.asarray(v_int, dtype=np.int64), u_bound=u_bound, v_bound=v_bound
-    )
+    m_arr = backend.channel_reduce(u, v_int, u_bound=u_bound, v_bound=v_bound)
     m_bound = (
         None
         if u_bound is None or v_bound is None
         else u_bound * int(v_bound) * c
     )
     y_tiles = backend.output_transform(tf, m_arr, m_bound=m_bound)
-    y = assemble_tiles(y_tiles, grid)
+    y = assemble_tiles(y_tiles, grid, dtype=np.int64)
 
     return WinogradConvContext(
         transform=tf,

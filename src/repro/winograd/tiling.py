@@ -9,6 +9,12 @@ row per tile element and one column per (image, tile).  In that layout
 every stage of the pipeline is a plain matrix product over rows or a
 batch of them, with no transposes between stages.  The gather folds in
 the zero padding, so any output size is supported.
+
+The integer pipeline's stage arrays are exact integers in the kernel
+backend's stage dtype (float64 in ``optimized``, int64 in
+``reference``): :func:`extract_tiles` gathers straight into that dtype
+and :func:`assemble_tiles` casts back to int64 during its scatter, so
+neither conversion costs a pass of its own.
 """
 
 from __future__ import annotations
@@ -72,13 +78,16 @@ class TileGrid:
         )
 
 
-def extract_tiles(x: np.ndarray, grid: TileGrid, padding: int = 0) -> np.ndarray:
+def extract_tiles(
+    x: np.ndarray, grid: TileGrid, padding: int = 0, dtype=None
+) -> np.ndarray:
     """Gather the overlapping ``t x t`` input tiles of an NCHW array.
 
     ``padding`` is the convolution's own symmetric zero padding; the
     right/bottom edge padding that completes partial tiles is added too.
     Both are folded into the gather, so the input is read once and never
-    padded into a copy.
+    padded into a copy.  ``dtype`` (default ``x.dtype``) is the dtype of
+    the tiles; the gather casts into it.
 
     Returns the position-major layout ``(t*t, C, N*T)`` with
     ``T = grid.num_tiles``: row ``i*t + j`` holds element ``(i, j)`` of
@@ -97,7 +106,7 @@ def extract_tiles(x: np.ndarray, grid: TileGrid, padding: int = 0) -> np.ndarray
         )
     m, t = grid.m, grid.t
     th, tw = grid.tiles_h, grid.tiles_w
-    tiles = np.zeros((t, t, c, n, th, tw), dtype=x.dtype)
+    tiles = np.zeros((t, t, c, n, th, tw), dtype=x.dtype if dtype is None else dtype)
     for i in range(t):
         rows = _tile_span(i - padding, m, th, h)
         for j in range(t):
@@ -124,11 +133,13 @@ def _tile_span(offset: int, m: int, count: int, size: int):
     return first, stop, offset + first * m
 
 
-def assemble_tiles(tiles: np.ndarray, grid: TileGrid) -> np.ndarray:
+def assemble_tiles(tiles: np.ndarray, grid: TileGrid, dtype=None) -> np.ndarray:
     """Scatter ``(m*m, K, N*T)`` output tiles into a C-contiguous NCHW array.
 
     Row ``u*m + v`` of ``tiles`` holds output element ``(u, v)`` of every
-    tile; the overhang of partial edge tiles is dropped.
+    tile; the overhang of partial edge tiles is dropped.  ``dtype``
+    (default ``tiles.dtype``) is the dtype of the result; the scatter
+    casts into it (exact float64 integers truncate exactly to int64).
     """
     if tiles.ndim != 3:
         raise ShapeError(f"expected (m*m, K, N*T) tiles, got ndim={tiles.ndim}")
@@ -138,7 +149,9 @@ def assemble_tiles(tiles: np.ndarray, grid: TileGrid) -> np.ndarray:
         raise ShapeError(f"tile array {tiles.shape} does not match grid {grid!r}")
     n = cols // grid.num_tiles
     src = tiles.reshape(m, m, k, n, grid.tiles_h, grid.tiles_w)
-    out = np.empty((n, k, grid.out_h, grid.out_w), dtype=tiles.dtype)
+    out = np.empty(
+        (n, k, grid.out_h, grid.out_w), dtype=tiles.dtype if dtype is None else dtype
+    )
     for u in range(m):
         rows = -(-(grid.out_h - u) // m)
         for v in range(m):
@@ -146,5 +159,6 @@ def assemble_tiles(tiles: np.ndarray, grid: TileGrid) -> np.ndarray:
             np.copyto(
                 out[:, :, u::m, v::m],
                 src[u, v, :, :, :rows, :width].transpose(1, 0, 2, 3),
+                casting="unsafe",
             )
     return out

@@ -75,6 +75,29 @@ def restore_backend(qmodel):
     qmodel.set_kernel_backend(DEFAULT_BACKEND)
 
 
+def assert_stage_output(out, ref, in_f64_window):
+    """The Winograd stage contract against the int64 reference result.
+
+    Inside the float64 window the output is float64 and every value is an
+    integer; beyond it (and always for the reference oracle, called with
+    ``in_f64_window=False``) the output is int64.  Either way the values
+    equal the reference's bit for bit.
+    """
+    assert ref.dtype == np.int64
+    if in_f64_window:
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.trunc(out))
+        out = out.astype(np.int64)
+    else:
+        assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, ref)
+
+
+def stage_inputs(arr):
+    """A stage operand as int64 and as the exact float64 the chain hands on."""
+    return arr, arr.astype(np.float64)
+
+
 # --- stage-level differential tests ------------------------------------------
 class TestStageParity:
     """Each protocol method, reference vs every other backend."""
@@ -100,10 +123,13 @@ class TestStageParity:
         ).astype(np.int64)
         ref = REFERENCE.input_transform(tf, tiles)
         assert ref.shape == tiles.shape
+        amp = kron_row_bound(tf.bt_int)
         for x_bound in (None, magnitude):
-            out = alt.input_transform(tf, tiles, x_bound=x_bound)
-            assert out.dtype == np.int64
-            np.testing.assert_array_equal(out, ref)
+            in_window = (x_bound or int(np.abs(tiles).max())) * amp < 2**52
+            for src in stage_inputs(tiles):
+                assert_stage_output(REFERENCE.input_transform(tf, src), ref, False)
+                out = alt.input_transform(tf, src, x_bound=x_bound)
+                assert_stage_output(out, ref, in_window)
 
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("magnitude", [1 << 16, 1 << 50], ids=["f64", "int64"])
@@ -117,10 +143,13 @@ class TestStageParity:
         ).astype(np.int64)
         ref = REFERENCE.output_transform(tf, m_arr)
         assert ref.shape == (m * m, k, n * t_count)
+        amp = kron_row_bound(tf.at_int)
         for m_bound in (None, magnitude):
-            out = alt.output_transform(tf, m_arr, m_bound=m_bound)
-            assert out.dtype == np.int64
-            np.testing.assert_array_equal(out, ref)
+            in_window = (m_bound or int(np.abs(m_arr).max())) * amp < 2**52
+            for src in stage_inputs(m_arr):
+                assert_stage_output(REFERENCE.output_transform(tf, src), ref, False)
+                out = alt.output_transform(tf, src, m_bound=m_bound)
+                assert_stage_output(out, ref, in_window)
 
     @pytest.mark.parametrize(
         "magnitude", [1 << 15, 1 << 27], ids=["f64", "int64-blocked"]
@@ -139,10 +168,12 @@ class TestStageParity:
         v = rng.integers(-magnitude, magnitude, size=(t * t, k, c)).astype(np.int64)
         ref = REFERENCE.channel_reduce(u, v)
         assert ref.shape == (t * t, k, n * t_count)
+        in_window = magnitude == 1 << 15
         for bounds in ({}, {"u_bound": magnitude, "v_bound": magnitude}):
-            out = alt.channel_reduce(u, v, **bounds)
-            assert out.dtype == np.int64
-            np.testing.assert_array_equal(out, ref)
+            for u_src, v_src in zip(stage_inputs(u), stage_inputs(v)):
+                assert_stage_output(REFERENCE.channel_reduce(u_src, v_src), ref, False)
+                out = alt.channel_reduce(u_src, v_src, **bounds)
+                assert_stage_output(out, ref, in_window)
 
     @pytest.mark.parametrize("magnitude", [1 << 12, 1 << 24], ids=["f64", "int64"])
     def test_im2col_gemm_matrix_and_view(self, alt, rng, magnitude):
@@ -186,6 +217,36 @@ class TestStageParity:
         ref = requantize(acc, acc_frac, out_fmt, extra_ratio=extra)
         out = alt.requantize(acc, acc_frac, out_fmt, extra_ratio=extra)
         np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize(
+        "acc_frac,out_fmt,extra",
+        [
+            (18, QFormat(16, 11), Fraction(1, 9)),  # x / 1152: exact ties
+            (10, QFormat(16, 14), Fraction(1, 3)),  # 16x / 3: no ties
+        ],
+    )
+    def test_requantize_fast_path_window_edge(self, alt, acc_frac, out_fmt, extra):
+        """Accumulators with ``max_abs * num + den // 2`` just under 2^62,
+        the largest the int64 fast path takes: negative values, and values
+        whose rescaled remainder is ``den // 2`` (exact ties when ``den``
+        is even), at both ends of the range."""
+        ratio = extra * Fraction(2) ** (out_fmt.frac - acc_frac)
+        num, den = ratio.numerator, ratio.denominator
+        max_abs = (2**62 - 1 - den // 2) // num
+        assert max_abs * num + den // 2 < 2**62 <= (max_abs + 1) * num + den // 2
+        half = den // 2 * pow(num, -1, den) % den  # acc * num = den // 2 (mod den)
+        ties = [q * den + half for q in (0, 1, 7, (max_abs - half) // den)]
+        acc = np.array(
+            [-max_abs, max_abs, -1, 0, *ties, *(-a for a in ties)], dtype=np.int64
+        )
+        # The 16-bit format clips the edge values; a 62-bit one shows their
+        # rounding.
+        wide = QFormat(62, out_fmt.frac)
+        for fmt in (out_fmt, wide):
+            ref = requantize(acc, acc_frac, fmt, extra_ratio=extra)
+            out = alt.requantize(acc, acc_frac, fmt, extra_ratio=extra)
+            np.testing.assert_array_equal(out, ref)
+        assert int(np.abs(ref).max()) < wide.qmax
 
     def test_requantize_extreme_magnitude_delegates_exactly(self, alt):
         """Accumulators at 2^52 with a 2^10 numerator exceed the int64
@@ -239,6 +300,65 @@ class TestWholeConvParity:
         if keep:
             np.testing.assert_array_equal(out.u_int, ref.u_int)
             np.testing.assert_array_equal(out.m_int, ref.m_int)
+
+    def test_mixed_regime_chain(self, alt, rng):
+        """Input stage inside the f64 window, channel and output stages
+        beyond it (a large V): float64 U feeds the exact int64 fallback."""
+        from repro.winograd import transform_filter_int, winograd_conv2d_int
+
+        tf = get_transform(2, 3)
+        x, w = mixed_regime_operands(rng)
+        v = transform_filter_int(w, tf)
+        kw = dict(padding=1, m=2, x_bound=1 << 15, v_bound=int(np.abs(v).max()))
+        ref = winograd_conv2d_int(x, v, backend=REFERENCE, **kw)
+        out = winograd_conv2d_int(x, v.astype(np.float64), backend=alt, **kw)
+        assert (out.u_int.dtype, out.m_int.dtype) == (np.float64, np.int64)
+        assert out.y_int.dtype == np.int64
+        for name in ("u_int", "m_int", "y_int"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(ref, name))
+
+    def test_mixed_regime_abft_injection(self, alt, rng):
+        """An ABFT-wrapped operation-level injection on the mixed-regime
+        layer: same output and events under both backends, where the
+        checksum's channel GEMM gets float64 U beyond the f64 window."""
+        from repro.faultsim import AbftChecker, OperationLevelInjector
+        from repro.quantized.qops import QConvWinograd, conv_op_counts
+
+        x, weight = mixed_regime_operands(rng)
+        layer = QConvWinograd(
+            name="wide", inputs=("x",), out_fmt=QFormat(62, 8),
+            weight_int=weight, bias_acc=np.zeros(4, dtype=np.int64),
+            in_fmt=QFormat(16, 8), w_fmt=QFormat(38, 12), padding=1,
+            in_shape=x.shape[1:],
+            op_counts=conv_op_counts("winograd", 3, 4, 3, 1, x.shape[2:], m=2),
+        )
+        results = []
+        for backend in ("reference", alt.name):
+            layer.kernel_backend = backend
+            layer.prepare()
+            checker = AbftChecker(OperationLevelInjector(1e-3, seed=5), correct=True)
+            checker.begin_inference(len(x))
+            y = layer.forward([x], injector=checker)
+            results.append((y, checker.event_counts))
+        (y_ref, counts_ref), (y_alt, counts_alt) = results
+        assert counts_ref["abft_detected"] > 0
+        assert counts_alt == counts_ref
+        np.testing.assert_array_equal(y_alt, y_ref)
+
+
+def mixed_regime_operands(rng):
+    """A 16-bit input and 2^36 weights for ``F(2, 3)``: the input transform
+    is inside the f64 window and the channel GEMM beyond it, with products
+    past 2^53 that float64 would round (every sum stays below 2^63)."""
+    from repro.winograd import transform_filter_int
+
+    x = rng.integers(-(1 << 15), 1 << 15, size=(2, 3, 7, 9))
+    w = rng.integers(-(1 << 36), 1 << 36, size=(4, 3, 3, 3))
+    tf = get_transform(2, 3)
+    u_bound = (1 << 15) * kron_row_bound(tf.bt_int)
+    v_bound = int(np.abs(transform_filter_int(w, tf)).max())
+    assert u_bound < 2**52 <= u_bound * v_bound * 3
+    return x, w
 
 
 # --- model-level differential tests ------------------------------------------

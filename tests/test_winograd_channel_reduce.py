@@ -112,3 +112,19 @@ class TestChannelReduceBoundary:
         got = channel_reduce(u, v)
         assert spy.calls > 0, "expected the float64 fast path"
         np.testing.assert_array_equal(got, exact_reference(u, v))
+
+    def test_float64_operands_beyond_threshold_reduce_in_int64(self):
+        """Exact float64 stage arrays (what the ``optimized`` chain hands on)
+        must not drag the int64 fallback into float64: each product here is
+        an odd integer above 2**53, which float64 cannot hold."""
+        u, v = make_inputs(2**26 + 1, [2**27 + 1, -(2**27 - 1), 2**27 + 3])
+        expected = exact_reference(u, v)
+        assert not np.array_equal(
+            np.matmul(v.astype(np.float64), u.astype(np.float64)).astype(np.int64),
+            expected,
+        )
+        u_f = u.astype(np.float64)
+        for v_src in (v, v.astype(np.float64)):
+            got = channel_reduce(u_f, v_src)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)

@@ -83,6 +83,21 @@ class TestTiling:
         assert out.flags.c_contiguous
         np.testing.assert_array_equal(out, full[:, :, :7, :5])
 
+    def test_gather_and_scatter_cast_into_dtype(self, rng):
+        """The gather writes the requested dtype and the scatter casts exact
+        float64 tiles back to a C-contiguous int64 array."""
+        grid = TileGrid(out_h=7, out_w=5, m=2, r=3)
+        x = rng.integers(-(1 << 40), 1 << 40, size=(2, 3, 7, 5)).astype(np.int64)
+        tiles = extract_tiles(x, grid, 1, dtype=np.float64)
+        assert tiles.dtype == np.float64
+        np.testing.assert_array_equal(tiles, extract_tiles(x, grid, 1))
+        out_tiles = tiles[:4] * 3  # any exact float64 (m*m, K, N*T) tiles
+        out = assemble_tiles(out_tiles, grid, dtype=np.int64)
+        assert out.dtype == np.int64 and out.flags.c_contiguous
+        np.testing.assert_array_equal(
+            out, assemble_tiles(out_tiles.astype(np.int64), grid)
+        )
+
     def test_assemble_crops_overhang(self, rng):
         grid = TileGrid(out_h=3, out_w=3, m=2, r=3)
         tiles = rng.integers(0, 5, size=(4, 1, grid.num_tiles)).astype(np.int64)
