@@ -6,9 +6,9 @@ time-slice one CPU; bit-identity is asserted unconditionally):
 
 * a >= 8-unit sweep through :class:`repro.runtime.CampaignEngine`
   completes at least 2x faster than the serial path;
-* the TMR planner's task-batch workload (seed-sharded candidate
-  evaluations + speculative lookahead) iterates at least 1.5x faster
-  than the serial planner, with identical planning results;
+* the TMR planner's task-batch workload (candidate evaluations
+  seed- and sample-sharded across the pool) iterates at least 1.5x
+  faster than the serial planner, with identical planning results;
 * the sample-sharding workload — a *single* (BER, seed) point split
   into sample slices — completes at least
   1.5x faster with 4 workers than the unsharded run, bit-identically.
@@ -124,13 +124,13 @@ def run_task_batch_comparison(workers: int = 4) -> dict:
 
 
 def run_planner_comparison(workers: int = 4) -> dict:
-    """Time the Fig. 5 planner workload: serial vs speculative + sharded.
+    """Time the Fig. 5 planner workload: serial vs pool + auto sharding.
 
-    The serial side is the paper's heuristic on a workers=1 engine (one
-    candidate per iteration, seeds evaluated sequentially).  The engine
-    side seed-shards every candidate evaluation *and* speculates
-    ``lookahead`` candidates per round, so each round keeps ``workers``
-    subtasks in flight.  Planning results must be identical; on a pool
+    Both sides run the paper's heuristic, one candidate per iteration.
+    The serial side evaluates seeds sequentially on a workers=1 engine;
+    the engine side splits every candidate evaluation into per-seed
+    sample slices (``sample_shard="auto"``), so each iteration keeps the
+    pool filled.  Planning results must be identical; on a pool
     that can actually run ``workers`` processes the per-iteration
     wall-clock should drop >= 1.5x.
 
@@ -155,17 +155,16 @@ def run_planner_comparison(workers: int = 4) -> dict:
     )
     serial_seconds = time.perf_counter() - start
 
-    engine = CampaignEngine(workers=workers)
+    engine = CampaignEngine(workers=workers, sample_shard="auto")
     start = time.perf_counter()
-    speculative = plan_tmr(
+    pooled = plan_tmr(
         qmodel, x, y, ber, 1.0, ranking, config=config, step=0.25,
-        max_iterations=ITERATIONS, engine=engine, speculative=True,
+        max_iterations=ITERATIONS, engine=engine,
     )
     engine_seconds = time.perf_counter() - start
 
     identical = (
-        serial.to_dict() == speculative.to_dict()
-        and serial.history == speculative.history
+        serial.to_dict() == pooled.to_dict() and serial.history == pooled.history
     )
     iterations = max(1, serial.iterations)
     return {
@@ -326,7 +325,7 @@ def format_planner_report(stats: dict) -> str:
         f"  workers           : {stats['workers']}\n"
         f"  serial            : {stats['serial_seconds']:.2f} s "
         f"({stats['serial_seconds_per_iteration']:.2f} s/iter)\n"
-        f"  speculative       : {stats['engine_seconds']:.2f} s "
+        f"  pool + auto shard : {stats['engine_seconds']:.2f} s "
         f"({stats['engine_seconds_per_iteration']:.2f} s/iter)\n"
         f"  speedup           : {stats['speedup']:.2f}x\n"
         f"  identical results : {stats['identical_results']}"
@@ -350,7 +349,7 @@ def test_campaign_engine_speedup():
     )
 
 
-def test_speculative_planner_speedup():
+def test_planner_pool_speedup():
     """>= 1.5x planner iterations on 4 workers with >= 4 cores; results
     always identical to the serial heuristic."""
     import pytest
@@ -358,7 +357,7 @@ def test_speculative_planner_speedup():
     stats = run_planner_comparison(workers=4)
     print()
     print(format_planner_report(stats))
-    assert stats["identical_results"], "speculative planning diverged from serial"
+    assert stats["identical_results"], "pooled planning diverged from serial"
     assert stats["iterations"] > 1, "workload converged trivially; tune the target"
     if stats["available_cores"] < 4:
         pytest.skip(

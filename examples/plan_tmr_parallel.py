@@ -1,18 +1,17 @@
-"""Speculative TMR planning end-to-end (Fig. 5 machinery, parallel).
+"""Parallel TMR planning end-to-end (Fig. 5 machinery).
 
-Demonstrates the campaign runtime's two planner accelerations on a small
-CNN:
+The planner is the paper's serial loop: evaluate one candidate plan, stop
+at the accuracy goal, else protect a bit more of the most vulnerable
+layer.  Each candidate evaluation is one seed-batch task, and the
+campaign engine spreads it across the worker pool on a small CNN:
 
-1. **Intra-task seed sharding** — each candidate-plan evaluation is one
-   seed-batch task whose per-seed subtasks spread across the worker pool.
-2. **Speculative planning** (``speculative=True``) — because the paper's
-   plan-growth rule never consults a measured accuracy, the chain of
-   candidate plans is predetermined; several are evaluated concurrently
-   per round and the first (in the paper's deterministic order) meeting
-   the accuracy goal is kept.
+1. **Seed sharding** — the batch's per-seed subtasks run on separate
+   workers.
+2. **Sample sharding** (``sample_shard="auto"``) — each seed is further
+   sliced into sample windows sized to fill the pool.
 
-Both are result-identical to the paper's serial heuristic — this script
-runs the planner both ways and verifies it.
+Both are result-identical to the serial heuristic — this script runs the
+planner both ways and verifies it.
 
 Run:  PYTHONPATH=src python examples/plan_tmr_parallel.py [workers]
 """
@@ -62,7 +61,7 @@ def build_model_and_data():
 
 
 def main(workers: int | None = None) -> None:
-    """Plan TMR serially and speculatively; verify identical results."""
+    """Plan TMR serially and on a worker pool; verify identical results."""
     workers = resolve_workers(workers)
     qmodel, x, y = build_model_and_data()
     config = CampaignConfig(seeds=(0, 1), batch_size=24, max_samples=48)
@@ -72,7 +71,7 @@ def main(workers: int | None = None) -> None:
     print(f"model fault-free accuracy : {fault_free:.3f}")
     print(f"accuracy goal             : {target:.3f} @ BER {BER:.1e}")
 
-    engine = CampaignEngine(workers=workers)
+    engine = CampaignEngine(workers=workers, sample_shard="auto")
     report = layer_vulnerability(qmodel, x, y, BER, config=config, engine=engine)
     ranking = [(lv.layer, lv.vulnerability_factor) for lv in report.ranked()]
     print(f"vulnerability ranking     : {[name for name, _ in ranking]}")
@@ -81,22 +80,21 @@ def main(workers: int | None = None) -> None:
         qmodel, x, y, BER, target, ranking, config=config, step=0.5,
         engine=CampaignEngine(workers=1),
     )
-    speculative = plan_tmr(
+    pooled = plan_tmr(
         qmodel, x, y, BER, target, ranking, config=config, step=0.5,
-        engine=engine, speculative=True,
+        engine=engine,
     )
 
     identical = (
-        serial.to_dict() == speculative.to_dict()
-        and serial.history == speculative.history
+        serial.to_dict() == pooled.to_dict() and serial.history == pooled.history
     )
-    print(f"planner iterations        : {speculative.iterations} "
-          f"(converged: {speculative.converged})")
-    print(f"achieved accuracy         : {speculative.achieved_accuracy:.3f}")
-    print(f"protected fractions       : {speculative.to_dict()['fractions']}")
-    print(f"speculative == serial heuristic : {identical}")
+    print(f"planner iterations        : {pooled.iterations} "
+          f"(converged: {pooled.converged})")
+    print(f"achieved accuracy         : {pooled.achieved_accuracy:.3f}")
+    print(f"protected fractions       : {pooled.to_dict()['fractions']}")
+    print(f"pool == serial heuristic : {identical}")
     if not identical:
-        raise SystemExit("speculative planning diverged from the serial heuristic")
+        raise SystemExit("pooled planning diverged from the serial heuristic")
 
 
 if __name__ == "__main__":

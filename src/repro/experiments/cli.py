@@ -14,14 +14,10 @@ campaign from its checkpoint::
 ``--workers/--resume/--checkpoint`` apply to every figure: the accuracy
 sweeps of figs 1–2/6–7 and the protected-evaluation batches behind figs
 3–5 (layer vulnerability, operation-type sensitivity, TMR planning) all
-execute through the same :class:`repro.runtime.CampaignEngine`.
-``--speculative`` applies to the planner figures (fig5 and portfolio):
-the planner evaluates several candidate protection plans per iteration
-concurrently and keeps the first (in the deterministic growth order) that
-meets the accuracy goal — results identical to the serial heuristic.  It
-is not a speedup on small machines: warm quick ``fig5`` on 2 cores took
-23.0–24.0 s with it against 19.1–20.3 s for plain ``--workers 2`` (see
-``docs/RUNTIME.md``).
+execute through the same :class:`repro.runtime.CampaignEngine`.  The
+TMR planner (fig5 and portfolio) is the paper's serial loop; each
+iteration's seeds fan out across the pool, and ``--shard-samples auto``
+slices them to fill it.
 ``--protection {tmr,abft,portfolio,all}`` selects which strategies the
 ``portfolio`` figure compares.
 
@@ -255,14 +251,6 @@ def _figures_main(argv: list[str]) -> int:
         help="stream per-point campaign progress to stderr",
     )
     parser.add_argument(
-        "--speculative",
-        action="store_true",
-        help="fig5/portfolio only: evaluate several planner candidates per "
-        "iteration concurrently (result-identical to the paper's serial "
-        "heuristic; pairs with --workers; measured slower than plain "
-        "--workers 2 on 2 cores)",
-    )
-    parser.add_argument(
         "--protection",
         choices=("tmr", "abft", "portfolio", "all"),
         default="all",
@@ -379,13 +367,8 @@ def _figures_main(argv: list[str]) -> int:
             continue
         module = _FIGURES[name]
         extra = {}
-        if name == "fig5":
-            extra = {"speculative": args.speculative}
-        elif name == "portfolio":
-            extra = {
-                "speculative": args.speculative,
-                "protection": args.protection,
-            }
+        if name == "portfolio":
+            extra = {"protection": args.protection}
         elif name in ("fig2", "fig6", "fig7") and rule is not None:
             extra = {"adaptive": rule}
         payload = module.run(profile=profile, engine=engine, **extra)

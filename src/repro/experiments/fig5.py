@@ -9,9 +9,8 @@ from our curves.
 
 The vulnerability analyses and every planner iteration route through the
 campaign engine, so this figure honors the CLI's
-``--workers/--resume/--checkpoint`` flags; ``--speculative`` additionally
-turns on the planner's result-identical lookahead mode (candidate plans
-evaluated concurrently, see :mod:`repro.tmr.planner`).
+``--workers/--resume/--checkpoint/--shard-samples`` flags (see
+:mod:`repro.tmr.planner`).
 """
 
 from __future__ import annotations
@@ -43,14 +42,8 @@ def run(
     goal_fractions: tuple[float, ...] = GOAL_FRACTIONS,
     step: float = 0.5,
     engine=None,
-    speculative: bool = False,
 ) -> dict:
-    """Execute the Fig. 5 experiment.
-
-    ``speculative`` forwards to :func:`repro.tmr.run_tmr_schemes`: planner
-    candidates are evaluated concurrently through ``engine`` with results
-    identical to the paper's serial heuristic.
-    """
+    """Execute the Fig. 5 experiment."""
     prep = prepare_benchmark(benchmark, profile)
     qm_st, qm_wg = quantized_pair(prep, width, profile)
     config = profile.campaign()
@@ -70,7 +63,6 @@ def run(
     y = prep.eval_y[: profile.eval_samples]
     curves = run_tmr_schemes(
         qm_st, qm_wg, x, y, ber, goals, config=config, step=step, engine=engine,
-        speculative=speculative,
     )
     normalized = normalized_overheads(curves)
     reductions = average_reduction(curves)

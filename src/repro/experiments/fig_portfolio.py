@@ -12,8 +12,7 @@ each strategy pays".
 Every vulnerability analysis and planner iteration routes through the
 campaign engine, so this experiment honors the CLI's
 ``--workers/--resume/--checkpoint/--shard-samples`` flags;
-``--protection`` restricts which strategies run and ``--speculative``
-turns on the planner's result-identical lookahead mode.
+``--protection`` restricts which strategies run.
 """
 
 from __future__ import annotations
@@ -51,14 +50,12 @@ def run(
     ber: float | None = None,
     goal_fractions: tuple[float, ...] = GOAL_FRACTIONS,
     engine=None,
-    speculative: bool = False,
     protection: str = "all",
 ) -> dict:
     """Execute the protection-portfolio experiment.
 
     ``protection`` selects the strategies: ``"tmr"``, ``"abft"``,
     ``"portfolio"`` or ``"all"`` (the default three-way comparison).
-    ``speculative`` forwards to the planner exactly as in Fig. 5.
     """
     if protection == "all":
         strategies = _ALL_STRATEGIES
@@ -89,7 +86,7 @@ def run(
     y = prep.eval_y[: profile.eval_samples]
     curves = run_protection_portfolio(
         qm_wg, x, y, ber, goals, config=config, strategies=strategies,
-        engine=engine, speculative=speculative,
+        engine=engine,
     )
 
     # Normalize to the whole-layer TMR bill at the highest goal when that

@@ -12,9 +12,9 @@ task shards across the whole pool and an interrupted batch resumes with
 only its missing seeds recomputed, while results stay bit-identical to
 serial execution.  Accuracy sweeps (:meth:`CampaignEngine.run_sweep`,
 figs 1–2/6–7), layer vulnerability (Fig. 3), operation-type sensitivity
-(Fig. 4) and the TMR planner (Fig. 5, including its speculative mode) all
-route through the same engine, which runs units serially in-process or
-on a forked pool, bit-identically.  Resilience is a first-class surface:
+(Fig. 4) and the TMR planner (Fig. 5) all route through the same
+engine, which runs units serially in-process or on a forked pool,
+bit-identically.  Resilience is a first-class surface:
 a unified :class:`RetryPolicy` (bounded attempts, seeded exponential
 backoff, transient-vs-permanent classification, optional per-unit
 deadline) governs every unit attempt, the deterministic

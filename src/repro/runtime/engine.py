@@ -296,8 +296,6 @@ class CampaignEngine:
         tasks are served from it instead of recomputed.  When False every
         task is recomputed, but the checkpoint still *merges*: existing
         entries are preserved (recomputed tasks overwrite their own keys).
-    flush_every:
-        Checkpoint flush cadence in completed tasks (1 = every task).
     progress:
         Optional callable receiving a :class:`ProgressEvent` per completed
         task (see :func:`repro.runtime.progress.stream_reporter`).
@@ -307,17 +305,14 @@ class CampaignEngine:
         docs).  ``"auto"`` picks the slice size per batch
         (:func:`auto_sample_shard`); ``None`` (default) disables sample
         sharding.
-    max_attempts:
-        Execution budget per unit: transiently failed units are re-run
-        this many times before they are quarantined.  Quarantine
-        surfaces as :class:`~repro.errors.TaskQuarantinedError` naming
-        every quarantined key.  Ignored when an explicit ``retry``
-        policy is passed.
     retry:
         Optional :class:`repro.runtime.RetryPolicy` governing attempt
         budgets, backoff and the per-unit deadline
-        (see :mod:`repro.runtime.retry`).  ``None`` builds one from
-        ``max_attempts`` with default backoff and no deadline.
+        (see :mod:`repro.runtime.retry`); ``None`` means the default
+        :class:`~repro.runtime.RetryPolicy` (3 attempts, default backoff,
+        no deadline).  Units that exhaust their attempts are quarantined,
+        surfacing as :class:`~repro.errors.TaskQuarantinedError` naming
+        every quarantined key.
     chaos:
         Optional :class:`repro.runtime.ChaosSpec` injecting
         deterministic faults — unit errors, slow units, worker crashes,
@@ -333,21 +328,14 @@ class CampaignEngine:
         workers: int | None = 1,
         checkpoint_path: str | Path | None = None,
         resume: bool = False,
-        flush_every: int = 1,
         progress: ProgressReporter | None = None,
         sample_shard: int | str | None = None,
-        max_attempts: int = 3,
         retry: RetryPolicy | None = None,
         chaos: ChaosSpec | None = None,
     ):
         self.workers = resolve_workers(workers)
-        #: Unified retry policy (attempt budget, backoff, deadline); an
-        #: explicit policy overrides ``max_attempts``.
-        self.retry = (
-            retry
-            if retry is not None
-            else RetryPolicy(max_attempts=int(max_attempts))
-        )
+        #: Unified retry policy (attempt budget, backoff, deadline).
+        self.retry = retry if retry is not None else RetryPolicy()
         if chaos is not None and not isinstance(chaos, ChaosSpec):
             raise ConfigurationError(
                 f"chaos must be a ChaosSpec (or None), got {type(chaos).__name__}"
@@ -367,7 +355,6 @@ class CampaignEngine:
         self.sample_shard = sample_shard
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         self.resume = resume
-        self.flush_every = flush_every
         self.progress = progress or null_reporter
         self.last_stats = SweepStats()
         # Opened once and reused: the TMR planner calls the engine every
@@ -587,9 +574,7 @@ class CampaignEngine:
             return None
         if self._checkpoint is None:
             self._checkpoint = CampaignCheckpoint(
-                self.checkpoint_path,
-                flush_every=self.flush_every,
-                chaos=self.chaos,
+                self.checkpoint_path, chaos=self.chaos
             )
         return self._checkpoint
 

@@ -219,9 +219,9 @@ def batch_task_keys(
     Equivalent to ``[t.key(model_fp, data_fp, config) for t in tasks]``
     but computes each distinct protection plan's campaign fingerprint only
     once per batch: a Fig. 3 batch reuses each plan across all its seeds,
-    and the TMR planner's speculative batches reuse each candidate plan
-    the same way.  ``tasks`` must already be expanded to subtask
-    granularity (no seed-batch tasks).
+    and a TMR planner iteration reuses its candidate plan the same way.
+    ``tasks`` must already be expanded to subtask granularity (no
+    seed-batch tasks).
     """
     campaign_fps: dict[tuple | None, str] = {}
     keys = []

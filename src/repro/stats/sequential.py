@@ -29,9 +29,9 @@ checkpoint.  Three rules enforce it:
 3. **Prefix estimates.**  The stop index is the *smallest* seed count at
    which the rule fires; the reported estimate uses exactly that prefix.
    A driver that evaluates seeds in rounds may overshoot the stop index
-   (the overshoot is still checkpointed and reused on resume, like the
-   speculative planner's discarded lookahead), but the estimate never
-   includes it — so round sizing cannot change any reported number.
+   (the overshoot is still checkpointed and reused on resume), but the
+   estimate never includes it — so round sizing cannot change any
+   reported number.
 """
 
 from __future__ import annotations

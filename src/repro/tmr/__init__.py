@@ -6,10 +6,9 @@ evaluation is one seed-batch task through
 :meth:`~repro.runtime.CampaignEngine.evaluate_tasks` (sharded per-seed
 across the pool), giving Fig. 5 ``--workers/--resume/--checkpoint``
 support with convergence bit-identical to the serial path.  Omitting
-``engine`` falls back to a serial in-process engine.  ``speculative=True``
-additionally evaluates several candidates of the planner's deterministic
-growth chain concurrently per iteration — result-identical, documented in
-:mod:`repro.tmr.planner`.
+``engine`` falls back to a serial in-process engine.  The planner is the
+paper's serial loop — evaluate one candidate, stop at the goal, else grow
+the plan — documented in :mod:`repro.tmr.planner`.
 """
 
 from repro.tmr.cost import (

@@ -21,40 +21,6 @@ Convergence — ``iterations``, ``converged`` and the chosen fractions — is
 bit-identical for any worker count because every subtask owns its RNG
 seed.
 
-Speculative mode
-----------------
-One iteration evaluates one candidate over ``len(config.seeds)`` seeds —
-typically fewer subtasks than workers, leaving most of the pool idle.
-``speculative=True`` exploits a property of the paper's heuristic: the
-increment rule (:func:`_next_increment`) depends only on the vulnerability
-ranking and the current plan, *never on a measured accuracy*, so the
-sequence of candidate plans the serial loop would evaluate is fully
-predetermined.  The speculative planner therefore evaluates the next
-``lookahead`` candidates of that exact chain concurrently (one engine
-batch per round) and keeps the **first candidate in chain order** that
-meets the accuracy goal — the same candidate the serial loop would have
-stopped at.
-
-Deviation from the paper's heuristic: the *outputs* (plan, iterations,
-convergence, history) are identical to the serial heuristic, but up to
-``lookahead - 1`` candidates *past* the convergence point are evaluated
-speculatively and discarded.  That costs extra evaluation energy, and the
-discarded evaluations are visible as extra checkpoint entries (harmless:
-they are keyed like any other subtask and simply never served).  Were the
-increment rule ever made accuracy-dependent (e.g. adaptive step sizes),
-speculation would change the trajectory and this equivalence would no
-longer hold — which is why the mode is opt-in (``speculative=False``
-default, ``--speculative`` on the CLI).
-
-``adaptive_lookahead=True`` bounds that overshoot cost: each round's
-depth shrinks in proportion to the remaining accuracy gap (a planner far
-from its goal speculates the full ``lookahead``; one nearly converged
-speculates barely past the next candidate).  Depth only changes *which
-prefix* of the predetermined chain a round evaluates — never the chain
-itself — so adaptivity is result-identical too; the realized
-evaluation/discard counts are recorded on
-:attr:`TmrPlanResult.discarded_evaluations` and logged.
-
 Portfolio planning
 ------------------
 The journal extension (arXiv 2308.08230) widens the choice from "how much
@@ -64,13 +30,11 @@ each step the most *cost-efficient* upgrade (vulnerability × coverage gain
 per unit overhead energy).  The increment rule is, like
 :func:`_next_increment`, independent of measured accuracy — the candidate
 chain is predetermined from the vulnerability ranking and the cost model
-alone — so the same speculative/adaptive machinery applies verbatim to
-the portfolio's larger per-step candidate space.
+alone — and its candidates run through the same serial loop.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -97,8 +61,6 @@ from repro.winograd.opcount import ADD_CATEGORIES, MUL_CATEGORIES
 
 __all__ = ["TmrPlanResult", "plan_tmr", "plan_portfolio"]
 
-_LOG = logging.getLogger(__name__)
-
 
 @dataclass
 class TmrPlanResult:
@@ -107,7 +69,8 @@ class TmrPlanResult:
     Attributes
     ----------
     plan:
-        The grown :class:`ProtectionPlan` (the last evaluated candidate).
+        The grown :class:`ProtectionPlan`: the last evaluated candidate,
+        or one increment past it when ``max_iterations`` ran out.
     achieved_accuracy:
         Mean accuracy of ``plan`` at ``ber`` (the last history entry).
     overhead_energy:
@@ -118,18 +81,11 @@ class TmrPlanResult:
     ber:
         Operating bit error rate of the planning campaign.
     iterations:
-        Number of candidate plans evaluated *on the serial trajectory*
-        (speculative overshoot evaluations are not counted).
+        Number of candidate plans evaluated.
     converged:
         True when ``achieved_accuracy >= target_accuracy``.
     history:
-        One ``{"iteration", "accuracy", "overhead"}`` dict per counted
-        iteration, identical between serial and speculative planning.
-    discarded_evaluations:
-        Candidate evaluations performed beyond the counted iterations —
-        the speculative overshoot cost (0 for serial planning).  An
-        execution statistic, not part of the planning result, so it is
-        deliberately excluded from :meth:`to_dict`.
+        One ``{"iteration", "accuracy", "overhead"}`` dict per iteration.
     """
 
     plan: ProtectionPlan
@@ -140,7 +96,6 @@ class TmrPlanResult:
     iterations: int
     converged: bool
     history: list[dict] = field(default_factory=list)
-    discarded_evaluations: int = 0
 
     def to_dict(self) -> dict:
         """JSON-serializable form.
@@ -185,8 +140,8 @@ def _next_increment(
 
     Multiplication categories are filled before addition categories within
     each layer.  Returns False when every (layer, category) is saturated.
-    Deliberately independent of any measured accuracy — this is what makes
-    the speculative planner's candidate chain exact (see module docs).
+    Deliberately independent of any measured accuracy: the sequence of
+    candidates depends only on the ranking and ``step``.
     """
     by_name = {layer.name: layer for layer in qmodel.injectable_layers()}
     for layer_name, _vf in ranking:
@@ -197,58 +152,6 @@ def _next_increment(
                 plan.set(layer_name, category, min(1.0, current + step))
                 return True
     return False
-
-
-def _candidate_chain(
-    plan: ProtectionPlan,
-    increment,
-    length: int,
-) -> tuple[list[ProtectionPlan], bool]:
-    """The next ``length`` plans the serial heuristic would evaluate.
-
-    ``plan`` (not yet evaluated) is the chain's first candidate; each
-    successor applies ``increment`` (a deterministic, accuracy-independent
-    in-place step returning False at saturation) to a copy of its
-    predecessor.  Returns ``(chain, saturated)`` where ``saturated`` means
-    the last chain entry has no successor, so the chain may be shorter
-    than requested.
-    """
-    chain = [plan]
-    saturated = False
-    while len(chain) < length:
-        successor = chain[-1].copy()
-        if not increment(successor):
-            saturated = True
-            break
-        chain.append(successor)
-    return chain, saturated
-
-
-def _default_lookahead(engine: CampaignEngine, config: CampaignConfig) -> int:
-    """Candidates per speculative round: enough subtasks to fill the pool."""
-    seeds = max(1, len(config.seeds))
-    return max(2, -(-engine.workers // seeds))
-
-
-def _adaptive_depth(
-    base: int, target_accuracy: float, accuracy: float, initial_gap: float
-) -> int:
-    """Speculation depth scaled to the remaining accuracy gap.
-
-    ``ceil(base * gap / initial_gap)``, clamped to ``[1, base]``: while
-    the goal is distant the full ``base`` lookahead amortizes round
-    latency, and as the gap closes the round shrinks toward a single
-    candidate so overshoot evaluations stop being wasted near
-    convergence.  Depth selects only how much of the *predetermined*
-    candidate chain one round evaluates, so any depth sequence yields
-    identical planning results.
-    """
-    if initial_gap <= 0.0:
-        return 1
-    gap = target_accuracy - accuracy
-    if gap <= 0.0:
-        return 1
-    return max(1, min(base, math.ceil(base * gap / initial_gap)))
 
 
 def plan_tmr(
@@ -264,9 +167,6 @@ def plan_tmr(
     initial_plan: ProtectionPlan | None = None,
     max_iterations: int = 400,
     engine: CampaignEngine | None = None,
-    speculative: bool = False,
-    lookahead: int | None = None,
-    adaptive_lookahead: bool = False,
 ) -> TmrPlanResult:
     """Grow a protection plan until ``target_accuracy`` is reached at ``ber``.
 
@@ -292,41 +192,33 @@ def plan_tmr(
         :class:`OpCostModel` for overhead accounting; defaults to the
         model's width.
     step:
-        Protection-fraction increment per iteration.
+        Protection-fraction increment per iteration; finite and > 0.
     initial_plan:
         Starting plan (copied); used to warm-start scheme comparisons.
     max_iterations:
-        Upper bound on counted candidate evaluations.
+        Upper bound on candidate evaluations; at least 1.  When it runs
+        out, the returned plan is one (unevaluated) increment past the
+        last measured candidate, as in the serial heuristic.
     engine:
         Optional :class:`~repro.runtime.CampaignEngine`.  Each candidate
         evaluation is one seed-batch task through
         :meth:`~repro.runtime.CampaignEngine.evaluate_tasks` (sharded
         per-seed, checkpointed); the default is a serial in-process
         engine.  Convergence is bit-identical either way.
-    speculative:
-        Evaluate ``lookahead`` candidates of the (predetermined) serial
-        chain concurrently per round and keep the first in chain order
-        meeting the goal.  Results are identical to the serial heuristic;
-        only extra overshoot evaluations are performed (see module docs
-        for the documented deviation).
-    lookahead:
-        Candidates per speculative round; default sizes the round to the
-        engine's pool (``ceil(workers / len(seeds))``, at least 2).
-    adaptive_lookahead:
-        Shrink each speculative round's depth as the accuracy gap to the
-        goal narrows (proportional to ``gap / initial gap``), cutting the
-        overshoot evaluations discarded at convergence.  Results stay
-        identical — depth only picks how much of the predetermined chain
-        a round evaluates; the realized overshoot is recorded on
-        :attr:`TmrPlanResult.discarded_evaluations`.  Ignored without
-        ``speculative``.
-
     Returns
     -------
     TmrPlanResult
         The grown plan with its convergence record; identical for any
-        worker count and for ``speculative`` on or off.
+        worker count.
+
+    Raises
+    ------
+    ConfigurationError
+        For a ``step`` that is not finite or not positive, or for
+        ``max_iterations < 1``.
     """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ConfigurationError(f"step must be finite and > 0, got {step}")
     cost_model = cost_model or OpCostModel(width=qmodel.config.width)
     return _grow_plan(
         qmodel,
@@ -342,9 +234,6 @@ def plan_tmr(
         ),
         overhead=lambda plan: tmr_overhead_energy(qmodel, plan, cost_model),
         max_iterations=max_iterations,
-        speculative=speculative,
-        lookahead=lookahead,
-        adaptive_lookahead=adaptive_lookahead,
         tag="tmr-iter",
     )
 
@@ -361,96 +250,54 @@ def _grow_plan(
     increment,
     overhead,
     max_iterations: int,
-    speculative: bool,
-    lookahead: int | None,
-    adaptive_lookahead: bool,
     tag: str,
 ) -> TmrPlanResult:
     """Shared grow-until-goal loop behind :func:`plan_tmr` and
-    :func:`plan_portfolio`.
+    :func:`plan_portfolio`: evaluate, stop at the goal, else increment.
 
-    ``increment`` is the heuristic's deterministic step (mutates a
-    candidate in place, returns False at saturation) and ``overhead`` the
-    matching cost accounting; both must be independent of measured
-    accuracy so the speculative candidate chain stays exact.  Everything
-    else — engine dispatch, chain-order iteration counting, adaptive
-    speculation depth, convergence bookkeeping — is scheme-agnostic and
-    bit-identical to the original serial TMR loop.
+    ``increment`` is the heuristic's deterministic step (mutates a plan in
+    place, returns False at saturation) and ``overhead`` the matching cost
+    accounting.  Each iteration is one seed-batch task through
+    :meth:`~repro.runtime.CampaignEngine.evaluate_tasks`, tagged
+    ``{tag}{n}``.  The increment is applied even when ``max_iterations``
+    was just exhausted, so the returned plan is then one (unevaluated)
+    increment past the last measured candidate, exactly as the paper's
+    serial heuristic leaves it.
     """
     if not 0.0 < target_accuracy <= 1.0:
         raise ConfigurationError(f"bad target accuracy {target_accuracy}")
+    if max_iterations < 1:
+        raise ConfigurationError(
+            f"max_iterations must be >= 1, got {max_iterations}"
+        )
     config = config or CampaignConfig()
     engine = engine if engine is not None else CampaignEngine(workers=1)
     plan = initial_plan.copy() if initial_plan is not None else ProtectionPlan()
-    if lookahead is not None and lookahead < 1:
-        raise ConfigurationError(f"lookahead must be >= 1, got {lookahead}")
-    base_depth = (
-        (lookahead or _default_lookahead(engine, config)) if speculative else 1
-    )
 
     history: list[dict] = []
     converged = False
-    accuracy = 0.0
-    iterations = 0
-    evaluated = 0
-    initial_gap: float | None = None
-    while iterations < max_iterations and not converged:
-        depth = base_depth
-        if speculative and adaptive_lookahead and initial_gap is not None:
-            depth = _adaptive_depth(
-                base_depth, target_accuracy, accuracy, initial_gap
-            )
-        length = min(depth, max_iterations - iterations)
-        chain, saturated = _candidate_chain(plan, increment, length)
-        tasks = [
-            TaskSpec(
-                ber=ber,
-                seeds=tuple(config.seeds),
-                protection=candidate,
-                tag=f"{tag}{iterations + offset + 1}",
-            )
-            for offset, candidate in enumerate(chain)
-        ]
-        points = engine.evaluate_tasks(qmodel, x, labels, tasks, config=config)
-        evaluated += len(chain)
-        # Walk the round in chain order — the serial evaluation order —
-        # counting exactly the iterations the serial loop would have run.
-        for candidate, point in zip(chain, points):
-            iterations += 1
-            plan = candidate
-            accuracy = point.mean_accuracy
-            if initial_gap is None:
-                initial_gap = max(0.0, target_accuracy - accuracy)
-            history.append(
-                {
-                    "iteration": iterations,
-                    "accuracy": accuracy,
-                    "overhead": overhead(candidate),
-                }
-            )
-            if accuracy >= target_accuracy:
-                converged = True
-                break
-        if converged or saturated:
-            break
-        # Advance to the next round's first candidate.  Mirroring the
-        # serial loop, the increment is applied even when max_iterations
-        # was just exhausted: the returned plan is then one (unevaluated)
-        # increment past the last measured candidate, exactly as the
-        # serial heuristic leaves it.
-        successor = plan.copy()
-        if not increment(successor):
-            break  # everything protected; cannot do better
-        plan = successor
-
-    discarded = evaluated - iterations
-    if speculative:
-        _LOG.info(
-            "speculative %s planning: %d candidate evaluations for %d "
-            "counted iterations (%d discarded, adaptive_lookahead=%s)",
-            tag.removesuffix("-iter"),
-            evaluated, iterations, discarded, adaptive_lookahead,
+    for iterations in range(1, max_iterations + 1):
+        task = TaskSpec(
+            ber=ber,
+            seeds=tuple(config.seeds),
+            protection=plan.copy(),  # the plan keeps growing in place
+            tag=f"{tag}{iterations}",
         )
+        (point,) = engine.evaluate_tasks(qmodel, x, labels, [task], config=config)
+        accuracy = point.mean_accuracy
+        history.append(
+            {
+                "iteration": iterations,
+                "accuracy": accuracy,
+                "overhead": overhead(plan),
+            }
+        )
+        if accuracy >= target_accuracy:
+            converged = True
+            break
+        if not increment(plan):
+            break  # everything protected; cannot do better
+
     return TmrPlanResult(
         plan=plan,
         achieved_accuracy=accuracy,
@@ -460,7 +307,6 @@ def _grow_plan(
         iterations=iterations,
         converged=converged,
         history=history,
-        discarded_evaluations=discarded,
     )
 
 
@@ -481,9 +327,8 @@ def _portfolio_increment(
     (ranking order).  Upgrading to TMR sets every present category's
     fraction to 1.0 (whole-layer replication); upgrading to ABFT zeroes
     them (faults are injected in full and corrected at the accumulator).
-    Deliberately independent of any measured accuracy — this keeps the
-    speculative candidate chain exact.  Returns False when every layer
-    sits on the ladder's top reachable rung.
+    Deliberately independent of any measured accuracy.  Returns False
+    when every layer sits on the ladder's top reachable rung.
     """
     best = None  # (score, layer, scheme)
     for layer_name, vulnerability in ranking:
@@ -525,9 +370,6 @@ def plan_portfolio(
     initial_plan: ProtectionPlan | None = None,
     max_iterations: int = 400,
     engine: CampaignEngine | None = None,
-    speculative: bool = False,
-    lookahead: int | None = None,
-    adaptive_lookahead: bool = False,
 ) -> TmrPlanResult:
     """Grow a mixed-scheme protection plan until ``target_accuracy`` holds.
 
@@ -537,10 +379,9 @@ def plan_portfolio(
     coverage ladder by greatest ``vulnerability × coverage gain / energy``
     (see :func:`_portfolio_increment`).  Candidate plans are evaluated
     exactly like :func:`plan_tmr` candidates — one seed-batch task per
-    candidate through the engine, so worker pools, sample sharding,
-    checkpointing and the speculative/adaptive machinery all apply;
-    results are bit-identical for any worker count and for
-    ``speculative`` on or off.
+    candidate through the engine, so worker pools, sample sharding and
+    checkpointing all apply; results are bit-identical for any worker
+    count.
 
     Parameters mirror :func:`plan_tmr` except:
 
@@ -603,8 +444,5 @@ def plan_portfolio(
         ),
         overhead=lambda plan: portfolio_overhead_energy(qmodel, plan, cost_model),
         max_iterations=max_iterations,
-        speculative=speculative,
-        lookahead=lookahead,
-        adaptive_lookahead=adaptive_lookahead,
         tag="portfolio-iter",
     )

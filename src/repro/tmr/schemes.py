@@ -13,10 +13,9 @@ All three schemes route their protected evaluations (the two vulnerability
 analyses and every planner iteration) through the
 :class:`~repro.runtime.CampaignEngine` passed as ``engine=``, so Fig. 5
 honors ``--workers/--resume/--checkpoint`` end-to-end; results are
-bit-identical to serial execution for any worker count.  Passing
-``speculative=True`` additionally enables the planner's lookahead mode
-(see :mod:`repro.tmr.planner`) for every scheme's planning runs —
-result-identical, but keeping the pool busy across planner iterations.
+bit-identical to serial execution for any worker count.  Each planner
+iteration is one engine call whose seeds fan out across the pool (see
+:mod:`repro.tmr.planner`).
 """
 
 from __future__ import annotations
@@ -125,18 +124,13 @@ def run_tmr_schemes(
     cost_model_wg: OpCostModel | None = None,
     step: float = 0.25,
     engine: CampaignEngine | None = None,
-    speculative: bool = False,
-    adaptive_lookahead: bool = False,
 ) -> dict[str, SchemeCurve]:
     """Produce Fig. 5's three overhead-vs-accuracy-goal curves.
 
     Goals are processed in ascending order with warm-started plans
     (protection needed for a goal is a superset of that for a lower goal).
     ``engine`` is threaded into both vulnerability analyses and every
-    :func:`plan_tmr` call (default: serial in-process engine);
-    ``speculative`` enables the planner's result-identical lookahead mode
-    for all three schemes, and ``adaptive_lookahead`` its gap-scaled
-    round depth (fewer discarded overshoot evaluations near convergence).
+    :func:`plan_tmr` call (default: serial in-process engine).
     """
     config = config or CampaignConfig()
     goals = sorted(goals)
@@ -161,8 +155,7 @@ def run_tmr_schemes(
         st_result = plan_tmr(
             qm_standard, x, labels, ber, goal, ranking_st,
             config=config, cost_model=cost_model_st, step=step,
-            initial_plan=st_plan, engine=engine, speculative=speculative,
-            adaptive_lookahead=adaptive_lookahead,
+            initial_plan=st_plan, engine=engine,
         )
         st_plan = st_result.plan
         curves[SCHEME_ST].goals.append(goal)
@@ -174,8 +167,7 @@ def run_tmr_schemes(
         unaware = plan_tmr(
             qm_winograd, x, labels, ber, goal, ranking_st,
             config=config, cost_model=cost_model_wg, step=step,
-            initial_plan=mapped, engine=engine, speculative=speculative,
-            adaptive_lookahead=adaptive_lookahead,
+            initial_plan=mapped, engine=engine,
         )
         curves[SCHEME_WG_WO_AFT].goals.append(goal)
         curves[SCHEME_WG_WO_AFT].results.append(unaware)
@@ -183,8 +175,7 @@ def run_tmr_schemes(
         aware = plan_tmr(
             qm_winograd, x, labels, ber, goal, ranking_wg,
             config=config, cost_model=cost_model_wg, step=step,
-            initial_plan=aware_plan, engine=engine, speculative=speculative,
-            adaptive_lookahead=adaptive_lookahead,
+            initial_plan=aware_plan, engine=engine,
         )
         aware_plan = aware.plan
         curves[SCHEME_WG_W_AFT].goals.append(goal)
@@ -206,8 +197,6 @@ def run_protection_portfolio(
     ),
     abft_coverage: float = 0.99,
     engine: CampaignEngine | None = None,
-    speculative: bool = False,
-    adaptive_lookahead: bool = False,
 ) -> dict[str, SchemeCurve]:
     """Overhead-vs-goal curves for whole-layer TMR, ABFT and the mix.
 
@@ -241,8 +230,7 @@ def run_protection_portfolio(
                 config=config, cost_model=cost_model,
                 allowed=_PROTECTION_ALLOWED[strategy],
                 abft_coverage=abft_coverage, initial_plan=plan,
-                engine=engine, speculative=speculative,
-                adaptive_lookahead=adaptive_lookahead,
+                engine=engine,
             )
             plan = result.plan
             curve.goals.append(goal)

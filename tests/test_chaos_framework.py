@@ -291,6 +291,17 @@ class TestEngineChaos:
         with pytest.raises(ConfigurationError, match="ChaosSpec"):
             CampaignEngine(chaos={"unit_error_rate": 1.0})
 
+    def test_default_retry_is_the_default_policy(self):
+        """``retry=None`` means ``RetryPolicy()``: the attempt budget has
+        one home, the policy, not a second engine argument."""
+        assert CampaignEngine().retry == RetryPolicy()
+        assert CampaignEngine(retry=None).retry.max_attempts == 3
+
+    @pytest.mark.parametrize("knob", ["max_attempts", "flush_every"])
+    def test_retired_engine_knobs_rejected(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            CampaignEngine(**{knob: 1})
+
     def test_permanent_errors_do_not_burn_retries(
         self, tiny_quantized, tiny_eval, config
     ):

@@ -92,6 +92,11 @@ class TestSubprocessExitCodes:
         proc = run_cli("--no-such-flag")
         assert proc.returncode == EXIT_USAGE
 
+    def test_retired_speculative_flag_exits_two(self):
+        proc = run_cli("fig5", "--speculative")
+        assert proc.returncode == EXIT_USAGE
+        assert "--speculative" in proc.stderr
+
     def test_malformed_chaos_spec_exits_config_code(self):
         # Config errors are the operator's to fix, distinct from argparse
         # usage errors (2) and runtime task failures (4).  The spec is
@@ -148,6 +153,21 @@ class TestConfigurationRejectedBeforeAnyFigure:
         assert cli.main(["fig1", "--workers", "-2"]) == EXIT_CONFIG
         assert stub_figure == []
         assert "workers" in capsys.readouterr().err
+
+    def test_degenerate_planner_step(self, monkeypatch, capsys):
+        # A planner step that cannot grow the plan is a configuration
+        # error (exit 3), not a fault-model failure deep in the loop.
+        from repro.tmr import plan_tmr
+
+        stub = SimpleNamespace(
+            run=lambda **kwargs: plan_tmr(
+                None, None, None, 1e-4, 0.5, [], step=-0.25
+            ),
+            format_report=lambda payload: "stub report",
+        )
+        monkeypatch.setitem(cli._FIGURES, "fig5", stub)
+        assert cli.main(["fig5"]) == EXIT_CONFIG
+        assert "step" in capsys.readouterr().err
 
 
 class TestExitCodeMapping:

@@ -9,13 +9,10 @@ three execution regimes:
 3. the task engine with multiple workers (``REPRO_PARITY_WORKERS``,
    default 4 — CI's tier-2 job re-runs this module with 2).
 
-The TMR planner adds a fourth regime: ``speculative=True``
-(:class:`TestFig5Speculative`), which evaluates several candidates of the
-planner's deterministic growth chain concurrently.  Because the paper's
-increment rule never consults a measured accuracy, speculation must be
-**result-identical** to the serial heuristic — same plan, iterations,
-convergence and history — with speculation off *and* on; CI's tier-2 job
-re-runs both against the frozen references.
+The TMR planner (:class:`TestFig5Parity`) is additionally pinned on its
+edge cases against the frozen serial loop: the ``max_iterations`` cap
+(including the trailing unevaluated increment), saturation without
+convergence, and a checkpoint resume that serves every unit from cache.
 
 Equality is asserted on full serialized payloads, including derived
 artifacts that are sensitive to any reordering: the
@@ -32,6 +29,7 @@ import pytest
 from repro.analysis import layer_vulnerability, operation_type_sensitivity
 from repro.analysis.vulnerability import LayerVulnerability, VulnerabilityReport
 from repro.analysis.optype import OpTypeSensitivity
+from repro.errors import ConfigurationError
 from repro.faultsim import CampaignConfig, ProtectionPlan
 from repro.faultsim.campaign import run_point
 from repro.runtime import CampaignEngine
@@ -236,6 +234,8 @@ class TestFig5Parity:
     def test_planner_engine_matches_serial_reference(
         self, tiny_quantized, tiny_eval
     ):
+        """The acceptance gate: the planner is the paper's heuristic,
+        bit-identical to the pre-engine serial loop at any worker count."""
         qm, _ = tiny_quantized
         x, y = tiny_eval
         ranking = self._ranking(qm)
@@ -275,23 +275,105 @@ class TestFig5Parity:
         )
         assert plan_summary(engine_result) == plan_summary(reference)
 
-    def test_speculative_off_matches_frozen_reference(
-        self, tiny_quantized, tiny_eval
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_max_iterations_cap_matches_serial(
+        self, tiny_quantized, tiny_eval, cap
     ):
-        """The acceptance gate: with speculative=False the planner is the
-        paper's heuristic, bit-identical to the pre-engine serial loop."""
+        """The truncated result — including the serial loop's trailing
+        unevaluated increment — is identical at every cap."""
         qm, _ = tiny_quantized
         x, y = tiny_eval
         ranking = self._ranking(qm)
         reference = serial_plan_tmr(
-            qm, x, y, self.HARD_BER, self.TARGET, ranking, CONFIG, step=0.5
+            qm, x, y, self.HARD_BER, self.TARGET, ranking, CONFIG,
+            step=0.5, max_iterations=cap,
         )
-        off = plan_tmr(
+        capped = plan_tmr(
             qm, x, y, self.HARD_BER, self.TARGET, ranking, config=CONFIG,
-            step=0.5, speculative=False,
+            step=0.5, max_iterations=cap,
             engine=CampaignEngine(workers=PARITY_WORKERS),
         )
-        assert plan_summary(off) == plan_summary(reference)
+        assert plan_summary(capped) == plan_summary(reference)
+        assert capped.iterations <= cap
+
+    def test_saturation_without_convergence_matches_serial(
+        self, tiny_quantized, tiny_eval
+    ):
+        """An unreachable goal saturates every fraction; the planner must
+        stop at the same iteration count as the serial loop, not converged."""
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+        # Rank (and therefore protect) only the first layer: its categories
+        # saturate after a few increments while the rest of the network
+        # stays faulty at a far-past-cliff BER, so the goal stays out of
+        # reach and both planners must stop on the saturation path.
+        ranking = self._ranking(qm)[:1]
+        config = CampaignConfig(seeds=(0,), batch_size=24, max_samples=24)
+        reference = serial_plan_tmr(
+            qm, x, y, 5e-2, 1.0, ranking, config, step=0.5, max_iterations=50
+        )
+        saturated = plan_tmr(
+            qm, x, y, 5e-2, 1.0, ranking, config=config, step=0.5,
+            max_iterations=50, engine=CampaignEngine(workers=PARITY_WORKERS),
+        )
+        assert plan_summary(saturated) == plan_summary(reference)
+        assert not reference.converged, "saturation path must be exercised"
+        assert reference.iterations < 50
+
+    def test_checkpoint_resume_serves_every_unit_cached(
+        self, tiny_quantized, tiny_eval, tmp_path
+    ):
+        """A resumed planner run recomputes nothing and stays identical."""
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+        ckpt = tmp_path / "campaign.json"
+        ranking = self._ranking(qm)
+        first = plan_tmr(
+            qm, x, y, self.HARD_BER, self.TARGET, ranking, config=CONFIG,
+            step=0.5,
+            engine=CampaignEngine(workers=PARITY_WORKERS, checkpoint_path=ckpt),
+        )
+        events = []
+        resumed = plan_tmr(
+            qm, x, y, self.HARD_BER, self.TARGET, ranking, config=CONFIG,
+            step=0.5,
+            engine=CampaignEngine(
+                workers=1, checkpoint_path=ckpt, resume=True,
+                progress=events.append,
+            ),
+        )
+        assert plan_summary(resumed) == plan_summary(first)
+        # Every evaluation, across *all* planner iterations (last_stats
+        # only reflects the final evaluate_tasks call), came from the
+        # checkpoint.
+        assert events and all(event.cached for event in events)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"step": 0.0}, "step"),
+            ({"step": -0.25}, "step"),
+            ({"step": float("nan")}, "step"),
+            ({"max_iterations": 0}, "max_iterations"),
+        ],
+        ids=["step-zero", "step-negative", "step-nan", "no-iterations"],
+    )
+    def test_degenerate_config_rejected(
+        self, tiny_quantized, tiny_eval, kwargs, match
+    ):
+        """A step that cannot grow the plan, or a cap that allows no
+        evaluation, is a configuration error before any campaign runs."""
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+        options = {"step": 0.5, "max_iterations": 5, **kwargs}
+        events = []
+        with pytest.raises(ConfigurationError, match=match):
+            plan_tmr(
+                qm, x, y, self.HARD_BER, self.TARGET, self._ranking(qm),
+                config=CONFIG, engine=CampaignEngine(progress=events.append),
+                **options,
+            )
+        assert events == []
 
     def test_scheme_curves_engine_parity(self, tiny_quantized, tiny_eval):
         """run_tmr_schemes (the full Fig. 5 pipeline) is engine-invariant,
@@ -313,202 +395,3 @@ class TestFig5Parity:
             histories_serial = [r.history for r in serial_curves[name].results]
             histories_engine = [r.history for r in engine_curves[name].results]
             assert histories_engine == histories_serial
-
-
-# --- Fig. 5: speculative planner parallelism ------------------------------------
-class TestFig5Speculative:
-    """Speculative planning is result-identical to the serial heuristic.
-
-    The increment rule is accuracy-independent, so the candidate chain the
-    speculative planner evaluates ahead of time is exactly the serial
-    trajectory; only overshoot evaluations past the convergence point
-    differ (they are discarded and merely visible as extra checkpoint
-    entries).
-    """
-
-    TARGET = 0.85
-    HARD_BER = 5e-4
-
-    def _ranking(self, qmodel):
-        return [(l.name, 1.0) for l in qmodel.injectable_layers()]
-
-    def _reference(self, qm, x, y, **kwargs):
-        return serial_plan_tmr(
-            qm, x, y, self.HARD_BER, self.TARGET, self._ranking(qm), CONFIG,
-            step=0.5, **kwargs,
-        )
-
-    def test_speculative_matches_serial_reference(self, tiny_quantized, tiny_eval):
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        reference = self._reference(qm, x, y)
-        for lookahead in (None, 1, 2, 5):
-            speculative = plan_tmr(
-                qm, x, y, self.HARD_BER, self.TARGET, self._ranking(qm),
-                config=CONFIG, step=0.5, speculative=True, lookahead=lookahead,
-                engine=CampaignEngine(workers=PARITY_WORKERS),
-            )
-            assert plan_summary(speculative) == plan_summary(reference), (
-                f"lookahead={lookahead}"
-            )
-        assert reference.iterations > 1, "regression guard: goal must be non-trivial"
-
-    def test_adaptive_lookahead_matches_serial_reference(
-        self, tiny_quantized, tiny_eval
-    ):
-        """Adaptive depth shrinks rounds as the goal gap narrows, but only
-        ever picks a prefix of the predetermined chain — results must stay
-        identical to the serial heuristic, with no more overshoot than the
-        fixed-depth speculative run."""
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        reference = self._reference(qm, x, y)
-        fixed = plan_tmr(
-            qm, x, y, self.HARD_BER, self.TARGET, self._ranking(qm),
-            config=CONFIG, step=0.5, speculative=True, lookahead=4,
-            engine=CampaignEngine(workers=PARITY_WORKERS),
-        )
-        adaptive = plan_tmr(
-            qm, x, y, self.HARD_BER, self.TARGET, self._ranking(qm),
-            config=CONFIG, step=0.5, speculative=True, lookahead=4,
-            adaptive_lookahead=True,
-            engine=CampaignEngine(workers=PARITY_WORKERS),
-        )
-        assert plan_summary(adaptive) == plan_summary(reference)
-        assert adaptive.discarded_evaluations <= fixed.discarded_evaluations
-        assert reference.discarded_evaluations == 0
-
-    def test_adaptive_lookahead_saturation_path(self, tiny_quantized, tiny_eval):
-        """Adaptive depth on an unreachable goal (gap never closes) keeps
-        full-depth rounds and still matches the serial saturation stop."""
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        ranking = self._ranking(qm)[:1]
-        config = CampaignConfig(seeds=(0,), batch_size=24, max_samples=24)
-        reference = serial_plan_tmr(
-            qm, x, y, 5e-2, 1.0, ranking, config, step=0.5, max_iterations=50
-        )
-        adaptive = plan_tmr(
-            qm, x, y, 5e-2, 1.0, ranking, config=config, step=0.5,
-            max_iterations=50, speculative=True, lookahead=3,
-            adaptive_lookahead=True, engine=CampaignEngine(workers=PARITY_WORKERS),
-        )
-        assert plan_summary(adaptive) == plan_summary(reference)
-        assert not reference.converged
-
-    def test_speculative_serial_engine_identical(self, tiny_quantized, tiny_eval):
-        """Speculation without a pool (workers=1) is still result-identical."""
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        speculative = plan_tmr(
-            qm, x, y, self.HARD_BER, self.TARGET, self._ranking(qm),
-            config=CONFIG, step=0.5, speculative=True, lookahead=3,
-            engine=CampaignEngine(workers=1),
-        )
-        assert plan_summary(speculative) == plan_summary(self._reference(qm, x, y))
-
-    def test_max_iterations_clamp_matches_serial(self, tiny_quantized, tiny_eval):
-        """A lookahead round never runs past max_iterations, and the
-        truncated result (including the serial loop's trailing unevaluated
-        increment) is identical."""
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        for cap in (1, 2, 3):
-            reference = self._reference(qm, x, y, max_iterations=cap)
-            speculative = plan_tmr(
-                qm, x, y, self.HARD_BER, self.TARGET, self._ranking(qm),
-                config=CONFIG, step=0.5, speculative=True, lookahead=4,
-                max_iterations=cap, engine=CampaignEngine(workers=PARITY_WORKERS),
-            )
-            assert plan_summary(speculative) == plan_summary(reference), f"cap={cap}"
-            assert speculative.iterations <= cap
-
-    def test_saturation_without_convergence_matches_serial(
-        self, tiny_quantized, tiny_eval
-    ):
-        """An unreachable goal saturates every fraction; the speculative
-        planner must stop at the same iteration count, not converged."""
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        # Rank (and therefore protect) only the first layer: its categories
-        # saturate after a few increments while the rest of the network
-        # stays faulty at a far-past-cliff BER, so the goal stays out of
-        # reach and both planners must stop on the saturation path.
-        ranking = self._ranking(qm)[:1]
-        config = CampaignConfig(seeds=(0,), batch_size=24, max_samples=24)
-        reference = serial_plan_tmr(
-            qm, x, y, 5e-2, 1.0, ranking, config, step=0.5, max_iterations=50
-        )
-        speculative = plan_tmr(
-            qm, x, y, 5e-2, 1.0, ranking, config=config, step=0.5,
-            max_iterations=50, speculative=True, lookahead=3,
-            engine=CampaignEngine(workers=PARITY_WORKERS),
-        )
-        assert plan_summary(speculative) == plan_summary(reference)
-        assert not reference.converged, "saturation path must be exercised"
-        assert reference.iterations < 50
-
-    def test_speculative_overshoot_lands_in_checkpoint_harmlessly(
-        self, tiny_quantized, tiny_eval, tmp_path
-    ):
-        """The documented deviation: overshoot candidates are checkpointed
-        but never served to a non-speculative resume (different plans →
-        different keys), which stays bit-identical."""
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        ckpt = tmp_path / "campaign.json"
-        ranking = self._ranking(qm)
-        speculative = plan_tmr(
-            qm, x, y, self.HARD_BER, self.TARGET, ranking, config=CONFIG,
-            step=0.5, speculative=True, lookahead=4,
-            engine=CampaignEngine(
-                workers=PARITY_WORKERS, checkpoint_path=ckpt
-            ),
-        )
-        events = []
-        resumed_engine = CampaignEngine(
-            workers=1, checkpoint_path=ckpt, resume=True, progress=events.append
-        )
-        resumed = plan_tmr(
-            qm, x, y, self.HARD_BER, self.TARGET, ranking, config=CONFIG,
-            step=0.5, speculative=False, engine=resumed_engine,
-        )
-        assert plan_summary(resumed) == plan_summary(speculative)
-        # Every non-speculative evaluation, across *all* planner
-        # iterations (last_stats only reflects the final evaluate_tasks
-        # call), was served from the checkpoint.
-        assert events and all(event.cached for event in events)
-
-    def test_scheme_curves_speculative_parity(self, tiny_quantized, tiny_eval):
-        """run_tmr_schemes(speculative=True) reproduces the serial curves,
-        including every TmrPlanResult.history."""
-        qm_st, qm_wg = tiny_quantized
-        x, y = tiny_eval
-        fault_free = qm_st.evaluate(x[:24], y[:24])
-        goals = [fault_free * 0.8]
-        serial_curves = run_tmr_schemes(
-            qm_st, qm_wg, x, y, CLIFF_BER, goals, config=CONFIG, step=0.5
-        )
-        speculative_curves = run_tmr_schemes(
-            qm_st, qm_wg, x, y, CLIFF_BER, goals, config=CONFIG, step=0.5,
-            engine=CampaignEngine(workers=PARITY_WORKERS), speculative=True,
-        )
-        assert set(speculative_curves) == set(serial_curves)
-        for name in serial_curves:
-            assert (
-                speculative_curves[name].to_dict() == serial_curves[name].to_dict()
-            )
-            assert [r.history for r in speculative_curves[name].results] == [
-                r.history for r in serial_curves[name].results
-            ]
-
-    def test_bad_lookahead_rejected(self, tiny_quantized, tiny_eval):
-        from repro.errors import ConfigurationError
-
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        with pytest.raises(ConfigurationError, match="lookahead"):
-            plan_tmr(
-                qm, x, y, self.HARD_BER, self.TARGET, self._ranking(qm),
-                config=CONFIG, speculative=True, lookahead=0,
-            )

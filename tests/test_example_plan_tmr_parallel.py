@@ -1,9 +1,8 @@
 """Smoke test: examples/plan_tmr_parallel.py runs end-to-end.
 
-The example is the user-facing demonstration of speculative planning, so
-it is executed for real (tiny model, a few seconds) and its printed
-output — including its own serial-vs-speculative identity verification —
-is checked.
+The example is the user-facing demonstration of parallel planning, so it
+is executed for real (tiny model, a few seconds) and its printed output —
+including its own serial-vs-pool identity verification — is checked.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ def test_example_runs_and_verifies_identity(capsys):
     example = _load_example()
     example.main(workers=2)  # exercises the pool path when fork exists
     out = capsys.readouterr().out
-    # The example verifies speculative == serial itself and raises
-    # SystemExit on divergence; assert on the printed verdict too.
-    assert "speculative == serial heuristic : True" in out
+    # The example verifies pool == serial itself and raises SystemExit
+    # on divergence; assert on the printed verdict too.
+    assert "pool == serial heuristic : True" in out
     assert "converged: True" in out
     assert "protected fractions" in out
     # The demo is only meaningful if planning is non-trivial.

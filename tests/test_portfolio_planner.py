@@ -9,9 +9,9 @@ pin
   is orders cheaper than replicating it),
 * the single-scheme restrictions (``allowed=``) used for the comparison
   curves,
-* engine/speculative parity — the planner trajectory is bit-identical for
-  any worker count and with speculation on or off (CI tier-2 re-runs this
-  module with ``REPRO_PARITY_WORKERS=2``), and
+* engine parity — the planner trajectory is bit-identical for any worker
+  count (CI tier-2 re-runs this module with ``REPRO_PARITY_WORKERS=2``),
+  and
 * the serialization contract: scheme-free (legacy TMR) results keep the
   historical payload, portfolio results add a ``"schemes"`` map.
 """
@@ -155,7 +155,7 @@ class TestPortfolioPlanning:
 
 
 class TestPortfolioParity:
-    """Serial == engine pool == speculative, full trajectory included."""
+    """Serial == engine pool, full trajectory included."""
 
     def test_engine_worker_parity(self, tiny_quantized, tiny_eval):
         qm, _ = tiny_quantized
@@ -169,23 +169,6 @@ class TestPortfolioParity:
             engine=CampaignEngine(workers=PARITY_WORKERS),
         )
         assert plan_summary(pooled) == plan_summary(serial)
-
-    def test_speculative_parity(self, tiny_quantized, tiny_eval):
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        target = target_for(qm, x, y)
-        serial = plan_portfolio(
-            qm, x, y, HARD_BER, target, ranking_for(qm), config=CONFIG
-        )
-        for lookahead in (None, 2):
-            speculative = plan_portfolio(
-                qm, x, y, HARD_BER, target, ranking_for(qm), config=CONFIG,
-                speculative=True, lookahead=lookahead,
-                engine=CampaignEngine(workers=PARITY_WORKERS),
-            )
-            assert plan_summary(speculative) == plan_summary(serial), (
-                f"lookahead={lookahead}"
-            )
 
     def test_to_dict_schemes_only_on_portfolio_plans(
         self, tiny_quantized, tiny_eval
