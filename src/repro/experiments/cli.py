@@ -46,10 +46,10 @@ undisturbed one.
 policy (:class:`repro.runtime.RetryPolicy`).
 
 ``python -m repro.experiments.cli checkpoint fsck PATH [--repair]
-[--json]`` verifies a checkpoint store or a directory of stores offline
-(per-record CRCs, record shape, duplicates) and with ``--repair``
-compacts it to a clean version-3 store, quarantining damaged raw lines
-into ``*.quarantined`` sidecars.
+[--json]`` verifies one checkpoint store offline (per-record CRCs,
+record shape, duplicates) and with ``--repair`` rewrites it clean, one
+row per key, quarantining damaged raw lines into a ``*.quarantined``
+sidecar.
 
 Exit codes follow the :mod:`repro.errors` taxonomy so scripts can branch
 on the status alone: 0 success, 2 usage errors (argparse), 3 invalid
@@ -103,27 +103,21 @@ def _shard_samples(value: str):
 
 def _format_fsck_report(report) -> str:
     """Human-readable fsck summary naming every dropped key."""
+    version = (
+        f"v{report.version}" if report.version is not None else "not a checkpoint"
+    )
+    flags = []
+    if report.duplicates:
+        flags.append(f"{report.duplicates} duplicate(s)")
+    if report.repaired:
+        flags.append("repaired")
+    suffix = f" [{', '.join(flags)}]" if flags else ""
     lines = [
-        f"checkpoint fsck: {len(report.files)} file(s), "
-        f"{report.intact_records} intact record(s), "
-        f"{report.damaged_lines} damaged line(s)"
+        f"checkpoint fsck: {report.path}: {version}, {report.records} "
+        f"intact record(s), {len(report.damaged)} damaged line(s){suffix}"
     ]
-    for entry in report.files:
-        version = (
-            f"v{entry.version}" if entry.version is not None else "not a checkpoint"
-        )
-        flags = []
-        if entry.duplicates:
-            flags.append(f"{entry.duplicates} duplicate(s)")
-        if entry.repaired:
-            flags.append("repaired")
-        suffix = f" [{', '.join(flags)}]" if flags else ""
-        lines.append(
-            f"  {entry.path}: {version}, {entry.records} record(s), "
-            f"{len(entry.damaged)} damaged{suffix}"
-        )
     if report.dropped_keys:
-        lines.append("dropped keys (no intact copy anywhere in the set):")
+        lines.append("dropped keys (no intact copy in the store):")
         lines.extend(f"  {key}" for key in report.dropped_keys)
     keyless = report.unrecoverable - len(report.dropped_keys)
     if keyless:
@@ -143,32 +137,32 @@ def _format_fsck_report(report) -> str:
 def _checkpoint_main(argv: list[str]) -> int:
     """Entry point of ``cli checkpoint``: offline store maintenance.
 
-    ``fsck PATH`` verifies a checkpoint store (or a directory of shards
-    and stores) line by line — version-3 CRCs, record shape, duplicates
-    — and with ``--repair`` compacts every damaged or legacy file to a
-    clean version-3 store, quarantining damaged raw lines aside.  Exits
-    0 when the store is (or was repaired to) clean, 6 when damage
-    remains.
+    ``fsck PATH`` verifies one checkpoint store line by line — CRCs,
+    record shape, duplicates — and with ``--repair`` rewrites a damaged
+    or duplicate-carrying store clean, quarantining damaged raw lines
+    aside.  Exits 0 when the store is (or was repaired to) clean, 6 when
+    damage remains, the path is not a store file, or the repair's
+    write fails.
     """
     parser = argparse.ArgumentParser(
         prog="repro-experiments checkpoint",
-        description="Verify and repair campaign checkpoint stores.",
+        description="Verify and repair a campaign checkpoint store.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     fsck_parser = sub.add_parser(
         "fsck",
-        help="verify per-record CRCs; --repair compacts to a clean store",
+        help="verify one store's per-record CRCs; --repair rewrites it clean",
     )
     fsck_parser.add_argument(
         "path",
         metavar="PATH",
-        help="checkpoint file, or directory of shards/stores to walk",
+        help="checkpoint store file",
     )
     fsck_parser.add_argument(
         "--repair",
         action="store_true",
-        help="rewrite damaged/legacy files as clean v3 stores "
-        "(damaged raw lines are kept in *.quarantined sidecars)",
+        help="rewrite a damaged store clean, one row per key "
+        "(damaged raw lines are kept in a *.quarantined sidecar)",
     )
     fsck_parser.add_argument(
         "--json",

@@ -28,7 +28,6 @@ for the data flow.
 from repro.runtime.chaos import CHAOS_KINDS, ChaosSpec
 from repro.runtime.checkpoint import (
     CampaignCheckpoint,
-    FsckFileReport,
     FsckReport,
     fsck,
 )
@@ -51,7 +50,6 @@ from repro.runtime.hashing import (
 from repro.runtime.progress import (
     ProgressEvent,
     ProgressReporter,
-    ThroughputMeter,
     null_reporter,
     stream_reporter,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "CampaignCheckpoint",
     "ChaosSpec",
     "CHAOS_KINDS",
-    "FsckFileReport",
     "FsckReport",
     "RetryPolicy",
     "SweepStats",
@@ -82,7 +79,6 @@ __all__ = [
     "adaptive_fingerprint",
     "ProgressEvent",
     "ProgressReporter",
-    "ThroughputMeter",
     "null_reporter",
     "stream_reporter",
 ]

@@ -1,8 +1,8 @@
 """Deterministic chaos framework for the campaign runtime.
 
 Chaos testing asks: *does the runtime's detect/contain/recover machinery
-actually recover?*  This module answers it with a first-class,
-serializable :class:`ChaosSpec` whose every injection decision is a
+actually recover?*  This module answers it with a first-class
+:class:`ChaosSpec` whose every injection decision is a
 **pure function of (chaos seed, task key, attempt)** — the same
 keyed-Philox philosophy (:func:`repro.utils.rng.site_rng`) that makes
 the fault injectors partition-invariant.  Consequences:
@@ -91,7 +91,7 @@ _RATE_FIELDS = {
 
 @dataclass(frozen=True)
 class ChaosSpec:
-    """Serializable description of the faults to inject, and how often.
+    """Description of the faults to inject, and how often.
 
     Every rate is a per-decision probability in ``[0, 1]``; a decision
     point (one unit attempt, one flush attempt) consults
@@ -203,15 +203,9 @@ class ChaosSpec:
         draw = site_rng(self.seed, "chaos", kind, key, int(attempt)).random()
         return bool(draw < rate)
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (the inverse of :meth:`from_dict`)."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["fail_tags"] = list(self.fail_tags)
-        return doc
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ChaosSpec":
-        """Inverse of :meth:`to_dict`; unknown fields are rejected."""
+        """Build a spec from a field-name dict; unknown fields are rejected."""
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -281,19 +275,6 @@ class ChaosSpec:
                     f"{', '.join(_RATE_FIELDS)}"
                 )
         return cls(**doc)
-
-    def describe(self) -> str:
-        """Compact human-readable summary (logs, CI reports)."""
-        parts = [f"seed={self.seed}"]
-        for short, name in _RATE_FIELDS.items():
-            rate = getattr(self, name)
-            if rate > 0.0:
-                parts.append(f"{short}={rate:g}")
-        if self.slow_unit_rate > 0.0:
-            parts.append(f"slow_unit_seconds={self.slow_unit_seconds:g}")
-        if self.fail_tags:
-            parts.append("fail_tags=" + "|".join(self.fail_tags))
-        return ",".join(parts)
 
 
 def _real(name: str, value) -> float:

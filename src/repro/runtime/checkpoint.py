@@ -26,19 +26,18 @@ sample-sharded engines): it carries correct/total counts for one window
 of the evaluation set, distinguished by its ``correct`` field.  Slice
 keys bind their window, so point and slice records never collide.
 
-Record integrity (version 3)
-----------------------------
+Record integrity
+----------------
 Every record carries a ``crc`` field: the CRC32 of the row's canonical
 JSON serialization *without* the ``crc`` key.  A line that parses as JSON
-but fails its CRC — a bit flip on disk, a torn write whose prefix happens
-to be valid JSON — is treated exactly like an unparseable line: dropped
-at load with a warning, recomputed on resume, and reported by
-:func:`fsck`.  Version-2 files (no CRC) still load; when a v2 row *does*
-carry a ``crc`` it is verified.  Loaded v2 stores are compacted to a
-clean version-3 file on the first flush.  Headerless version-1
-single-document files are no longer read: loading one raises
-:class:`~repro.errors.CheckpointError` naming the version, and
-:func:`fsck` reports it as not a checkpoint.
+but fails (or lacks) its CRC — a bit flip on disk, a torn write whose
+prefix happens to be valid JSON — is treated exactly like an unparseable
+line: dropped at load with a warning, recomputed on resume, and reported
+by :func:`fsck`.  Version 3 is the only format read: any other header
+(the pre-CRC version 2, the headerless single-document version 1)
+raises :class:`~repro.errors.CheckpointError` naming the version, and
+:func:`fsck` reports such a file as not a checkpoint.  An empty file is
+a fresh store.
 
 Durability
 ----------
@@ -51,7 +50,9 @@ the file back to its pre-write size and raises
 :class:`~repro.errors.CheckpointWriteError` with every pending record
 retained in memory, so the flush can be retried with backoff; the engine
 degrades to checkpoint-less completion (with a loud warning) when the
-retry budget is spent.
+retry budget is spent.  Whole-store writes (a new store's first flush,
+compaction of a damaged file, ``fsck`` repair) go through one temp-file
++ ``fsync`` + atomic-rename writer that fails the same retryable way.
 
 A key appearing on several lines (e.g. a ``resume=False`` recompute) is
 resolved last-line-wins.  Keys already encode model + campaign +
@@ -59,9 +60,9 @@ protection + point content, so one checkpoint file safely accumulates
 tasks from many figures and models without collisions.
 
 ``fsck`` is the offline integrity tool: it verifies (and with
-``repair=True`` rewrites) a store or a whole directory of stores,
-quarantining damaged raw lines into a ``*.quarantined`` sidecar and
-naming every dropped key.
+``repair=True`` rewrites, one row per key) a single store, quarantining
+damaged raw lines into a ``*.quarantined`` sidecar and naming every
+dropped key.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ import os
 import re
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.errors import CheckpointError, CheckpointWriteError
@@ -79,7 +80,6 @@ from repro.faultsim.campaign import SampleSliceResult, SeedPointResult
 
 __all__ = [
     "CampaignCheckpoint",
-    "FsckFileReport",
     "FsckReport",
     "encode_record",
     "fsck",
@@ -87,7 +87,6 @@ __all__ = [
 ]
 
 _VERSION = 3
-_V2_VERSION = 2
 
 #: Either stored record shape.
 _Result = SeedPointResult | SampleSliceResult
@@ -96,7 +95,7 @@ _Result = SeedPointResult | SampleSliceResult
 DAMAGE_JSON = "json"          # not parseable as a JSON object
 DAMAGE_FIELDS = "fields"      # JSON but not a well-formed record row
 DAMAGE_CRC = "crc"            # CRC32 mismatch (bit flip / torn-but-valid)
-DAMAGE_MISSING_CRC = "missing-crc"  # v3 row without its required crc
+DAMAGE_MISSING_CRC = "missing-crc"  # row without its required crc
 
 #: Fallback key extraction from a damaged (unparseable) line, so fsck can
 #: still *name* the record a torn write destroyed.
@@ -134,7 +133,7 @@ def _row_result(row: dict) -> _Result:
     return SeedPointResult.from_dict(row)
 
 
-def _scan_line(line: str, require_crc: bool):
+def _scan_line(line: str):
     """Classify one data line: ``(key_or_None, result_or_None, damage)``.
 
     ``damage`` is ``None`` for an intact record, else one of the
@@ -147,83 +146,114 @@ def _scan_line(line: str, require_crc: bool):
     except json.JSONDecodeError:
         match = _KEY_RE.search(line)
         return (match.group(1) if match else None), None, DAMAGE_JSON
-    if not isinstance(row, dict) or "key" not in row:
+    if not isinstance(row, dict) or not isinstance(row.get("key"), str):
         return None, None, DAMAGE_FIELDS
     key = row["key"]
-    if not isinstance(key, str):
-        return None, None, DAMAGE_FIELDS
-    if "crc" in row:
-        try:
-            stored = int(row["crc"])
-        except (TypeError, ValueError):
-            return key, None, DAMAGE_CRC
-        if stored != record_crc(row):
-            return key, None, DAMAGE_CRC
-    elif require_crc:
+    if "crc" not in row:
         return key, None, DAMAGE_MISSING_CRC
+    try:
+        stored = int(row["crc"])
+    except (TypeError, ValueError):
+        return key, None, DAMAGE_CRC
+    if stored != record_crc(row):
+        return key, None, DAMAGE_CRC
     try:
         return key, _row_result(row), None
     except (KeyError, TypeError, ValueError):
         return key, None, DAMAGE_FIELDS
 
 
-def _parse_file(
-    path: Path, text: str
-) -> tuple[dict[str, _Result], list[int], bool]:
-    """Parse checkpoint ``text`` into (points, damaged line numbers, legacy).
+@dataclass
+class _Scan:
+    """What :func:`_scan` found in one store's text."""
 
-    Raises :class:`CheckpointError` when the file is unrecoverable (no
-    readable header, or an unsupported version); individual damaged point
-    lines — unparseable, malformed, or failing their CRC — are tolerated
-    and reported by number.  ``legacy`` is True when the file needs a
-    compacting rewrite on the next flush: a version-2 (pre-CRC) file, or
-    an empty file without a header.
+    #: Intact records, last-line-wins.
+    records: dict[str, _Result] = field(default_factory=dict)
+    #: One ``{"line": n, "key": key-or-None, "reason": DAMAGE_*}`` per bad line.
+    damaged: list[dict] = field(default_factory=list)
+    #: The damaged lines' raw text (what a repair quarantines).
+    bad_lines: list[str] = field(default_factory=list)
+    #: Non-blank record lines after the header.
+    lines: int = 0
+    #: Extra intact same-key lines collapsed last-line-wins.
+    duplicates: int = 0
+    #: True for a zero-byte or whitespace-only file (a fresh store).
+    empty: bool = False
+
+
+def _scan(path: Path, text: str) -> _Scan:
+    """Scan checkpoint ``text`` line by line.
+
+    Raises :class:`CheckpointError` when the file is not a version-3
+    store (no readable header, or any other version); individual damaged
+    record lines — unparseable, malformed, or failing their CRC — are
+    tolerated and reported.  A zero-byte (or whitespace-only) file —
+    ``touch``-created, or a crash before the header write — is a fresh
+    store, not a broken one.
     """
     if not text.strip():
-        # A zero-byte (or whitespace-only) file — e.g. `touch`-created, or
-        # a crash before the header write — is a fresh store, not a broken
-        # one.  The legacy flag forces the next flush to compact and write
-        # a clean v3 header (appending to a headerless file would corrupt
-        # it).
-        return {}, [], True
+        return _Scan(empty=True)
     lines = text.splitlines()
-    header = None
-    if lines:
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            header = None
-    if isinstance(header, dict) and "version" in header:
-        version = header["version"]
-        if version not in (_VERSION, _V2_VERSION):
-            raise CheckpointError(
-                f"checkpoint {path} has unsupported version {version!r}"
-            )
-        points: dict[str, _Result] = {}
-        damaged: list[int] = []
-        require_crc = version == _VERSION
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            key, result, damage = _scan_line(line, require_crc)
-            if damage is None:
-                points[key] = result
-            else:
-                damaged.append(lineno)
-        return points, damaged, version != _VERSION
-    # No versioned header: a multi-line document (the retired version-1
-    # format) or garbage.  Name the version when there is one.
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError:
+        header = None
+    if not (isinstance(header, dict) and "version" in header):
+        # No versioned header: a multi-line document (the retired
+        # version-1 format) or garbage.  Name the version when there is
+        # one.
+        try:
+            header = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(
+                f"checkpoint {path} has no readable header and is not valid "
+                f"JSON ({exc}); repair it or delete it to start fresh"
+            ) from exc
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != _VERSION:
         raise CheckpointError(
-            f"checkpoint {path} has no readable header and is not valid JSON "
-            f"({exc}); repair it or delete it to start fresh"
+            f"checkpoint {path} has unsupported version {version!r}"
+        )
+    scan = _Scan()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        scan.lines += 1
+        key, result, damage = _scan_line(line)
+        if damage is None:
+            if key in scan.records:
+                scan.duplicates += 1
+            scan.records[key] = result
+        else:
+            scan.damaged.append({"line": lineno, "key": key, "reason": damage})
+            scan.bad_lines.append(line)
+    return scan
+
+
+def _write_store(path: Path, records: dict[str, _Result]) -> None:
+    """Atomically replace ``path`` with a clean store, one sorted row per key.
+
+    Temp file + ``fsync`` + atomic rename, so a crash leaves either the
+    old file or the new one.  Any ``OSError`` (``ENOSPC``, a failed
+    rename) removes the temp file and raises
+    :class:`~repro.errors.CheckpointWriteError` with the old file
+    untouched, so the caller can retry.
+    """
+    tmp = path.with_suffix(f"{path.suffix}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps({"version": _VERSION}) + "\n")
+            for key in sorted(records):
+                handle.write(encode_record(key, records[key]))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise CheckpointWriteError(
+            f"checkpoint {path}: rewrite failed ({exc}); the file on disk "
+            "is unchanged"
         ) from exc
-    version = doc.get("version") if isinstance(doc, dict) else None
-    raise CheckpointError(
-        f"checkpoint {path} has unsupported version {version!r}"
-    )
 
 
 class CampaignCheckpoint:
@@ -236,19 +266,15 @@ class CampaignCheckpoint:
     An existing file is always loaded and merged into, never truncated:
     whether cached tasks are *served* back to a batch is the engine's
     ``resume`` policy, but completed work is never discarded (recomputed
-    tasks simply overwrite their own keys).
+    tasks simply overwrite their own keys).  Damaged lines are salvaged
+    around: loading warns, records their line numbers in
+    :attr:`damaged_lines`, and a resumed engine recomputes exactly those
+    entries.
 
     Parameters
     ----------
     path:
         Checkpoint file location.
-    flush_every:
-        Puts between flushes (1 = flush every completed task).
-    strict:
-        When True, damaged point lines raise :class:`CheckpointError` at
-        load instead of being salvaged around.  The default (False) warns,
-        records the damaged line numbers in :attr:`damaged_lines`, and
-        lets a resumed engine recompute exactly those entries.
     chaos:
         Optional :class:`repro.runtime.ChaosSpec` whose ``enospc`` and
         ``torn_write`` rates inject *recoverable* flush failures (a
@@ -258,24 +284,15 @@ class CampaignCheckpoint:
         retry/degrade path.  ``None`` (production) injects nothing.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        flush_every: int = 1,
-        strict: bool = False,
-        chaos=None,
-    ):
+    def __init__(self, path: str | Path, chaos=None):
         self.path = Path(path)
-        self.flush_every = max(1, int(flush_every))
-        self.strict = strict
         self.chaos = chaos if chaos is not None and chaos.active else None
         self._points: dict[str, _Result] = {}
         #: Keys put since the last flush, in completion order.
         self._pending: list[str] = []
         #: Keys whose current result this process knows to be on disk.
         self._persisted: set[str] = set()
-        self._dirty = 0
-        #: Full rewrite needed (legacy format or damaged lines on disk).
+        #: Full rewrite needed (empty file or damaged lines on disk).
         self._rewrite = False
         #: Chaos keying: failed flush attempts since the last success.
         self._flush_attempt = 1
@@ -285,28 +302,22 @@ class CampaignCheckpoint:
             self._load()
 
     def _load(self) -> None:
-        text = self.path.read_text(encoding="utf-8")
-        points, damaged, legacy = _parse_file(self.path, text)
+        scan = _scan(self.path, self.path.read_text(encoding="utf-8"))
+        damaged = [entry["line"] for entry in scan.damaged]
         if damaged:
-            if self.strict:
-                raise CheckpointError(
-                    f"checkpoint {self.path} has {len(damaged)} damaged "
-                    f"line(s) {damaged}; load with strict=False to salvage "
-                    "the intact entries and recompute the damaged ones"
-                )
             warnings.warn(
-                f"checkpoint {self.path}: salvaged {len(points)} entries, "
-                f"dropped {len(damaged)} damaged line(s) {damaged}; the "
-                "dropped entries will be recomputed",
+                f"checkpoint {self.path}: salvaged {len(scan.records)} "
+                f"entries, dropped {len(damaged)} damaged line(s) {damaged}; "
+                "the dropped entries will be recomputed",
                 RuntimeWarning,
                 stacklevel=3,
             )
-        self._points = points
-        self._persisted = set(points)
+        self._points = scan.records
+        self._persisted = set(scan.records)
         self.damaged_lines = damaged
-        # Legacy documents (v1/v2) and damaged files are compacted to
-        # clean version-3 on the next flush rather than appended to.
-        self._rewrite = bool(damaged) or legacy
+        # Damaged and empty (headerless) files are compacted to a clean
+        # store on the next flush rather than appended to.
+        self._rewrite = bool(damaged) or scan.empty
 
     def __len__(self) -> int:
         return len(self._points)
@@ -318,17 +329,13 @@ class CampaignCheckpoint:
         """Completed result for ``key``, or None if not checkpointed."""
         return self._points.get(key)
 
-    def items(self):
-        """Iterate ``(key, result)`` over every loaded entry (last-wins)."""
-        return self._points.items()
-
     @property
     def pending_records(self) -> int:
         """Records put but not yet persisted (nonzero after a failed flush)."""
         return len(self._pending)
 
     def put(self, key: str, result: _Result) -> None:
-        """Record a completed task; flushes every ``flush_every`` puts.
+        """Record a completed task and flush it.
 
         Re-putting a key whose identical result is already persisted (or
         already queued for the next flush) is a no-op: kill/resume loops
@@ -338,8 +345,8 @@ class CampaignCheckpoint:
         still appended and resolves last-line-wins.
 
         May raise :class:`~repro.errors.CheckpointWriteError` when the
-        triggered flush fails; the record itself is never lost — it
-        stays pending in memory and rides the next flush attempt.
+        flush fails; the record itself is never lost — it stays pending
+        in memory and rides the next flush attempt.
         """
         if self._points.get(key) == result and (
             key in self._persisted or key in self._pending
@@ -347,12 +354,10 @@ class CampaignCheckpoint:
             return
         self._points[key] = result
         self._pending.append(key)
-        self._dirty += 1
-        if self._dirty >= self.flush_every:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
-        """Persist the state: append new lines, or compact when needed.
+        """Persist the pending records: append them, or compact when needed.
 
         The fast path appends one line per task completed since the last
         flush — all of them in a single ``os.write`` + ``fsync`` on an
@@ -362,40 +367,26 @@ class CampaignCheckpoint:
         self-contained.  A failed append (``ENOSPC``, short write, or an
         injected chaos fault) rolls the file back to its pre-write size
         and raises :class:`~repro.errors.CheckpointWriteError` with every
-        pending record retained for a later retry.  A full rewrite (temp
-        file + atomic rename) happens only when the on-disk file needs
-        compaction (legacy format or damaged lines); the disk file is
-        re-read and merged under our points immediately before the
-        rename, so compaction keeps all work persisted up to that point,
-        but a concurrent append landing inside the re-read/rename window
-        of a compaction can still be lost.  Healthy version-3 files never
-        compact, so steady-state concurrent use is append-only and safe.
+        pending record retained for a later retry.  A whole-store write
+        happens only for a new file or when the on-disk file needs
+        compaction (empty or damaged); the disk file is re-read and
+        merged under our points immediately before the rename, so
+        compaction keeps all work persisted up to that point, but a
+        concurrent append landing inside the re-read/rename window of a
+        compaction can still be lost.  Healthy files never compact, so
+        steady-state concurrent use is append-only and safe.
         """
-        if self._dirty == 0:
+        if not self._pending:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists() and not self._rewrite:
             self._append_atomic()
         else:
-            self._write_full()
-
-    def compact(self) -> None:
-        """Rewrite the file keeping exactly one (last-wins) row per key.
-
-        Opt-in maintenance for stores grown by long kill/resume loops or
-        pre-dedupe writers: the append-only fast path never rewrites, so
-        historical duplicate rows survive until someone asks.  Uses the
-        same merge + temp-file + atomic-rename path as damage compaction
-        (on-disk entries unknown to this process are preserved), and
-        clears :attr:`damaged_lines` — a damaged line has no row to keep.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._write_full()
-        self.damaged_lines = []
+            self._compact()
 
     def _append_atomic(self) -> None:
         """Append all pending lines in one write; roll back on any failure."""
-        decision_key = self._pending[0] if self._pending else ""
+        decision_key = self._pending[0]
         if self.chaos is not None and self.chaos.decide(
             "enospc", decision_key, self._flush_attempt
         ):
@@ -404,7 +395,9 @@ class CampaignCheckpoint:
                 f"checkpoint {self.path}: chaos-injected ENOSPC on flush; "
                 f"{len(self._pending)} pending record(s) retained in memory"
             )
-        data = "".join(self._line(key) for key in self._pending).encode("utf-8")
+        data = "".join(
+            encode_record(key, self._points[key]) for key in self._pending
+        ).encode("utf-8")
         torn = self.chaos is not None and self.chaos.decide(
             "torn_write", decision_key, self._flush_attempt
         )
@@ -440,7 +433,6 @@ class CampaignCheckpoint:
             os.close(fd)
         self._persisted.update(self._pending)
         self._pending.clear()
-        self._dirty = 0
         self._flush_attempt = 1
 
     def _rollback(self, fd: int, offset: int) -> None:
@@ -456,45 +448,38 @@ class CampaignCheckpoint:
         except OSError:
             self._rewrite = True
 
-    def _write_full(self) -> None:
-        """Merge-under, then atomically rewrite one sorted row per key."""
+    def _compact(self) -> None:
+        """Merge-under the disk's records, then rewrite the whole store."""
         if self.path.exists():
             try:
-                disk, _, _ = _parse_file(
-                    self.path, self.path.read_text(encoding="utf-8")
-                )
+                disk = _scan(self.path, self.path.read_text(encoding="utf-8")).records
             except CheckpointError:
                 disk = {}
             for key, result in disk.items():
                 self._points.setdefault(key, result)
-        tmp = self.path.with_suffix(f"{self.path.suffix}.{os.getpid()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"version": _VERSION}) + "\n")
-            for key in sorted(self._points):
-                handle.write(self._line(key))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        _write_store(self.path, self._points)
         self._rewrite = False
         self._persisted = set(self._points)
         self._pending.clear()
-        self._dirty = 0
         self._flush_attempt = 1
-
-    def _line(self, key: str) -> str:
-        return encode_record(key, self._points[key])
 
 
 @dataclass
-class FsckFileReport:
-    """Integrity findings for one checkpoint file.
+class FsckReport:
+    """Integrity findings for one checkpoint store.
 
-    ``version`` is ``None`` when the file is not recognizably a
-    checkpoint (no readable v2/v3 header) — such files
-    are reported but never repaired, so pointing fsck at the wrong
-    directory cannot destroy anything.  ``damaged`` holds one entry per
-    bad line: ``{"line": n, "key": key-or-None, "reason": DAMAGE_*}``.
-    ``duplicates`` counts extra same-key lines collapsed last-line-wins.
+    ``version`` is ``None`` when the file is not a version-3 checkpoint
+    (no readable header, or a retired version) — such files are reported
+    but never repaired, so pointing fsck at the wrong file cannot destroy
+    anything.  ``lines`` counts record lines, ``records`` the intact keys
+    among them.  ``damaged`` holds one entry per bad line: ``{"line": n,
+    "key": key-or-None, "reason": DAMAGE_*}``.  ``duplicates`` counts
+    extra same-key lines collapsed last-line-wins.  ``dropped_keys``
+    names every key that appeared *only* on damaged lines — the records
+    actually lost (an engine resume recomputes exactly these);
+    ``unrecoverable`` additionally counts damaged lines whose key could
+    not even be extracted.  A verified-clean (or freshly repaired) store
+    reports ``unrecoverable == 0``.
     """
 
     path: str
@@ -503,184 +488,76 @@ class FsckFileReport:
     lines: int = 0
     damaged: list[dict] = field(default_factory=list)
     duplicates: int = 0
-    repaired: bool = False
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (the CLI's ``--json`` / CI artifact)."""
-        return {
-            "path": self.path,
-            "version": self.version,
-            "records": self.records,
-            "lines": self.lines,
-            "damaged": list(self.damaged),
-            "duplicates": self.duplicates,
-            "repaired": self.repaired,
-        }
-
-
-@dataclass
-class FsckReport:
-    """Aggregate integrity findings for a store or shard set.
-
-    ``dropped_keys`` names every key that appeared *only* on damaged
-    lines — the records actually lost (an engine resume recomputes
-    exactly these); a damaged line whose key also has an intact copy
-    anywhere in the set (a duplicated shard row) loses nothing.
-    ``unrecoverable`` additionally counts damaged lines whose key could
-    not even be extracted.  A verified-clean (or freshly repaired) store
-    reports ``unrecoverable == 0``.
-    """
-
-    files: list[FsckFileReport] = field(default_factory=list)
-    intact_records: int = 0
-    damaged_lines: int = 0
     dropped_keys: list[str] = field(default_factory=list)
     unrecoverable: int = 0
     repaired: bool = False
 
     def to_dict(self) -> dict:
         """JSON-serializable form (the CLI's ``--json`` / CI artifact)."""
-        return {
-            "files": [f.to_dict() for f in self.files],
-            "intact_records": self.intact_records,
-            "damaged_lines": self.damaged_lines,
-            "dropped_keys": list(self.dropped_keys),
-            "unrecoverable": self.unrecoverable,
-            "repaired": self.repaired,
-        }
+        return asdict(self)
 
     @property
     def clean(self) -> bool:
         """True when every scanned line verified intact (nothing dropped)."""
-        return self.damaged_lines == 0
-
-
-def _fsck_scan(path: Path) -> tuple[FsckFileReport, dict[str, _Result], list[str]]:
-    """Scan one file: its report, intact records, and damaged raw lines."""
-    text = path.read_text(encoding="utf-8")
-    report = FsckFileReport(path=str(path), version=None)
-    intact: dict[str, _Result] = {}
-    bad_lines: list[str] = []
-    if not text.strip():
-        report.version = _VERSION
-        return report, intact, bad_lines
-    lines = text.splitlines()
-    header = None
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        header = None
-    if not isinstance(header, dict) or header.get("version") not in (
-        _VERSION,
-        _V2_VERSION,
-    ):
-        return report, intact, bad_lines  # version=None: not a checkpoint
-    version = header["version"]
-    report.version = version
-    require_crc = version == _VERSION
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        report.lines += 1
-        key, result, damage = _scan_line(line, require_crc)
-        if damage is None:
-            if key in intact:
-                report.duplicates += 1
-            intact[key] = result
-        else:
-            report.damaged.append({"line": lineno, "key": key, "reason": damage})
-            bad_lines.append(line)
-    report.records = len(intact)
-    return report, intact, bad_lines
-
-
-def _fsck_repair(path: Path, intact: dict[str, _Result], bad_lines) -> None:
-    """Rewrite one file as clean v3; quarantine damaged raw lines aside.
-
-    The damaged lines are appended to ``<path>.quarantined`` before the
-    rewrite so repair never silently destroys bytes — a human (or a
-    smarter future salvager) can still inspect what was dropped.  The
-    rewrite itself is the standard temp-file + fsync + atomic-rename.
-    """
-    if bad_lines:
-        quarantine = path.with_name(path.name + ".quarantined")
-        with open(quarantine, "a", encoding="utf-8") as handle:
-            for line in bad_lines:
-                handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-    tmp = path.with_suffix(f"{path.suffix}.{os.getpid()}.fsck.tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"version": _VERSION}) + "\n")
-        for key in sorted(intact):
-            handle.write(encode_record(key, intact[key]))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-def _fsck_targets(path: Path) -> list[Path]:
-    """The checkpoint files one fsck invocation covers.
-
-    A file is checked alone; a directory is walked for ``*.jsonl`` and
-    ``*.json`` stores (the engine's default checkpoint is ``.json``) — anything
-    that turns out not to be a checkpoint is reported unreadable and left
-    untouched.
-    """
-    if path.is_file():
-        return [path]
-    if path.is_dir():
-        found = sorted(
-            p
-            for pattern in ("*.jsonl", "*.json")
-            for p in path.rglob(pattern)
-            if p.is_file() and not p.name.endswith(".quarantined")
-        )
-        return found
-    raise CheckpointError(f"fsck target {path} does not exist")
+        return not self.damaged
 
 
 def fsck(path: str | Path, repair: bool = False) -> FsckReport:
-    """Verify — and optionally repair — a checkpoint store or shard set.
+    """Verify — and optionally repair — one checkpoint store.
 
-    Scans every record line of ``path`` (a single store, or a directory
-    of shards/stores): JSON validity, record shape, and the version-3
-    CRC32 (required for v3 rows, verified-when-present for v2).  With
-    ``repair=True`` every damaged or version-2 file is compacted to a clean
-    version-3 store — damaged raw lines are quarantined into a
-    ``*.quarantined`` sidecar first, never silently destroyed — so a
-    subsequent fsck reports the store clean.  The returned
-    :class:`FsckReport` carries per-file findings plus the aggregate
-    salvage statistics: intact records, damaged lines, and the *names*
-    of every dropped key (damaged lines whose record survives intact
-    elsewhere in the set drop nothing).
+    Scans every record line of the file at ``path``: JSON validity,
+    record shape, and the CRC32.  With ``repair=True`` a damaged or
+    duplicate-carrying store is rewritten clean, one last-wins row per
+    key — damaged raw lines are quarantined into a ``<path>.quarantined``
+    sidecar first, never silently destroyed — so a subsequent fsck
+    reports the store clean.  Raises :class:`CheckpointError` when
+    ``path`` is missing or a directory, and
+    :class:`~repro.errors.CheckpointWriteError` when the repair's
+    quarantine or rewrite fails (the store is then left as it was).
     """
     path = Path(path)
-    report = FsckReport()
-    all_intact: set[str] = set()
-    damaged_keys: list[tuple[str | None, str]] = []  # (key or None, file)
-    for target in _fsck_targets(path):
-        file_report, intact, bad_lines = _fsck_scan(target)
-        report.files.append(file_report)
-        report.intact_records += file_report.records
-        report.damaged_lines += len(file_report.damaged)
-        all_intact.update(intact)
-        for entry in file_report.damaged:
-            damaged_keys.append((entry["key"], str(target)))
-        needs_repair = file_report.version is not None and (
-            file_report.damaged
-            or file_report.duplicates
-            or file_report.version != _VERSION
+    if not path.exists():
+        raise CheckpointError(f"fsck target {path} does not exist")
+    if not path.is_file():
+        raise CheckpointError(
+            f"fsck target {path} is not a file; fsck checks one store"
         )
-        if repair and needs_repair:
-            _fsck_repair(target, intact, bad_lines)
-            file_report.repaired = True
-            report.repaired = True
+    try:
+        scan = _scan(path, path.read_text(encoding="utf-8"))
+    except CheckpointError:
+        return FsckReport(path=str(path), version=None)  # never touched
     dropped = sorted(
-        {key for key, _ in damaged_keys if key is not None and key not in all_intact}
+        {
+            entry["key"]
+            for entry in scan.damaged
+            if entry["key"] is not None and entry["key"] not in scan.records
+        }
     )
-    report.dropped_keys = dropped
-    report.unrecoverable = len(dropped) + sum(
-        1 for key, _ in damaged_keys if key is None
+    keyless = sum(1 for entry in scan.damaged if entry["key"] is None)
+    report = FsckReport(
+        path=str(path),
+        version=_VERSION,
+        records=len(scan.records),
+        lines=scan.lines,
+        damaged=scan.damaged,
+        duplicates=scan.duplicates,
+        dropped_keys=dropped,
+        unrecoverable=len(dropped) + keyless,
     )
+    if repair and (scan.damaged or scan.duplicates):
+        if scan.bad_lines:
+            quarantine = path.with_name(path.name + ".quarantined")
+            try:
+                with open(quarantine, "a", encoding="utf-8") as handle:
+                    for line in scan.bad_lines:
+                        handle.write(line + "\n")
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            except OSError as exc:
+                raise CheckpointWriteError(
+                    f"checkpoint {path}: quarantining damaged lines to "
+                    f"{quarantine} failed ({exc}); store not repaired"
+                ) from exc
+        _write_store(path, scan.records)
+        report.repaired = True
     return report

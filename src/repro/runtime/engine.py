@@ -113,7 +113,6 @@ from repro.runtime.hashing import (
 from repro.runtime.progress import (
     ProgressEvent,
     ProgressReporter,
-    ThroughputMeter,
     null_reporter,
 )
 from repro.runtime.tasks import TaskSpec
@@ -411,7 +410,7 @@ class CampaignEngine:
         results.
         """
         config = config or CampaignConfig()
-        meter = ThroughputMeter()
+        started = time.perf_counter()
 
         # Expand to subtask granularity.  Two levels: tasks fan out into
         # per-seed subtasks, and (with sample_shard) each seed subtask
@@ -459,7 +458,7 @@ class CampaignEngine:
             if result is not None:
                 done += 1
                 self._report(
-                    meter, done, len(units), result, units[index].tag,
+                    done, len(units), result, units[index].tag,
                     cached=True, elapsed=0.0,
                 )
                 if on_result is not None:
@@ -481,7 +480,7 @@ class CampaignEngine:
                     # loudly if the disk never recovers.
                     pass
             self._report(
-                meter, done, len(units), result, units[index].tag,
+                done, len(units), result, units[index].tag,
                 cached=False, elapsed=elapsed,
             )
             if on_result is not None:
@@ -504,7 +503,7 @@ class CampaignEngine:
             computed_units=len(pending),
             cached_units=len(units) - len(pending),
             workers=self.workers,
-            elapsed_seconds=meter.elapsed,
+            elapsed_seconds=time.perf_counter() - started,
         )
         results = []
         for task, group in zip(tasks, groups):
@@ -785,7 +784,6 @@ class CampaignEngine:
 
     def _report(
         self,
-        meter: ThroughputMeter,
         done: int,
         total: int,
         result: SeedPointResult | SampleSliceResult,
@@ -793,7 +791,6 @@ class CampaignEngine:
         cached: bool,
         elapsed: float,
     ) -> None:
-        meter.tick()
         self.progress(
             ProgressEvent(
                 done=done,

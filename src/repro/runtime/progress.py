@@ -9,14 +9,12 @@ sequences so output composes with logs and CI transcripts.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
 __all__ = [
     "ProgressEvent",
     "ProgressReporter",
-    "ThroughputMeter",
     "stream_reporter",
     "null_reporter",
 ]
@@ -63,26 +61,3 @@ def stream_reporter(stream: TextIO | None = None) -> ProgressReporter:
         out.flush()
 
     return report
-
-
-class ThroughputMeter:
-    """Tracks wall-clock throughput of a sweep (units/second)."""
-
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
-        self.completed = 0
-
-    def tick(self) -> None:
-        """Record one completed unit."""
-        self.completed += 1
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds since the meter was created."""
-        return time.perf_counter() - self.start
-
-    @property
-    def rate(self) -> float:
-        """Completed units per second (0.0 before the first completion)."""
-        elapsed = self.elapsed
-        return self.completed / elapsed if elapsed > 0 else 0.0

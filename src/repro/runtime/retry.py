@@ -130,31 +130,6 @@ class RetryPolicy:
         u = float(site_rng(0, "retry-backoff", key, attempt).random())
         return delay * (1.0 - self.jitter + 2.0 * self.jitter * u)
 
-    def identity(self) -> dict:
-        """JSON-serializable form (the inverse of :meth:`from_identity`)."""
-        return {
-            "max_attempts": self.max_attempts,
-            "base_delay": self.base_delay,
-            "max_delay": self.max_delay,
-            "jitter": self.jitter,
-            "deadline": self.deadline,
-        }
-
-    @classmethod
-    def from_identity(cls, doc: dict) -> "RetryPolicy":
-        """Inverse of :meth:`identity`."""
-        return cls(
-            max_attempts=int(doc.get("max_attempts", 3)),
-            base_delay=float(doc.get("base_delay", 0.05)),
-            max_delay=float(doc.get("max_delay", 5.0)),
-            jitter=float(doc.get("jitter", 0.25)),
-            deadline=(
-                None
-                if doc.get("deadline") is None
-                else float(doc["deadline"])
-            ),
-        )
-
 
 @contextlib.contextmanager
 def unit_deadline(seconds: float | None, what: str = "unit"):

@@ -84,14 +84,6 @@ class TestChaosSpec:
         with pytest.raises(ConfigurationError, match="unknown chaos kind"):
             ChaosSpec().decide("meteor_strike", "k", 1)
 
-    def test_dict_round_trip(self):
-        spec = ChaosSpec(
-            seed=11, worker_crash_rate=0.2, fail_tags=("a", "b")
-        )
-        assert ChaosSpec.from_dict(spec.to_dict()) == spec
-        with pytest.raises(ConfigurationError, match="unknown ChaosSpec"):
-            ChaosSpec.from_dict({"seed": 1, "bogus": 2})
-
     def test_parse_kv_and_json(self):
         spec = ChaosSpec.parse(
             "seed=7,unit_error=0.2,torn_write=0.1,fail_tags=bad|worse"
@@ -102,6 +94,8 @@ class TestChaosSpec:
         assert spec.fail_tags == ("bad", "worse")
         as_json = ChaosSpec.parse('{"seed": 7, "unit_error_rate": 0.2}')
         assert as_json.seed == 7 and as_json.unit_error_rate == 0.2
+        with pytest.raises(ConfigurationError, match="unknown ChaosSpec"):
+            ChaosSpec.parse('{"seed": 1, "bogus": 2}')
 
     @pytest.mark.parametrize(
         "text",
@@ -218,10 +212,6 @@ class TestRetryPolicy:
         assert exact.backoff(3, "any") == 0.4
         with pytest.raises(ConfigurationError):
             policy.backoff(0)
-
-    def test_identity_round_trip(self):
-        policy = RetryPolicy(max_attempts=5, deadline=2.0)
-        assert RetryPolicy.from_identity(policy.identity()) == policy
 
 
 class TestUnitDeadline:

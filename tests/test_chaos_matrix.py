@@ -66,4 +66,4 @@ class TestChaosMatrix:
         # store must already be clean with every unit's record present.
         report = fsck(ckpt)
         assert report.clean and report.unrecoverable == 0
-        assert report.intact_records == len(BERS) * len(config.seeds)
+        assert report.records == len(BERS) * len(config.seeds)

@@ -1,19 +1,21 @@
 """Crash-safe checkpoint integrity: CRCs, atomic flushes, fsck, ENOSPC.
 
 Property under test: inflict randomized damage — truncated lines, bit
-flips, duplicated lines — across a directory of checkpoint shards, and
-``fsck --repair`` must leave shards that reopen to *exactly* the records
-whose lines were intact, with the report naming every dropped key.
-Plus the durability contract of the v3 store: flushes append whole
-lines atomically, torn/ENOSPC flushes roll back and retain
-records in memory, and the engine degrades checkpoint-less (loudly)
-rather than crashing when the disk stays broken.
+flips, duplicated lines — on one checkpoint store, and ``fsck --repair``
+must leave a store that reopens to *exactly* the records whose lines
+were intact, with the report naming every dropped key.  Plus the
+durability contract of the v3 store: flushes append whole lines
+atomically, torn/ENOSPC appends roll back and retain records in memory,
+a failed whole-store write leaves no temp file behind and is retryable
+too, and the engine degrades checkpoint-less (loudly) rather than
+crashing when the disk stays broken.
 """
 
 from __future__ import annotations
 
+import errno
 import json
-import warnings
+import os
 
 import numpy as np
 import pytest
@@ -30,11 +32,14 @@ def result_for(i: int) -> SeedPointResult:
     )
 
 
-def write_shard(path, keys):
-    store = CampaignCheckpoint(path, flush_every=len(keys) or 1)
-    for i, key in enumerate(keys):
+def write_store(path, keys):
+    store = CampaignCheckpoint(path)
+    for key in keys:
         store.put(key, result_for(int(key.split("-")[1])))
-    store.flush()
+
+
+def disk_full(*args):
+    raise OSError(errno.ENOSPC, "No space left on device (test)")
 
 
 class TestRecordCrc:
@@ -54,7 +59,7 @@ class TestRecordCrc:
 
     def test_bad_crc_line_dropped_at_load_and_recomputed(self, tmp_path):
         path = tmp_path / "ck.json"
-        write_shard(path, ["k-0", "k-1"])
+        write_store(path, ["k-0", "k-1"])
         lines = path.read_text().splitlines()
         row = json.loads(lines[1])
         row["accuracy"] += 0.5  # silent bit-flip style corruption
@@ -65,122 +70,115 @@ class TestRecordCrc:
         assert store.get(row["key"]) is None  # dropped, not trusted
         assert len(store) == 1
 
-    def test_v2_store_loads_without_crcs(self, tmp_path):
-        path = tmp_path / "ck.json"
-        rows = []
-        for i in range(3):
-            row = {"key": f"k-{i}", **result_for(i).to_dict()}
-            rows.append(json.dumps(row))
-        path.write_text(
-            json.dumps({"version": 2}) + "\n" + "\n".join(rows) + "\n"
-        )
-        store = CampaignCheckpoint(path, strict=True)
-        assert len(store) == 3
-        # First flush compacts to v3 with CRCs everywhere.
-        store.put("k-9", result_for(9))
-        store.flush()
-        lines = path.read_text().splitlines()
-        assert json.loads(lines[0]) == {"version": 3}
-        assert all("crc" in json.loads(line) for line in lines[1:])
 
-
-def damage_shards(shard_dir, rng):
+def damage_store(path, rng):
     """Randomized damage; returns the keys whose lines were destroyed.
 
-    Three damage modes per the satellite spec: truncate a line (torn
-    write), flip a byte inside the JSON payload (silent corruption), and
-    duplicate an intact line (double flush / merge artifact — harmless).
+    Three damage modes: truncate a line (torn write), flip a byte inside
+    the JSON payload (silent corruption), and duplicate an intact line
+    (double flush / merge artifact — harmless).
     """
     destroyed = set()
-    for path in sorted(shard_dir.glob("*.jsonl")):
-        lines = path.read_text().splitlines()
-        body = list(range(1, len(lines)))  # skip the header
-        rng.shuffle(body)
-        victims = body[: max(1, len(body) // 3)]
-        for lineno in victims:
-            key = json.loads(lines[lineno])["key"]
-            mode = rng.integers(0, 3)
-            if mode == 0:  # torn write: keep a prefix only
-                cut = int(rng.integers(1, max(2, len(lines[lineno]) - 10)))
-                lines[lineno] = lines[lineno][:cut]
-                destroyed.add(key)
-            elif mode == 1:  # bit flip in the accuracy digits
-                row = json.loads(lines[lineno])
-                row["accuracy"] = row["accuracy"] + 0.125
-                lines[lineno] = json.dumps(row)  # stale crc kept
-                destroyed.add(key)
-            else:  # duplicate an intact line: no data lost
-                lines.append(lines[lineno])
-        path.write_text("\n".join(lines) + "\n")
+    lines = path.read_text().splitlines()
+    body = list(range(1, len(lines)))  # skip the header
+    rng.shuffle(body)
+    for lineno in body[: max(1, len(body) // 3)]:
+        key = json.loads(lines[lineno])["key"]
+        mode = rng.integers(0, 3)
+        if mode == 0:  # torn write: keep a prefix only
+            cut = int(rng.integers(1, max(2, len(lines[lineno]) - 10)))
+            lines[lineno] = lines[lineno][:cut]
+            destroyed.add(key)
+        elif mode == 1:  # bit flip in the accuracy digits
+            row = json.loads(lines[lineno])
+            row["accuracy"] = row["accuracy"] + 0.125
+            lines[lineno] = json.dumps(row)  # stale crc kept
+            destroyed.add(key)
+        else:  # duplicate an intact line: no data lost
+            lines.append(lines[lineno])
+    path.write_text("\n".join(lines) + "\n")
     return destroyed
 
 
 class TestFsckProperty:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_repair_and_merge_recover_exactly_intact_records(
-        self, tmp_path, seed
-    ):
+    def test_repair_recovers_exactly_intact_records(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
-        shard_dir = tmp_path / "shards"
-        shard_dir.mkdir()
+        path = tmp_path / "ck.json"
         all_keys = [f"k-{i}" for i in range(24)]
-        for w, lo in enumerate(range(0, 24, 8)):
-            write_shard(
-                shard_dir / f"worker-{w}.jsonl", all_keys[lo : lo + 8]
-            )
-        destroyed = damage_shards(shard_dir, rng)
+        write_store(path, all_keys)
+        destroyed = damage_store(path, rng)
         intact = set(all_keys) - destroyed
 
-        report = fsck(shard_dir)
+        report = fsck(path)
         assert not report.clean
-        # The report names exactly the destroyed keys (duplicated lines
-        # keep their record intact elsewhere, so they never appear).
+        assert report.lines == len(path.read_text().splitlines()) - 1
+        # The report names only destroyed keys (a duplicated line keeps
+        # its record intact, so it never appears).
         assert set(report.dropped_keys) <= destroyed
-        named = {
-            entry["key"]
-            for f in report.files
-            for entry in f.damaged
-            if entry["key"] is not None
-        }
+        named = {e["key"] for e in report.damaged if e["key"] is not None}
         # Every destroyed key is at least *named* as damaged (torn lines
         # may hide the key beyond recovery; those count as unrecoverable).
-        keyless = sum(
-            1
-            for f in report.files
-            for entry in f.damaged
-            if entry["key"] is None
-        )
+        keyless = sum(1 for e in report.damaged if e["key"] is None)
         assert len(destroyed - named) <= keyless
+        assert report.unrecoverable == len(report.dropped_keys) + keyless
 
-        repaired = fsck(shard_dir, repair=True)
+        repaired = fsck(path, repair=True)
         assert repaired.repaired
         # Post-repair: the store is verifiably clean, damaged raw lines
         # are quarantined (not destroyed), nothing unrecoverable remains.
-        rescan = fsck(shard_dir)
+        rescan = fsck(path)
         assert rescan.clean and rescan.unrecoverable == 0
-        assert rescan.intact_records == len(intact)
-        assert list(shard_dir.glob("*.quarantined"))
+        assert rescan.records == rescan.lines == len(intact)
+        assert rescan.duplicates == 0
+        assert (tmp_path / "ck.json.quarantined").exists()
 
-        # Reopening every repaired shard yields exactly the intact set,
+        # Reopening the repaired store yields exactly the intact set,
         # each record with its original result.
-        recovered = {}
-        for shard in sorted(shard_dir.glob("*.jsonl")):
-            recovered.update(CampaignCheckpoint(shard, strict=True).items())
-        assert set(recovered) == intact
-        for key in intact:
-            assert recovered[key] == result_for(int(key.split("-")[1]))
+        store = CampaignCheckpoint(path)
+        assert store.damaged_lines == [] and len(store) == len(intact)
+        for key in all_keys:
+            expected = result_for(int(key.split("-")[1])) if key in intact else None
+            assert store.get(key) == expected
 
     def test_fsck_never_repairs_foreign_files(self, tmp_path):
         target = tmp_path / "notes.json"
         target.write_text('{"totally": "unrelated"}\n')
-        report = fsck(tmp_path, repair=True)
-        (entry,) = [f for f in report.files if f.path == str(target)]
-        assert entry.version is None and not entry.repaired
+        report = fsck(target, repair=True)
+        assert report.version is None and not report.repaired
         assert target.read_text() == '{"totally": "unrelated"}\n'
 
     def test_fsck_missing_target_is_typed(self, tmp_path):
         with pytest.raises(CheckpointError, match="does not exist"):
             fsck(tmp_path / "nope")
+
+    def test_fsck_directory_target_is_typed(self, tmp_path):
+        write_store(tmp_path / "ck.json", ["k-0"])
+        with pytest.raises(CheckpointError, match="not a file"):
+            fsck(tmp_path)
+
+    @pytest.mark.parametrize(
+        "damage, stage",
+        [("duplicate", "rewrite failed"), ("torn", "quarantining")],
+    )
+    def test_repair_whose_write_fails_leaves_store_as_is(
+        self, tmp_path, monkeypatch, damage, stage
+    ):
+        """A full disk during repair is a typed, retryable failure: a
+        damaged store fails at the quarantine write, a duplicate-only one
+        at the rewrite, and neither changes the store or leaves a temp
+        file."""
+        path = tmp_path / "ck.json"
+        write_store(path, ["k-0", "k-1"])
+        row = path.read_text().splitlines()[1]
+        with open(path, "a") as handle:
+            handle.write((row if damage == "duplicate" else row[:20]) + "\n")
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(CheckpointWriteError, match=stage):
+            fsck(path, repair=True)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 def chaos_firing_once(kind: str, key: str, rate: float = 0.7) -> ChaosSpec:
@@ -203,34 +201,49 @@ class TestDurableFlush:
         same process can then append cleanly, and no half-written line
         ever precedes a later append (ISSUE satellite b)."""
         path = tmp_path / "ck.json"
-        write_shard(path, ["k-0"])  # existing store -> append path
+        write_store(path, ["k-0"])  # existing store -> append path
         before = path.read_bytes()
         store = CampaignCheckpoint(
-            path, flush_every=100, chaos=chaos_firing_once("torn_write", "k-1")
+            path, chaos=chaos_firing_once("torn_write", "k-1")
         )
-        store.put("k-1", result_for(1))
         with pytest.raises(CheckpointWriteError, match="short write"):
-            store.flush()
+            store.put("k-1", result_for(1))
         assert path.read_bytes() == before  # rolled back, byte-exact
         assert store.pending_records == 1  # retained in memory
         # Chaos draws per flush attempt: the retry lands the record whole.
         store.flush()
-        reloaded = CampaignCheckpoint(path, strict=True)
+        reloaded = CampaignCheckpoint(path)
+        assert reloaded.damaged_lines == []
         assert reloaded.get("k-1") == result_for(1)
 
     def test_enospc_flush_retains_and_recovers(self, tmp_path):
         path = tmp_path / "ck.json"
-        write_shard(path, ["k-0"])
-        store = CampaignCheckpoint(
-            path, flush_every=100, chaos=chaos_firing_once("enospc", "k-1")
-        )
-        store.put("k-1", result_for(1))
+        write_store(path, ["k-0"])
+        store = CampaignCheckpoint(path, chaos=chaos_firing_once("enospc", "k-1"))
         with pytest.raises(CheckpointWriteError, match="ENOSPC"):
-            store.flush()
+            store.put("k-1", result_for(1))
         assert store.pending_records == 1
-        assert CampaignCheckpoint(path, strict=True).get("k-1") is None
+        assert CampaignCheckpoint(path).get("k-1") is None
         store.flush()  # fresh draw on the retry attempt
-        assert CampaignCheckpoint(path, strict=True).get("k-1") == result_for(1)
+        reloaded = CampaignCheckpoint(path)
+        assert reloaded.damaged_lines == []
+        assert reloaded.get("k-1") == result_for(1)
+
+    def test_failed_first_write_retains_and_recovers(self, tmp_path, monkeypatch):
+        """A new store's first flush writes the whole store; when that
+        write fails the temp file is removed and the record stays
+        pending, so the flush can be retried like a failed append."""
+        path = tmp_path / "ck.json"
+        store = CampaignCheckpoint(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", disk_full)
+            with pytest.raises(CheckpointWriteError, match="rewrite failed"):
+                store.put("k-0", result_for(0))
+        assert store.pending_records == 1
+        assert list(tmp_path.iterdir()) == []
+        store.flush()
+        assert store.pending_records == 0
+        assert CampaignCheckpoint(path).get("k-0") == result_for(0)
 
     def test_engine_degrades_checkpoint_less_when_disk_stays_broken(
         self, tiny_quantized, tiny_eval, tmp_path, monkeypatch
@@ -264,3 +277,29 @@ class TestDurableFlush:
             )
         # The campaign still completed, bit-identically.
         assert [r.to_dict() for r in got] == [r.to_dict() for r in ref]
+
+    def test_engine_degrades_when_first_write_hits_enospc(
+        self, tiny_quantized, tiny_eval, tmp_path, monkeypatch
+    ):
+        """On a fresh checkpoint path every flush is a whole-store write;
+        a full disk there must degrade like a failed append — bit-identical
+        results, a loud warning, and no temp file left behind."""
+        from repro.faultsim import CampaignConfig
+        from repro.runtime import CampaignEngine, RetryPolicy, TaskSpec
+
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+        config = CampaignConfig(seeds=(0, 1), batch_size=12, max_samples=24)
+        tasks = [TaskSpec(ber=1e-5, seeds=(0, 1))]
+        ref = CampaignEngine(workers=1).evaluate_tasks(qm, x, y, tasks, config=config)
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        engine = CampaignEngine(
+            workers=1,
+            checkpoint_path=tmp_path / "c.json",
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+        )
+        with pytest.warns(RuntimeWarning, match="checkpoint-less"):
+            got = engine.evaluate_tasks(qm, x, y, tasks, config=config)
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in ref]
+        assert list(tmp_path.iterdir()) == []

@@ -8,6 +8,7 @@ mapping rules (most-specific exception class wins).
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -168,6 +169,27 @@ class TestConfigurationRejectedBeforeAnyFigure:
         monkeypatch.setitem(cli._FIGURES, "fig5", stub)
         assert cli.main(["fig5"]) == EXIT_CONFIG
         assert "step" in capsys.readouterr().err
+
+
+class TestCheckpointRepairFailure:
+    def test_fsck_repair_whose_rewrite_fails_exits_checkpoint_code(
+        self, clean_store, monkeypatch, capsys
+    ):
+        """A full disk during ``fsck --repair`` is a typed checkpoint
+        failure (exit 6), not a traceback, and the store is left as-is."""
+        with open(clean_store, "a") as handle:  # a duplicate to repair
+            handle.write(clean_store.read_text().splitlines()[1] + "\n")
+        before = clean_store.read_bytes()
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, "No space left on device (test)")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        code = cli.main(["checkpoint", "fsck", str(clean_store), "--repair"])
+        assert code == EXIT_CHECKPOINT
+        assert "error:" in capsys.readouterr().err
+        assert clean_store.read_bytes() == before
+        assert [p.name for p in clean_store.parent.iterdir()] == ["ck.json"]
 
 
 class TestExitCodeMapping:

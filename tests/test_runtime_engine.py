@@ -203,12 +203,14 @@ class TestCheckpointResume:
             assert set(row) == {"key", "ber", "seed", "accuracy", "events", "crc"}
             assert row["crc"] == record_crc(row)
 
-    def test_legacy_v1_checkpoint_rejected(
-        self, tiny_quantized, tiny_eval, config, tmp_path
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_checkpoint_versions_rejected(
+        self, tiny_quantized, tiny_eval, config, tmp_path, version
     ):
-        """A headerless version-1 single-document file is no longer read:
-        loading names the unsupported version, and fsck reports it as not
-        a checkpoint and leaves it byte-for-byte untouched."""
+        """Retired formats — the headerless version-1 single document and
+        the pre-CRC version-2 lines — are no longer read: loading names
+        the unsupported version, and fsck reports the file as not a
+        checkpoint and leaves it byte-for-byte untouched."""
         from repro.errors import CheckpointError
         from repro.runtime import fsck
 
@@ -220,19 +222,26 @@ class TestCheckpointResume:
         points = checkpoint_points(ckpt)
 
         # Rewrite the same content in the retired format.
-        ckpt.write_text(json.dumps({"version": 1, "points": points}, indent=2))
+        if version == 1:
+            ckpt.write_text(json.dumps({"version": 1, "points": points}, indent=2))
+        else:
+            rows = [
+                json.dumps({"key": key, **{k: v for k, v in row.items() if k != "crc"}})
+                for key, row in points.items()
+            ]
+            ckpt.write_text("\n".join([json.dumps({"version": 2}), *rows]) + "\n")
         before = ckpt.read_bytes()
-        with pytest.raises(CheckpointError, match="unsupported version 1"):
+        match = f"unsupported version {version}"
+        with pytest.raises(CheckpointError, match=match):
             CampaignCheckpoint(ckpt)
-        with pytest.raises(CheckpointError, match="unsupported version 1"):
+        with pytest.raises(CheckpointError, match=match):
             CampaignEngine(workers=1, checkpoint_path=ckpt, resume=True).run_sweep(
                 qm, x, y, BERS[:1], config=config
             )
         report = fsck(ckpt, repair=True)
-        (file_report,) = report.files
-        assert file_report.version is None
-        assert file_report.records == 0
-        assert not file_report.repaired and not report.repaired
+        assert report.version is None
+        assert report.records == 0
+        assert not report.repaired
         assert ckpt.read_bytes() == before
 
 
@@ -369,7 +378,8 @@ class TestProgressAndCheckpointStore:
         store.flush()
         lines = path.read_text().splitlines()
         assert json.loads(lines[0]) == {"version": 3}
-        reloaded = CampaignCheckpoint(path, strict=True)
+        reloaded = CampaignCheckpoint(path)
+        assert reloaded.damaged_lines == []
         assert reloaded.get("abc") == SeedPointResult(
             ber=1e-5, seed=3, accuracy=0.5, events=7
         )
@@ -439,34 +449,70 @@ class TestCheckpointDedupe:
         assert len(path.read_text().splitlines()) == 3
         assert CampaignCheckpoint(path).get("abc") == self._result(accuracy=0.75)
 
-    def test_compact_keeps_one_last_wins_row_per_key(self, tmp_path):
+    def test_repair_keeps_one_last_wins_row_per_key(self, tmp_path):
+        from repro.runtime import fsck
+
         path = tmp_path / "ck.json"
         store = CampaignCheckpoint(path)
         store.put("abc", self._result(accuracy=0.5))
         store.put("abc", self._result(accuracy=0.75))
         store.put("xyz", self._result(accuracy=0.25))
         assert len(path.read_text().splitlines()) == 4
-        store.compact()
+        report = fsck(path, repair=True)
+        assert report.duplicates == 1 and report.repaired and report.clean
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert json.loads(lines[0]) == {"version": 3}
         rows = {json.loads(line)["key"] for line in lines[1:]}
         assert rows == {"abc", "xyz"}
-        reloaded = CampaignCheckpoint(path, strict=True)
+        reloaded = CampaignCheckpoint(path)
+        assert reloaded.damaged_lines == []
         assert reloaded.get("abc") == self._result(accuracy=0.75)
         assert reloaded.get("xyz") == self._result(accuracy=0.25)
 
-    def test_compact_preserves_rows_from_other_writers(self, tmp_path):
+    def test_repair_preserves_rows_from_other_writers(self, tmp_path):
+        from repro.runtime import fsck
+
         path = tmp_path / "ck.json"
         mine = CampaignCheckpoint(path)
         mine.put("aaa", self._result(accuracy=0.5))
         other = CampaignCheckpoint(path)
         other.put("bbb", self._result(accuracy=0.25))
-        mine.compact()  # must merge-under, not truncate to its own view
+        mine.put("aaa", self._result(accuracy=0.75))  # a duplicate to repair
+        assert fsck(path, repair=True).repaired
         merged = CampaignCheckpoint(path)
-        assert "aaa" in merged and "bbb" in merged and len(merged) == 2
+        assert len(merged) == 2
+        assert merged.get("aaa") == self._result(accuracy=0.75)
+        assert merged.get("bbb") == self._result(accuracy=0.25)
 
-    def test_compact_repairs_damaged_lines(self, tmp_path):
+    def test_compacting_flush_merges_under_concurrent_appends(self, tmp_path):
+        """A store that loaded a damaged file rewrites it on its next
+        flush; rows another writer appended since the load must survive
+        (the disk is re-read and merged under before the rename)."""
+        from repro.runtime import fsck
+        from repro.runtime.checkpoint import encode_record
+
+        path = tmp_path / "ck.json"
+        store = CampaignCheckpoint(path)
+        store.put("abc", self._result())
+        store.put("xyz", self._result(accuracy=0.25))
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][: len(lines[1]) // 2]  # crash mid-write
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.warns(RuntimeWarning, match="damaged line"):
+            mine = CampaignCheckpoint(path)
+        with open(path, "a") as handle:  # another writer's append
+            handle.write(encode_record("bbb", self._result(accuracy=0.125)))
+        mine.put("aaa", self._result(accuracy=0.5))
+        assert fsck(path).clean
+        merged = CampaignCheckpoint(path)
+        assert merged.damaged_lines == []
+        assert len(merged) == 3 and "abc" not in merged
+        assert merged.get("bbb") == self._result(accuracy=0.125)
+
+    def test_repair_drops_damaged_lines(self, tmp_path):
+        from repro.runtime import fsck
+
         path = tmp_path / "ck.json"
         store = CampaignCheckpoint(path)
         store.put("abc", self._result())
@@ -477,9 +523,10 @@ class TestCheckpointDedupe:
         with pytest.warns(RuntimeWarning, match="damaged line"):
             salvaged = CampaignCheckpoint(path)
         assert salvaged.damaged_lines == [2] and len(salvaged) == 1
-        salvaged.compact()
-        assert salvaged.damaged_lines == []
-        clean = CampaignCheckpoint(path, strict=True)
+        report = fsck(path, repair=True)
+        assert report.repaired and report.damaged[0]["line"] == 2
+        clean = CampaignCheckpoint(path)
+        assert clean.damaged_lines == []
         assert "xyz" in clean and len(clean) == 1
 
 
@@ -493,21 +540,6 @@ class TestCheckpointRobustness:
         lines[1] = lines[1][: len(lines[1]) // 2]
         ckpt.write_text("\n".join(lines) + "\n")
         return damaged_row
-
-    def test_strict_load_raises_clean_checkpoint_error(
-        self, tiny_quantized, tiny_eval, config, tmp_path
-    ):
-        from repro.errors import CheckpointError
-
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        ckpt = tmp_path / "campaign.json"
-        CampaignEngine(workers=1, checkpoint_path=ckpt).run_sweep(
-            qm, x, y, BERS[:1], config=config
-        )
-        self._damage_first_point_line(ckpt)
-        with pytest.raises(CheckpointError, match="damaged line"):
-            CampaignCheckpoint(ckpt, strict=True)
 
     def test_salvage_reports_damaged_lines(
         self, tiny_quantized, tiny_eval, config, tmp_path
@@ -547,7 +579,7 @@ class TestCheckpointRobustness:
         assert engine.last_stats.computed_units == 1
         assert engine.last_stats.cached_units == total - 1
         # The flush compacted the file: reloading sees no damage.
-        store = CampaignCheckpoint(ckpt, strict=True)
+        store = CampaignCheckpoint(ckpt)
         assert store.damaged_lines == [] and len(store) == total
 
 
