@@ -17,6 +17,7 @@ voltage-BER model in lambda space.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -137,7 +138,11 @@ class PreparedBenchmark:
     paper_label: str
     graph: object
     dataset: SyntheticDataset
-    float_accuracy: float
+
+    @functools.cached_property
+    def float_accuracy(self) -> float:
+        """Fault-free float accuracy on the test split, computed on first read."""
+        return evaluate_accuracy(self.graph, self.dataset.test_x, self.dataset.test_y)
 
     @property
     def eval_x(self) -> np.ndarray:
@@ -198,13 +203,11 @@ def prepare_benchmark(
         )
         save_npz_state(cache, graph.state_dict())
 
-    accuracy = evaluate_accuracy(graph, dataset.test_x, dataset.test_y)
     return PreparedBenchmark(
         name=name,
         paper_label=bench.paper_label,
         graph=graph,
         dataset=dataset,
-        float_accuracy=accuracy,
     )
 
 
@@ -221,7 +224,6 @@ def quantized_pair(
     qm_wg = quantize_model(prep.graph, calib, config, "winograd")
     for qm in (qm_st, qm_wg):
         qm.metadata["benchmark"] = prep.name
-        qm.metadata["float_accuracy"] = prep.float_accuracy
         qm.metadata["fault_free_accuracy"] = qm.evaluate(
             prep.eval_x[: profile.eval_samples], prep.eval_y[: profile.eval_samples]
         )

@@ -20,11 +20,18 @@ one contiguous slice of the evaluation samples, and
 the exact :class:`SeedPointResult` the unsliced evaluation produces —
 bit-identical for *any* slice size, because every fault draw is keyed by
 (seed, layer, site, sample chunk) rather than by stream position.
+
+The same keying makes a unit's faulty prefix reusable: both evaluators
+share :func:`_unit_predictions`, which starts each batch forward at the
+first injectable layer where the unit's plan differs from a retained
+sibling's (:class:`_FaultyPrefixes`), with results bit-identical to a
+fresh forward.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +41,7 @@ from repro.faultsim.abft import AbftChecker
 from repro.faultsim.model import FaultModelConfig
 from repro.faultsim.neuron_level import NeuronLevelInjector
 from repro.faultsim.operation_level import OperationLevelInjector
-from repro.faultsim.protection import ProtectionPlan
+from repro.faultsim.protection import SCHEME_NONE, ProtectionPlan
 from repro.faultsim.sites import expected_faults_per_image
 from repro.quantized.qmodel import QuantizedModel
 
@@ -92,6 +99,16 @@ class CampaignConfig:
     fault_config: FaultModelConfig = field(default_factory=FaultModelConfig)
     #: Optional limit on evaluation samples (None = use all provided).
     max_samples: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ConfigurationError(
+                f"batch_size must be >= 1, got {self.batch_size!r}"
+            )
+        if self.max_samples is not None and self.max_samples < 1:
+            raise ConfigurationError(
+                f"max_samples must be None or >= 1, got {self.max_samples!r}"
+            )
 
 
 @dataclass
@@ -232,6 +249,248 @@ def _make_injector(
     raise ValueError(f"unknown injector kind '{config.injector}'")
 
 
+def _sample_count(x: np.ndarray, config: CampaignConfig) -> int:
+    """Evaluation samples a unit scores: ``len(x)`` trimmed to ``max_samples``."""
+    if config.max_samples is None:
+        return len(x)
+    return min(len(x), config.max_samples)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where a model's forward may resume, and what each resume point reads.
+
+    ``bounds[j]`` is the node index of the ``j``-th injectable layer, and
+    the last entry ``len(nodes)`` stands for "after the whole forward".
+    ``live[j]`` names the node values computed before ``bounds[j]`` that
+    nodes from it on (or the output) read.
+    """
+
+    bounds: tuple[int, ...]
+    live: tuple[tuple[str, ...], ...]
+    widths: dict[str, int]
+
+    @classmethod
+    def of(cls, qmodel: QuantizedModel) -> "_Layout":
+        nodes = qmodel.nodes
+        position = {node.name: i for i, node in enumerate(nodes)}
+        injectable = {layer.name for layer in qmodel.injectable_layers()}
+        bounds = tuple(
+            i for i, node in enumerate(nodes) if node.name in injectable
+        ) + (len(nodes),)
+        last_read = {qmodel.output_name: len(nodes)}
+        for i, node in enumerate(nodes):
+            for src in node.inputs:
+                if src in position:
+                    last_read[src] = max(last_read.get(src, -1), i)
+        live = tuple(
+            tuple(
+                name for name, i in position.items()
+                if i < bound and last_read.get(name, -1) >= bound
+            )
+            for bound in bounds
+        )
+        widths = {node.name: node.out_fmt.width for node in nodes}
+        return cls(bounds, live, widths)
+
+
+def _plan_signature(
+    qmodel: QuantizedModel, config: CampaignConfig, protection
+) -> tuple:
+    """Per injectable layer, everything of the plan the injector reads there.
+
+    The operation-level injector thins a layer's draws by that layer's own
+    protected fractions and checks it with ABFT by its own scheme; the
+    neuron-level injector ignores the plan.
+    """
+    names = [layer.name for layer in qmodel.injectable_layers()]
+    if config.injector != INJECTOR_OPERATION or protection is None:
+        return (((), SCHEME_NONE),) * len(names)
+    fractions: dict[str, list] = {name: [] for name in names}
+    for (layer, category), fraction in protection.fractions.items():
+        if fraction and layer in fractions:
+            fractions[layer].append((category, fraction))
+    return tuple(
+        (tuple(sorted(fractions[name])), protection.scheme(name)) for name in names
+    )
+
+
+def _event_delta(now: dict[str, int], before: dict[str, int]) -> dict[str, int]:
+    """Per-category events counted since ``before``."""
+    return {
+        category: count - before.get(category, 0)
+        for category, count in now.items()
+        if count != before.get(category, 0)
+    }
+
+
+def _retain(value: np.ndarray, width: int) -> tuple[np.ndarray, np.dtype]:
+    """Read-only copy of a node value, at its format's integer width if it fits."""
+    narrow = np.min_scalar_type(-(1 << (width - 1)))
+    fits = narrow.kind == "i" and value.size and (
+        np.iinfo(narrow).min <= value.min() and value.max() <= np.iinfo(narrow).max
+    )
+    kept = value.astype(narrow) if fits else value.copy()
+    kept.flags.writeable = False
+    return kept, value.dtype
+
+
+@dataclass
+class _Trace:
+    """One completed batch forward of a unit, kept for its siblings.
+
+    ``counts[j]`` holds the per-category events the batch had drawn
+    before resume point ``j`` and ``values`` the node values some resume
+    point reads, each as (read-only copy, original dtype).
+    """
+
+    signature: tuple
+    counts: list[dict[str, int]]
+    values: dict[str, tuple[np.ndarray, np.dtype]]
+
+    def resume_point(self, signature: tuple) -> int:
+        """Index of the first injectable layer whose plan differs (or the end)."""
+        for j, (mine, theirs) in enumerate(zip(self.signature, signature)):
+            if mine != theirs:
+                return j
+        return len(signature)
+
+    def prefix(self, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+        """Fresh writable copies of the named values, in their original dtype."""
+        return {name: self.values[name][0].astype(self.values[name][1]) for name in names}
+
+
+class _FaultyPrefixes:
+    """Per-process forward state of one unit *family*.
+
+    A family is every unit on the same model, evaluation data, sample
+    range, batch size, BER, injector kind and fault config — everything
+    the injector reads except the plan and the seed — and kernel backend,
+    so one backend never serves its prefix to another's differential
+    check.  Every fault draw is keyed by (seed, layer, site, chunk) and
+    thinned only by its own layer's protected fraction, and node forwards
+    are pure, so two units of a family with the same seed compute
+    bit-identical node values and events up to the first injectable layer
+    where their plans differ.
+    The first completed trace per (seed, batch) is kept and lets later
+    siblings start there; it is replaced only by a unit that shares no
+    prefix with it.  The model and data are held by weak reference and
+    compared by identity, like the engine's fingerprint memo, which
+    assumes they are not mutated while in use.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop the family and everything retained for it."""
+        self._model = self._data = self._rest = None
+        self.layout: _Layout | None = None
+        self.traces: dict[tuple[int, int], _Trace] = {}
+
+    def enter(self, qmodel: QuantizedModel, x: np.ndarray, rest: tuple) -> None:
+        """Switch to the family of a unit, dropping another family's state."""
+        if (
+            self._model is not None
+            and self._model() is qmodel
+            and self._data() is x
+            and self._rest == rest
+        ):
+            return
+        self.clear()
+        self._model, self._data = weakref.ref(qmodel), weakref.ref(x)
+        self._rest = rest
+        self.layout = _Layout.of(qmodel)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of node values retained."""
+        return sum(
+            kept.nbytes for trace in self.traces.values()
+            for kept, _ in trace.values.values()
+        )
+
+
+_PREFIXES = _FaultyPrefixes()
+
+
+def _unit_predictions(
+    qmodel: QuantizedModel,
+    x: np.ndarray,
+    start: int,
+    stop: int,
+    ber: float,
+    seed: int,
+    config: CampaignConfig,
+    protection: ProtectionPlan | None,
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Predictions on samples ``[start, stop)`` of ``x`` under one unit's
+    faults, and the unit's per-category event counts.
+
+    Each batch forward starts at the first injectable layer where the
+    plan differs from the retained sibling trace of the same (seed,
+    batch), taking the node values before it and the events drawn up to
+    it from that trace (see :class:`_FaultyPrefixes`); results equal a
+    fresh ``qmodel.evaluate`` with a new injector bit for bit.  A unit
+    that raises leaves nothing retained.
+    """
+    injector = _make_injector(config, ber, seed, protection, sample_base=start)
+    _PREFIXES.enter(
+        qmodel, x,
+        (start, stop, config.batch_size, ber, config.injector, config.fault_config,
+         qmodel.kernel_backend),
+    )
+    layout = _PREFIXES.layout
+    signature = _plan_signature(qmodel, config, protection)
+    counts: dict[str, int] = {}
+    preds = []
+    completed: dict[tuple[int, int], _Trace] = {}
+    try:
+        for batch, lo in enumerate(range(start, stop, config.batch_size)):
+            xb = x[lo : min(lo + config.batch_size, stop)]
+            trace = _PREFIXES.traces.get((seed, batch))
+            j = trace.resume_point(signature) if trace is not None else 0
+            if trace is not None and layout.bounds[j] > 0:
+                values = qmodel.forward_trace(
+                    xb, injector, start=layout.bounds[j],
+                    prefix=trace.prefix(layout.live[j]),
+                )
+                for category, count in trace.counts[j].items():
+                    counts[category] = counts.get(category, 0) + count
+            else:
+                values, completed[(seed, batch)] = _traced_forward(
+                    qmodel, xb, injector, layout, signature
+                )
+            preds.append(np.argmax(values[qmodel.output_name], axis=1))
+    except BaseException:
+        _PREFIXES.clear()
+        raise
+    _PREFIXES.traces.update(completed)
+    for category, count in injector.event_counts.items():
+        counts[category] = counts.get(category, 0) + count
+    return np.concatenate(preds), counts
+
+
+def _traced_forward(qmodel, xb, injector, layout: _Layout, signature: tuple):
+    """A full batch forward that records a :class:`_Trace` on the way."""
+    before = dict(injector.event_counts)
+    position = {bound: j for j, bound in enumerate(layout.bounds)}
+    trace = _Trace(signature, [], {})
+
+    def observe(index: int, values: dict[str, np.ndarray]) -> None:
+        j = position.get(index)
+        if j is None:
+            return
+        trace.counts.append(_event_delta(injector.event_counts, before))
+        for name in layout.live[j]:
+            if name not in trace.values:
+                trace.values[name] = _retain(values[name], layout.widths[name])
+
+    values = qmodel.forward_trace(xb, injector, observe=observe)
+    observe(len(qmodel.nodes), values)
+    return values, trace
+
+
 def evaluate_seed_point(
     qmodel: QuantizedModel,
     x: np.ndarray,
@@ -249,20 +508,20 @@ def evaluate_seed_point(
     """
     config = config or CampaignConfig()
     ber = validate_ber(ber)
-    if config.max_samples is not None:
-        x, labels = x[: config.max_samples], labels[: config.max_samples]
     if ber == 0.0:
+        if config.max_samples is not None:
+            x, labels = x[: config.max_samples], labels[: config.max_samples]
         accuracy = qmodel.evaluate(x, labels, batch_size=config.batch_size)
         return SeedPointResult(ber=ber, seed=seed, accuracy=float(accuracy), events=0)
-    injector = _make_injector(config, ber, seed, protection)
-    accuracy = qmodel.evaluate(
-        x, labels, injector=injector, batch_size=config.batch_size
+    stop = _sample_count(x, config)
+    preds, counts = _unit_predictions(
+        qmodel, x, 0, stop, ber, seed, config, protection
     )
     return SeedPointResult(
         ber=ber,
         seed=seed,
-        accuracy=float(accuracy),
-        events=int(sum(injector.event_counts.values())),
+        accuracy=float((preds == labels[:stop]).mean()),
+        events=int(sum(counts.values())),
     )
 
 
@@ -288,22 +547,22 @@ def evaluate_sample_slice(
     """
     config = config or CampaignConfig()
     ber = validate_ber(ber)
-    if config.max_samples is not None:
-        x, labels = x[: config.max_samples], labels[: config.max_samples]
+    n_samples = _sample_count(x, config)
     start, stop = int(sample_slice[0]), int(sample_slice[1])
-    if not 0 <= start < stop <= len(x):
+    if not 0 <= start < stop <= n_samples:
         raise ConfigurationError(
-            f"sample slice [{start}, {stop}) out of range for {len(x)} samples"
+            f"sample slice [{start}, {stop}) out of range for {n_samples} samples"
         )
-    xs, ys = x[start:stop], labels[start:stop]
+    ys = labels[start:stop]
     if ber == 0.0:
-        preds = qmodel.predict(xs, batch_size=config.batch_size)
+        preds = qmodel.predict(x[start:stop], batch_size=config.batch_size)
         return SampleSliceResult(
             ber=ber, seed=seed, start=start, stop=stop,
             correct=int((preds == ys).sum()), total=stop - start, events=0,
         )
-    injector = _make_injector(config, ber, seed, protection, sample_base=start)
-    preds = qmodel.predict(xs, injector=injector, batch_size=config.batch_size)
+    preds, counts = _unit_predictions(
+        qmodel, x, start, stop, ber, seed, config, protection
+    )
     return SampleSliceResult(
         ber=ber,
         seed=seed,
@@ -311,7 +570,7 @@ def evaluate_sample_slice(
         stop=stop,
         correct=int((preds == ys).sum()),
         total=stop - start,
-        events=int(sum(injector.event_counts.values())),
+        events=int(sum(counts.values())),
     )
 
 

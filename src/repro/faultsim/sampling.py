@@ -2,7 +2,8 @@
 
 Every draw is a pure function of ``(campaign seed, layer, site, sample
 chunk)``, realized as keyed Philox streams
-(:func:`repro.utils.rng.site_rng`), so no draw depends on visit order,
+(:func:`repro.utils.rng.site_rng`, drawn on the reused generator of
+:func:`repro.utils.rng.shared_site_rng`), so no draw depends on visit order,
 batch boundaries or how the sample set is partitioned.
 
 Sampling protocol
@@ -40,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FaultModelError
-from repro.utils.rng import site_rng
+from repro.utils.rng import shared_site_rng
 
 __all__ = [
     "SiteEvents",
@@ -177,19 +178,20 @@ class CounterSampler:
         start = self._batch_start
         stop = start + n_batch
 
-        imgs: list[np.ndarray] = []
-        coord_cols: list[list[np.ndarray]] = [[] for _ in highs]
-        bit_us: list[np.ndarray] = []
-        sign_cols: list[np.ndarray] = []
+        # One (img, coords, bit_u, sign) part per chunk with events in the
+        # batch.  A chunk wholly inside the batch needs no mask, and a
+        # single part needs no concatenation.
+        parts: list[tuple] = []
         for index in range(start // chunk, (stop - 1) // chunk + 1):
-            rng = site_rng(self.seed, layer_name, site, index)
+            rng = shared_site_rng(self.seed, layer_name, site, index)
             count = int(rng.poisson(lam))
             if count > cap:
                 count = cap
                 self.capped = True
             if count == 0:
                 continue
-            sample = index * chunk + rng.integers(0, chunk, size=count)
+            first = index * chunk
+            sample = first + rng.integers(0, chunk, size=count)
             coords = [rng.integers(0, high, size=count) for high in highs]
             bit_u = rng.random(count)
             sign = (
@@ -197,21 +199,24 @@ class CounterSampler:
                 if with_signs
                 else None
             )
-            mask = (sample >= start) & (sample < stop)
-            if not mask.any():
-                continue
-            imgs.append(sample[mask] - start)
-            for column, axis in zip(coord_cols, coords):
-                column.append(axis[mask])
-            bit_us.append(bit_u[mask])
-            if sign is not None:
-                sign_cols.append(sign[mask])
+            if first < start or first + chunk > stop:
+                mask = (sample >= start) & (sample < stop)
+                if not mask.any():
+                    continue
+                sample, bit_u = sample[mask], bit_u[mask]
+                coords = [axis[mask] for axis in coords]
+                sign = sign[mask] if with_signs else None
+            parts.append((sample - start, coords, bit_u, sign))
 
-        if not imgs:
+        if not parts:
             return None
+        if len(parts) == 1:
+            img, coords, bit_u, sign = parts[0]
+            return SiteEvents(img=img, coords=coords, bit_u=bit_u, sign=sign)
+        imgs, coord_lists, bit_us, signs = zip(*parts)
         return SiteEvents(
             img=np.concatenate(imgs),
-            coords=[np.concatenate(column) for column in coord_cols],
+            coords=[np.concatenate(column) for column in zip(*coord_lists)],
             bit_u=np.concatenate(bit_us),
-            sign=np.concatenate(sign_cols) if with_signs else None,
+            sign=np.concatenate(signs) if with_signs else None,
         )

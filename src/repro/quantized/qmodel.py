@@ -33,7 +33,7 @@ class QuantizedModel:
     nodes: list[QNode]
     output_name: str
     input_shape: tuple[int, int, int]
-    #: Fault-free float-graph accuracy reference, set by experiment drivers.
+    #: Annotations set by experiment drivers (benchmark, fault-free accuracy).
     metadata: dict = field(default_factory=dict)
     #: Kernel backend serving the per-layer hot paths (see
     #: :mod:`repro.backends`).  Execution strategy only: every backend is
@@ -108,16 +108,28 @@ class QuantizedModel:
         return self.forward_trace(x, injector)[self.output_name]
 
     def forward_trace(
-        self, x: np.ndarray, injector: Injector | None = None
+        self,
+        x: np.ndarray,
+        injector: Injector | None = None,
+        start: int = 0,
+        prefix: dict[str, np.ndarray] | None = None,
+        observe=None,
     ) -> dict[str, np.ndarray]:
-        """Integer forward pass returning *every* node's output by name.
+        """Integer forward pass returning the node outputs it holds, by name.
 
-        :meth:`forward` returns this trace's output node.
+        :meth:`forward` returns this trace's output node.  A forward may
+        start at node index ``start`` when ``prefix`` supplies every value
+        that nodes from ``start`` on (and the output) read; the injector
+        still sees the batch begin.  ``observe(index, values)``, when
+        given, runs before each node with the values computed so far.
         """
         if injector is not None:
             injector.begin_inference(x.shape[0])
-        values: dict[str, np.ndarray] = {}
-        for node in self.nodes:
+        values: dict[str, np.ndarray] = dict(prefix or {})
+        for index in range(start, len(self.nodes)):
+            node = self.nodes[index]
+            if observe is not None:
+                observe(index, values)
             xs = [x] if node.op == "QInput" else [values[src] for src in node.inputs]
             values[node.name] = node.forward(xs, injector)
         return values

@@ -68,8 +68,10 @@ per-task pickling — the model and evaluation batch are megabytes, the
 dispatched unit a single integer index into the task table.  On platforms
 without ``fork`` the engine degrades to the serial path rather than
 failing.  The serial path and the pool are the engine's only executors,
-and both run every unit through :func:`_attempt_unit` as a full forward
-pass.
+and both run every unit through :func:`_attempt_unit`.  Each process
+keeps the faulty prefix of one unit family, so a unit whose plan differs
+from a sibling's only from layer L on starts its forward at L
+(:mod:`repro.faultsim.campaign`); results never depend on it.
 """
 
 from __future__ import annotations

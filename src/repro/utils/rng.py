@@ -15,6 +15,8 @@ requires that every stochastic component draw from an explicitly seeded
   or on different processes — and always see the same values, which is what
   makes fault sampling partition-invariant (see
   :mod:`repro.faultsim.sampling`).
+* :func:`shared_site_rng` yields the same keyed stream on one reused
+  per-process generator — the fault samplers' hot path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["as_rng", "spawn_rng", "site_rng", "RngFactory"]
+__all__ = ["as_rng", "spawn_rng", "site_rng", "shared_site_rng", "RngFactory"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -71,13 +73,59 @@ def site_rng(seed: int, *labels: int | str) -> np.random.Generator:
     of *when*, splitting an evaluation batch across workers cannot shift
     any draw.
     """
+    entropy = _entropy(seed, labels)
+    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy)))
+
+
+def _entropy(seed: int, labels: tuple) -> list[int]:
+    """SeedSequence entropy of a keyed stream: domain, seed, hashed labels."""
     entropy = [_SITE_DOMAIN, int(seed) & _MASK64]
     for label in labels:
         if isinstance(label, str):
             entropy.append(_label_to_int(label))
         else:
             entropy.append(int(label) & _MASK64)
-    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy)))
+    return entropy
+
+
+@functools.lru_cache(maxsize=8192)
+def _philox_key(seed: int, labels: tuple) -> np.ndarray:
+    """The Philox key ``Philox(seed=SeedSequence(entropy))`` would derive.
+
+    Bounded, so memory stays flat however many streams a campaign keys;
+    the fault samplers revisit the same (seed, layer, site, chunk) keys
+    on every unit of a campaign.
+    """
+    key = np.random.SeedSequence(_entropy(seed, labels)).generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
+
+
+_SHARED_BITGEN = np.random.Philox(0)
+_SHARED_RNG = np.random.Generator(_SHARED_BITGEN)
+_SHARED_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+    "buffer": np.zeros(4, dtype=np.uint64),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+
+
+def shared_site_rng(seed: int, *labels: int | str) -> np.random.Generator:
+    """:func:`site_rng`'s stream on one reused per-process generator.
+
+    Draws are identical to ``site_rng(seed, *labels)``: the shared Philox
+    is reset to the full state a fresh one starts from (zero counter, the
+    key's cached derivation, empty buffer, no buffered 32-bit half), which
+    skips building a ``SeedSequence`` and two objects per stream.  The
+    generator is valid until the next call, so a caller finishes its
+    draws from one stream before keying the next.
+    """
+    _SHARED_STATE["state"]["key"] = _philox_key(int(seed), labels)
+    _SHARED_BITGEN.state = _SHARED_STATE
+    return _SHARED_RNG
 
 
 def spawn_rng(parent: np.random.Generator, label: str) -> np.random.Generator:

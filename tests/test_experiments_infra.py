@@ -6,6 +6,7 @@ import pytest
 from repro.experiments.common import (
     ExperimentProfile,
     FULL,
+    PreparedBenchmark,
     QUICK,
     pick_cliff_ber,
 )
@@ -32,6 +33,30 @@ class TestProfiles:
 
     def test_neuron_injector_selectable(self):
         assert QUICK.campaign("neuron").injector == "neuron"
+
+
+class TestPreparedBenchmark:
+    def test_float_accuracy_is_computed_on_first_read(
+        self, tiny_trained, tiny_dataset, monkeypatch
+    ):
+        from repro.experiments import common
+        from repro.nn import evaluate_accuracy
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate_accuracy(*args)
+
+        monkeypatch.setattr(common, "evaluate_accuracy", counted)
+        prep = PreparedBenchmark("tiny", "Tiny", tiny_trained, tiny_dataset)
+        assert calls == []
+        expected = evaluate_accuracy(
+            tiny_trained, tiny_dataset.test_x, tiny_dataset.test_y
+        )
+        assert prep.float_accuracy == expected
+        assert prep.float_accuracy == expected
+        assert len(calls) == 1
 
 
 class TestPickCliffBer:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import FaultModelError
+from repro.errors import ConfigurationError, FaultModelError
 from repro.faultsim import (
     CampaignConfig,
     FaultModelConfig,
@@ -134,3 +134,17 @@ class TestCampaign:
         result = run_point(qm_st, x, y, 1e-7, CampaignConfig(seeds=(0,), max_samples=8))
         payload = result.to_dict()
         assert set(payload) >= {"ber", "lambda", "mean_accuracy", "per_seed"}
+
+
+class TestCampaignConfigValidation:
+    """A bad batch size or sample limit fails at construction, not mid-run."""
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            CampaignConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize("max_samples", [0, -3])
+    def test_max_samples_below_one_rejected(self, max_samples):
+        with pytest.raises(ConfigurationError, match="max_samples"):
+            CampaignConfig(max_samples=max_samples)

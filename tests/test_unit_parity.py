@@ -1,6 +1,7 @@
 """One execution path: every way of running a unit agrees bit for bit.
 
-A (BER, seed) unit is always evaluated by the full quantized forward.
+A (BER, seed) unit is always evaluated by one quantized forward (which
+may resume a sibling's faulty prefix; ``tests/test_prefix_reuse.py``).
 The runtime can still reach that forward several ways — the serial
 :func:`~repro.faultsim.run_point` loop, recombined
 :func:`~repro.faultsim.evaluate_sample_slice` windows, and

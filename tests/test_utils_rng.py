@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngFactory, as_rng, site_rng, spawn_rng
+from repro.utils.rng import RngFactory, as_rng, shared_site_rng, site_rng, spawn_rng
 
 
 class TestAsRng:
@@ -74,6 +74,32 @@ class TestSiteRng:
 
     def test_uses_counter_based_philox(self):
         assert isinstance(site_rng(0, "x").bit_generator, np.random.Philox)
+
+
+def _draws(rng):
+    """The sampler's draw kinds, in its order, incl. a buffered 32-bit half."""
+    return (
+        rng.poisson(3.7),
+        rng.integers(0, 8, size=5).tolist(),
+        rng.integers(0, 1 << 40, size=3).tolist(),
+        rng.random(4).tolist(),
+        rng.integers(0, 2, size=3).tolist(),
+    )
+
+
+class TestSharedSiteRng:
+    @pytest.mark.parametrize("key", [(7, "layer3", "wg_mul", 4), (0, "x"), (2, 5)])
+    def test_same_draws_as_a_fresh_keyed_stream(self, key):
+        assert _draws(shared_site_rng(*key)) == _draws(site_rng(*key))
+
+    def test_every_reset_restarts_the_stream(self):
+        """A partly consumed stream (mid-buffer, with a buffered 32-bit
+        half) leaves nothing behind for the next key, or the same key."""
+        expected = _draws(site_rng(1, "a", 0))
+        shared_site_rng(1, "b", 0).integers(0, 3, size=3)
+        assert _draws(shared_site_rng(1, "a", 0)) == expected
+        shared_site_rng(1, "a", 0).random(3)
+        assert _draws(shared_site_rng(1, "a", 0)) == expected
 
 
 class TestRngFactory:
