@@ -16,30 +16,11 @@ class TransientError(ReproError):
     """A failure expected to clear on retry (infrastructure, not logic).
 
     The unified :class:`repro.runtime.RetryPolicy` classifies exceptions
-    into *transient* (worth retrying with backoff: chaos injections, lost
-    workers, deadline aborts) and *permanent* (retrying re-raises the
+    into *transient* (worth retrying with backoff: deadline aborts,
+    failed checkpoint flushes) and *permanent* (retrying re-raises the
     same error: bad configuration, shape mismatches).  Library code
     raises a :class:`TransientError` subclass whenever the failure is an
     infrastructure condition rather than a property of the task itself.
-    """
-
-
-class ChaosError(TransientError):
-    """A deterministic chaos-framework injection fired (test harness).
-
-    Raised by :class:`repro.runtime.ChaosSpec` hooks — a unit exception
-    or a simulated worker crash — so resilience tests can tell injected
-    faults from organic ones.  Classified transient: the injection
-    decision is a pure function of (chaos seed, task key, attempt), so
-    the retried attempt draws fresh and usually succeeds.
-    """
-
-
-class WorkerCrashError(ChaosError):
-    """Chaos injection: the executing worker was declared dead mid-unit.
-
-    Raised in-band (a pool whose worker really died would lose its
-    result queue with it), and the engine's retry path re-runs the unit.
     """
 
 
@@ -48,8 +29,8 @@ class UnitDeadlineError(TransientError):
 
     Raised by the :func:`repro.runtime.unit_deadline` watchdog inside
     the worker executing the unit.  Transient by classification: a stall
-    is usually environmental (a stolen core, a chaos slow-unit
-    injection), so the retry policy re-runs the unit before giving up.
+    is usually environmental (a stolen core, a saturated disk), so the
+    retry policy re-runs the unit before giving up.
     """
 
 

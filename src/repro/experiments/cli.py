@@ -35,15 +35,9 @@ once its confidence interval is inside ``--ci-halfwidth`` (seed budget
 per-seed results, so adaptive runs stay bit-reproducible and resumable
 for any ``--workers``/``--shard-samples`` combination.
 
-``--chaos SPEC`` arms the deterministic chaos framework
-(:mod:`repro.runtime.chaos`) for resilience drills: ``SPEC`` is either a
-JSON object or compact ``key=value`` pairs (``seed=7,worker_crash=0.2,
-torn_write=0.1,slow_unit=0.05``), and every injection decision is a
-pure function of (chaos seed, task key, attempt) — reruns reproduce the
-same faults, and a chaos run that completes is bit-identical to an
-undisturbed one.
 ``--max-attempts`` / ``--unit-deadline`` configure the unified retry
-policy (:class:`repro.runtime.RetryPolicy`).
+policy (:class:`repro.runtime.RetryPolicy`); a deadline that is not a
+finite, armable number of seconds exits 3 before any figure starts.
 
 ``python -m repro.experiments.cli checkpoint fsck PATH [--repair]
 [--json]`` verifies one checkpoint store offline (per-record CRCs,
@@ -71,7 +65,7 @@ from repro.errors import (
 )
 from repro.experiments import fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig_portfolio
 from repro.experiments.common import FULL, QUICK, make_engine
-from repro.runtime import ChaosSpec, RetryPolicy, fsck, stream_reporter
+from repro.runtime import RetryPolicy, fsck, stream_reporter
 from repro.stats import StopRule
 
 _FIGURES = {
@@ -284,18 +278,6 @@ def _figures_main(argv: list[str]) -> int:
         help="adaptive mode: seed budget per BER point (default: 8)",
     )
     parser.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        default=None,
-        help="deterministic chaos injection for resilience drills: a JSON "
-        "object or pairs like 'seed=7,worker_crash=0.2,torn_write=0.1,"
-        "slow_unit=0.05' (rates: unit_error, slow_unit, worker_crash, "
-        "torn_write, enospc; plus seed, "
-        "slow_unit_seconds, fail_tags=a|b).  Decisions are pure "
-        "functions of (seed, task key, attempt); a completing chaos run "
-        "is bit-identical to an undisturbed one",
-    )
-    parser.add_argument(
         "--max-attempts",
         type=int,
         default=None,
@@ -324,9 +306,8 @@ def _figures_main(argv: list[str]) -> int:
     elif args.ci_halfwidth is not None or args.max_seeds is not None:
         parser.error("--ci-halfwidth/--max-seeds require --adaptive-ber")
 
-    # Parsed here (not in argparse) so a malformed spec exits with the
+    # Validated here (not in argparse) so a bad setting exits with the
     # configuration code (3), not argparse's usage code (2).
-    chaos = ChaosSpec.parse(args.chaos) if args.chaos else None
     retry = None
     if args.max_attempts is not None or args.unit_deadline is not None:
         retry_kwargs = {}
@@ -348,7 +329,6 @@ def _figures_main(argv: list[str]) -> int:
         checkpoint=args.checkpoint,
         progress=stream_reporter() if args.progress else None,
         sample_shard=args.shard_samples,
-        chaos=chaos,
         retry=retry,
     )
     targets = sorted(_FIGURES) if "all" in args.figures else args.figures

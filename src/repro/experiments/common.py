@@ -62,7 +62,6 @@ def make_engine(
     checkpoint: str | Path | None = None,
     progress=None,
     sample_shard: int | str | None = None,
-    chaos=None,
     retry=None,
 ) -> CampaignEngine:
     """Campaign engine with the default checkpoint under ``results_dir()``.
@@ -71,13 +70,10 @@ def make_engine(
     are keyed by a content hash of (model, campaign, BER, seed[, sample
     slice]).  ``sample_shard`` splits every (BER, seed) subtask into
     sample slices (CLI ``--shard-samples``), which changes wall-clock
-    only, never results.  ``chaos`` (a
-    :class:`repro.runtime.ChaosSpec`; CLI ``--chaos``) injects
-    deterministic faults for resilience drills, and ``retry``
-    (a :class:`repro.runtime.RetryPolicy`; CLI ``--max-attempts`` /
-    ``--unit-deadline``) sets the shared retry/backoff/deadline policy —
-    neither changes completed results, chaos only perturbs the road
-    there.
+    only, never results.  ``retry`` (a :class:`repro.runtime.RetryPolicy`;
+    CLI ``--max-attempts`` / ``--unit-deadline``) sets the shared
+    retry/backoff/deadline policy, which never changes completed results
+    either.
     """
     path = Path(checkpoint) if checkpoint else results_dir() / "checkpoints" / "campaign.json"
     return CampaignEngine(
@@ -86,7 +82,6 @@ def make_engine(
         resume=resume,
         progress=progress,
         sample_shard=sample_shard,
-        chaos=chaos,
         retry=retry,
     )
 

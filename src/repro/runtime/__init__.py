@@ -14,18 +14,15 @@ serial execution.  Accuracy sweeps (:meth:`CampaignEngine.run_sweep`,
 figs 1–2/6–7), layer vulnerability (Fig. 3), operation-type sensitivity
 (Fig. 4) and the TMR planner (Fig. 5) all route through the same
 engine, which runs units serially in-process or on a forked pool,
-bit-identically.  Resilience is a first-class surface:
-a unified :class:`RetryPolicy` (bounded attempts, seeded exponential
-backoff, transient-vs-permanent classification, optional per-unit
-deadline) governs every unit attempt, the deterministic
-chaos framework (:class:`ChaosSpec`, :mod:`repro.runtime.chaos`) injects
-reproducible faults for drills, and checkpoint stores carry per-record
-CRCs with an offline :func:`fsck` checker/repairer.  See
+bit-identically.  A unified :class:`RetryPolicy` (bounded attempts,
+seeded exponential backoff, transient-vs-permanent classification,
+optional per-unit deadline) governs every unit attempt and checkpoint
+flush, and checkpoint stores carry per-record CRCs with an offline
+:func:`fsck` checker/repairer.  See
 ``docs/RUNTIME.md`` for the full contract and ``docs/ARCHITECTURE.md``
 for the data flow.
 """
 
-from repro.runtime.chaos import CHAOS_KINDS, ChaosSpec
 from repro.runtime.checkpoint import (
     CampaignCheckpoint,
     FsckReport,
@@ -59,8 +56,6 @@ from repro.runtime.tasks import TaskSpec
 __all__ = [
     "CampaignEngine",
     "CampaignCheckpoint",
-    "ChaosSpec",
-    "CHAOS_KINDS",
     "FsckReport",
     "RetryPolicy",
     "SweepStats",

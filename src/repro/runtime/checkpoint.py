@@ -275,18 +275,10 @@ class CampaignCheckpoint:
     ----------
     path:
         Checkpoint file location.
-    chaos:
-        Optional :class:`repro.runtime.ChaosSpec` whose ``enospc`` and
-        ``torn_write`` rates inject *recoverable* flush failures (a
-        simulated full disk, a simulated short write — both rolled back
-        and surfaced as :class:`~repro.errors.CheckpointWriteError` with
-        the pending records retained), exercising the engine's flush
-        retry/degrade path.  ``None`` (production) injects nothing.
     """
 
-    def __init__(self, path: str | Path, chaos=None):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.chaos = chaos if chaos is not None and chaos.active else None
         self._points: dict[str, _Result] = {}
         #: Keys put since the last flush, in completion order.
         self._pending: list[str] = []
@@ -294,8 +286,6 @@ class CampaignCheckpoint:
         self._persisted: set[str] = set()
         #: Full rewrite needed (empty file or damaged lines on disk).
         self._rewrite = False
-        #: Chaos keying: failed flush attempts since the last success.
-        self._flush_attempt = 1
         #: Line numbers dropped during load (empty for a healthy file).
         self.damaged_lines: list[int] = []
         if self.path.exists():
@@ -364,10 +354,10 @@ class CampaignCheckpoint:
         ``O_APPEND`` descriptor, so an interrupt can never leave this
         process's own half-written line behind, and appends from
         concurrent writers merge trivially, every line being
-        self-contained.  A failed append (``ENOSPC``, short write, or an
-        injected chaos fault) rolls the file back to its pre-write size
-        and raises :class:`~repro.errors.CheckpointWriteError` with every
-        pending record retained for a later retry.  A whole-store write
+        self-contained.  A failed append (``ENOSPC``, a short write)
+        rolls the file back to its pre-write size and raises
+        :class:`~repro.errors.CheckpointWriteError` with every pending
+        record retained for a later retry.  A whole-store write
         happens only for a new file or when the on-disk file needs
         compaction (empty or damaged); the disk file is re-read and
         merged under our points immediately before the rename, so
@@ -386,42 +376,23 @@ class CampaignCheckpoint:
 
     def _append_atomic(self) -> None:
         """Append all pending lines in one write; roll back on any failure."""
-        decision_key = self._pending[0]
-        if self.chaos is not None and self.chaos.decide(
-            "enospc", decision_key, self._flush_attempt
-        ):
-            self._flush_attempt += 1
-            raise CheckpointWriteError(
-                f"checkpoint {self.path}: chaos-injected ENOSPC on flush; "
-                f"{len(self._pending)} pending record(s) retained in memory"
-            )
         data = "".join(
             encode_record(key, self._points[key]) for key in self._pending
         ).encode("utf-8")
-        torn = self.chaos is not None and self.chaos.decide(
-            "torn_write", decision_key, self._flush_attempt
-        )
         fd = os.open(str(self.path), os.O_WRONLY | os.O_APPEND)
         try:
             offset = os.fstat(fd).st_size
             try:
-                if torn:
-                    # Simulated torn write: persist only a prefix, then
-                    # take the short-write recovery path below.
-                    written = os.write(fd, data[: max(1, len(data) // 2)])
-                else:
-                    written = os.write(fd, data)
+                written = os.write(fd, data)
             except OSError as exc:
                 self._rollback(fd, offset)
-                self._flush_attempt += 1
                 raise CheckpointWriteError(
                     f"checkpoint {self.path}: append failed ({exc}); "
                     f"{len(self._pending)} pending record(s) retained in "
                     "memory for a retried flush"
                 ) from exc
-            if torn or written != len(data):
+            if written != len(data):
                 self._rollback(fd, offset)
-                self._flush_attempt += 1
                 raise CheckpointWriteError(
                     f"checkpoint {self.path}: short write ({written} of "
                     f"{len(data)} bytes — disk full?); rolled back, "
@@ -433,7 +404,6 @@ class CampaignCheckpoint:
             os.close(fd)
         self._persisted.update(self._pending)
         self._pending.clear()
-        self._flush_attempt = 1
 
     def _rollback(self, fd: int, offset: int) -> None:
         """Truncate a failed append back to the pre-write size.
@@ -461,7 +431,6 @@ class CampaignCheckpoint:
         self._rewrite = False
         self._persisted = set(self._points)
         self._pending.clear()
-        self._flush_attempt = 1
 
 
 @dataclass

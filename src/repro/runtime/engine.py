@@ -104,7 +104,6 @@ from repro.faultsim.campaign import (
 )
 from repro.faultsim.protection import ProtectionPlan
 from repro.quantized.qmodel import QuantizedModel
-from repro.runtime.chaos import ChaosSpec, apply_unit_chaos
 from repro.runtime.checkpoint import CampaignCheckpoint
 from repro.runtime.retry import RetryPolicy, unit_deadline
 from repro.runtime.hashing import (
@@ -245,19 +244,18 @@ def _evaluate_unit(qmodel, x, labels, config, task: TaskSpec):
 
 
 def _attempt_unit(payload: tuple, index: int, attempt: int):
-    """One guarded unit attempt: chaos hooks, deadline watchdog, evaluate.
+    """One guarded unit attempt: deadline watchdog, then evaluate.
 
     The shared execution core of the serial path and the pool worker:
-    applies the pre-evaluation chaos hooks (slow unit, poison tag,
-    injected error, simulated crash — all pure functions of the unit's
-    key and this attempt number), arms the per-unit deadline watchdog
-    when the retry policy carries one, and classifies any exception
-    transient/permanent for the consumer's retry decision.
+    arms the per-unit deadline watchdog when the retry policy carries
+    one, and classifies any exception transient/permanent for the
+    consumer's retry decision.  ``attempt`` (1 = first execution) does
+    not change what runs: a unit is a pure function of its spec.  It is
+    passed so that wrappers of this function can observe retries.
     """
-    qmodel, x, labels, config, tasks, keys, chaos, retry = payload
+    qmodel, x, labels, config, tasks, keys, retry = payload
     start = time.perf_counter()
     try:
-        apply_unit_chaos(chaos, keys[index], tasks[index].tag, attempt)
         deadline = retry.deadline if retry is not None else None
         with unit_deadline(deadline, what=f"unit {keys[index] or index}"):
             result = _evaluate_unit(qmodel, x, labels, config, tasks[index])
@@ -314,14 +312,6 @@ class CampaignEngine:
         no deadline).  Units that exhaust their attempts are quarantined,
         surfacing as :class:`~repro.errors.TaskQuarantinedError` naming
         every quarantined key.
-    chaos:
-        Optional :class:`repro.runtime.ChaosSpec` injecting
-        deterministic faults — unit errors, slow units, worker crashes,
-        torn checkpoint writes, ENOSPC flushes — whose
-        decisions are pure functions of (chaos seed, task key, attempt),
-        so a chaos run completes bit-identically to the undisturbed run
-        once the runtime's recovery machinery drains the injected
-        faults.  ``None`` (default) injects nothing.
     """
 
     def __init__(
@@ -332,17 +322,10 @@ class CampaignEngine:
         progress: ProgressReporter | None = None,
         sample_shard: int | str | None = None,
         retry: RetryPolicy | None = None,
-        chaos: ChaosSpec | None = None,
     ):
         self.workers = resolve_workers(workers)
         #: Unified retry policy (attempt budget, backoff, deadline).
         self.retry = retry if retry is not None else RetryPolicy()
-        if chaos is not None and not isinstance(chaos, ChaosSpec):
-            raise ConfigurationError(
-                f"chaos must be a ChaosSpec (or None), got {type(chaos).__name__}"
-            )
-        #: Deterministic fault-injection spec (None = inject nothing).
-        self.chaos = chaos if chaos is not None and chaos.active else None
         if isinstance(sample_shard, str):
             if sample_shard != SAMPLE_SHARD_AUTO:
                 raise ConfigurationError(
@@ -466,7 +449,7 @@ class CampaignEngine:
                 if on_result is not None:
                     on_result(index, units[index], result, True)
 
-        payload = (qmodel, x, labels, config, units, keys, self.chaos, self.retry)
+        payload = (qmodel, x, labels, config, units, keys, self.retry)
 
         def absorb(index: int, result, elapsed: float) -> None:
             """Fold one completed live unit into slots/checkpoint/progress."""
@@ -574,15 +557,13 @@ class CampaignEngine:
         if self.checkpoint_path is None:
             return None
         if self._checkpoint is None:
-            self._checkpoint = CampaignCheckpoint(
-                self.checkpoint_path, chaos=self.chaos
-            )
+            self._checkpoint = CampaignCheckpoint(self.checkpoint_path)
         return self._checkpoint
 
     def _flush_with_retry(self, checkpoint: CampaignCheckpoint | None) -> None:
         """Flush the checkpoint, retrying transient write failures.
 
-        A failed flush (``ENOSPC``, torn write — real or chaos-injected)
+        A failed flush (``ENOSPC``, a torn write)
         leaves every pending record in the store's memory, so each retry
         re-attempts the full append after a policy backoff.  When the
         budget is spent the engine *degrades to checkpoint-less
@@ -619,7 +600,7 @@ class CampaignEngine:
         """Pool/serial execution in retry waves under the unified policy.
 
         Every unit in the wave is attempted once; transient failures
-        (chaos injections, deadline aborts, lost workers — per
+        (deadline aborts, I/O errors — per
         :meth:`RetryPolicy.is_transient`) with budget remaining are
         collected and re-dispatched as the next wave after a
         deterministic backoff.  Permanent failures raise immediately
@@ -747,11 +728,9 @@ class CampaignEngine:
         """Checkpoint keys for a subtask-granularity unit table.
 
         Without a checkpoint the engine never consults the keys, so they
-        are skipped (hashing the model costs a pass over its weights) —
-        unless a chaos spec is active, whose injection decisions are
-        keyed by the unit's content hash.
+        are skipped (hashing the model costs a pass over its weights).
         """
-        if self.checkpoint_path is None and self.chaos is None:
+        if self.checkpoint_path is None:
             return [""] * len(units)
         model_fp, data_fp = self._fingerprint(qmodel, x, labels, config)
         return batch_task_keys(model_fp, data_fp, config, units)

@@ -12,12 +12,12 @@ for checkpoint flushes:
   multiplied by a jitter factor drawn from the same keyed-Philox
   construction as the fault injectors (:func:`repro.utils.rng.site_rng`):
   the delay is a pure function of ``(key, attempt)``, so two reruns of a
-  chaos campaign sleep identically and stay bit-reproducible in wall
-  clock *shape*, not just in results.
+  campaign that hits the same faults sleep identically and stay
+  bit-reproducible in wall clock *shape*, not just in results.
 * **Transient-vs-permanent classification** — :meth:`is_transient` maps
   the :mod:`repro.errors` taxonomy onto the retry decision: a
-  :class:`~repro.errors.TransientError` (chaos injections, deadline
-  aborts, lost workers) is worth retrying; a
+  :class:`~repro.errors.TransientError` (deadline aborts, failed
+  checkpoint flushes) or an ``OSError`` is worth retrying; a
   :class:`~repro.errors.ConfigurationError` or any other logic error
   would fail identically on every attempt and is surfaced immediately.
 * **Per-unit deadline** — ``deadline`` seconds per unit execution,
@@ -27,12 +27,17 @@ for checkpoint flushes:
   instead of a stalled campaign.
 
 The policy is a frozen dataclass: safe to share between the engine and
-every forked worker process.
+every forked worker process.  Every field is checked at construction, so
+a policy that could not run (a NaN delay, a deadline the interval timer
+cannot arm, a fractional attempt budget) fails as a
+:class:`~repro.errors.ConfigurationError` before any unit starts.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
+import numbers
 import signal
 import threading
 from dataclasses import dataclass
@@ -42,6 +47,10 @@ from repro.utils.rng import site_rng
 
 __all__ = ["RetryPolicy", "unit_deadline"]
 
+#: Largest accepted per-unit deadline, in seconds (about 31.7 years):
+#: every POSIX interval timer can arm it, even with a 32-bit ``time_t``.
+_MAX_DEADLINE = 1e9
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -50,24 +59,25 @@ class RetryPolicy:
     Parameters
     ----------
     max_attempts:
-        Execution budget per unit (>= 1).  The engine re-runs a
+        Execution budget per unit (an integer >= 1).  The engine re-runs a
         transiently failed unit until this many attempts are spent and
         then quarantines it.
     base_delay:
-        Backoff before the *second* attempt, in seconds.  Attempt ``n``
-        waits ``base_delay * 2**(n-1)`` (capped at ``max_delay``) times
-        the jitter factor.
+        Backoff before the *second* attempt, in seconds (finite,
+        >= 0).  Attempt ``n`` waits ``base_delay * 2**(n-1)`` (capped at
+        ``max_delay``) times the jitter factor.
     max_delay:
-        Upper bound on any single backoff sleep, in seconds.
+        Upper bound on any single backoff sleep, in seconds (finite,
+        >= 0).
     jitter:
         Jitter half-width as a fraction of the delay (``0.25`` means the
         realized delay is uniform in ``[0.75, 1.25] * delay``).  The draw
         is keyed by ``(key, attempt)`` through ``site_rng``, so it is
-        deterministic per unit — reproducible chaos runs sleep the same.
+        deterministic per unit.
     deadline:
         Optional per-unit wall-clock budget in seconds, enforced by
-        :func:`unit_deadline` inside the executing worker.  ``None``
-        disables the watchdog.
+        :func:`unit_deadline` inside the executing worker: a finite
+        number in ``(0, 1e9]``.  ``None`` disables the watchdog.
     """
 
     max_attempts: int = 3
@@ -77,23 +87,30 @@ class RetryPolicy:
     deadline: float | None = None
 
     def __post_init__(self):
-        """Validate budgets and delays at construction."""
-        if self.max_attempts < 1:
+        """Validate budgets and delays at construction.
+
+        Range checks are written as ``not lo <= value < hi`` so NaN fails
+        them too (every comparison with NaN is false).
+        """
+        if not isinstance(self.max_attempts, numbers.Integral) or self.max_attempts < 1:
             raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
+                f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
             )
-        if self.base_delay < 0 or self.max_delay < 0:
+        if not all(
+            0 <= delay < math.inf for delay in (self.base_delay, self.max_delay)
+        ):
             raise ConfigurationError(
-                f"backoff delays must be >= 0 seconds, got "
+                f"backoff delays must be finite and >= 0 seconds, got "
                 f"base_delay={self.base_delay} max_delay={self.max_delay}"
             )
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError(
                 f"jitter must be in [0, 1), got {self.jitter}"
             )
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not 0 < self.deadline <= _MAX_DEADLINE:
             raise ConfigurationError(
-                f"deadline must be > 0 seconds (or None), got {self.deadline}"
+                f"deadline must be in (0, {_MAX_DEADLINE:g}] seconds (or "
+                f"None), got {self.deadline}"
             )
 
     @staticmethod
@@ -102,8 +119,8 @@ class RetryPolicy:
 
         Transient means the failure is an infrastructure condition —
         anything in the :class:`~repro.errors.TransientError` branch of
-        the taxonomy (chaos injections, deadline aborts, lost workers)
-        plus bare ``OSError``/``IOError`` (torn
+        the taxonomy (deadline aborts, failed checkpoint flushes) plus
+        bare ``OSError``/``IOError`` (torn
         writes, full disks, vanished files on shared mounts).  Logic
         errors (:class:`~repro.errors.ConfigurationError`, shape/type
         errors, arbitrary exceptions from user code) are permanent: the
@@ -144,8 +161,10 @@ def unit_deadline(seconds: float | None, what: str = "unit"):
     platforms without ``SIGALRM`` — a watchdog that cannot be armed must
     not break the evaluation it was meant to guard.
 
-    The previous handler and timer are restored on exit, so nesting an
-    engine's serial path inside a user's own alarm handling stays safe.
+    The timer is armed inside the guarded block, so the previous handler
+    is restored on every exit — also when arming itself fails — and
+    nesting an engine's serial path inside a user's own alarm handling
+    stays safe.
     """
     if (
         seconds is None
@@ -163,8 +182,8 @@ def unit_deadline(seconds: float | None, what: str = "unit"):
         )
 
     previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)

@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import CheckpointError, CheckpointWriteError
 from repro.faultsim import SeedPointResult
-from repro.runtime import CampaignCheckpoint, ChaosSpec, fsck
+from repro.runtime import CampaignCheckpoint, fsck
 from repro.runtime.checkpoint import encode_record, record_crc
 
 
@@ -181,45 +181,49 @@ class TestFsckProperty:
         assert not list(tmp_path.glob("*.tmp"))
 
 
-def chaos_firing_once(kind: str, key: str, rate: float = 0.7) -> ChaosSpec:
-    """A spec whose ``kind`` fires at (key, attempt 1) but not attempt 2.
+def fault_firing_once(faults, kind: str, key: str, rate: float = 0.7) -> None:
+    """Arm ``kind`` so it fires on the first append of ``key``'s line only.
 
-    Decisions are pure functions of (seed, key, attempt), so a suitable
-    seed can simply be searched for — deterministically.
+    Decisions are pure functions of (seed, written text, attempt), so a
+    suitable seed can simply be searched for — deterministically.
     """
-    field = {"torn_write": "torn_write_rate", "enospc": "enospc_rate"}[kind]
+    line = encode_record(key, result_for(int(key.split("-")[1])))
     for seed in range(1000):
-        spec = ChaosSpec(seed=seed, **{field: rate})
-        if spec.decide(kind, key, 1) and not spec.decide(kind, key, 2):
-            return spec
-    raise AssertionError("no suitable chaos seed found")
+        if faults.fires(seed, kind, line, 1, rate) and not faults.fires(
+            seed, kind, line, 2, rate
+        ):
+            faults.writes(seed=seed, **{kind: rate})
+            return
+    raise AssertionError("no suitable fault seed found")
 
 
 class TestDurableFlush:
-    def test_interrupted_flush_never_leaves_half_a_line(self, tmp_path):
-        """Chaos-torn flush: the short write is rolled back whole — the
-        same process can then append cleanly, and no half-written line
-        ever precedes a later append (ISSUE satellite b)."""
+    def test_interrupted_flush_never_leaves_half_a_line(
+        self, tmp_path, runtime_faults
+    ):
+        """Torn flush: the short write is rolled back whole — the same
+        process can then append cleanly, and no half-written line ever
+        precedes a later append."""
         path = tmp_path / "ck.json"
         write_store(path, ["k-0"])  # existing store -> append path
         before = path.read_bytes()
-        store = CampaignCheckpoint(
-            path, chaos=chaos_firing_once("torn_write", "k-1")
-        )
+        fault_firing_once(runtime_faults, "torn_write", "k-1")
+        store = CampaignCheckpoint(path)
         with pytest.raises(CheckpointWriteError, match="short write"):
             store.put("k-1", result_for(1))
         assert path.read_bytes() == before  # rolled back, byte-exact
         assert store.pending_records == 1  # retained in memory
-        # Chaos draws per flush attempt: the retry lands the record whole.
+        # Faults draw per write attempt: the retry lands the record whole.
         store.flush()
         reloaded = CampaignCheckpoint(path)
         assert reloaded.damaged_lines == []
         assert reloaded.get("k-1") == result_for(1)
 
-    def test_enospc_flush_retains_and_recovers(self, tmp_path):
+    def test_enospc_flush_retains_and_recovers(self, tmp_path, runtime_faults):
         path = tmp_path / "ck.json"
         write_store(path, ["k-0"])
-        store = CampaignCheckpoint(path, chaos=chaos_firing_once("enospc", "k-1"))
+        fault_firing_once(runtime_faults, "enospc", "k-1")
+        store = CampaignCheckpoint(path)
         with pytest.raises(CheckpointWriteError, match="ENOSPC"):
             store.put("k-1", result_for(1))
         assert store.pending_records == 1

@@ -27,11 +27,11 @@ from repro.errors import (
     EXIT_USAGE,
     CheckpointError,
     CheckpointWriteError,
-    ChaosError,
     ConfigurationError,
     ReproError,
     TaskExecutionError,
     TaskQuarantinedError,
+    UnitDeadlineError,
     exit_code_for,
 )
 from repro.experiments import cli
@@ -93,33 +93,15 @@ class TestSubprocessExitCodes:
         proc = run_cli("--no-such-flag")
         assert proc.returncode == EXIT_USAGE
 
-    def test_retired_speculative_flag_exits_two(self):
-        proc = run_cli("fig5", "--speculative")
-        assert proc.returncode == EXIT_USAGE
-        assert "--speculative" in proc.stderr
-
-    def test_malformed_chaos_spec_exits_config_code(self):
-        # Config errors are the operator's to fix, distinct from argparse
-        # usage errors (2) and runtime task failures (4).  The spec is
-        # validated before any figure starts, so this returns fast.
-        proc = run_cli("fig2", "--chaos", "meteor=1.0")
-        assert proc.returncode == EXIT_CONFIG
-        assert "error:" in proc.stderr and "meteor" in proc.stderr
-
     @pytest.mark.parametrize(
-        "spec",
-        [
-            '{"unit_error_rate": "x"}',
-            '{"seed": "abc"}',
-            '{"slow_unit_seconds": "x"}',
-            '{"unit_error_rate": null}',
-        ],
+        "argv",
+        [("fig5", "--speculative"), ("fig2", "--chaos", "x")],
+        ids=["speculative", "chaos"],
     )
-    def test_mistyped_json_chaos_spec_exits_config_code(self, spec):
-        proc = run_cli("fig2", "--chaos", spec)
-        assert proc.returncode == EXIT_CONFIG, proc.stderr
-        assert "error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+    def test_retired_speculative_flag_exits_two(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == EXIT_USAGE
+        assert argv[1] in proc.stderr
 
 
 @pytest.fixture()
@@ -137,23 +119,16 @@ def stub_figure(monkeypatch):
 class TestConfigurationRejectedBeforeAnyFigure:
     """Bad settings exit 3 without running a figure (in-process CLI)."""
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "lost_heartbeat=0.5",
-            '{"lost_heartbeat_rate": 0.5}',
-            '{"fail_tags": "poison"}',
-        ],
-    )
-    def test_retired_or_mistyped_chaos_fields(self, stub_figure, capsys, spec):
-        assert cli.main(["fig1", "--chaos", spec]) == EXIT_CONFIG
-        assert stub_figure == []
-        assert "error:" in capsys.readouterr().err
-
     def test_negative_worker_count(self, stub_figure, capsys):
         assert cli.main(["fig1", "--workers", "-2"]) == EXIT_CONFIG
         assert stub_figure == []
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("deadline", ["nan", "inf"])
+    def test_non_finite_unit_deadline(self, stub_figure, capsys, deadline):
+        assert cli.main(["fig1", "--unit-deadline", deadline]) == EXIT_CONFIG
+        assert stub_figure == []
+        assert "deadline" in capsys.readouterr().err
 
     def test_degenerate_planner_step(self, monkeypatch, capsys):
         # A planner step that cannot grow the plan is a configuration
@@ -217,5 +192,5 @@ class TestExitCodeMapping:
 
     def test_unmapped_errors_fall_back_to_one(self):
         assert exit_code_for(ReproError("x")) == EXIT_FAILURE
-        assert exit_code_for(ChaosError("x")) == EXIT_FAILURE
+        assert exit_code_for(UnitDeadlineError("x")) == EXIT_FAILURE
         assert exit_code_for(RuntimeError("x")) == EXIT_FAILURE

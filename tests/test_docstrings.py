@@ -104,7 +104,7 @@ def test_gate_actually_covers_both_packages():
     stats = [p for name, p in modules if name == "repro.stats"]
     backends = [p for name, p in modules if name == "repro.backends"]
     assert {p.name for p in runtime} == {
-        "__init__.py", "chaos.py", "checkpoint.py", "engine.py",
+        "__init__.py", "checkpoint.py", "engine.py",
         "hashing.py", "progress.py", "retry.py", "tasks.py",
     }
     assert {p.name for p in tmr} == {
