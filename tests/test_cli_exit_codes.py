@@ -130,6 +130,21 @@ class TestConfigurationRejectedBeforeAnyFigure:
         assert stub_figure == []
         assert "deadline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--unit-deadline", "0", "deadline"),
+            ("--unit-deadline", "-1", "deadline"),
+            ("--unit-deadline", "1e12", "deadline"),
+            ("--max-attempts", "0", "max_attempts"),
+            ("--max-attempts", "-3", "max_attempts"),
+        ],
+    )
+    def test_unrunnable_retry_setting(self, stub_figure, capsys, flag, value, field):
+        assert cli.main(["fig1", flag, value]) == EXIT_CONFIG
+        assert stub_figure == []
+        assert field in capsys.readouterr().err
+
     def test_degenerate_planner_step(self, monkeypatch, capsys):
         # A planner step that cannot grow the plan is a configuration
         # error (exit 3), not a fault-model failure deep in the loop.

@@ -59,8 +59,16 @@ class TestResilienceMatrix:
             # Seed 5 fails two of the four units' first attempts, at a
             # rate that makes repeated retries likely.
             (dict(seed=5, transient=0.5, slow_unit=0.25, slow_seconds=0.01), {}),
+            # Seed 1 fills the disk on three appends, one of them a
+            # retried flush, and slows units.
+            (
+                dict(seed=1, slow_unit=0.5, slow_seconds=0.01),
+                dict(seed=1, enospc=0.5),
+            ),
+            # Control: the wrappers armed at rate zero change nothing.
+            (dict(seed=0), dict(seed=0)),
         ],
-        ids=["torn-writes", "deep-retries"],
+        ids=["torn-writes", "deep-retries", "enospc-writes", "armed-idle"],
     )
     def test_pool_faulty_run_is_bit_identical_and_store_clean(
         self, tiny_quantized, tiny_eval, config, tmp_path, undisturbed,

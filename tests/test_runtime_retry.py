@@ -11,9 +11,13 @@ construction, before any unit starts.  The engine-level recovery runs
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import signal
+import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -71,6 +75,56 @@ class TestRetryPolicy:
     def test_largest_armable_deadline_accepted(self):
         assert RetryPolicy(deadline=1e9).deadline == 1e9
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"max_attempts": -1},
+            {"max_attempts": "3"},
+            {"max_attempts": None},
+            {"max_attempts": 3.0},
+            {"base_delay": float("-inf")},
+            {"base_delay": -0.5},
+            {"max_delay": -1},
+            {"jitter": -0.1},
+            {"jitter": float("nan")},
+            {"deadline": -1.0},
+            {"deadline": float("-inf")},
+            {"deadline": np.nextafter(1e9, np.inf)},
+        ],
+        ids=repr,
+    )
+    def test_out_of_range_settings_rejected(self, setting):
+        with pytest.raises(ConfigurationError):
+            RetryPolicy(**setting)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"max_attempts": 1},
+            {"max_attempts": np.int64(4)},
+            {"base_delay": 0.0, "max_delay": 0.0},
+            {"jitter": 0.0},
+            {"jitter": 0.999},
+            {"deadline": None},
+            {"deadline": 1e-3},
+        ],
+        ids=repr,
+    )
+    def test_boundary_settings_accepted(self, setting):
+        """Validation must not reject a policy that can run."""
+        policy = RetryPolicy(**setting)
+        for field, value in setting.items():
+            assert getattr(policy, field) == value
+
+    def test_zero_base_delay_never_sleeps(self):
+        policy = RetryPolicy(base_delay=0.0, jitter=0.25)
+        assert [policy.backoff(n, "key") for n in (1, 2, 5)] == [0.0, 0.0, 0.0]
+
+    def test_policy_is_frozen(self):
+        """Workers share the engine's policy object; it cannot drift."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RetryPolicy().max_attempts = 5
+
     def test_classification_follows_taxonomy(self):
         assert RetryPolicy.is_transient(TransientError("x"))
         assert RetryPolicy.is_transient(UnitDeadlineError("x"))
@@ -115,6 +169,52 @@ class TestUnitDeadline:
                 pass
         assert signal.getsignal(signal.SIGALRM) is previous
 
+    @pytest.mark.parametrize("seconds", [float("inf"), 1e12])
+    def test_handler_restored_when_timer_overflows(self, seconds):
+        previous = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(OverflowError):
+            with unit_deadline(seconds):
+                pass
+        assert signal.getsignal(signal.SIGALRM) is previous
+
+    def test_handler_restored_after_expiry(self):
+        previous = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(UnitDeadlineError):
+            with unit_deadline(0.05):
+                time.sleep(5.0)
+        assert signal.getsignal(signal.SIGALRM) is previous
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    def test_handler_restored_after_clean_exit(self):
+        previous = signal.getsignal(signal.SIGALRM)
+        with unit_deadline(0.5):
+            assert signal.getsignal(signal.SIGALRM) is not previous
+        assert signal.getsignal(signal.SIGALRM) is previous
+
+    def test_deadline_abort_is_retried_by_the_policy(self):
+        with pytest.raises(UnitDeadlineError) as info:
+            with unit_deadline(0.05):
+                time.sleep(5.0)
+        assert RetryPolicy.is_transient(info.value)
+
+    def test_noop_off_the_main_thread(self):
+        """Signal handlers can only be installed on the main thread, so
+        elsewhere the watchdog stands aside instead of failing the unit."""
+        outcome = []
+
+        def guarded():
+            try:
+                with unit_deadline(0.01):
+                    time.sleep(0.05)
+                outcome.append("completed")
+            except Exception as exc:
+                outcome.append(exc)
+
+        worker = threading.Thread(target=guarded)
+        worker.start()
+        worker.join(timeout=10)
+        assert outcome == ["completed"]
+
 
 class TestEngineRetry:
     def test_default_retry_is_the_default_policy(self):
@@ -150,3 +250,39 @@ class TestEngineRetry:
                 qm, x, y, [TaskSpec(ber=BERS[0], seed=0)], config=bad
             )
         assert not isinstance(info.value, TaskQuarantinedError)
+
+
+class TestRetiredFaultInjectionSurface:
+    """Runtime fault injection is test-only (the ``runtime_faults``
+    fixture); the package exposes no fault-injection names or knobs."""
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.runtime", "ChaosSpec"),
+            ("repro.runtime", "CHAOS_KINDS"),
+            ("repro.runtime", "apply_unit_chaos"),
+            ("repro.errors", "ChaosError"),
+            ("repro.errors", "WorkerCrashError"),
+        ],
+    )
+    def test_name_is_gone(self, module, name):
+        package = importlib.import_module(module)
+        assert not hasattr(package, name)
+        assert name not in getattr(package, "__all__", ())
+
+    def test_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.runtime.chaos")
+
+    def test_make_engine_rejects_chaos(self, tmp_path):
+        from repro.experiments.common import make_engine
+
+        with pytest.raises(TypeError, match="chaos"):
+            make_engine(checkpoint=tmp_path / "ck.json", chaos="unit_error=0.5")
+
+    def test_checkpoint_rejects_chaos(self, tmp_path):
+        from repro.runtime import CampaignCheckpoint
+
+        with pytest.raises(TypeError, match="chaos"):
+            CampaignCheckpoint(tmp_path / "ck.json", chaos=None)
