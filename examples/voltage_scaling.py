@@ -10,8 +10,8 @@ Run:  python examples/voltage_scaling.py
 """
 
 from repro.accel import DNN_ENGINE, scheme_energies, simulate_network
-from repro.experiments import QUICK, prepare_benchmark, quantized_pair
-from repro.experiments.fig6 import build_accuracy_curves, calibrated_vber
+from repro.experiments import QUICK, accuracy_curve_pair, prepare_benchmark, quantized_pair
+from repro.experiments.fig6 import as_accuracy_curve, calibrated_vber
 
 
 def main() -> None:
@@ -19,8 +19,9 @@ def main() -> None:
     prep = prepare_benchmark("vgg19", profile)
     qm_st, qm_wg = quantized_pair(prep, width=16, profile=profile)
 
-    # Accuracy-vs-BER curves for both execution modes (cached sweeps).
-    curve_st, curve_wg = build_accuracy_curves(prep, qm_st, qm_wg, profile)
+    # Accuracy-vs-BER curves for both execution modes.
+    st, wg, _ = accuracy_curve_pair(prep, qm_st, qm_wg, profile)
+    curve_st, curve_wg = as_accuracy_curve(st, qm_st), as_accuracy_curve(wg, qm_wg)
     # Voltage-BER model calibrated in expected-faults-per-inference space.
     vber = calibrated_vber(qm_st)
 

@@ -6,6 +6,7 @@ from repro.experiments.common import (
     ExperimentProfile,
     PreparedBenchmark,
     accuracy_curve,
+    accuracy_curve_pair,
     make_engine,
     pick_cliff_ber,
     prepare_benchmark,
@@ -22,6 +23,7 @@ __all__ = [
     "prepare_benchmark",
     "quantized_pair",
     "accuracy_curve",
+    "accuracy_curve_pair",
     "pick_cliff_ber",
     "results_dir",
 ]

@@ -1,25 +1,29 @@
-"""Shared experiment infrastructure: model zoo, caching, profiles.
+"""Shared experiment infrastructure: model zoo, profiles, BER sweeps.
 
-Experiment drivers share four services:
+Experiment drivers share five services:
 
 * :func:`prepare_benchmark` — build, train (once, cached to
   ``results/models``) and package a benchmark network with its dataset;
 * :func:`quantized_pair` — int8/int16 standard + Winograd quantizations;
-* :func:`accuracy_curve` — cached accuracy-vs-BER sweeps;
+* :func:`accuracy_curve` — accuracy-vs-BER sweeps on the campaign engine;
+* :func:`accuracy_curve_pair` — the standard/Winograd curve pair of
+  figs 2/6/7, on the fixed grid or adaptive;
 * :class:`ExperimentProfile` — quick/full evaluation budgets.
+
+Results are stored only in the engine's content-keyed checkpoint
+(``results/checkpoints/campaign.json``); a figure reuses an earlier
+sweep by resuming from it (CLI ``--resume``).
 
 BER axis note (DESIGN.md §2): our width-scaled models execute fewer ops per
 inference than the paper's full-size networks, so the same expected fault
 count per inference (lambda) occurs at a proportionally higher BER.  Every
-cached curve stores both axes; voltage experiments calibrate the
+curve row carries both axes; voltage experiments calibrate the
 voltage-BER model in lambda space.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,14 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.datasets import SyntheticDataset, make_dataset
-from repro.errors import ConfigurationError
-from repro.faultsim import CampaignConfig, CampaignResult, run_sweep
-from repro.runtime import CampaignEngine, adaptive_fingerprint
+from repro.faultsim import CampaignConfig, CampaignResult
+from repro.runtime import CampaignEngine
 from repro.stats import KneeConfig, StopRule, adaptive_sweep, knee_search
 from repro.models import BENCHMARKS, build_benchmark_model
 from repro.nn import Adam, TrainConfig, evaluate_accuracy, initialize, train
 from repro.quantized import QuantConfig, QuantizedModel, quantize_model
-from repro.utils.serialization import load_json, load_npz_state, save_json, save_npz_state
+from repro.utils.serialization import load_npz_state, save_npz_state
 
 __all__ = [
     "ExperimentProfile",
@@ -46,7 +49,7 @@ __all__ = [
     "prepare_benchmark",
     "quantized_pair",
     "accuracy_curve",
-    "adaptive_accuracy_curve",
+    "accuracy_curve_pair",
     "pick_cliff_ber",
 ]
 
@@ -225,172 +228,75 @@ def quantized_pair(
     return qm_st, qm_wg
 
 
-def _curve_cache_key(qmodel: QuantizedModel, bers, config: CampaignConfig) -> str:
-    payload = json.dumps(
-        {
-            "benchmark": qmodel.metadata.get("benchmark", qmodel.name),
-            "mode": qmodel.conv_mode,
-            "width": qmodel.config.width,
-            "guard": qmodel.config.acc_guard,
-            "tile": qmodel.config.wg_tile,
-            "bers": list(map(float, bers)),
-            "seeds": list(config.seeds),
-            "samples": config.max_samples,
-            "injector": config.injector,
-            "semantics": config.fault_config.semantics.value,
-            "convention": config.fault_config.convention.value,
-            "amplify": config.fault_config.amplify_input_transform_adds,
-            # Sampling protocol + chunking (see FaultModelConfig.rng_identity).
-            **config.fault_config.rng_identity(),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def accuracy_curve(
     qmodel: QuantizedModel,
     prep: PreparedBenchmark,
     bers: list[float],
     config: CampaignConfig,
-    use_cache: bool = True,
     engine: CampaignEngine | None = None,
 ) -> list[CampaignResult]:
-    """Accuracy-vs-BER sweep with JSON result caching.
+    """Accuracy-vs-BER sweep, one :class:`CampaignResult` per BER.
 
-    When ``engine`` is provided the sweep's (BER, seed) units are executed
-    through the :class:`~repro.runtime.CampaignEngine` (sharded workers,
-    point-level checkpoint/resume); results are bit-identical to the serial
-    path, so the curve cache is shared between both.
+    Runs on ``engine`` (default: a serial engine without a checkpoint).
+    Sweeps are reused across figures and runs only through the engine's
+    content-keyed checkpoint, i.e. under ``resume=True`` (CLI
+    ``--resume``).
     """
-    key = _curve_cache_key(qmodel, bers, config)
-    cache = results_dir() / "curves" / f"{key}.json"
-    if use_cache and cache.exists():
-        rows = load_json(cache)
-        return [
-            CampaignResult(
-                ber=row["ber"],
-                lam=row["lambda"],
-                mean_accuracy=row["mean_accuracy"],
-                std_accuracy=row["std_accuracy"],
-                per_seed=row["per_seed"],
-                events_per_seed=row["events_per_seed"],
-            )
-            for row in rows
-        ]
-    if engine is not None:
-        results = engine.run_sweep(
-            qmodel, prep.eval_x, prep.eval_y, bers, config=config
-        )
-    else:
-        results = run_sweep(
-            qmodel,
-            prep.eval_x,
-            prep.eval_y,
-            bers,
-            config=config,
-        )
-    save_json(cache, [r.to_dict() for r in results])
-    return results
-
-
-def _adaptive_point_meta(point) -> dict:
-    """Per-point metadata row (the result rows carry the accuracies)."""
-    row = point.to_dict()
-    row.pop("result")
-    return row
-
-
-def adaptive_accuracy_curve(
-    qmodel: QuantizedModel,
-    prep: PreparedBenchmark,
-    config: CampaignConfig,
-    rule: StopRule,
-    knee: KneeConfig | None = None,
-    grid: list[float] | None = None,
-    use_cache: bool = True,
-    engine: CampaignEngine | None = None,
-) -> tuple[list[CampaignResult], dict]:
-    """Adaptive accuracy-vs-BER curve with JSON result caching.
-
-    Exactly one of ``knee`` (BER-knee bisection chooses the points,
-    :func:`repro.stats.knee_search`) and ``grid`` (explicit BER points,
-    each early-stopped, :func:`repro.stats.adaptive_sweep`) must be
-    given.  Returns ``(rows, meta)``: ``rows`` are ordinary
-    :class:`CampaignResult` entries (BER-ascending in knee mode, grid
-    order otherwise) and ``meta`` records the per-point seed usage, stop
-    decisions, intervals, the knee bracket and the unit totals.
-
-    The cache key is the fixed-grid curve key suffixed with
-    :func:`repro.runtime.adaptive_fingerprint` over the stop rule and
-    the knee window / grid — legacy fixed-grid cache files are never
-    touched, and two adaptive runs differing only in ``round_seeds``
-    (scheduling, not decisions) share one entry.  Unit-level checkpoint
-    entries are shared with fixed-grid runs regardless.
-    """
-    if (knee is None) == (grid is None):
-        raise ConfigurationError(
-            "adaptive_accuracy_curve requires exactly one of knee= or grid="
-        )
-    base = _curve_cache_key(qmodel, [], config)
-    suffix = adaptive_fingerprint(
-        rule.identity(),
-        knee.identity() if knee is not None else None,
-        grid,
+    return (engine or CampaignEngine(workers=1)).run_sweep(
+        qmodel, prep.eval_x, prep.eval_y, bers, config
     )
-    cache = results_dir() / "curves" / f"{base}-a{suffix}.json"
-    if use_cache and cache.exists():
-        doc = load_json(cache)
-        rows = [
-            CampaignResult(
-                ber=row["ber"],
-                lam=row["lambda"],
-                mean_accuracy=row["mean_accuracy"],
-                std_accuracy=row["std_accuracy"],
-                per_seed=row["per_seed"],
-                events_per_seed=row["events_per_seed"],
-            )
-            for row in doc["rows"]
-        ]
-        return rows, doc["meta"]
-    if knee is not None:
-        found = knee_search(
-            qmodel, prep.eval_x, prep.eval_y, knee,
-            config=config, rule=rule, engine=engine,
-        )
-        points = found.points
-        meta = {
-            "mode": "knee",
-            "rule": rule.identity(),
-            "knee": knee.identity(),
-            "knee_ber": found.knee_ber,
-            "bracket": list(found.bracket) if found.bracket else None,
-            "target_accuracy": found.target_accuracy,
-            "rounds": found.rounds,
-            "total_units": found.total_units,
-            "computed_units": found.computed_units,
-            "cached_units": found.cached_units,
-            "points": [_adaptive_point_meta(p) for p in points],
-        }
-    else:
-        sweep = adaptive_sweep(
-            qmodel, prep.eval_x, prep.eval_y, list(grid),
-            config=config, rule=rule, engine=engine,
-        )
-        points = sweep.points
-        meta = {
-            "mode": "grid",
-            "rule": rule.identity(),
-            "grid": [float(b) for b in grid],
-            "rounds": sweep.rounds,
-            "total_units": sweep.total_units,
-            "computed_units": sweep.computed_units,
-            "cached_units": sweep.cached_units,
-            "points": [_adaptive_point_meta(p) for p in points],
-        }
-    rows = [p.result for p in points]
-    save_json(cache, {"rows": [r.to_dict() for r in rows], "meta": meta})
-    return rows, meta
+
+
+def _adaptive_meta(mode: str, rule: StopRule, found, **window) -> dict:
+    """One adaptive curve's metadata row (the result rows carry the accuracies)."""
+    meta = {"mode": mode, "rule": rule.identity(), **window, **found.to_dict()}
+    for point in meta["points"]:
+        point.pop("result")
+    return meta
+
+
+def accuracy_curve_pair(
+    prep: PreparedBenchmark,
+    qm_st: QuantizedModel,
+    qm_wg: QuantizedModel,
+    profile: ExperimentProfile,
+    engine: CampaignEngine | None = None,
+    adaptive: StopRule | None = None,
+) -> tuple[list[CampaignResult], list[CampaignResult], dict | None]:
+    """Standard and Winograd accuracy-vs-BER curves on one BER axis.
+
+    Returns ``(st_rows, wg_rows, meta)``.  Without ``adaptive`` both
+    curves sweep the profile's fixed grid and ``meta`` is ``None``.
+    With ``adaptive`` (CLI ``--adaptive-ber``) the standard curve's BERs
+    come from a knee bisection over the grid's extremes
+    (:func:`repro.stats.knee_search`, rows BER-ascending) and the
+    Winograd curve is evaluated at those same BERs, each point
+    early-stopped (:func:`repro.stats.adaptive_sweep`); ``meta`` is
+    ``{"standard": ..., "winograd": ...}`` with each curve's per-point
+    seed usage, stop decisions, intervals, the knee bracket and the unit
+    totals.
+    """
+    config = profile.campaign()
+    bers = list(profile.ber_grid)
+    if adaptive is None:
+        st = accuracy_curve(qm_st, prep, bers, config, engine=engine)
+        wg = accuracy_curve(qm_wg, prep, bers, config, engine=engine)
+        return st, wg, None
+    knee = KneeConfig(lo=min(bers), hi=max(bers))
+    found = knee_search(
+        qm_st, prep.eval_x, prep.eval_y, knee,
+        config=config, rule=adaptive, engine=engine,
+    )
+    grid = [p.ber for p in found.points]
+    sweep = adaptive_sweep(
+        qm_wg, prep.eval_x, prep.eval_y, grid,
+        config=config, rule=adaptive, engine=engine,
+    )
+    meta = {
+        "standard": _adaptive_meta("knee", adaptive, found, knee=knee.identity()),
+        "winograd": _adaptive_meta("grid", adaptive, sweep, grid=grid),
+    }
+    return [p.result for p in found.points], [p.result for p in sweep.points], meta
 
 
 def pick_cliff_ber(

@@ -11,13 +11,12 @@ from __future__ import annotations
 from repro.experiments.common import (
     ExperimentProfile,
     QUICK,
-    accuracy_curve,
-    adaptive_accuracy_curve,
+    accuracy_curve_pair,
     prepare_benchmark,
     quantized_pair,
     results_dir,
 )
-from repro.stats import KneeConfig, StopRule
+from repro.stats import StopRule
 from repro.utils.serialization import save_json
 
 __all__ = ["run", "format_report", "DEFAULT_BENCHMARKS"]
@@ -43,28 +42,15 @@ def run(
     usage and confidence interval in the panel's ``adaptive`` block, and
     the top-level ``bers`` is ``None`` — each panel carries its own axis.
     """
-    config = profile.campaign()
-    bers = list(profile.ber_grid)
     panels = {}
     for name in benchmarks:
         prep = prepare_benchmark(name, profile)
         panel: dict = {"paper_label": prep.paper_label, "widths": {}}
         for width in widths:
             qm_st, qm_wg = quantized_pair(prep, width, profile)
-            meta = None
-            if adaptive is not None:
-                window = KneeConfig(lo=min(bers), hi=max(bers))
-                st, st_meta = adaptive_accuracy_curve(
-                    qm_st, prep, config, adaptive, knee=window, engine=engine
-                )
-                grid_bers = [r.ber for r in st]
-                wg, wg_meta = adaptive_accuracy_curve(
-                    qm_wg, prep, config, adaptive, grid=grid_bers, engine=engine
-                )
-                meta = {"standard": st_meta, "winograd": wg_meta}
-            else:
-                st = accuracy_curve(qm_st, prep, bers, config, engine=engine)
-                wg = accuracy_curve(qm_wg, prep, bers, config, engine=engine)
+            st, wg, meta = accuracy_curve_pair(
+                prep, qm_st, qm_wg, profile, engine=engine, adaptive=adaptive
+            )
             improvement = [
                 w.mean_accuracy - s.mean_accuracy for s, w in zip(st, wg)
             ]
@@ -82,7 +68,7 @@ def run(
 
     payload = {
         "figure": "fig2",
-        "bers": None if adaptive is not None else bers,
+        "bers": None if adaptive is not None else list(profile.ber_grid),
         "panels": panels,
     }
     save_json(results_dir() / "fig2.json", payload)

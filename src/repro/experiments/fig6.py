@@ -20,17 +20,16 @@ from repro.accel import AccuracyCurve, VoltageBerModel
 from repro.experiments.common import (
     ExperimentProfile,
     QUICK,
-    accuracy_curve,
-    adaptive_accuracy_curve,
+    accuracy_curve_pair,
     prepare_benchmark,
     quantized_pair,
     results_dir,
 )
 from repro.faultsim import expected_faults_per_image
-from repro.stats import KneeConfig, StopRule
+from repro.stats import StopRule
 from repro.utils.serialization import save_json
 
-__all__ = ["run", "format_report", "calibrated_vber", "build_accuracy_curves"]
+__all__ = ["run", "format_report", "calibrated_vber", "as_accuracy_curve"]
 
 #: Expected faults/inference at the paper's 0.77 V reference point
 #: (1e-8 BER x ~1e10 ops x 16 bits, rounded to one significant figure).
@@ -44,51 +43,13 @@ def calibrated_vber(qm_standard) -> VoltageBerModel:
     return VoltageBerModel(ber_ref=ber_ref)
 
 
-def build_accuracy_curves(
-    prep,
-    qm_st,
-    qm_wg,
-    profile: ExperimentProfile,
-    engine=None,
-    adaptive: StopRule | None = None,
-) -> tuple[AccuracyCurve, AccuracyCurve, dict | None]:
-    """Accuracy-vs-BER curves for both execution modes (cached sweeps).
-
-    With ``adaptive`` set, the fixed profile grid is replaced by a
-    BER-knee bisection on the standard-convolution curve
-    (:func:`repro.stats.knee_search`); the Winograd curve is then
-    evaluated at the same BERs, each point early-stopped, so both curves
-    interpolate over one axis.  The third return value is the adaptive
-    metadata (per-point seed usage, intervals, knee bracket, unit
-    totals) — ``None`` on the fixed-grid path.
-    """
-    config = profile.campaign()
-    bers = list(profile.ber_grid)
-    meta = None
-    if adaptive is not None:
-        window = KneeConfig(lo=min(bers), hi=max(bers))
-        st, st_meta = adaptive_accuracy_curve(
-            qm_st, prep, config, adaptive, knee=window, engine=engine
-        )
-        wg, wg_meta = adaptive_accuracy_curve(
-            qm_wg, prep, config, adaptive,
-            grid=[r.ber for r in st], engine=engine,
-        )
-        meta = {"standard": st_meta, "winograd": wg_meta}
-    else:
-        st = accuracy_curve(qm_st, prep, bers, config, engine=engine)
-        wg = accuracy_curve(qm_wg, prep, bers, config, engine=engine)
-    curve_st = AccuracyCurve(
-        [r.ber for r in st],
-        [r.mean_accuracy for r in st],
-        qm_st.metadata["fault_free_accuracy"],
+def as_accuracy_curve(rows, qmodel) -> AccuracyCurve:
+    """Interpolating accuracy-vs-BER curve over a sweep's result rows."""
+    return AccuracyCurve(
+        [r.ber for r in rows],
+        [r.mean_accuracy for r in rows],
+        qmodel.metadata["fault_free_accuracy"],
     )
-    curve_wg = AccuracyCurve(
-        [r.ber for r in wg],
-        [r.mean_accuracy for r in wg],
-        qm_wg.metadata["fault_free_accuracy"],
-    )
-    return curve_st, curve_wg, meta
 
 
 def run(
@@ -103,9 +64,10 @@ def run(
     prep = prepare_benchmark(benchmark, profile)
     qm_st, qm_wg = quantized_pair(prep, width, profile)
     vber = calibrated_vber(qm_st)
-    curve_st, curve_wg, adaptive_meta = build_accuracy_curves(
+    st, wg, adaptive_meta = accuracy_curve_pair(
         prep, qm_st, qm_wg, profile, engine=engine, adaptive=adaptive
     )
+    curve_st, curve_wg = as_accuracy_curve(st, qm_st), as_accuracy_curve(wg, qm_wg)
 
     # The paper plots 0.77-0.82 V; sample that window within our range.
     voltages = np.linspace(0.77, 0.82, voltage_points)

@@ -17,11 +17,12 @@ from repro.accel import DNN_ENGINE, scheme_energies, simulate_network
 from repro.experiments.common import (
     ExperimentProfile,
     QUICK,
+    accuracy_curve_pair,
     prepare_benchmark,
     quantized_pair,
     results_dir,
 )
-from repro.experiments.fig6 import build_accuracy_curves, calibrated_vber
+from repro.experiments.fig6 import as_accuracy_curve, calibrated_vber
 from repro.stats import StopRule
 from repro.utils.serialization import save_json
 
@@ -42,9 +43,10 @@ def run(
     prep = prepare_benchmark(benchmark, profile)
     qm_st, qm_wg = quantized_pair(prep, width, profile)
     vber = calibrated_vber(qm_st)
-    curve_st, curve_wg, adaptive_meta = build_accuracy_curves(
+    st, wg, adaptive_meta = accuracy_curve_pair(
         prep, qm_st, qm_wg, profile, engine=engine, adaptive=adaptive
     )
+    curve_st, curve_wg = as_accuracy_curve(st, qm_st), as_accuracy_curve(wg, qm_wg)
 
     timing_st = simulate_network(qm_st, DNN_ENGINE)
     timing_wg = simulate_network(qm_wg, DNN_ENGINE)

@@ -119,13 +119,14 @@ class FaultModelConfig:
     def rng_identity(self) -> dict:
         """Sampling fields that belong in a campaign's content identity.
 
-        The single source of truth for checkpoint hashing
-        (:func:`repro.runtime.hashing.campaign_fingerprint`) and the figure
-        curve cache.  The constant ``"rng_scheme": "counter"`` entry names
-        the keyed sampling protocol: it keeps every key recorded since
-        that protocol was introduced valid, while entries recorded under
-        the retired sequential-stream protocol (which carried no such
-        entry) are never matched and simply get recomputed.
+        Read by checkpoint hashing
+        (:func:`repro.runtime.hashing.campaign_fingerprint`), the one
+        place results are keyed.  The constant ``"rng_scheme":
+        "counter"`` entry names the keyed sampling protocol: it keeps
+        every key recorded since that protocol was introduced valid,
+        while entries recorded under the retired sequential-stream
+        protocol (which carried no such entry) are never matched and
+        simply get recomputed.
         """
         return {"rng_scheme": "counter", "chunk_samples": self.chunk_samples}
 

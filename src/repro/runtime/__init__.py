@@ -36,7 +36,6 @@ from repro.runtime.engine import (
     resolve_workers,
 )
 from repro.runtime.hashing import (
-    adaptive_fingerprint,
     batch_task_keys,
     campaign_fingerprint,
     data_fingerprint,
@@ -71,7 +70,6 @@ __all__ = [
     "point_key",
     "task_key",
     "batch_task_keys",
-    "adaptive_fingerprint",
     "ProgressEvent",
     "ProgressReporter",
     "null_reporter",

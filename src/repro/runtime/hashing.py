@@ -32,7 +32,6 @@ __all__ = [
     "point_key",
     "task_key",
     "batch_task_keys",
-    "adaptive_fingerprint",
 ]
 
 
@@ -181,31 +180,6 @@ def task_key(
         seed,
         sample_slice=sample_slice,
     )
-
-
-def adaptive_fingerprint(
-    rule_identity: dict,
-    knee_identity: dict | None = None,
-    grid: list[float] | None = None,
-) -> str:
-    """Digest of an adaptive run's *driving* parameters (figure caches).
-
-    Adaptive rounds never enter per-unit task keys — a (BER, seed) unit
-    is the same pure computation whichever round scheduled it, so
-    adaptive and fixed-grid runs deliberately share checkpoint entries.
-    What *does* need an identity is the figure-level curve cache: which
-    points a run evaluated (and with how many seeds) depends on the stop
-    rule and on the knee-search window or explicit grid.  Pass the
-    canonical ``identity()`` dicts (plain dicts, so this module never
-    imports :mod:`repro.stats`); the digest suffixes the curve cache
-    filename, keeping legacy fixed-grid cache keys untouched.
-    """
-    payload = {
-        "rule": rule_identity,
-        "knee": knee_identity,
-        "grid": [float(b) for b in grid] if grid is not None else None,
-    }
-    return _digest(payload)[:16]
 
 
 def batch_task_keys(

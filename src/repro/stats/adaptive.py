@@ -163,8 +163,8 @@ def adaptive_sweep(
     Seeds are scheduled in deterministic rounds: round 0 evaluates
     ``rule.min_seeds`` seeds for every point (all points batched into one
     engine call, so the pool fills across points), each later round adds
-    ``rule.round_seeds`` seeds to every still-undecided point.  After
-    each round barrier the per-seed counts are pushed into the point's
+    one seed to every still-undecided point.  After each round barrier
+    the per-seed counts are pushed into the point's
     :class:`~repro.stats.sequential.SequentialAccuracy` in canonical seed
     order; a point whose interval is inside ``rule.halfwidth`` stops
     contributing units.  Estimates use each point's stop prefix only.
@@ -195,9 +195,7 @@ def adaptive_sweep(
             if trackers[i].decided:
                 continue
             have = len(per_seed[i])
-            take = (
-                rule.min_seeds - have if have < rule.min_seeds else rule.round_seeds
-            )
+            take = rule.min_seeds - have if have < rule.min_seeds else 1
             take = min(take, rule.max_seeds - have)
             for seed in seeds[have : have + take]:
                 batch.append(
@@ -295,7 +293,7 @@ class KneeConfig:
             )
 
     def identity(self) -> dict:
-        """Canonical payload for cache keys / fingerprints."""
+        """Canonical payload recorded in figure metadata."""
         return {
             "lo": self.lo,
             "hi": self.hi,

@@ -98,11 +98,6 @@ class StopRule:
         Seed budget per point (CLI ``--max-seeds``): a point whose
         interval never tightens enough is exhausted here and reported
         with ``stopped_early=False``.
-    round_seeds:
-        How many additional seeds a driver schedules per round after the
-        ``min_seeds`` opening round.  Purely a throughput knob: larger
-        rounds fill wider worker pools but may overshoot the stop index
-        (overshoot never enters the estimate — see the module docs).
     """
 
     halfwidth: float = 0.02
@@ -110,7 +105,6 @@ class StopRule:
     method: str = "wilson"
     min_seeds: int = 2
     max_seeds: int = 8
-    round_seeds: int = 1
 
     def __post_init__(self):
         """Validate field ranges and cross-field consistency."""
@@ -136,18 +130,9 @@ class StopRule:
                 f"max_seeds ({self.max_seeds}) must be >= min_seeds "
                 f"({self.min_seeds})"
             )
-        if self.round_seeds < 1:
-            raise ConfigurationError(
-                f"round_seeds must be >= 1, got {self.round_seeds}"
-            )
 
     def identity(self) -> dict:
-        """Canonical payload for cache keys / fingerprints.
-
-        Excludes ``round_seeds``: round sizing is a scheduling knob that
-        can never change a decision or an estimate, so two runs differing
-        only in it share cache entries.
-        """
+        """Canonical payload recorded in figure metadata."""
         return {
             "halfwidth": self.halfwidth,
             "confidence": self.confidence,

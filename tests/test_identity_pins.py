@@ -4,9 +4,9 @@ Two kinds of literal references, recorded before the sequential-stream
 sampling protocol was retired, guard against any silent change to what a
 campaign *is*:
 
-* **Content keys.**  ``campaign_fingerprint`` feeds every checkpoint key
-  and (through ``FaultModelConfig.rng_identity``) every figure curve-cache
-  name.  The pinned digests keep existing checkpoints and caches valid;
+* **Content keys.**  ``campaign_fingerprint`` (which reads
+  ``FaultModelConfig.rng_identity``) feeds every checkpoint key.  The
+  pinned digests keep existing checkpoints valid;
   the pinned stream-era digests must stay unreachable, so entries recorded
   under the retired protocol are recomputed rather than misread.
 * **A reference ladder of event counts.**  Per seed and per category, the

@@ -142,14 +142,6 @@ class TestStopRule:
             StopRule(min_seeds=0)
         with pytest.raises(ConfigurationError, match="max_seeds"):
             StopRule(min_seeds=4, max_seeds=3)
-        with pytest.raises(ConfigurationError, match="round_seeds"):
-            StopRule(round_seeds=0)
-
-    def test_identity_excludes_round_seeds(self):
-        a = StopRule(round_seeds=1)
-        b = StopRule(round_seeds=3)
-        assert a.identity() == b.identity()
-        assert StopRule(halfwidth=0.05).identity() != a.identity()
 
 
 class TestSequentialAccuracy:
