@@ -12,13 +12,28 @@ NumPy with float64 accumulation where it matters (batch statistics).
 Convolution runs on one GEMM layout: the input is gathered once into
 ``(N*P*Q, C*k*k)`` patch rows, the forward pass and both gradients are
 three plain matmuls, and :func:`~repro.utils.im2col.col2im` folds the
-input gradient from the transposed ``(C*k*k, N*P*Q)`` view.  Layouts are
-invariants here, because float results depend on memory order: the
-forward output is an NCHW view of NHWC memory (BatchNorm's batch
-statistics over an NCHW-contiguous copy round differently), and the
-matmul operands keep the memory orders the pinned weights were trained
-with (BLAS rounds small products by operand order).  Pooling
-gathers per-channel windows into ``(k*k, N*C*P*Q)`` and folds through
+input gradient from the transposed ``(C*k*k, N*P*Q)`` view.
+
+Layouts are invariants here, because float results depend on memory
+order.  Fixed are:
+
+* the three matmuls' operand shapes, dtypes and memory orders (C-ordered
+  patch rows, F-ordered for a single image; BLAS rounds small products
+  by operand order), which the pinned weights were trained with;
+* the memory order of every array a float sum runs over: the forward
+  output is an NCHW view of NHWC memory (BatchNorm's batch statistics
+  over an NCHW-contiguous copy round differently), and BatchNorm's
+  gradient terms, the ReLU gradient and the conv bias sums keep the
+  orders the plain NumPy expressions give them (:func:`_result_like`);
+* ``col2im``'s C-contiguous NCHW output.
+
+How each copy is made is free, and the large ones are blocked: the
+patch rows are gathered by ``k*k`` slab copies per cache-sized block of
+images, the weight-gradient operand is a row-blocked transpose, and
+``col2im`` folds and copies out block by block.  An operand in a second
+memory order is copied once into its partner's order (:func:`_in_layout`)
+rather than streamed against it.  Pooling gathers per-channel windows
+into ``(k*k, N*C*P*Q)`` by one slab copy per offset and folds through
 the same ``col2im``.
 """
 
@@ -28,9 +43,38 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn.graph import Graph, Node
-from repro.utils.im2col import col2im, im2col_patches
+from repro.utils.im2col import col2im, conv_output_size, per_block
 
 __all__ = ["forward_op", "backward_op", "init_node_params"]
+
+
+# --------------------------------------------------------------------------- layouts
+def _result_like(a, b):
+    """An empty array laid out as numpy lays out the elementwise ``a * b``.
+
+    A ufunc allocates its output through the same iterator, so writing
+    into this array reproduces the plain expression's memory order, and
+    with it the order of any sum that later runs over the result.
+    """
+    return np.nditer(
+        (a, b, None),
+        flags=["zerosize_ok"],
+        op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
+        op_dtypes=[a.dtype, b.dtype, np.result_type(a, b)],
+    ).operands[2]
+
+
+def _in_layout(a, like):
+    """``a``'s values in ``like``'s memory order (``a`` itself if they agree).
+
+    An elementwise op over two memory orders streams one operand against
+    its order; copying it once keeps every later op streaming.
+    """
+    out = np.empty_like(like, dtype=a.dtype)
+    if out.strides == a.strides:
+        return a
+    np.copyto(out, a)
+    return out
 
 
 # --------------------------------------------------------------------------- conv2d
@@ -42,12 +86,40 @@ def _patch_rows(x, k, stride, padding):
     the orders the pinned weights were trained with: the orders
     ``np.tensordot`` gives the batched einsum reference in
     ``tests/test_nn_ops_gradients.py``.
+
+    Each cache-sized block of images is copied into a zero-bordered NHWC
+    buffer and gathered by ``k*k`` slab copies, one per kernel offset: a
+    slab reads whole channel runs and writes every ``k*k``-th element.
     """
-    n, c = x.shape[:2]
-    patches = im2col_patches(x, (k, k), stride, padding)  # (N, C, k, k, P, Q)
-    p, q = patches.shape[4:]
-    rows = patches.transpose(0, 4, 5, 1, 2, 3).reshape(n * p * q, c * k * k)
+    n, c, h, w = x.shape
+    p = conv_output_size(h, k, stride, padding)
+    q = conv_output_size(w, k, stride, padding)
+    rows = np.empty((n * p * q, c * k * k), dtype=x.dtype)
+    rows6 = rows.reshape(n, p, q, c, k, k)
+    step = per_block(p * q * c * k * k * x.itemsize)
+    buf = np.zeros((min(step, n), h + 2 * padding, w + 2 * padding, c), x.dtype)
+    for a in range(0, n, step):
+        xp = buf[: min(step, n - a)]
+        xp[:, padding : padding + h, padding : padding + w] = x[a : a + step].transpose(
+            0, 2, 3, 1
+        )
+        for i in range(k):
+            for j in range(k):
+                window = xp[:, i : i + stride * p : stride, j : j + stride * q : stride]
+                rows6[a : a + step, ..., i, j] = window
     return np.require(rows, requirements="F" if n == 1 else "C"), (p, q)
+
+
+def _transposed_rows(rows):
+    """``np.ascontiguousarray(rows.T)``, copied in cache-sized row blocks."""
+    if rows.T.flags.c_contiguous:
+        return rows.T
+    m, ck = rows.shape
+    out = np.empty((ck, m), dtype=rows.dtype)
+    step = per_block(ck * rows.itemsize)
+    for a in range(0, m, step):
+        out[:, a : a + step] = rows[a : a + step].T
+    return out
 
 
 def _conv2d_forward(node: Node, graph: Graph, xs, train):
@@ -73,7 +145,7 @@ def _conv2d_backward(node: Node, graph: Graph, cache, grad_y):
     # reference does, so BLAS sees its operand orders (see _patch_rows).
     gt = grad_y.reshape(n, out_c, p * q).transpose(0, 2, 1).reshape(-1, out_c)
 
-    grad_w = np.ascontiguousarray(cache["cols"].T) @ gt  # (C*k*k, K)
+    grad_w = _transposed_rows(cache["cols"]) @ gt  # (C*k*k, K)
     param_grads = {"weight": grad_w.T.reshape(weight.shape)}
     if node.attrs.get("bias", True):
         param_grads["bias"] = grad_y.sum(axis=(0, 2, 3)).astype(np.float32)
@@ -114,7 +186,12 @@ def _batchnorm_forward(node: Node, graph: Graph, xs, train):
 
     if train:
         mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
-        var = x.var(axis=(0, 2, 3), dtype=np.float64)
+        # np.var's own steps (square the deviations, sum, divide by the
+        # count) on the centred values that become x_hat below.
+        centred = x - mean.reshape(1, -1, 1, 1)
+        scratch = np.square(centred)
+        var = scratch.sum(axis=(0, 2, 3))
+        var /= x.size // x.shape[1]
         momentum = node.attrs["momentum"]
         buffers["running_mean"] = (
             (1 - momentum) * buffers["running_mean"] + momentum * mean
@@ -125,12 +202,17 @@ def _batchnorm_forward(node: Node, graph: Graph, xs, train):
     else:
         mean = buffers["running_mean"].astype(np.float64)
         var = buffers["running_var"].astype(np.float64)
+        centred = x - mean.reshape(1, -1, 1, 1)
+        scratch = np.empty_like(centred)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-    y = gamma.reshape(1, -1, 1, 1) * x_hat + beta.reshape(1, -1, 1, 1)
+    x_hat = centred
+    x_hat *= inv_std.reshape(1, -1, 1, 1)
+    scaled = np.multiply(gamma.reshape(1, -1, 1, 1), x_hat, out=scratch)
+    # The float64 sum rounds to float32 as it is stored.
+    y = np.add(scaled, beta.reshape(1, -1, 1, 1), out=np.empty_like(x_hat, np.float32))
     cache = {"x_hat": x_hat if train else None, "inv_std": inv_std, "gamma": gamma}
-    return y.astype(np.float32), cache
+    return y, cache
 
 
 def _batchnorm_backward(node: Node, graph: Graph, cache, grad_y):
@@ -140,25 +222,29 @@ def _batchnorm_backward(node: Node, graph: Graph, cache, grad_y):
     n, c, h, w = grad_y.shape
     count = n * h * w
 
-    grad_gamma = (grad_y * x_hat).sum(axis=(0, 2, 3))
+    # Every product below is stored in the layout the plain expression
+    # gives it (the sums run over them), but reads x_hat in grad_y's order.
+    x_hat_g = _in_layout(x_hat, grad_y)
+    gy_x_hat = np.multiply(grad_y, x_hat_g, out=_result_like(grad_y, x_hat))
+    grad_gamma = gy_x_hat.sum(axis=(0, 2, 3))
     grad_beta = grad_y.sum(axis=(0, 2, 3))
 
-    # Standard batchnorm backward (training-mode batch statistics).
+    # Standard batchnorm backward (training-mode batch statistics):
+    # inv_std / count * (count * g - sum(g) - x_hat * sum(g * x_hat)),
+    # with the float32 terms updated in place and the float64 product
+    # rounded to float32 as it is stored.
     g = grad_y * gamma
-    grad_x = (
-        inv_std
-        / count
-        * (
-            count * g
-            - g.sum(axis=(0, 2, 3), keepdims=True)
-            - x_hat * (g * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        )
-    )
+    g_x_hat = np.multiply(g, x_hat_g, out=_result_like(g, x_hat))
+    g_centred = count * g
+    g_centred -= g.sum(axis=(0, 2, 3), keepdims=True)
+    projection = x_hat_g * g_x_hat.sum(axis=(0, 2, 3), keepdims=True)
+    diff = np.subtract(g_centred, projection, out=_result_like(g_centred, x_hat))
+    grad_x = np.multiply(diff, inv_std / count, out=np.empty_like(diff, np.float32))
     param_grads = {
         "gamma": grad_gamma.astype(np.float32),
         "beta": grad_beta.astype(np.float32),
     }
-    return param_grads, [grad_x.astype(np.float32)]
+    return param_grads, [grad_x]
 
 
 # --------------------------------------------------------------------------- relu
@@ -169,20 +255,29 @@ def _relu_forward(node: Node, graph: Graph, xs, train):
 
 
 def _relu_backward(node: Node, graph: Graph, cache, grad_y):
-    return {}, [grad_y * cache["mask"]]
+    mask = cache["mask"]
+    grad_x = np.multiply(grad_y, _in_layout(mask, grad_y), out=_result_like(grad_y, mask))
+    return {}, [grad_x]
 
 
 # --------------------------------------------------------------------------- pooling
 def _pool_cols(x, k, stride, padding, fill):
-    """Per-channel windows in the GEMM layout ``(k*k, N*C*P*Q)``, padded with ``fill``."""
+    """Per-channel windows in the GEMM layout ``(k*k, N*C*P*Q)``, padded with ``fill``.
+
+    One slab copy per window offset, each an NCHW-ordered row of the
+    C-contiguous result.
+    """
     n, c, h, w = x.shape
-    x = x.reshape(n * c, 1, h, w)
+    p = conv_output_size(h, k, stride, padding)
+    q = conv_output_size(w, k, stride, padding)
     if padding:
         pad = (padding, padding)
         x = np.pad(x, ((0, 0), (0, 0), pad, pad), constant_values=fill)
-    patches = im2col_patches(x, (k, k), stride, 0)  # (N*C, 1, k, k, P, Q)
-    p, q = patches.shape[4:]
-    return patches.transpose(1, 2, 3, 0, 4, 5).reshape(k * k, -1), (p, q)
+    cols = np.empty((k, k, n, c, p, q), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[i, j] = x[:, :, i : i + stride * p : stride, j : j + stride * q : stride]
+    return cols.reshape(k * k, -1), (p, q)
 
 
 def _maxpool_forward(node: Node, graph: Graph, xs, train):

@@ -17,8 +17,8 @@ class Optimizer:
     """Base class holding the target graph and a learning rate."""
 
     def __init__(self, graph: Graph, lr: float):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not np.isfinite(lr) or lr <= 0:
+            raise ValueError(f"learning rate must be positive and finite, got {lr}")
         self.graph = graph
         self.lr = lr
 

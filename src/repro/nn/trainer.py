@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import TrainingError
+from repro.errors import ConfigurationError, TrainingError
 from repro.nn.executor import forward_backward, predict
 from repro.nn.graph import Graph
 from repro.nn.loss import make_cross_entropy_grad_fn
@@ -28,6 +28,13 @@ class TrainConfig:
     lr_decay: float = 0.85
     shuffle_seed: int = 0
     verbose: bool = False
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"TrainConfig.{name} must be at least 1, got {getattr(self, name)}"
+                )
 
 
 @dataclass

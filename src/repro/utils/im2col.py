@@ -1,15 +1,18 @@
 """im2col / col2im and padding helpers for NCHW convolution.
 
-:func:`im2col_patches` is the zero-copy gather behind both the float
-training path (:mod:`repro.nn`) and the quantized direct-convolution path
-(:mod:`repro.quantized`).  The reduction axis enumerates ``(c, r, s)`` in
-C-major order — the *canonical accumulation order* that the operation-
-level fault injector assumes when it reconstructs partial sums.
+:func:`im2col_patches` is the zero-copy gather behind the quantized
+direct-convolution path (:mod:`repro.quantized`).  The reduction axis
+enumerates ``(c, r, s)`` in C-major order — the *canonical accumulation
+order* that the operation-level fault injector assumes when it
+reconstructs partial sums.
 
 :func:`im2col` materializes the integer path's batched
 ``(N, C*R*S, P*Q)`` matrix.  :func:`col2im` is the adjoint of the float
 path's single GEMM matrix ``(C*R*S, N*P*Q)`` (batch folded into the
-columns), which :mod:`repro.nn` gathers straight from the patches view.
+columns).  Its output contract is a C-contiguous NCHW array; it folds
+and copies out one cache-sized block of images at a time
+(:func:`per_block`), which leaves every sum unchanged because each
+output element still receives its contributions in ``(r, s)`` order.
 """
 
 from __future__ import annotations
@@ -18,7 +21,20 @@ import numpy as np
 
 from repro.errors import ShapeError
 
-__all__ = ["conv_output_size", "pad_nchw", "im2col", "im2col_patches", "col2im"]
+__all__ = [
+    "BLOCK_BYTES",
+    "conv_output_size",
+    "pad_nchw",
+    "im2col",
+    "im2col_patches",
+    "col2im",
+    "per_block",
+]
+
+#: Bytes one block of a blocked float-path copy spans (patch rows,
+#: transposed rows, folded columns): its slab copies then run in cache
+#: instead of streaming the whole batch.
+BLOCK_BYTES = 1 << 20
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -30,6 +46,11 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
             f"(size={size}, kernel={kernel}, stride={stride}, padding={padding})"
         )
     return out
+
+
+def per_block(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` fit :data:`BLOCK_BYTES` (at least one)."""
+    return max(1, BLOCK_BYTES // max(1, item_bytes))
 
 
 def pad_nchw(x: np.ndarray, padding: int | tuple[int, int]) -> np.ndarray:
@@ -134,14 +155,21 @@ def col2im(
             f"{(c * r * s, n * p * q)}"
         )
 
-    # Fold into an NHWC buffer: the patch-row-major columns the float conv
-    # backward produces then read with a short stride.
-    out = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    # Fold each block of images into a zeroed NHWC buffer, where the
+    # patch-row-major columns the float conv backward produces read with a
+    # short stride, then copy the block out to NCHW while it is in cache.
+    out = np.empty((n, c, h, w), dtype=cols.dtype)
     cols6 = cols.T.reshape(n, p, q, c, r, s)
-    for i in range(r):
-        i_max = i + stride * p
-        for j in range(s):
-            j_max = j + stride * q
-            out[:, i:i_max:stride, j:j_max:stride] += cols6[..., i, j]
-    out = out[:, padding : padding + h, padding : padding + w]
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    step = per_block(p * q * c * r * s * cols.itemsize)
+    buf = np.empty((min(step, n), h + 2 * padding, w + 2 * padding, c), cols.dtype)
+    for a in range(0, n, step):
+        fold = buf[: min(step, n - a)]
+        fold.fill(0)
+        for i in range(r):
+            i_max = i + stride * p
+            for j in range(s):
+                j_max = j + stride * q
+                fold[:, i:i_max:stride, j:j_max:stride] += cols6[a : a + step, ..., i, j]
+        inner = fold[:, padding : padding + h, padding : padding + w]
+        out[a : a + step] = inner.transpose(0, 3, 1, 2)
+    return out

@@ -12,6 +12,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.headline import collect_headlines, format_headlines
 from repro.faultsim import CampaignResult
+from repro.nn import evaluate_accuracy
 
 
 def _result(ber, acc):
@@ -56,6 +57,62 @@ class TestPreparedBenchmark:
         )
         assert prep.float_accuracy == expected
         assert prep.float_accuracy == expected
+        assert len(calls) == 1
+
+
+class TestPrepareBenchmarkEvaluations:
+    """A fresh training's last evaluation is the float accuracy; a cached load stays lazy."""
+
+    @pytest.fixture
+    def tiny_benchmark(self, tiny_dataset, monkeypatch, tmp_path):
+        from types import SimpleNamespace
+
+        from repro.experiments import common
+        from tests._helpers import build_tiny_cnn
+
+        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
+        monkeypatch.setitem(
+            common.BENCHMARKS, "tiny", SimpleNamespace(dataset=None, paper_label="Tiny")
+        )
+        monkeypatch.setitem(
+            common._TRAIN_SETTINGS,
+            "tiny",
+            {"lr": 3e-3, "train_per_class": 40, "test_per_class": 12},
+        )
+        monkeypatch.setattr(common, "make_dataset", lambda spec, **kw: tiny_dataset)
+        monkeypatch.setattr(common, "build_benchmark_model", lambda name: build_tiny_cnn())
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate_accuracy(*args)
+
+        monkeypatch.setattr(common, "evaluate_accuracy", counted)
+        profile = ExperimentProfile(name="tiny", eval_samples=8, seeds=(0,), train_epochs=2)
+        return common, profile, calls
+
+    def test_fresh_training_reuses_its_last_evaluation(self, tiny_benchmark, monkeypatch):
+        common, profile, calls = tiny_benchmark
+        results = []
+        train = common.train
+
+        def recorded(*args, **kwargs):
+            results.append(train(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(common, "train", recorded)
+        prep = common.prepare_benchmark("tiny", profile)
+        assert prep.float_accuracy == results[0].final_eval_accuracy
+        assert calls == []
+        assert prep.float_accuracy == evaluate_accuracy(prep.graph, prep.eval_x, prep.eval_y)
+
+    def test_cached_weights_evaluate_once_on_first_read(self, tiny_benchmark):
+        common, profile, calls = tiny_benchmark
+        fresh = common.prepare_benchmark("tiny", profile)
+        cached = common.prepare_benchmark("tiny", profile)
+        assert calls == []
+        assert cached.float_accuracy == fresh.float_accuracy
+        assert cached.float_accuracy == fresh.float_accuracy
         assert len(calls) == 1
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError, TrainingError
+from repro.errors import ConfigurationError, ShapeError, TrainingError
 from repro.nn import (
     SGD,
     Adam,
@@ -104,6 +104,12 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             SGD(self._quadratic_graph(), lr=-1.0)
 
+    @pytest.mark.parametrize("optimizer_cls", [SGD, Adam])
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_lr(self, optimizer_cls, lr):
+        with pytest.raises(ValueError, match="finite"):
+            optimizer_cls(self._quadratic_graph(), lr=lr)
+
     def test_weight_decay_shrinks_weights(self):
         g = self._quadratic_graph()
         opt = SGD(g, lr=0.1, momentum=0.0, weight_decay=1.0)
@@ -151,3 +157,15 @@ class TestTrainLoop:
                 tiny_dataset.test_y,
                 TrainConfig(epochs=1),
             )
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_unrunnable_settings(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_smallest_runnable_settings_accepted(self):
+        config = TrainConfig(epochs=1, batch_size=1)
+        assert (config.epochs, config.batch_size) == (1, 1)
