@@ -7,11 +7,12 @@ time-slice one CPU; bit-identity is asserted unconditionally):
 * a >= 8-unit sweep through :class:`repro.runtime.CampaignEngine`
   completes at least 2x faster than the serial path;
 * the TMR planner's task-batch workload (candidate evaluations
-  seed- and sample-sharded across the pool) iterates at least 1.5x
-  faster than the serial planner, with identical planning results;
-* the sample-sharding workload — a *single* (BER, seed) point split
-  into sample slices — completes at least
-  1.5x faster with 4 workers than the unsharded run, bit-identically.
+  seed-sharded across the pool, and sliced along the sample axis when
+  there are fewer seeds than workers) iterates at least 1.5x faster
+  than the serial planner, with identical planning results;
+* the single-point workload — one (BER, seed) point, which the engine
+  splits into sample slices by itself — completes at least 1.5x faster
+  with 4 workers than the serial run, bit-identically.
 
 Run standalone for a timing report::
 
@@ -124,15 +125,15 @@ def run_task_batch_comparison(workers: int = 4) -> dict:
 
 
 def run_planner_comparison(workers: int = 4) -> dict:
-    """Time the Fig. 5 planner workload: serial vs pool + auto sharding.
+    """Time the Fig. 5 planner workload: serial vs a worker pool.
 
     Both sides run the paper's heuristic, one candidate per iteration.
     The serial side evaluates seeds sequentially on a workers=1 engine;
-    the engine side splits every candidate evaluation into per-seed
-    sample slices (``sample_shard="auto"``), so each iteration keeps the
-    pool filled.  Planning results must be identical; on a pool
-    that can actually run ``workers`` processes the per-iteration
-    wall-clock should drop >= 1.5x.
+    the pooled engine spreads every candidate's seeds over its workers,
+    slicing them along the sample axis when there are fewer seeds than
+    workers, so each iteration keeps the pool filled.  Planning results
+    must be identical; on a pool that can actually run ``workers``
+    processes the per-iteration wall-clock should drop >= 1.5x.
 
     The benchmark model is untrained (timing is what matters), so the
     accuracy goal is pinned unreachable and the run length fixed by
@@ -155,7 +156,7 @@ def run_planner_comparison(workers: int = 4) -> dict:
     )
     serial_seconds = time.perf_counter() - start
 
-    engine = CampaignEngine(workers=workers, sample_shard="auto")
+    engine = CampaignEngine(workers=workers)
     start = time.perf_counter()
     pooled = plan_tmr(
         qmodel, x, y, ber, 1.0, ranking, config=config, step=0.25,
@@ -181,14 +182,14 @@ def run_planner_comparison(workers: int = 4) -> dict:
     }
 
 
-def run_sample_shard_comparison(workers: int = 4, shard: int = 24) -> dict:
-    """Time one (BER, seed) point: unsharded serial vs sample-sharded pool.
+def run_single_point_comparison(workers: int = 4) -> dict:
+    """Time one (BER, seed) point: serial vs a sliced worker pool.
 
     The single-point case is where seed sharding cannot help (one seed =
-    one subtask) and the dominant wall-clock case for ``plan_tmr`` on big
-    models.  Sample sharding splits the
-    point's evaluation batch into slices and must stay bit-identical to
-    the unsharded run while filling the pool.
+    one point) and the dominant wall-clock case for ``plan_tmr`` on big
+    models.  The engine splits the point's evaluation batch into sample
+    slices by itself, and must stay bit-identical to the serial run while
+    filling the pool.  ``units`` counts the dispatched slices.
     """
     qmodel, x, y, base = build_workload()
     config = CampaignConfig(
@@ -202,20 +203,20 @@ def run_sample_shard_comparison(workers: int = 4, shard: int = 24) -> dict:
     serial = run_point(qmodel, x, y, ber, config=config)
     serial_seconds = time.perf_counter() - start
 
-    engine = CampaignEngine(workers=workers, sample_shard=shard)
+    events = []
+    engine = CampaignEngine(workers=workers, progress=events.append)
     start = time.perf_counter()
-    sharded = engine.run_point(qmodel, x, y, ber, config=config)
+    sliced = engine.run_point(qmodel, x, y, ber, config=config)
     engine_seconds = time.perf_counter() - start
 
     return {
-        "units": engine.last_stats.total_units,
-        "shard": shard,
+        "units": len(events),
         "workers": engine.workers,
         "available_cores": resolve_workers(0),
         "serial_seconds": serial_seconds,
         "engine_seconds": engine_seconds,
         "speedup": serial_seconds / engine_seconds if engine_seconds else float("inf"),
-        "bit_identical": sharded.to_dict() == serial.to_dict(),
+        "bit_identical": sliced.to_dict() == serial.to_dict(),
     }
 
 
@@ -289,14 +290,14 @@ def format_report(stats: dict) -> str:
     )
 
 
-def format_sample_shard_report(stats: dict) -> str:
+def format_single_point_report(stats: dict) -> str:
     return (
-        f"sample-shard benchmark — 1 (BER, seed) point, "
-        f"{stats['units']} slices of {stats['shard']} samples\n"
+        f"single-point benchmark — 1 (BER, seed) point, "
+        f"{stats['units']} slice(s)\n"
         f"  available cores : {stats['available_cores']}\n"
         f"  workers         : {stats['workers']}\n"
-        f"  unsharded       : {stats['serial_seconds']:.2f} s\n"
-        f"  sharded         : {stats['engine_seconds']:.2f} s\n"
+        f"  serial          : {stats['serial_seconds']:.2f} s\n"
+        f"  sliced pool     : {stats['engine_seconds']:.2f} s\n"
         f"  speedup         : {stats['speedup']:.2f}x\n"
         f"  bit-identical   : {stats['bit_identical']}"
     )
@@ -325,7 +326,7 @@ def format_planner_report(stats: dict) -> str:
         f"  workers           : {stats['workers']}\n"
         f"  serial            : {stats['serial_seconds']:.2f} s "
         f"({stats['serial_seconds_per_iteration']:.2f} s/iter)\n"
-        f"  pool + auto shard : {stats['engine_seconds']:.2f} s "
+        f"  pool              : {stats['engine_seconds']:.2f} s "
         f"({stats['engine_seconds_per_iteration']:.2f} s/iter)\n"
         f"  speedup           : {stats['speedup']:.2f}x\n"
         f"  identical results : {stats['identical_results']}"
@@ -369,16 +370,16 @@ def test_planner_pool_speedup():
     )
 
 
-def test_sample_shard_speedup():
+def test_single_point_speedup():
     """>= 1.5x on a single (BER, seed) point with 4 workers and >= 4
-    cores; always bit-identical to the unsharded run."""
+    cores; always bit-identical to the serial run."""
     import pytest
 
-    stats = run_sample_shard_comparison(workers=4)
+    stats = run_single_point_comparison(workers=4)
     print()
-    print(format_sample_shard_report(stats))
-    assert stats["bit_identical"], "sample-sharded results diverged from serial"
-    assert stats["units"] > 1, "shard did not split the point; tune the workload"
+    print(format_single_point_report(stats))
+    assert stats["bit_identical"], "sliced results diverged from serial"
+    assert stats["units"] > 1, "the engine did not slice the lone point"
     if stats["available_cores"] < 4:
         pytest.skip(
             f"speedup needs >= 4 cores, machine has {stats['available_cores']}"
@@ -420,7 +421,7 @@ if __name__ == "__main__":
     sweep = run_comparison(workers=args.workers)
     tasks = run_task_batch_comparison(workers=args.workers)
     planner = run_planner_comparison(workers=args.workers)
-    sample_shard = run_sample_shard_comparison(workers=args.workers)
+    single_point = run_single_point_comparison(workers=args.workers)
     adaptive = run_adaptive_comparison(workers=args.workers)
     print(format_report(sweep))
     print(
@@ -432,7 +433,7 @@ if __name__ == "__main__":
         f"  bit-identical   : {tasks['bit_identical']}"
     )
     print(format_planner_report(planner))
-    print(format_sample_shard_report(sample_shard))
+    print(format_single_point_report(single_point))
     print(format_adaptive_report(adaptive))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -441,7 +442,7 @@ if __name__ == "__main__":
                     "sweep": sweep,
                     "task_batch": tasks,
                     "planner": planner,
-                    "sample_shard": sample_shard,
+                    "single_point": single_point,
                     "adaptive": adaptive,
                 },
                 handle, indent=2, sort_keys=True,

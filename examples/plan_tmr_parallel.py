@@ -7,8 +7,8 @@ campaign engine spreads it across the worker pool on a small CNN:
 
 1. **Seed sharding** — the batch's per-seed subtasks run on separate
    workers.
-2. **Sample sharding** (``sample_shard="auto"``) — each seed is further
-   sliced into sample windows sized to fill the pool.
+2. **Sample slicing** — when there are fewer seeds than workers, the
+   engine slices each seed into sample windows sized to fill the pool.
 
 Both are result-identical to the serial heuristic — this script runs the
 planner both ways and verifies it.
@@ -71,7 +71,7 @@ def main(workers: int | None = None) -> None:
     print(f"model fault-free accuracy : {fault_free:.3f}")
     print(f"accuracy goal             : {target:.3f} @ BER {BER:.1e}")
 
-    engine = CampaignEngine(workers=workers, sample_shard="auto")
+    engine = CampaignEngine(workers=workers)
     report = layer_vulnerability(qmodel, x, y, BER, config=config, engine=engine)
     ranking = [(lv.layer, lv.vulnerability_factor) for lv in report.ranked()]
     print(f"vulnerability ranking     : {[name for name, _ in ranking]}")

@@ -16,16 +16,12 @@ sweeps of figs 1–2/6–7 and the protected-evaluation batches behind figs
 3–5 (layer vulnerability, operation-type sensitivity, TMR planning) all
 execute through the same :class:`repro.runtime.CampaignEngine`.  The
 TMR planner (fig5 and portfolio) is the paper's serial loop; each
-iteration's seeds fan out across the pool, and ``--shard-samples auto``
-slices them to fill it.
+iteration's seeds fan out across the pool, and the engine slices them
+along the sample axis when there are fewer seeds than workers.  Fault
+draws are keyed by (seed, layer, site, sample chunk), so results are
+bit-identical for any slicing.
 ``--protection {tmr,abft,portfolio,all}`` selects which strategies the
 ``portfolio`` figure compares.
-
-``--shard-samples N`` additionally splits every (BER, seed) evaluation
-into N-sample slices, filling the pool even when a figure evaluates a
-single point at a time (``--shard-samples auto`` picks the slice size
-per batch).  Fault draws are keyed by (seed, layer, site, sample
-chunk), so results are bit-identical for any slice size.
 
 ``--adaptive-ber`` switches figs 2/6/7 from their fixed BER grids to the
 adaptive engine (:mod:`repro.stats`): the BER points are chosen by knee
@@ -33,7 +29,7 @@ bisection over the grid's extremes, and every point stops adding seeds
 once its confidence interval is inside ``--ci-halfwidth`` (seed budget
 ``--max-seeds``).  Stopping decisions depend only on canonically ordered
 per-seed results, so adaptive runs stay bit-reproducible and resumable
-for any ``--workers``/``--shard-samples`` combination.
+for any ``--workers``.
 
 ``--max-attempts`` / ``--unit-deadline`` configure the unified retry
 policy (:class:`repro.runtime.RetryPolicy`); a deadline that is not a
@@ -78,21 +74,6 @@ _FIGURES = {
     "fig7": fig7,
     "portfolio": fig_portfolio,
 }
-
-
-def _shard_samples(value: str):
-    """Parse ``--shard-samples``: a positive int or the string 'auto'."""
-    if value == "auto":
-        return value
-    try:
-        shard = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}"
-        ) from None
-    if shard < 1:
-        raise argparse.ArgumentTypeError("--shard-samples must be >= 1")
-    return shard
 
 
 def _format_fsck_report(report) -> str:
@@ -247,20 +228,11 @@ def _figures_main(argv: list[str]) -> int:
         "portfolio, or all three (default: all)",
     )
     parser.add_argument(
-        "--shard-samples",
-        type=_shard_samples,
-        default=None,
-        metavar="N",
-        help="split every (BER, seed) evaluation into N-sample slices so "
-        "a single point fills the worker pool ('auto' picks the slice "
-        "size per batch; pairs with --workers)",
-    )
-    parser.add_argument(
         "--adaptive-ber",
         action="store_true",
         help="figs 2/6/7: replace the fixed BER grid with adaptive "
         "knee-bisection sampling and per-point early stopping "
-        "(deterministic for any --workers/--shard-samples)",
+        "(deterministic for any --workers)",
     )
     parser.add_argument(
         "--ci-halfwidth",
@@ -328,7 +300,6 @@ def _figures_main(argv: list[str]) -> int:
         resume=args.resume,
         checkpoint=args.checkpoint,
         progress=stream_reporter() if args.progress else None,
-        sample_shard=args.shard_samples,
         retry=retry,
     )
     targets = sorted(_FIGURES) if "all" in args.figures else args.figures

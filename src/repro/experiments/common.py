@@ -64,19 +64,15 @@ def make_engine(
     resume: bool = False,
     checkpoint: str | Path | None = None,
     progress=None,
-    sample_shard: int | str | None = None,
     retry=None,
 ) -> CampaignEngine:
     """Campaign engine with the default checkpoint under ``results_dir()``.
 
     The shared checkpoint file is safe across figures and models: points
-    are keyed by a content hash of (model, campaign, BER, seed[, sample
-    slice]).  ``sample_shard`` splits every (BER, seed) subtask into
-    sample slices (CLI ``--shard-samples``), which changes wall-clock
-    only, never results.  ``retry`` (a :class:`repro.runtime.RetryPolicy`;
-    CLI ``--max-attempts`` / ``--unit-deadline``) sets the shared
-    retry/backoff/deadline policy, which never changes completed results
-    either.
+    are keyed by a content hash of (model, campaign, BER, seed), for any
+    worker count.  ``retry`` (a :class:`repro.runtime.RetryPolicy`; CLI
+    ``--max-attempts`` / ``--unit-deadline``) sets the shared
+    retry/backoff/deadline policy, which never changes completed results.
     """
     path = Path(checkpoint) if checkpoint else results_dir() / "checkpoints" / "campaign.json"
     return CampaignEngine(
@@ -84,7 +80,6 @@ def make_engine(
         checkpoint_path=path,
         resume=resume,
         progress=progress,
-        sample_shard=sample_shard,
         retry=retry,
     )
 

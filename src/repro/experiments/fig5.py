@@ -9,7 +9,7 @@ from our curves.
 
 The vulnerability analyses and every planner iteration route through the
 campaign engine, so this figure honors the CLI's
-``--workers/--resume/--checkpoint/--shard-samples`` flags (see
+``--workers/--resume/--checkpoint`` flags (see
 :mod:`repro.tmr.planner`).
 """
 

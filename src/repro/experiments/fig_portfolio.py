@@ -11,7 +11,7 @@ each strategy pays".
 
 Every vulnerability analysis and planner iteration routes through the
 campaign engine, so this experiment honors the CLI's
-``--workers/--resume/--checkpoint/--shard-samples`` flags;
+``--workers/--resume/--checkpoint`` flags;
 ``--protection`` restricts which strategies run.
 """
 

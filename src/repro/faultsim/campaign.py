@@ -188,31 +188,6 @@ class SampleSliceResult:
         """Slice-local accuracy (progress reporting; reduction uses counts)."""
         return float(self.correct) / self.total if self.total else 0.0
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (checkpoint record)."""
-        return {
-            "ber": self.ber,
-            "seed": self.seed,
-            "start": self.start,
-            "stop": self.stop,
-            "correct": self.correct,
-            "total": self.total,
-            "events": self.events,
-        }
-
-    @classmethod
-    def from_dict(cls, row: dict) -> "SampleSliceResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            ber=float(row["ber"]),
-            seed=int(row["seed"]),
-            start=int(row["start"]),
-            stop=int(row["stop"]),
-            correct=int(row["correct"]),
-            total=int(row["total"]),
-            events=int(row["events"]),
-        )
-
 
 def _make_injector(
     config: CampaignConfig, ber: float, seed: int, protection, sample_base: int = 0

@@ -6,13 +6,15 @@ parallel service.  :class:`CampaignEngine` dispatches independent
 :class:`TaskSpec` units — a (BER, seed) point, or a whole seed batch,
 under an optional protection plan — across a process pool via
 :meth:`CampaignEngine.evaluate_tasks`.  Scheduling and checkpointing
-happen at *subtask* granularity (one entry per (BER, seed, plan)
-evaluation in a content-addressed JSON-lines file), so a single seed-batch
-task shards across the whole pool and an interrupted batch resumes with
-only its missing seeds recomputed, while results stay bit-identical to
-serial execution.  Accuracy sweeps (:meth:`CampaignEngine.run_sweep`,
-figs 1–2/6–7), layer vulnerability (Fig. 3), operation-type sensitivity
-(Fig. 4) and the TMR planner (Fig. 5) all route through the same
+happen per *point* (one entry per (BER, seed, plan) evaluation in a
+content-addressed JSON-lines file; the engine slices a pending point
+along the sample axis when a batch is too small to fill its pool), so a
+single seed-batch task shards across the whole pool and an interrupted
+batch resumes with only its missing seeds recomputed, while results
+stay bit-identical to serial execution.  Accuracy sweeps
+(:meth:`CampaignEngine.run_sweep`, figs 1–2/6–7), layer vulnerability
+(Fig. 3), operation-type sensitivity (Fig. 4) and the TMR planner
+(Fig. 5) all route through the same
 engine, which runs units serially in-process or on a forked pool,
 bit-identically.  A unified :class:`RetryPolicy` (bounded attempts,
 seeded exponential backoff, transient-vs-permanent classification,
@@ -30,7 +32,6 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.engine import (
     CampaignEngine,
-    SAMPLE_SHARD_AUTO,
     SweepStats,
     auto_sample_shard,
     resolve_workers,
@@ -60,7 +61,6 @@ __all__ = [
     "SweepStats",
     "fsck",
     "unit_deadline",
-    "SAMPLE_SHARD_AUTO",
     "TaskSpec",
     "auto_sample_shard",
     "resolve_workers",

@@ -1,30 +1,29 @@
 """JSON-lines checkpoint store for interruptible campaign batches.
 
-The engine records every completed *subtask* — one (BER, seed) evaluation
+The engine records every completed *point* — one (BER, seed) evaluation
 under one protection plan — under its content-hash key
-(:mod:`repro.runtime.hashing`).  Because entries live at subtask
+(:mod:`repro.runtime.hashing`).  Because entries live at point
 granularity, a seed-batch task interrupted mid-way leaves its finished
 seeds on disk and a resumed engine recomputes only the missing ones; a
 seed-batch task and the equivalent per-seed point tasks share the same
 entries.  The store is line-oriented so damage is *localized*: completed
-subtasks append one self-contained JSON line each, a crash mid-write can
+points append one self-contained JSON line each, a crash mid-write can
 truncate at most the final line, and loading salvages every intact line
 while reporting the damaged ones (see
 :class:`repro.errors.CheckpointError`).  A resumed engine replays the
-salvaged subtasks from disk and recomputes only the damaged entries.
+salvaged points from disk and recomputes only the damaged entries.
 
 File format (version 3)::
 
     {"version": 3}
     {"ber": 1e-06, "crc": 4023233417, "key": "<task-key>", "seed": 0, "accuracy": 0.81, "events": 42}
-    {"ber": 1e-06, "crc": 2768625435, "key": "<task-key>", "seed": 0, "start": 0, "stop": 8, "correct": 7, "total": 8, "events": 3}
     ...
 
-The second row shape is a **sample-slice** record
-(:class:`~repro.faultsim.campaign.SampleSliceResult`, written by
-sample-sharded engines): it carries correct/total counts for one window
-of the evaluation set, distinguished by its ``correct`` field.  Slice
-keys bind their window, so point and slice records never collide.
+Every row is one point (:class:`~repro.faultsim.campaign.SeedPointResult`).
+Stores written by older engines may also hold per-slice rows (``start``,
+``stop``, ``correct``, ``total`` instead of ``accuracy``); such a row is
+not a well-formed record, so it takes the damaged-line path below
+(reason ``fields``) and disappears at the next compaction or repair.
 
 Record integrity
 ----------------
@@ -76,7 +75,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.errors import CheckpointError, CheckpointWriteError
-from repro.faultsim.campaign import SampleSliceResult, SeedPointResult
+from repro.faultsim.campaign import SeedPointResult
 
 __all__ = [
     "CampaignCheckpoint",
@@ -87,9 +86,6 @@ __all__ = [
 ]
 
 _VERSION = 3
-
-#: Either stored record shape.
-_Result = SeedPointResult | SampleSliceResult
 
 #: Damage classifications reported per line by the scanner / fsck.
 DAMAGE_JSON = "json"          # not parseable as a JSON object
@@ -119,18 +115,11 @@ def record_crc(row: dict) -> int:
     return zlib.crc32(_canonical(body).encode("utf-8")) & 0xFFFFFFFF
 
 
-def encode_record(key: str, result: _Result) -> str:
+def encode_record(key: str, result: SeedPointResult) -> str:
     """One version-3 checkpoint line (CRC included, newline-terminated)."""
     row = {"key": key, **result.to_dict()}
     row["crc"] = record_crc(row)
     return _canonical(row) + "\n"
-
-
-def _row_result(row: dict) -> _Result:
-    """Decode one checkpoint row into its result type."""
-    if "correct" in row:
-        return SampleSliceResult.from_dict(row)
-    return SeedPointResult.from_dict(row)
 
 
 def _scan_line(line: str):
@@ -158,7 +147,7 @@ def _scan_line(line: str):
     if stored != record_crc(row):
         return key, None, DAMAGE_CRC
     try:
-        return key, _row_result(row), None
+        return key, SeedPointResult.from_dict(row), None
     except (KeyError, TypeError, ValueError):
         return key, None, DAMAGE_FIELDS
 
@@ -168,7 +157,7 @@ class _Scan:
     """What :func:`_scan` found in one store's text."""
 
     #: Intact records, last-line-wins.
-    records: dict[str, _Result] = field(default_factory=dict)
+    records: dict[str, SeedPointResult] = field(default_factory=dict)
     #: One ``{"line": n, "key": key-or-None, "reason": DAMAGE_*}`` per bad line.
     damaged: list[dict] = field(default_factory=list)
     #: The damaged lines' raw text (what a repair quarantines).
@@ -230,7 +219,7 @@ def _scan(path: Path, text: str) -> _Scan:
     return scan
 
 
-def _write_store(path: Path, records: dict[str, _Result]) -> None:
+def _write_store(path: Path, records: dict[str, SeedPointResult]) -> None:
     """Atomically replace ``path`` with a clean store, one sorted row per key.
 
     Temp file + ``fsync`` + atomic rename, so a crash leaves either the
@@ -257,11 +246,7 @@ def _write_store(path: Path, records: dict[str, _Result]) -> None:
 
 
 class CampaignCheckpoint:
-    """Append-mostly map of task-key -> completed result on disk.
-
-    Values are :class:`SeedPointResult` (point subtasks) or
-    :class:`SampleSliceResult` (sample-slice subtasks); keys distinguish
-    the shapes, so one file safely holds both.
+    """Append-mostly map of point key -> :class:`SeedPointResult` on disk.
 
     An existing file is always loaded and merged into, never truncated:
     whether cached tasks are *served* back to a batch is the engine's
@@ -279,7 +264,7 @@ class CampaignCheckpoint:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._points: dict[str, _Result] = {}
+        self._points: dict[str, SeedPointResult] = {}
         #: Keys put since the last flush, in completion order.
         self._pending: list[str] = []
         #: Keys whose current result this process knows to be on disk.
@@ -315,7 +300,7 @@ class CampaignCheckpoint:
     def __contains__(self, key: str) -> bool:
         return key in self._points
 
-    def get(self, key: str) -> _Result | None:
+    def get(self, key: str) -> SeedPointResult | None:
         """Completed result for ``key``, or None if not checkpointed."""
         return self._points.get(key)
 
@@ -324,7 +309,7 @@ class CampaignCheckpoint:
         """Records put but not yet persisted (nonzero after a failed flush)."""
         return len(self._pending)
 
-    def put(self, key: str, result: _Result) -> None:
+    def put(self, key: str, result: SeedPointResult) -> None:
         """Record a completed task and flush it.
 
         Re-putting a key whose identical result is already persisted (or

@@ -14,50 +14,44 @@ sensitivity (:func:`repro.analysis.operation_type_sensitivity`, Fig. 4)
 and the fine-grained TMR planner (:func:`repro.tmr.plan_tmr`, Fig. 5)
 submit per-plan task batches directly.
 
-Subtask sharding
-----------------
-The engine's unit of *scheduling and checkpointing* is the **subtask** —
-one (BER, seed, plan) evaluation (:meth:`TaskSpec.subtasks`).  Every task
-in a batch is expanded to its subtasks first, so a single seed-batch task
-(e.g. one TMR-planner candidate over all campaign seeds) still fans out
-across the whole pool instead of occupying one worker, and the checkpoint
-records per-seed entries: resuming an interrupted batch recomputes only
-the missing seeds.  Seed-batch tasks are reduced back (in seed order,
-with :func:`repro.faultsim.combine_seed_results` — the exact serial
+Seed sharding
+-------------
+The engine's unit of *identity* is the **point** — one (BER, seed, plan)
+evaluation (:meth:`TaskSpec.subtasks`).  Every task in a batch is
+expanded to its points first, so a single seed-batch task (e.g. one
+TMR-planner candidate over all campaign seeds) still fans out across the
+whole pool instead of occupying one worker, and the checkpoint records
+per-seed entries: resuming an interrupted batch recomputes only the
+missing seeds.  Seed-batch tasks are reduced back (in seed order, with
+:func:`repro.faultsim.combine_seed_results` — the exact serial
 statistics code) into one :class:`CampaignResult` per task.
 
-Sample sharding
----------------
-``CampaignEngine(sample_shard=S)`` splits every (BER, seed) subtask once
-more, into **sample-slice subtasks** of ``S`` evaluation samples each
-(:meth:`TaskSpec.sample_subtasks`), which fills the pool even for a
-single (BER, seed) point — the dominant wall-clock case for the TMR
-planner on big models.  Slice subtasks are scheduled and checkpointed
-exactly like seed subtasks (an interrupted point resumes with only its
-missing slices recomputed) and reduced back with
-:func:`repro.faultsim.combine_slice_results`.  Because fault draws do
-not depend on how the sample axis is partitioned, results are
-**bit-identical for any slice size and any worker count**, including the
-unsharded serial run.
-``sample_shard="auto"`` picks the slice size per batch with
-:func:`auto_sample_shard`: just enough slices that every worker owns at
-least one subtask, no finer (over-splitting pays per-slice dispatch and
-checkpoint overhead for nothing).
+Sample slicing
+--------------
+When a batch has fewer pending points than workers — the TMR planner's
+one-candidate iterations, a resumed batch with one point left — the
+engine splits each pending point into **sample slices**
+(:meth:`TaskSpec.sample_subtasks`) sized by :func:`auto_sample_shard`,
+so even a single point fills the pool.  Slicing is pure scheduling:
+slices are dispatched, retried, deadline-guarded and reported in
+progress like any unit, but never keyed or stored.  When a point's last
+slice lands, :func:`repro.faultsim.combine_slice_results` folds its
+slices into one :class:`SeedPointResult`, which is checkpointed under the
+plain point key.  Because fault draws do not depend on how the sample
+axis is partitioned, results and checkpoint entries are
+**bit-identical for any worker count and any slicing**.  A serial
+engine never slices.
 
 Determinism contract
 --------------------
-Each subtask (:func:`repro.faultsim.evaluate_seed_point`) owns its RNG
+Each point (:func:`repro.faultsim.evaluate_seed_point`) owns its RNG
 seed and touches no shared mutable state, so scheduling cannot change any
 result: an engine batch with any worker count — or any mix of live and
-checkpointed subtasks — is **bit-identical** to the serial loops it
-replaces.  ``workers=1`` runs the subtasks in-process without a pool and
-is the serial path itself.  The ``on_result`` hook of
-:meth:`CampaignEngine.evaluate_tasks` extends the contract to incremental
-consumers: it observes every completed subtask as it lands (arrival
-order) but cannot cancel in-flight work, so the set of evaluated units —
-and with it every result and checkpoint entry — stays a pure function of
-the submitted batch.  Early-stop decisions (:mod:`repro.stats`) therefore
-happen *between* batches, on canonically ordered results.
+checkpointed points — is **bit-identical** to the serial loops it
+replaces.  ``workers=1`` runs the points in-process without a pool and
+is the serial path itself.  The set of evaluated units is fixed when a
+batch is submitted, so early-stop decisions (:mod:`repro.stats`) happen
+*between* batches, on canonically ordered results.
 
 Worker-pool mechanics
 ---------------------
@@ -121,14 +115,9 @@ from repro.runtime.tasks import TaskSpec
 __all__ = [
     "CampaignEngine",
     "SweepStats",
-    "SAMPLE_SHARD_AUTO",
     "auto_sample_shard",
     "resolve_workers",
 ]
-
-#: Sentinel accepted by ``CampaignEngine(sample_shard=...)`` / the CLI's
-#: ``--shard-samples auto``: pick the slice size per batch.
-SAMPLE_SHARD_AUTO = "auto"
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -149,24 +138,27 @@ def resolve_workers(workers: int | None) -> int:
     return int(workers)
 
 
-def auto_sample_shard(n_samples: int, workers: int, n_units: int) -> int | None:
-    """Slice size giving every worker >= 1 subtask without over-splitting.
+def auto_sample_shard(
+    n_samples: int, workers: int, pending_points: int
+) -> int | None:
+    """Slice size giving every worker >= 1 unit without over-splitting.
 
-    ``n_units`` is the batch's seed-subtask count before slicing.  When
-    the batch already carries at least one subtask per worker — or there
-    is only one worker, nothing to evaluate, or a single sample — no
-    slicing is needed and ``None`` is returned.  Otherwise each seed
-    subtask is split into (at least) ``ceil(workers / n_units)`` slices —
-    the smallest split that fills the pool, since finer slicing only adds
-    per-slice dispatch and checkpoint overhead.  Not every slice count is
+    ``pending_points`` is the batch's count of points left to compute
+    after the checkpoint served its share.  When the batch already
+    carries at least one point per worker — or there is only one worker,
+    nothing to evaluate, or a single sample — no slicing is needed and
+    ``None`` is returned.  Otherwise each pending point is split into (at
+    least) ``ceil(workers / pending_points)`` slices — the smallest split
+    that fills the pool, since finer slicing only adds per-slice dispatch
+    overhead.  Not every slice count is
     realizable by a uniform slice size (``ceil(N / shard)`` skips values),
     so the chooser takes the smallest *achievable* count at or above the
     target, then re-balances to the largest slice size realizing it (the
     slices come out equal-sized up to the final remainder).
     """
-    if workers <= 1 or n_units <= 0 or n_samples <= 1:
+    if workers <= 1 or pending_points <= 0 or n_samples <= 1:
         return None
-    slices_per_unit = -(-workers // n_units)
+    slices_per_unit = -(-workers // pending_points)
     if slices_per_unit <= 1:
         return None
     # Largest slice size still yielding >= slices_per_unit slices; its
@@ -182,27 +174,15 @@ def auto_sample_shard(n_samples: int, workers: int, n_units: int) -> int | None:
 class SweepStats:
     """Bookkeeping for the engine's most recent task batch.
 
-    Units are counted at *subtask* granularity — one per (BER, seed,
-    plan) evaluation — so a seed-batch task contributes ``len(seeds)``
-    units and a partially checkpointed batch reports exactly how many
-    seeds were served from cache versus recomputed.
+    Units are counted per point — one per (BER, seed, plan) evaluation,
+    however it was sliced — so a seed-batch task contributes
+    ``len(seeds)`` units and a partially checkpointed batch reports
+    exactly how many seeds were served from cache versus recomputed.
     """
 
     total_units: int = 0
     computed_units: int = 0
     cached_units: int = 0
-    workers: int = 1
-    elapsed_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form."""
-        return {
-            "total_units": self.total_units,
-            "computed_units": self.computed_units,
-            "cached_units": self.cached_units,
-            "workers": self.workers,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 #: Payload published to forked workers (set only while a pool is alive).
@@ -231,7 +211,7 @@ class _UnitFailure:
 
 
 def _evaluate_unit(qmodel, x, labels, config, task: TaskSpec):
-    """Evaluate one subtask unit: a (BER, seed) point or a sample slice."""
+    """Evaluate one unit: a (BER, seed) point or one of its sample slices."""
     if task.sample_slice is None:
         return evaluate_seed_point(
             qmodel, x, labels, task.ber, task.seed,
@@ -297,13 +277,8 @@ class CampaignEngine:
         entries are preserved (recomputed tasks overwrite their own keys).
     progress:
         Optional callable receiving a :class:`ProgressEvent` per completed
-        task (see :func:`repro.runtime.progress.stream_reporter`).
-    sample_shard:
-        When set, every (BER, seed) subtask is split into sample slices of
-        this many evaluation samples (see *Sample sharding* in the module
-        docs).  ``"auto"`` picks the slice size per batch
-        (:func:`auto_sample_shard`); ``None`` (default) disables sample
-        sharding.
+        unit — a point, or a sample slice of one (see
+        :func:`repro.runtime.progress.stream_reporter`).
     retry:
         Optional :class:`repro.runtime.RetryPolicy` governing attempt
         budgets, backoff and the per-unit deadline
@@ -320,23 +295,11 @@ class CampaignEngine:
         checkpoint_path: str | Path | None = None,
         resume: bool = False,
         progress: ProgressReporter | None = None,
-        sample_shard: int | str | None = None,
         retry: RetryPolicy | None = None,
     ):
         self.workers = resolve_workers(workers)
         #: Unified retry policy (attempt budget, backoff, deadline).
         self.retry = retry if retry is not None else RetryPolicy()
-        if isinstance(sample_shard, str):
-            if sample_shard != SAMPLE_SHARD_AUTO:
-                raise ConfigurationError(
-                    f"sample_shard accepts an int >= 1, 'auto' or None, "
-                    f"got {sample_shard!r}"
-                )
-        elif sample_shard is not None and sample_shard < 1:
-            raise ConfigurationError(
-                f"sample_shard must be >= 1 (or None), got {sample_shard}"
-            )
-        self.sample_shard = sample_shard
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         self.resume = resume
         self.progress = progress or null_reporter
@@ -360,116 +323,128 @@ class CampaignEngine:
         labels: np.ndarray,
         tasks: list[TaskSpec],
         config: CampaignConfig | None = None,
-        on_result=None,
     ) -> list[SeedPointResult | CampaignResult]:
         """Evaluate a batch of tasks against one model; results in task order.
 
-        Every task is first expanded to its per-seed subtasks
-        (:meth:`TaskSpec.subtasks`), and the *subtask* is the engine's
-        unit of scheduling: all pending subtasks — whatever mix of (BER,
-        seed) points and protection plans they carry — shard across one
-        worker pool, and every completed subtask is checkpointed under
-        its content hash, so ``resume`` recomputes only the missing seeds
-        of an interrupted batch.
+        Every task is first expanded to its points
+        (:meth:`TaskSpec.subtasks`), the engine's unit of identity: the
+        checkpoint serves (under ``resume``) and records one entry per
+        point under its content hash, so ``resume`` recomputes only the
+        missing seeds of an interrupted batch.  The pending points —
+        whatever mix of (BER, seed) points and protection plans they
+        carry — shard across one worker pool, each split into sample
+        slices when there are fewer pending points than workers (see
+        *Sample slicing* in the module docs).
 
         Each result slot matches its task's shape: a point task yields
         its :class:`SeedPointResult`, a seed-batch task the
         :class:`CampaignResult` reduced from its per-seed results in seed
-        order (an engine with ``sample_shard`` additionally splits every
-        seed subtask into sample-slice subtasks and folds each group back
-        first).  All of it is bit-identical to evaluating the tasks
-        serially in order, for any worker count and any slice size.
-
-        ``on_result`` is an optional **observation** hook called once per
-        completed subtask unit as ``on_result(index, unit, result,
-        cached)`` — cache-served units first (in unit-table index order),
-        then live units as the pool delivers them (arrival order, which
-        is scheduling-dependent).  It enables incremental reductions —
-        the adaptive drivers (:mod:`repro.stats.adaptive`) watch their
-        counts accumulate — but deliberately cannot cancel in-flight
-        work: the set of evaluated units is fixed when the batch is
-        submitted, so observation order can never change what gets
-        computed, keeping batches deterministic and checkpoints
-        partition-invariant.  Stop decisions belong *between* batches, at
-        round barriers, where they depend only on canonically ordered
-        results.
+        order.  All of it is bit-identical to evaluating the tasks
+        serially in order, for any worker count.  Slice tasks are the
+        engine's own scheduling units and are rejected here.
         """
         config = config or CampaignConfig()
-        started = time.perf_counter()
-
-        # Expand to subtask granularity.  Two levels: tasks fan out into
-        # per-seed subtasks, and (with sample_shard) each seed subtask
-        # fans out into sample-slice subtasks.  groups[i] holds task i's
-        # per-seed spans into the flat unit table.
+        if any(task.sample_slice is not None for task in tasks):
+            raise ConfigurationError(
+                "evaluate_tasks takes point and seed-batch tasks; the engine "
+                "slices pending points itself"
+            )
         n_samples = (
             len(x) if config.max_samples is None else min(len(x), config.max_samples)
         )
-        per_task_subtasks = [task.subtasks() for task in tasks]
-        shard = self._effective_shard(
-            n_samples, sum(len(s) for s in per_task_subtasks)
-        )
-        units: list[TaskSpec] = []
-        groups: list[list[tuple[int, int]]] = []
-        for subtasks in per_task_subtasks:
-            group: list[tuple[int, int]] = []
-            for seed_unit in subtasks:
-                expanded = (
-                    seed_unit.sample_subtasks(n_samples, shard)
-                    if shard is not None
-                    else (seed_unit,)
-                )
-                start = len(units)
-                units.extend(expanded)
-                group.append((start, len(units)))
-            groups.append(group)
-
-        keys = self._unit_keys(qmodel, x, labels, units, config)
+        per_task_points = [task.subtasks() for task in tasks]
+        points = [point for subtasks in per_task_points for point in subtasks]
+        keys = self._point_keys(qmodel, x, labels, points, config)
         checkpoint = self._open_checkpoint()
 
-        # Cached subtasks are only *served* under the resume policy; the
+        # Cached points are only *served* under the resume policy; the
         # checkpoint itself always merges (completed work is never wiped).
         serve_cache = checkpoint is not None and self.resume
-        slots: list[SeedPointResult | SampleSliceResult | None] = [None] * len(units)
+        slots: list[SeedPointResult | None] = [None] * len(points)
         pending: list[int] = []
-        for index in range(len(units)):
-            cached = checkpoint.get(keys[index]) if serve_cache else None
+        for index, key in enumerate(keys):
+            cached = checkpoint.get(key) if serve_cache else None
             if cached is not None:
                 slots[index] = cached
             else:
                 pending.append(index)
 
+        # Only pending points are scheduled, sliced when too few to fill
+        # the pool; owner[u] is the point that unit u computes (part of).
+        shard = auto_sample_shard(n_samples, self.workers, len(pending))
+        units: list[TaskSpec] = []
+        owner: list[int] = []
+        n_slices: dict[int, int] = {}
+        for index in pending:
+            expanded = (
+                points[index].sample_subtasks(n_samples, shard)
+                if shard is not None
+                else (points[index],)
+            )
+            units.extend(expanded)
+            owner.extend([index] * len(expanded))
+            n_slices[index] = len(expanded)
+        landed: dict[int, list[SampleSliceResult]] = {}
+
+        total = len(points) - len(pending) + len(units)
         done = 0
         for index, result in enumerate(slots):
             if result is not None:
                 done += 1
                 self._report(
-                    done, len(units), result, units[index].tag,
+                    done, total, result, points[index].tag,
                     cached=True, elapsed=0.0,
                 )
-                if on_result is not None:
-                    on_result(index, units[index], result, True)
 
-        payload = (qmodel, x, labels, config, units, keys, self.retry)
+        unit_keys = [keys[index] for index in owner]
+        payload = (qmodel, x, labels, config, units, unit_keys, self.retry)
 
-        def absorb(index: int, result, elapsed: float) -> None:
-            """Fold one completed live unit into slots/checkpoint/progress."""
+        def absorb(unit: int, result, elapsed: float) -> None:
+            """Fold one completed live unit into slots/checkpoint/progress.
+
+            A slice is held until its point's last slice lands; the
+            folded point is then stored like an unsliced one.
+            """
             nonlocal done
-            slots[index] = result
             done += 1
-            if checkpoint is not None:
-                try:
-                    checkpoint.put(keys[index], result)
-                except CheckpointWriteError:
-                    # The record is retained in the store's pending set;
-                    # the final flush retries with backoff and degrades
-                    # loudly if the disk never recovers.
-                    pass
+            index = owner[unit]
+            point = result
+            if isinstance(result, SampleSliceResult):
+                landed.setdefault(index, []).append(result)
+                point = None
+                if len(landed[index]) == n_slices[index]:
+                    point = combine_slice_results(
+                        landed.pop(index), expected_total=n_samples
+                    )
+            if point is not None:
+                slots[index] = point
+                if checkpoint is not None:
+                    try:
+                        checkpoint.put(keys[index], point)
+                    except CheckpointWriteError:
+                        # The record is retained in the store's pending
+                        # set; the final flush retries with backoff and
+                        # degrades loudly if the disk never recovers.
+                        pass
             self._report(
-                done, len(units), result, units[index].tag,
+                done, total, result, units[unit].tag,
                 cached=False, elapsed=elapsed,
             )
-            if on_result is not None:
-                on_result(index, units[index], result, False)
+
+        def describe(unit: int) -> tuple[str, str, str]:
+            """(point key, tag, sample window) naming a failed unit.
+
+            The key is computed on demand when the batch ran keyless (no
+            checkpoint).
+            """
+            index = owner[unit]
+            key = keys[index]
+            if not key:
+                model_fp, data_fp = self._fingerprint(qmodel, x, labels, config)
+                key = points[index].key(model_fp, data_fp, config)
+            window = units[unit].sample_slice
+            where = "" if window is None else f" samples [{window[0]}, {window[1]})"
+            return key, units[unit].tag, where
 
         # Completed work is persisted even when the batch ultimately
         # raises (a permanent failure or a quarantine): the flush sits in
@@ -477,32 +452,20 @@ class CampaignEngine:
         # checkpoint-less completion — with a loud warning — when the
         # disk never recovers.
         try:
-            self._run_pool_waves(
-                payload, pending, absorb, qmodel, x, labels, config, units, keys
-            )
+            self._run_pool_waves(payload, unit_keys, absorb, describe)
         finally:
             self._flush_with_retry(checkpoint)
 
         self.last_stats = SweepStats(
-            total_units=len(units),
+            total_units=len(points),
             computed_units=len(pending),
-            cached_units=len(units) - len(pending),
-            workers=self.workers,
-            elapsed_seconds=time.perf_counter() - started,
+            cached_units=len(points) - len(pending),
         )
         results = []
-        for task, group in zip(tasks, groups):
-            # A span longer than 1 is always an engine-made slice
-            # expansion (sample_subtasks returns the unit unchanged when
-            # it does not split); fold it back into its SeedPointResult.
-            per_seed = [
-                slots[start]
-                if end - start == 1
-                else combine_slice_results(
-                    slots[start:end], expected_total=n_samples
-                )
-                for start, end in group
-            ]
+        start = 0
+        for task, subtasks in zip(tasks, per_task_points):
+            per_seed = slots[start : start + len(subtasks)]
+            start += len(subtasks)
             results.append(self._reduce(qmodel, task, per_seed, config))
         return results
 
@@ -543,16 +506,6 @@ class CampaignEngine:
         return self.evaluate_tasks(qmodel, x, labels, tasks, config=config)
 
     # --- internals ---------------------------------------------------------------
-    def _effective_shard(self, n_samples: int, n_seed_units: int) -> int | None:
-        """Resolve the sample-shard setting for one batch.
-
-        An explicit integer is used as-is; ``"auto"`` consults
-        :func:`auto_sample_shard`.
-        """
-        if self.sample_shard == SAMPLE_SHARD_AUTO:
-            return auto_sample_shard(n_samples, self.workers, n_seed_units)
-        return self.sample_shard
-
     def _open_checkpoint(self) -> CampaignCheckpoint | None:
         if self.checkpoint_path is None:
             return None
@@ -594,9 +547,7 @@ class CampaignEngine:
                 time.sleep(self.retry.backoff(attempt, "checkpoint-flush"))
                 attempt += 1
 
-    def _run_pool_waves(
-        self, payload, pending, absorb, qmodel, x, labels, config, units, keys
-    ) -> None:
+    def _run_pool_waves(self, payload, keys, absorb, describe) -> None:
         """Pool/serial execution in retry waves under the unified policy.
 
         Every unit in the wave is attempted once; transient failures
@@ -607,11 +558,13 @@ class CampaignEngine:
         (the unit would fail identically forever); units whose budget is
         spent are *quarantined* — the rest of the batch still completes
         and persists, then one :class:`~repro.errors.TaskQuarantinedError`
-        names every quarantined key.
+        names every quarantined point.  ``keys`` holds each unit's point
+        key (its backoff identity); ``describe(unit)`` names a failed
+        unit as ``(point key, tag, sample window)``.
         """
-        attempts = {index: 1 for index in pending}
+        attempts = {index: 1 for index in range(len(keys))}
         quarantined: list[tuple[int, _UnitFailure]] = []
-        wave = list(pending)
+        wave = list(attempts)
         while wave:
             items = [(index, attempts[index]) for index in wave]
             runner = (
@@ -625,9 +578,12 @@ class CampaignEngine:
             for index, result, elapsed in runner(payload, items):
                 if isinstance(result, _UnitFailure):
                     if not result.transient:
-                        self._raise_unit_failure(
-                            qmodel, x, labels, config, units, keys, index,
-                            result,
+                        key, tag, where = describe(index)
+                        raise TaskExecutionError(
+                            f"task {key} (tag {tag!r}){where} failed: "
+                            f"{result.message}\n{result.details}",
+                            task_key=key,
+                            tag=tag,
                         )
                     if attempts[index] < self.retry.max_attempts:
                         retry_next.append(index)
@@ -646,35 +602,27 @@ class CampaignEngine:
                     attempts[index] += 1
             wave = retry_next
         if quarantined:
-            self._raise_quarantined(
-                qmodel, x, labels, config, units, keys, quarantined
-            )
+            self._raise_quarantined(describe, quarantined)
 
-    def _raise_quarantined(
-        self, qmodel, x, labels, config, units, keys, quarantined
-    ) -> None:
+    def _raise_quarantined(self, describe, quarantined) -> None:
         """Raise exhausted-budget units as one :class:`TaskQuarantinedError`.
 
         The error names the first quarantined unit's key and tag plus
-        *every* quarantined key.
+        *every* quarantined point's key, once each (the slices of one
+        point share its key).
         """
-        resolved = []
-        for index, failure in quarantined:
-            key = keys[index]
-            if not key:
-                model_fp, data_fp = self._fingerprint(qmodel, x, labels, config)
-                key = units[index].key(model_fp, data_fp, config)
-            resolved.append((index, key, failure))
-        first_index, first_key, first_failure = resolved[0]
-        more = f" (+{len(resolved) - 1} more)" if len(resolved) > 1 else ""
+        first, first_failure = quarantined[0]
+        first_key, first_tag, where = describe(first)
+        keys = tuple(dict.fromkeys(describe(index)[0] for index, _ in quarantined))
+        more = f" (+{len(keys) - 1} more)" if len(keys) > 1 else ""
         raise TaskQuarantinedError(
-            f"task {first_key} (tag {units[first_index].tag!r}) quarantined "
+            f"task {first_key} (tag {first_tag!r}){where} quarantined "
             f"after {self.retry.max_attempts} attempt(s){more}: "
             f"{first_failure.message}\n"
             f"{first_failure.details}",
             task_key=first_key,
-            tag=units[first_index].tag,
-            quarantined_keys=tuple(key for _, key, _ in resolved),
+            tag=first_tag,
+            quarantined_keys=keys,
         )
 
     def _reduce(
@@ -717,51 +665,23 @@ class CampaignEngine:
             self._fingerprints[memo] = cached
         return cached[0], cached[1]
 
-    def _unit_keys(
+    def _point_keys(
         self,
         qmodel: QuantizedModel,
         x: np.ndarray,
         labels: np.ndarray,
-        units: list[TaskSpec],
+        points: list[TaskSpec],
         config: CampaignConfig,
     ) -> list[str]:
-        """Checkpoint keys for a subtask-granularity unit table.
+        """Checkpoint keys for a batch's points.
 
         Without a checkpoint the engine never consults the keys, so they
         are skipped (hashing the model costs a pass over its weights).
         """
         if self.checkpoint_path is None:
-            return [""] * len(units)
+            return [""] * len(points)
         model_fp, data_fp = self._fingerprint(qmodel, x, labels, config)
-        return batch_task_keys(model_fp, data_fp, config, units)
-
-    def _raise_unit_failure(
-        self,
-        qmodel: QuantizedModel,
-        x: np.ndarray,
-        labels: np.ndarray,
-        config: CampaignConfig,
-        units: list[TaskSpec],
-        keys: list[str],
-        index: int,
-        failure: _UnitFailure,
-    ) -> None:
-        """Raise a failed unit as :class:`TaskExecutionError` with identity.
-
-        Attaches the failing unit's content-hash key and tag, computing
-        the key on demand when the batch ran keyless (no checkpoint).
-        """
-        unit = units[index]
-        key = keys[index]
-        if not key:
-            model_fp, data_fp = self._fingerprint(qmodel, x, labels, config)
-            key = unit.key(model_fp, data_fp, config)
-        raise TaskExecutionError(
-            f"task {key} (tag {unit.tag!r}) failed: "
-            f"{failure.message}\n{failure.details}",
-            task_key=key,
-            tag=unit.tag,
-        )
+        return batch_task_keys(model_fp, data_fp, config, points)
 
     def _report(
         self,

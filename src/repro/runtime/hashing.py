@@ -130,14 +130,8 @@ def point_key(
     data_fp: str,
     ber: float,
     seed: int,
-    sample_slice: tuple[int, int] | None = None,
 ) -> str:
-    """Checkpoint key for one (model, campaign, data, BER, seed) unit.
-
-    ``sample_slice`` extends the identity to one sample window of the
-    point; ``None`` (the whole set) reproduces the historical key, so
-    pre-sharding checkpoints stay valid.
-    """
+    """Checkpoint key for one (model, campaign, data, BER, seed) unit."""
     payload = {
         "model": model_fp,
         "campaign": campaign_fp,
@@ -145,8 +139,6 @@ def point_key(
         "ber": float(ber),
         "seed": int(seed),
     }
-    if sample_slice is not None:
-        payload["slice"] = [int(sample_slice[0]), int(sample_slice[1])]
     return _digest(payload)[:32]
 
 
@@ -157,7 +149,6 @@ def task_key(
     ber: float,
     seed: int,
     protection: ProtectionPlan | None = None,
-    sample_slice: tuple[int, int] | None = None,
 ) -> str:
     """Checkpoint key for one :class:`~repro.runtime.tasks.TaskSpec`.
 
@@ -178,7 +169,6 @@ def task_key(
         data_fp,
         ber,
         seed,
-        sample_slice=sample_slice,
     )
 
 
@@ -194,8 +184,8 @@ def batch_task_keys(
     but computes each distinct protection plan's campaign fingerprint only
     once per batch: a Fig. 3 batch reuses each plan across all its seeds,
     and a TMR planner iteration reuses its candidate plan the same way.
-    ``tasks`` must already be expanded to subtask granularity (no
-    seed-batch tasks).
+    ``tasks`` must already be expanded to points (no seed-batch or
+    slice tasks).
     """
     campaign_fps: dict[tuple | None, str] = {}
     keys = []
@@ -205,10 +195,5 @@ def batch_task_keys(
         if campaign_fp is None:
             campaign_fp = campaign_fingerprint(config, task.protection)
             campaign_fps[plan_id] = campaign_fp
-        keys.append(
-            point_key(
-                model_fp, campaign_fp, data_fp, task.ber, task.seed,
-                sample_slice=task.sample_slice,
-            )
-        )
+        keys.append(point_key(model_fp, campaign_fp, data_fp, task.ber, task.seed))
     return keys

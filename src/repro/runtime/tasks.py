@@ -18,25 +18,25 @@ evaluates a freshly grown plan every iteration.
   statistics code) into one
   :class:`~repro.faultsim.campaign.CampaignResult`.
 
-A point task can shard once more, along the
-*sample* axis: :meth:`TaskSpec.sample_subtasks` expands a (BER, seed)
-point into **sample-slice subtasks** (``sample_slice=(start, stop)``),
-each scoring one contiguous window of the evaluation set via
-:func:`~repro.faultsim.campaign.evaluate_sample_slice`.  The engine
-reduces a slice group back with
+The engine splits a pending point once more, along the *sample* axis,
+when a batch has too few points to fill its pool:
+:meth:`TaskSpec.sample_subtasks` expands a (BER, seed) point into
+**slice tasks** (``sample_slice=(start, stop)``), each scoring one
+contiguous window of the evaluation set via
+:func:`~repro.faultsim.campaign.evaluate_sample_slice`.  The engine folds
+a point's slices back with
 :func:`~repro.faultsim.campaign.combine_slice_results` — bit-identical to
-the unsliced point for any slice size, which is what lets a single
-(BER, seed) point fill a whole worker pool.
+the unsliced point for any slice size.  Slices are scheduling only: they
+have no identity of their own.
 
 The task's *identity* — what makes a checkpoint entry reusable — always
-lives at subtask granularity: each (BER, seed) subtask is keyed by the
+lives at point granularity: each (BER, seed) point is keyed by the
 content hash produced by :meth:`TaskSpec.key`, which binds the model
 fingerprint, the evaluation-data fingerprint, the campaign configuration,
-the point, the plan and (for slice subtasks) the sample window.  A
-seed-batch task therefore has no key of its own; a resumed engine
-recomputes only the *missing seeds* of an interrupted batch — or the
-missing *slices* of an interrupted point — and a batch task shares its
-per-seed checkpoint entries with the equivalent point tasks.  The model
+the point and the plan.  Seed-batch and slice tasks therefore have no
+key of their own; a resumed engine recomputes only the *missing seeds*
+of an interrupted batch, and a batch task shares its per-seed checkpoint
+entries with the equivalent point tasks.  The model
 hash is bound by the engine at dispatch time (tasks are model-relative;
 :meth:`CampaignEngine.evaluate_tasks` evaluates a batch of tasks against
 one model), and the ``tag`` deliberately does not contribute: the same
@@ -95,7 +95,7 @@ class TaskSpec:
         the task scores only those samples
         (:class:`~repro.faultsim.campaign.SampleSliceResult`).  Only valid
         on point tasks; produced by :meth:`sample_subtasks` when the
-        engine sample-shards a batch.
+        engine slices a pending point.
     """
 
     ber: float
@@ -164,8 +164,7 @@ class TaskSpec:
         Splits the ``[0, n_samples)`` evaluation window into consecutive
         slices of ``shard`` samples (the last slice may be shorter).  A
         shard at least as large as the sample set returns the task
-        unchanged — no slicing overhead, and the checkpoint key stays the
-        plain point key.  Seed-batch tasks must be expanded with
+        unchanged (no slicing overhead).  Seed-batch tasks must be expanded with
         :meth:`subtasks` first; tasks already carrying a slice are their
         own singleton expansion.
         """
@@ -194,17 +193,19 @@ class TaskSpec:
 
         ``model_fp``/``data_fp`` come from :func:`model_fingerprint` /
         :func:`data_fingerprint`; the engine computes them once per batch.
-        A slice subtask's key additionally binds its sample window (a
-        slice result is never served to a different window, nor to the
-        unsliced point).  Seed-batch tasks have no key of their own —
-        their identity lives in their :meth:`subtasks` — so calling this
-        on one raises :class:`~repro.errors.ConfigurationError`.
+        Seed-batch tasks have no key of their own — their identity lives
+        in their :meth:`subtasks` — and neither do slice tasks, which are
+        scheduling parts of their point; calling this on either raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         if self.is_batch:
             raise ConfigurationError(
                 "a seed-batch TaskSpec has no single key; key its subtasks()"
             )
+        if self.sample_slice is not None:
+            raise ConfigurationError(
+                "a slice TaskSpec has no key of its own; key its point"
+            )
         return task_key(
-            model_fp, data_fp, config, self.ber, self.seed, self.protection,
-            sample_slice=self.sample_slice,
+            model_fp, data_fp, config, self.ber, self.seed, self.protection
         )

@@ -16,8 +16,7 @@ Two drivers sit on top of the sequential stop rule
 
 Determinism
 -----------
-Both drivers are deterministic by construction, for any worker count and
-``--shard-samples`` setting:
+Both drivers are deterministic by construction, for any worker count:
 
 * every scheduled unit is an ordinary engine point task — bit-identical
   across execution strategies by the runtime's existing contract;
@@ -123,10 +122,9 @@ class AdaptiveSweepResult:
     """An adaptive sweep's points plus its unit-economy bookkeeping.
 
     The unit counters aggregate the engine's per-round
-    :class:`~repro.runtime.engine.SweepStats` — at *subtask* granularity
-    (seed units, or seed x slice units under sample sharding), which is
-    what the saved-samples ratio in the benchmark report compares against
-    a fixed-grid run.
+    :class:`~repro.runtime.engine.SweepStats` — one unit per (BER, seed)
+    point, however the engine sliced it — which is what the saved-samples
+    ratio in the benchmark report compares against a fixed-grid run.
     """
 
     points: list[AdaptivePoint]
@@ -156,7 +154,6 @@ def adaptive_sweep(
     protection: ProtectionPlan | None = None,
     engine: CampaignEngine | None = None,
     tag: str = "adaptive",
-    on_unit=None,
 ) -> AdaptiveSweepResult:
     """Evaluate BER points with per-point sequential early stopping.
 
@@ -169,14 +166,9 @@ def adaptive_sweep(
     order; a point whose interval is inside ``rule.halfwidth`` stops
     contributing units.  Estimates use each point's stop prefix only.
 
-    ``on_unit`` is forwarded to the engine's ``on_result`` observation
-    hook (per completed subtask, arrival order); it can watch progress
-    but — by the determinism contract — never influences scheduling.
-
     Returns an :class:`AdaptiveSweepResult` with points in ``bers``
-    order.  Results are bit-identical for any worker count and
-    sample-shard setting, and resume from the engine's checkpoint like
-    any other batch.
+    order.  Results are bit-identical for any worker count, and resume
+    from the engine's checkpoint like any other batch.
     """
     config = config or CampaignConfig()
     rule = rule or StopRule()
@@ -207,9 +199,7 @@ def adaptive_sweep(
                 owners.append(i)
         if not batch:
             break
-        results = engine.evaluate_tasks(
-            qmodel, x, labels, batch, config=config, on_result=on_unit
-        )
+        results = engine.evaluate_tasks(qmodel, x, labels, batch, config=config)
         rounds += 1
         total += engine.last_stats.total_units
         computed += engine.last_stats.computed_units

@@ -13,7 +13,7 @@ Determinism contract
 --------------------
 The hard constraint (and the point): stopping decisions must be
 bit-reproducible across every execution strategy the runtime offers —
-worker counts, ``--shard-samples`` slicing, resume from a
+worker counts, sample slicing, resume from a
 checkpoint.  Three rules enforce it:
 
 1. **Canonical order, not arrival order.**  Counts are pushed one whole
@@ -24,8 +24,8 @@ checkpoint.  Three rules enforce it:
 2. **Whole seeds only.**  The decision granularity is the seed, the unit
    whose folded result is partition-invariant.  Deciding mid-seed (after
    a sample slice lands) would make the decision depend on the engine's
-   slice geometry, which ``--shard-samples auto`` deliberately varies
-   with the worker count.
+   slice geometry, which the engine deliberately varies with the worker
+   count and the number of pending points.
 3. **Prefix estimates.**  The stop index is the *smallest* seed count at
    which the rule fires; the reported estimate uses exactly that prefix.
    A driver that evaluates seeds in rounds may overshoot the stop index

@@ -11,6 +11,7 @@ a full-repo run).  Helpers live here and are imported unambiguously as
 from __future__ import annotations
 
 from repro.nn import GraphBuilder
+from repro.runtime import engine as engine_module
 
 #: Campaign seed pinned for the TMR-planner engine-parity regression test
 #: (tests/test_engine_tasks_parity.py).  Chosen once and frozen: the test
@@ -33,3 +34,15 @@ def build_tiny_cnn(classes: int = 4) -> "Graph":
     x = b.globalavgpool(x, name="gap")
     x = b.flatten(x, name="fl")
     return b.output(b.linear(x, classes, name="fc"))
+
+
+def force_slices(monkeypatch, size: int | None) -> None:
+    """Make every engine batch slice each pending point into ``size`` samples.
+
+    Replaces the engine's slicing decision
+    (:func:`repro.runtime.engine.auto_sample_shard`) at any worker count;
+    ``None`` forces no slicing.  The decision is taken in the parent
+    before the pool forks.  Tests use it through the ``force_slices``
+    fixture; module-scoped fixtures pass a ``MonkeyPatch.context()``.
+    """
+    monkeypatch.setattr(engine_module, "auto_sample_shard", lambda *_: size)

@@ -9,7 +9,8 @@ order).
 The model fixtures are session-scoped because training even a tiny NumPy
 network takes a few seconds; every consumer treats them as read-only.
 ``runtime_faults`` injects deterministic faults into the campaign
-runtime itself (not into the network) for the resilience tests.
+runtime itself (not into the network) for the resilience tests, and
+``force_slices`` overrides the engine's sample-slicing decision.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.runtime import engine as engine_module
 from repro.utils.rng import site_rng
 
 from tests._helpers import TMR_REGRESSION_SEED, build_tiny_cnn
+from tests._helpers import force_slices as slice_points
 
 
 @pytest.fixture(scope="session")
@@ -165,3 +167,14 @@ class _RuntimeFaults:
 def runtime_faults(monkeypatch):
     """Arm deterministic runtime faults for one test (see :class:`_RuntimeFaults`)."""
     return _RuntimeFaults(monkeypatch)
+
+
+@pytest.fixture()
+def force_slices(monkeypatch):
+    """Force the engine's slicing decision: ``force_slices(size)``.
+
+    Every batch then splits each pending point into ``size``-sample
+    slices at any worker count (``None`` forces no slicing); see
+    :func:`tests._helpers.force_slices`.
+    """
+    return lambda size: slice_points(monkeypatch, size)

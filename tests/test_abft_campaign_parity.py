@@ -84,16 +84,17 @@ class TestAbftEngineParity:
     @pytest.mark.parametrize("ber", [0.0, BER_LOW, BER_KNEE])
     @pytest.mark.parametrize("mode_index", [0, 1], ids=["standard", "winograd"])
     def test_every_ber_regime_matches_serial(
-        self, tiny_quantized, tiny_eval, mode_index, ber
+        self, tiny_quantized, tiny_eval, mode_index, ber, force_slices
     ):
-        """BER 0, a sparse BER and the knee, whole and sample-sharded."""
+        """BER 0, a sparse BER and the knee, whole and sample-sliced."""
         qm = tiny_quantized[mode_index]
         x, y = tiny_eval
         config = counter_config()
         plan = abft_plan(qm)
         serial = run_point(qm, x, y, ber, config=config, protection=plan)
         for workers, shard in ((1, None), (PARITY_WORKERS, 7)):
-            engine = CampaignEngine(workers=workers, sample_shard=shard)
+            force_slices(shard)
+            engine = CampaignEngine(workers=workers)
             result = engine.run_point(
                 qm, x, y, ber, config=config, protection=plan
             )
@@ -168,15 +169,16 @@ class TestAbftSampleSharding:
         combined = combine_slice_results(parts)
         assert (combined.accuracy, combined.events) == (full.accuracy, full.events)
 
-    def test_sharding_engine_parity(self, tiny_quantized, tiny_eval):
+    def test_sharding_engine_parity(self, tiny_quantized, tiny_eval, force_slices):
         qm, _ = tiny_quantized
         x, y = tiny_eval
         config = counter_config()
         plan = abft_plan(qm)
         serial = run_point(qm, x, y, BER_KNEE, config=config, protection=plan)
-        sharded = CampaignEngine(
-            workers=PARITY_WORKERS, sample_shard=7
-        ).run_point(qm, x, y, BER_KNEE, config=config, protection=plan)
+        force_slices(7)
+        sharded = CampaignEngine(workers=PARITY_WORKERS).run_point(
+            qm, x, y, BER_KNEE, config=config, protection=plan
+        )
         assert point_summary(sharded) == point_summary(serial)
 
 

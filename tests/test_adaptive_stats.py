@@ -3,8 +3,8 @@
 The adaptive contract under test (``docs/RUNTIME.md``): stopping
 decisions depend only on checkpoint-ordered per-seed results, so an
 adaptive run is bit-identical — same stopped-point set, same accuracies,
-same checkpoint keys — for any ``workers`` x ``sample_shard``
-combination, and resumable from its checkpoint with zero
+same checkpoint keys — for any worker count, with or without sample
+slicing, and resumable from its checkpoint with zero
 recomputation.
 
 CI runs this file as the tier-2 adaptive-parity step with
@@ -30,6 +30,8 @@ from repro.faultsim import (
 from repro.faultsim.sampling import CounterSampler
 from repro.runtime import CampaignEngine, TaskSpec
 from repro.stats import KneeConfig, StopRule, adaptive_sweep, knee_search
+
+from tests._helpers import force_slices
 
 PARITY_WORKERS = int(os.environ.get("REPRO_PARITY_WORKERS", "4"))
 
@@ -79,14 +81,11 @@ def sweep_signature(sweep) -> list[dict]:
 
 # --- the determinism matrix -------------------------------------------------
 
-# (workers, sample_shard): workers {1, N} x --shard-samples {off, auto,
-# 8}; the fixed-size shard pair pins key-set identity across worker
-# counts.
+# (workers, forced slice size): workers {1, N} x {the engine's own
+# slicing decision, every pending point forced into 8-sample slices}.
 MATRIX = [
     (1, None),
     (PARITY_WORKERS, None),
-    (1, "auto"),
-    (PARITY_WORKERS, "auto"),
     (1, 8),
     (PARITY_WORKERS, 8),
 ]
@@ -98,16 +97,16 @@ def matrix_runs(tiny_quantized, tiny_eval, tmp_path_factory):
     qm_st, _ = tiny_quantized
     x, labels = tiny_eval
     runs = {}
-    for workers, shard in MATRIX:
+    for workers, size in MATRIX:
         ckpt = tmp_path_factory.mktemp("adaptive") / "campaign.json"
-        engine = CampaignEngine(
-            workers=workers, checkpoint_path=ckpt, sample_shard=shard
-        )
-        sweep = adaptive_sweep(
-            qm_st, x, labels, BERS, config=counter_config(), rule=RULE,
-            engine=engine,
-        )
-        runs[(workers, shard)] = (sweep, checkpoint_keys(ckpt))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if size is not None:
+                force_slices(monkeypatch, size)
+            sweep = adaptive_sweep(
+                qm_st, x, labels, BERS, config=counter_config(), rule=RULE,
+                engine=CampaignEngine(workers=workers, checkpoint_path=ckpt),
+            )
+        runs[(workers, size)] = (sweep, checkpoint_keys(ckpt))
     return runs
 
 
@@ -124,25 +123,19 @@ class TestAdaptiveDeterminism:
         reference = sweep_signature(matrix_runs[(1, None)][0])
         for cell, (sweep, _) in matrix_runs.items():
             assert sweep_signature(sweep) == reference, (
-                f"adaptive decisions diverged at workers/shard={cell}"
+                f"adaptive decisions diverged at workers/slices={cell}"
             )
 
     def test_checkpoint_keys_identical_at_fixed_granularity(self, matrix_runs):
-        """Same shard granularity => same persisted key set.
+        """One identity per point: every cell persists the same key set.
 
-        Point granularity (shard off) must agree across worker counts;
-        likewise a fixed slice size.  'auto' picks its slice size from
-        the worker count (slice keys bind their window), so its key set
-        is not compared across cells.
+        Slices are scheduling only, never keyed, so neither the worker
+        count nor the slice size reaches the checkpoint.
         """
-        point_cells = [c for c in MATRIX if c[1] is None]
-        point_keys = [matrix_runs[c][1] for c in point_cells]
-        assert all(k == point_keys[0] for k in point_keys)
-
-        slice8_cells = [c for c in MATRIX if c[1] == 8]
-        slice8_keys = [matrix_runs[c][1] for c in slice8_cells]
-        assert all(k == slice8_keys[0] for k in slice8_keys)
-        assert slice8_keys[0] != point_keys[0]
+        reference = matrix_runs[(1, None)][1]
+        assert reference
+        for cell in MATRIX:
+            assert matrix_runs[cell][1] == reference, cell
 
     def test_units_match_seed_ledger(self, matrix_runs):
         sweep, _ = matrix_runs[(1, None)]
@@ -176,10 +169,6 @@ class TestAdaptiveResume:
         assert resumed.computed_units == 0
         assert resumed.cached_units == resumed.total_units
         assert sweep_signature(resumed) == sweep_signature(first)
-        # Cache hits across granularities too: a sharded resumed engine
-        # reuses point rows only at matching keys, so it recomputes — but
-        # the decisions still match (the matrix test); here we only pin
-        # the point-granularity zero-recompute property.
 
 
 class TestKneeSearch:
@@ -214,35 +203,6 @@ class TestKneeSearch:
         assert knee.knee_ber is None
         assert knee.bracket is None
         assert len(knee.points) == 2  # endpoints only, no bisection spend
-
-
-class TestEngineObservationHook:
-    def test_on_result_sees_every_unit_cached_first_in_index_order(
-        self, tiny_quantized, tiny_eval, tmp_path
-    ):
-        qm_st, _ = tiny_quantized
-        x, labels = tiny_eval
-        ckpt = tmp_path / "campaign.json"
-        tasks = [TaskSpec(ber=BER_LOW, seed=s) for s in (0, 1, 2)]
-        config = counter_config()
-
-        live_calls = []
-        engine = CampaignEngine(workers=1, checkpoint_path=ckpt)
-        engine.evaluate_tasks(
-            qm_st, x, labels, tasks, config,
-            on_result=lambda i, u, r, cached: live_calls.append((i, cached)),
-        )
-        assert sorted(i for i, _ in live_calls) == [0, 1, 2]
-        assert all(not cached for _, cached in live_calls)
-
-        cached_calls = []
-        resumed = CampaignEngine(workers=1, checkpoint_path=ckpt, resume=True)
-        results = resumed.evaluate_tasks(
-            qm_st, x, labels, tasks, config,
-            on_result=lambda i, u, r, cached: cached_calls.append((i, cached)),
-        )
-        assert cached_calls == [(0, True), (1, True), (2, True)]
-        assert [r.seed for r in results] == [0, 1, 2]
 
 
 # --- input hardening (satellites 1 & 2) -------------------------------------

@@ -95,8 +95,12 @@ class TestSubprocessExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [("fig5", "--speculative"), ("fig2", "--chaos", "x")],
-        ids=["speculative", "chaos"],
+        [
+            ("fig5", "--speculative"),
+            ("fig2", "--chaos", "x"),
+            ("fig1", "--shard-samples", "4"),
+        ],
+        ids=["speculative", "chaos", "shard-samples"],
     )
     def test_retired_speculative_flag_exits_two(self, argv):
         proc = run_cli(*argv)

@@ -16,9 +16,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TaskQuarantinedError
+from repro.errors import TaskExecutionError, TaskQuarantinedError
 from repro.faultsim import CampaignConfig
-from repro.runtime import CampaignEngine, RetryPolicy, TaskSpec, fsck
+from repro.runtime import (
+    CampaignEngine,
+    RetryPolicy,
+    TaskSpec,
+    data_fingerprint,
+    fsck,
+    model_fingerprint,
+)
 
 BERS = [1e-5, 1e-4]
 
@@ -106,3 +113,54 @@ class TestResilienceMatrix:
             engine.evaluate_tasks(qm, x, y, tasks, config=config)
         assert info.value.tag == "doomed"
         assert len(info.value.quarantined_keys) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_failing_slices_name_their_point_once(
+        self, tiny_quantized, tiny_eval, config, tmp_path, runtime_faults,
+        force_slices, workers,
+    ):
+        """Every slice of a poisoned point fails; the quarantine names the
+        point's key once, with the window in the message, and the healthy
+        point is still stored under its own key."""
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+        runtime_faults.units(poison=("doomed",))
+        force_slices(7)
+        ckpt = tmp_path / "campaign.json"
+        engine = CampaignEngine(
+            workers=workers,
+            checkpoint_path=ckpt,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+        )
+        tasks = [
+            TaskSpec(ber=BERS[0], seed=0, tag="healthy"),
+            TaskSpec(ber=BERS[0], seed=1, tag="doomed"),
+        ]
+        fps = model_fingerprint(qm), data_fingerprint(x[:24], y[:24])
+        keys = [task.key(*fps, config) for task in tasks]
+        with pytest.raises(TaskQuarantinedError, match=r"samples \[\d+, \d+\)") as info:
+            engine.evaluate_tasks(qm, x, y, tasks, config=config)
+        assert info.value.tag == "doomed"
+        assert info.value.task_key == keys[1]
+        assert info.value.quarantined_keys == (keys[1],)
+        report = fsck(ckpt)
+        assert report.clean and report.records == 1
+        assert keys[0] in ckpt.read_text()
+
+    def test_permanent_slice_failure_names_its_point(
+        self, tiny_quantized, tiny_eval, force_slices
+    ):
+        """A keyless batch computes the failing point's key on demand."""
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+        bad = CampaignConfig(
+            seeds=(0,), batch_size=12, max_samples=24, injector="no-such-injector"
+        )
+        task = TaskSpec(ber=BERS[0], seed=0, tag="bad")
+        force_slices(7)
+        window = r"samples \[0, 7\) failed"
+        with pytest.raises(TaskExecutionError, match=window) as info:
+            CampaignEngine(workers=1).evaluate_tasks(qm, x, y, [task], config=bad)
+        fps = model_fingerprint(qm), data_fingerprint(x[:24], y[:24])
+        assert info.value.task_key == task.key(*fps, bad)
+        assert info.value.tag == "bad"

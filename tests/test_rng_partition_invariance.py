@@ -1,6 +1,6 @@
 """Partition-invariance and statistics suite for the keyed fault sampler.
 
-The acceptance gate of the sample-sharding refactor: every fault draw is
+The acceptance gate of sample slicing: every fault draw is
 a pure function of (campaign seed, layer, site, sample chunk), so
 
 * a (BER, seed) evaluation recombined from sample slices of *any* size —
@@ -152,46 +152,57 @@ class TestSlicePartitionInvariance:
 
 
 class TestEngineSampleSharding:
-    """CampaignEngine(sample_shard=...) across slice sizes and workers."""
+    """Engine-made sample slices across slice sizes and workers."""
 
     @pytest.mark.parametrize("shard", SLICE_SIZES)
     def test_sharded_engine_matches_serial_run_point(
-        self, tiny_quantized, tiny_eval, shard
+        self, tiny_quantized, tiny_eval, shard, force_slices
     ):
         _, qm = tiny_quantized
         x, y = tiny_eval
         config = counter_config()
         serial = run_point(qm, x, y, BER, config=config)
+        force_slices(shard)
         for workers in (1, PARITY_WORKERS):
-            engine = CampaignEngine(workers=workers, sample_shard=shard)
+            engine = CampaignEngine(workers=workers)
             result = engine.run_point(qm, x, y, BER, config=config)
             assert result.to_dict() == serial.to_dict(), (shard, workers)
 
-    def test_shard_expands_unit_count(self, tiny_quantized, tiny_eval):
+    def test_shard_expands_unit_count(self, tiny_quantized, tiny_eval, force_slices):
+        """Slices are dispatched and reported as units; stats count points."""
         qm, _ = tiny_quantized
         x, y = tiny_eval
         config = counter_config(seeds=(0, 1))
-        engine = CampaignEngine(workers=1, sample_shard=7)
+        events = []
+        force_slices(7)
+        engine = CampaignEngine(workers=1, progress=events.append)
         engine.run_point(qm, x, y, BER, config=config)
         # 24 samples / 7 per slice = 4 slices per seed, 2 seeds.
-        assert engine.last_stats.total_units == 2 * 4
+        assert len(events) == 2 * 4
+        assert {event.total for event in events} == {2 * 4}
+        assert engine.last_stats.total_units == 2
 
     def test_full_set_shard_keeps_plain_point_units(
-        self, tiny_quantized, tiny_eval
+        self, tiny_quantized, tiny_eval, force_slices
     ):
-        """shard >= n_samples must not slice (and so shares point keys)."""
+        """shard >= n_samples must not slice."""
         qm, _ = tiny_quantized
         x, y = tiny_eval
         config = counter_config(seeds=(0, 1))
-        engine = CampaignEngine(workers=1, sample_shard=N_SAMPLES)
+        events = []
+        force_slices(N_SAMPLES)
+        engine = CampaignEngine(workers=1, progress=events.append)
         engine.run_point(qm, x, y, BER, config=config)
+        assert len(events) == 2
         assert engine.last_stats.total_units == 2
 
-    def test_kill_mid_point_resume_recomputes_only_missing_slices(
-        self, tiny_quantized, tiny_eval, tmp_path
+    def test_kill_mid_point_resume_recomputes_only_unfinished_points(
+        self, tiny_quantized, tiny_eval, tmp_path, force_slices
     ):
-        """Slice-granular checkpointing: interrupt a single (BER, seed)
-        point after 2 of 4 slices, resume, recompute exactly 2."""
+        """Point-granular checkpointing under slicing: interrupt after the
+        first seed's 4 slices and one slice of the second; only the
+        finished point is on disk, as one plain point row, and the resume
+        recomputes exactly the unfinished point."""
 
         class StopAfter:
             def __init__(self, limit):
@@ -204,34 +215,38 @@ class TestEngineSampleSharding:
 
         qm, _ = tiny_quantized
         x, y = tiny_eval
-        config = counter_config(seeds=(0,))
+        config = counter_config(seeds=(0, 1))
         ckpt = tmp_path / "campaign.json"
         serial = run_point(qm, x, y, BER, config=config)
 
+        force_slices(7)
         killed = CampaignEngine(
-            workers=1, sample_shard=7, checkpoint_path=ckpt, progress=StopAfter(2)
+            workers=1, checkpoint_path=ckpt, progress=StopAfter(5)
         )
         with pytest.raises(KeyboardInterrupt):
             killed.run_point(qm, x, y, BER, config=config)
         rows = [json.loads(line) for line in ckpt.read_text().splitlines()[1:]]
-        assert len(rows) == 2
-        assert all("correct" in row and "start" in row for row in rows)
+        assert [row["seed"] for row in rows] == [0]
+        assert "accuracy" in rows[0] and "correct" not in rows[0]
 
-        resumed = CampaignEngine(
-            workers=1, sample_shard=7, checkpoint_path=ckpt, resume=True
-        )
+        resumed = CampaignEngine(workers=1, checkpoint_path=ckpt, resume=True)
         result = resumed.run_point(qm, x, y, BER, config=config)
-        assert resumed.last_stats.cached_units == 2
-        assert resumed.last_stats.computed_units == 2
+        assert resumed.last_stats.cached_units == 1
+        assert resumed.last_stats.computed_units == 1
         assert result.to_dict() == serial.to_dict()
 
-    def test_slice_keys_do_not_collide_with_point_keys(self):
+    def test_slice_tasks_have_no_identity(self, tiny_quantized, tiny_eval):
+        """A slice is keyless and never accepted as a submitted task."""
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
         config = counter_config(seeds=(0,))
-        point = TaskSpec(ber=BER, seed=0)
-        slices = point.sample_subtasks(N_SAMPLES, 7)
-        keys = {t.key("m", "d", config) for t in slices}
-        keys.add(point.key("m", "d", config))
-        assert len(keys) == len(slices) + 1
+        (part, *_) = TaskSpec(ber=BER, seed=0).sample_subtasks(N_SAMPLES, 7)
+        with pytest.raises(ConfigurationError, match="slice"):
+            part.key("m", "d", config)
+        with pytest.raises(ConfigurationError, match="slices"):
+            CampaignEngine(workers=1).evaluate_tasks(
+                qm, x, y, [part], config=config
+            )
 
     def test_task_spec_slice_shape_validation(self):
         with pytest.raises(ConfigurationError, match="point tasks"):

@@ -4,7 +4,9 @@ A seed-batch :class:`TaskSpec` (``seeds=``) shards into per-seed subtasks
 inside :meth:`CampaignEngine.evaluate_tasks`; the checkpoint is keyed at
 subtask granularity, so interrupting a batch mid-way ("kill mid-batch")
 and resuming must recompute exactly the missing seeds and still produce
-results bit-identical to the serial loops.
+results bit-identical to the serial loops.  The engine slices pending
+points along the sample axis by itself, and slicing never reaches the
+checkpoint: one (BER, seed, plan) point is one row for any worker count.
 """
 
 from __future__ import annotations
@@ -13,10 +15,19 @@ import json
 
 import pytest
 
+import repro.runtime
 from repro.errors import ConfigurationError
-from repro.faultsim import CampaignConfig
+from repro.experiments.common import make_engine
+from repro.faultsim import CampaignConfig, evaluate_seed_point
 from repro.faultsim.campaign import CampaignResult, run_point, run_sweep
-from repro.runtime import CampaignEngine, TaskSpec
+from repro.runtime import (
+    CampaignEngine,
+    TaskSpec,
+    data_fingerprint,
+    fsck,
+    model_fingerprint,
+)
+from repro.runtime.checkpoint import record_crc
 
 BER = 1e-4
 SEEDS = (0, 1, 2, 3)
@@ -204,7 +215,7 @@ class TestSubtaskGranularResume:
 
 
 class TestAutoSampleShard:
-    """sample_shard="auto": fill the pool, never over-split."""
+    """The engine's own slicing decision: fill the pool, never over-split."""
 
     def counter_config(self, seeds=(0,)):
         return CampaignConfig(
@@ -265,9 +276,11 @@ class TestAutoSampleShard:
         x, y = tiny_eval
         config = self.counter_config()
         serial = run_point(qm, x, y, BER, config=config)
-        engine = CampaignEngine(workers=4, sample_shard="auto")
+        events = []
+        engine = CampaignEngine(workers=4, progress=events.append)
         result = engine.run_point(qm, x, y, BER, config=config)
-        assert engine.last_stats.total_units == 4
+        assert len(events) == 4
+        assert engine.last_stats.total_units == 1
         assert result.to_dict() == serial.to_dict()
 
     def test_auto_no_split_when_pool_already_full(
@@ -276,10 +289,111 @@ class TestAutoSampleShard:
         qm, _ = tiny_quantized
         x, y = tiny_eval
         config = self.counter_config(seeds=(0, 1, 2, 3))
-        engine = CampaignEngine(workers=2, sample_shard="auto")
+        events = []
+        engine = CampaignEngine(workers=2, progress=events.append)
         engine.run_point(qm, x, y, BER, config=config)
+        assert len(events) == 4
         assert engine.last_stats.total_units == 4
 
-    def test_invalid_shard_strings_rejected(self):
-        with pytest.raises(ConfigurationError, match="auto"):
-            CampaignEngine(sample_shard="bogus")
+    def test_slices_only_the_pending_points(
+        self, tiny_quantized, tiny_eval, tmp_path
+    ):
+        """The decision counts points the checkpoint did not serve: a
+        resumed batch with one point left slices it to fill the pool."""
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+        config = self.counter_config(seeds=(0, 1))
+        ckpt = tmp_path / "campaign.json"
+        tasks = [TaskSpec(ber=BER, seed=0), TaskSpec(ber=BER, seed=1)]
+        CampaignEngine(workers=1, checkpoint_path=ckpt).evaluate_tasks(
+            qm, x, y, tasks[:1], config=config
+        )
+        events = []
+        engine = CampaignEngine(
+            workers=2, checkpoint_path=ckpt, resume=True, progress=events.append
+        )
+        engine.evaluate_tasks(qm, x, y, tasks, config=config)
+        assert [event.cached for event in events] == [True, False, False]
+        stats = engine.last_stats
+        assert (stats.cached_units, stats.computed_units) == (1, 1)
+
+
+class TestPointIdentity:
+    """One checkpoint identity per (BER, seed, plan), however it ran."""
+
+    config = CampaignConfig(seeds=(0, 1), batch_size=12, max_samples=24)
+
+    def point_key(self, qm, x, y, seed):
+        limit = self.config.max_samples
+        return TaskSpec(ber=BER, seed=seed).key(
+            model_fingerprint(qm), data_fingerprint(x[:limit], y[:limit]),
+            self.config,
+        )
+
+    @pytest.mark.parametrize(
+        "writer, reader", [(2, 1), (1, 2)], ids=["pool-then-serial", "serial-then-pool"]
+    )
+    def test_one_seed_point_resumes_across_worker_counts(
+        self, tiny_quantized, tiny_eval, tmp_path, writer, reader
+    ):
+        """A lone point on two workers runs as slices by itself, writes
+        one plain point row, and serves a serial resume (and back)."""
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+        task = TaskSpec(ber=BER, seed=0)
+        serial = evaluate_seed_point(qm, x, y, BER, 0, config=self.config)
+        ckpt = tmp_path / "campaign.json"
+        events = []
+        first = CampaignEngine(
+            workers=writer, checkpoint_path=ckpt, progress=events.append
+        )
+        assert first.evaluate_tasks(qm, x, y, [task], config=self.config) == [serial]
+        assert len(events) == writer  # two workers: two slices, one point
+        rows = [json.loads(line) for line in ckpt.read_text().splitlines()[1:]]
+        assert [row["key"] for row in rows] == [self.point_key(qm, x, y, 0)]
+        assert "accuracy" in rows[0]
+
+        resumed = CampaignEngine(workers=reader, checkpoint_path=ckpt, resume=True)
+        assert resumed.evaluate_tasks(qm, x, y, [task], config=self.config) == [serial]
+        assert resumed.last_stats.computed_units == 0
+        assert resumed.last_stats.cached_units == 1
+
+    def test_old_slice_rows_take_the_damaged_line_path(
+        self, tiny_quantized, tiny_eval, tmp_path
+    ):
+        """A store holding a per-slice row from an older engine still
+        loads: the row is reported as ``fields`` damage, the point row is
+        served, and the next flush compacts the slice row away."""
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+        ckpt = tmp_path / "campaign.json"
+        tasks = [TaskSpec(ber=BER, seed=0), TaskSpec(ber=BER, seed=1)]
+        (point,) = CampaignEngine(workers=1, checkpoint_path=ckpt).evaluate_tasks(
+            qm, x, y, tasks[:1], config=self.config
+        )
+        old = {
+            "key": "5" * 32, "ber": BER, "seed": 0, "start": 0, "stop": 12,
+            "correct": 7, "total": 12, "events": 3,
+        }
+        old["crc"] = record_crc(old)
+        with open(ckpt, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(old, sort_keys=True) + "\n")
+        damaged = [{"line": 3, "key": old["key"], "reason": "fields"}]
+        assert fsck(ckpt).damaged == damaged
+
+        engine = CampaignEngine(workers=1, checkpoint_path=ckpt, resume=True)
+        with pytest.warns(RuntimeWarning, match=r"damaged line\(s\) \[3\]"):
+            results = engine.evaluate_tasks(qm, x, y, tasks, config=self.config)
+        assert results[0] == point
+        stats = engine.last_stats
+        assert (stats.cached_units, stats.computed_units) == (1, 1)
+        report = fsck(ckpt)
+        assert report.clean and report.records == 2
+        assert old["key"] not in ckpt.read_text()
+
+    def test_retired_sample_shard_surface(self):
+        with pytest.raises(TypeError):
+            CampaignEngine(sample_shard=2)
+        with pytest.raises(TypeError):
+            make_engine(sample_shard=2)
+        assert not hasattr(repro.runtime, "SAMPLE_SHARD_AUTO")

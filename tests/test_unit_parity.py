@@ -6,7 +6,7 @@ The runtime can still reach that forward several ways — the serial
 :func:`~repro.faultsim.run_point` loop, recombined
 :func:`~repro.faultsim.evaluate_sample_slice` windows, and
 :class:`~repro.runtime.CampaignEngine` in-process or on the fork pool,
-with or without sample sharding — and all of them must return the same
+with or without sample slicing — and all of them must return the same
 accuracy and the same events for
 
 * both injectors (operation- and neuron-level),
@@ -103,14 +103,15 @@ class TestEnginePathParity:
     @pytest.mark.parametrize("ber", [0.0, BER_LOW, BER_KNEE])
     @pytest.mark.parametrize("shard", [None, 7], ids=["whole", "shard7"])
     def test_engine_matches_serial(
-        self, tiny_quantized, tiny_eval, shard, ber, mode, injector
+        self, tiny_quantized, tiny_eval, shard, ber, mode, injector, force_slices
     ):
         qm = model_for(tiny_quantized, mode)
         x, y = tiny_eval
         config = counter_config(injector=injector)
         serial = run_point(qm, x, y, ber, config=config)
+        force_slices(shard)
         for workers in (1, PARITY_WORKERS):
-            engine = CampaignEngine(workers=workers, sample_shard=shard)
+            engine = CampaignEngine(workers=workers)
             result = engine.run_point(qm, x, y, ber, config=config)
             assert result.to_dict() == serial.to_dict(), workers
             assert engine.last_stats.computed_units == engine.last_stats.total_units
@@ -145,7 +146,7 @@ class TestProtectedPathParity:
     @pytest.mark.parametrize("plan_name", ["first_layer", "muls", "half_adds"])
     @pytest.mark.parametrize("mode", MODES)
     def test_protected_point_matches_serial(
-        self, tiny_quantized, tiny_eval, mode, plan_name
+        self, tiny_quantized, tiny_eval, mode, plan_name, force_slices
     ):
         qm = model_for(tiny_quantized, mode)
         x, y = tiny_eval
@@ -155,7 +156,8 @@ class TestProtectedPathParity:
         bare = run_point(qm, x, y, BER_KNEE, config=config)
         assert sum(serial.events_per_seed) < sum(bare.events_per_seed)
         for workers, shard in ((1, None), (PARITY_WORKERS, 7)):
-            engine = CampaignEngine(workers=workers, sample_shard=shard)
+            force_slices(shard)
+            engine = CampaignEngine(workers=workers)
             result = engine.run_point(
                 qm, x, y, BER_KNEE, config=config, protection=plan
             )
@@ -193,18 +195,19 @@ class TestCrossWorkerResume:
         ids=["pool-then-serial", "serial-then-pool"],
     )
     def test_resume_serves_every_unit(
-        self, tiny_quantized, tiny_eval, tmp_path, writer, reader
+        self, tiny_quantized, tiny_eval, tmp_path, writer, reader, force_slices
     ):
         _, qm = tiny_quantized
         x, y = tiny_eval
         config = counter_config()
         ckpt = tmp_path / "campaign.json"
         bers = [BER_LOW, BER_KNEE]
-        first = CampaignEngine(
-            workers=writer, sample_shard=7, checkpoint_path=ckpt
-        ).run_sweep(qm, x, y, bers, config=config)
+        force_slices(7)
+        first = CampaignEngine(workers=writer, checkpoint_path=ckpt).run_sweep(
+            qm, x, y, bers, config=config
+        )
         resumed = CampaignEngine(
-            workers=reader, sample_shard=7, checkpoint_path=ckpt, resume=True
+            workers=reader, checkpoint_path=ckpt, resume=True
         )
         again = resumed.run_sweep(qm, x, y, bers, config=config)
         assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
