@@ -220,64 +220,6 @@ def run_single_point_comparison(workers: int = 4) -> dict:
     }
 
 
-def run_adaptive_comparison(workers: int = 4) -> dict:
-    """Count (seed x point) units: fixed grid at full budget vs early stop.
-
-    The adaptive engine's claim is a *sample-count* saving, not a raw
-    speedup: on a low-BER grid, points whose confidence interval settles
-    inside the target half-width stop adding seeds, while the fixed grid
-    spends ``max_seeds`` everywhere.  Both sides run the same engine and
-    worker count; ``saved_ratio`` is the fraction of the fixed grid's
-    (seed x point) units the adaptive run never evaluated.
-    """
-    import dataclasses
-
-    from repro.stats import StopRule, adaptive_sweep, extended_seeds
-
-    qmodel, x, y, base = build_workload()
-    config = CampaignConfig(
-        seeds=SEEDS,
-        batch_size=base.batch_size,
-        max_samples=base.max_samples,
-    )
-    # Low-BER-heavy grid: the regime where points settle early.
-    bers = (1e-8, 1e-7) + BERS
-    rule = StopRule(halfwidth=0.04, min_seeds=len(SEEDS), max_seeds=6)
-
-    full = dataclasses.replace(
-        config, seeds=extended_seeds(SEEDS, rule.max_seeds)
-    )
-    engine = CampaignEngine(workers=workers)
-    start = time.perf_counter()
-    engine.run_sweep(qmodel, x, y, list(bers), config=full)
-    fixed_seconds = time.perf_counter() - start
-    fixed_units = len(bers) * rule.max_seeds
-
-    start = time.perf_counter()
-    sweep = adaptive_sweep(
-        qmodel, x, y, list(bers), config=config, rule=rule, engine=engine
-    )
-    adaptive_seconds = time.perf_counter() - start
-
-    return {
-        "bers": len(bers),
-        "workers": engine.workers,
-        "available_cores": resolve_workers(0),
-        "halfwidth": rule.halfwidth,
-        "max_seeds": rule.max_seeds,
-        "fixed_units": fixed_units,
-        "adaptive_units": sweep.total_units,
-        "stopped_early": sum(1 for p in sweep.points if p.stopped_early),
-        "rounds": sweep.rounds,
-        "saved_ratio": 1.0 - sweep.total_units / fixed_units,
-        "fixed_seconds": fixed_seconds,
-        "adaptive_seconds": adaptive_seconds,
-        "speedup": fixed_seconds / adaptive_seconds
-        if adaptive_seconds
-        else float("inf"),
-    }
-
-
 def format_report(stats: dict) -> str:
     return (
         f"campaign engine benchmark — {stats['units']} (BER, seed) units\n"
@@ -300,22 +242,6 @@ def format_single_point_report(stats: dict) -> str:
         f"  sliced pool     : {stats['engine_seconds']:.2f} s\n"
         f"  speedup         : {stats['speedup']:.2f}x\n"
         f"  bit-identical   : {stats['bit_identical']}"
-    )
-
-
-def format_adaptive_report(stats: dict) -> str:
-    return (
-        f"adaptive benchmark — {stats['bers']} BER points, "
-        f"halfwidth {stats['halfwidth']}, budget {stats['max_seeds']} seeds\n"
-        f"  workers         : {stats['workers']}\n"
-        f"  fixed grid      : {stats['fixed_units']} units, "
-        f"{stats['fixed_seconds']:.2f} s\n"
-        f"  adaptive        : {stats['adaptive_units']} units, "
-        f"{stats['adaptive_seconds']:.2f} s "
-        f"({stats['stopped_early']} points stopped early, "
-        f"{stats['rounds']} rounds)\n"
-        f"  saved units     : {stats['saved_ratio']:.1%}\n"
-        f"  speedup         : {stats['speedup']:.2f}x"
     )
 
 
@@ -390,24 +316,6 @@ def test_single_point_speedup():
     )
 
 
-def test_adaptive_saves_units():
-    """Early stopping must evaluate measurably fewer (seed x point) units
-    than the fixed grid on the low-BER workload — on any machine (the
-    unit counts are deterministic, no core-count skip)."""
-    stats = run_adaptive_comparison(workers=2)
-    print()
-    print(format_adaptive_report(stats))
-    assert stats["stopped_early"] > 0, "no point settled; tune the workload"
-    assert stats["adaptive_units"] < stats["fixed_units"], (
-        f"adaptive evaluated {stats['adaptive_units']} units, fixed grid "
-        f"{stats['fixed_units']} — no saving"
-    )
-    assert stats["saved_ratio"] >= 0.2, (
-        f"expected >= 20% saved units on the low-BER grid, "
-        f"got {stats['saved_ratio']:.1%}"
-    )
-
-
 if __name__ == "__main__":
     np.random.seed(0)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -422,7 +330,6 @@ if __name__ == "__main__":
     tasks = run_task_batch_comparison(workers=args.workers)
     planner = run_planner_comparison(workers=args.workers)
     single_point = run_single_point_comparison(workers=args.workers)
-    adaptive = run_adaptive_comparison(workers=args.workers)
     print(format_report(sweep))
     print(
         f"task-batch benchmark — {tasks['units']} protected tasks "
@@ -434,7 +341,6 @@ if __name__ == "__main__":
     )
     print(format_planner_report(planner))
     print(format_single_point_report(single_point))
-    print(format_adaptive_report(adaptive))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(
@@ -443,7 +349,6 @@ if __name__ == "__main__":
                     "task_batch": tasks,
                     "planner": planner,
                     "single_point": single_point,
-                    "adaptive": adaptive,
                 },
                 handle, indent=2, sort_keys=True,
             )

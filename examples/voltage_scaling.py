@@ -20,7 +20,7 @@ def main() -> None:
     qm_st, qm_wg = quantized_pair(prep, width=16, profile=profile)
 
     # Accuracy-vs-BER curves for both execution modes.
-    st, wg, _ = accuracy_curve_pair(prep, qm_st, qm_wg, profile)
+    st, wg = accuracy_curve_pair(prep, qm_st, qm_wg, profile)
     curve_st, curve_wg = as_accuracy_curve(st, qm_st), as_accuracy_curve(wg, qm_wg)
     # Voltage-BER model calibrated in expected-faults-per-inference space.
     vber = calibrated_vber(qm_st)

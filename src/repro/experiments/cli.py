@@ -21,15 +21,8 @@ along the sample axis when there are fewer seeds than workers.  Fault
 draws are keyed by (seed, layer, site, sample chunk), so results are
 bit-identical for any slicing.
 ``--protection {tmr,abft,portfolio,all}`` selects which strategies the
-``portfolio`` figure compares.
-
-``--adaptive-ber`` switches figs 2/6/7 from their fixed BER grids to the
-adaptive engine (:mod:`repro.stats`): the BER points are chosen by knee
-bisection over the grid's extremes, and every point stops adding seeds
-once its confidence interval is inside ``--ci-halfwidth`` (seed budget
-``--max-seeds``).  Stopping decisions depend only on canonically ordered
-per-seed results, so adaptive runs stay bit-reproducible and resumable
-for any ``--workers``.
+``portfolio`` figure compares.  Figs 2/6/7 sweep the profile's fixed
+BER grid.
 
 ``--max-attempts`` / ``--unit-deadline`` configure the unified retry
 policy (:class:`repro.runtime.RetryPolicy`); a deadline that is not a
@@ -62,7 +55,6 @@ from repro.errors import (
 from repro.experiments import fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig_portfolio
 from repro.experiments.common import FULL, QUICK, make_engine
 from repro.runtime import RetryPolicy, fsck, stream_reporter
-from repro.stats import StopRule
 
 _FIGURES = {
     "fig1": fig1,
@@ -228,28 +220,6 @@ def _figures_main(argv: list[str]) -> int:
         "portfolio, or all three (default: all)",
     )
     parser.add_argument(
-        "--adaptive-ber",
-        action="store_true",
-        help="figs 2/6/7: replace the fixed BER grid with adaptive "
-        "knee-bisection sampling and per-point early stopping "
-        "(deterministic for any --workers)",
-    )
-    parser.add_argument(
-        "--ci-halfwidth",
-        type=float,
-        default=None,
-        metavar="W",
-        help="adaptive mode: stop adding seeds at a BER point once its "
-        "Wilson confidence interval's half-width is <= W (default: 0.02)",
-    )
-    parser.add_argument(
-        "--max-seeds",
-        type=int,
-        default=None,
-        metavar="N",
-        help="adaptive mode: seed budget per BER point (default: 8)",
-    )
-    parser.add_argument(
         "--max-attempts",
         type=int,
         default=None,
@@ -267,17 +237,6 @@ def _figures_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    rule = None
-    if args.adaptive_ber:
-        rule_kwargs = {}
-        if args.ci_halfwidth is not None:
-            rule_kwargs["halfwidth"] = args.ci_halfwidth
-        if args.max_seeds is not None:
-            rule_kwargs["max_seeds"] = args.max_seeds
-        rule = rule_kwargs  # completed below once the profile is known
-    elif args.ci_halfwidth is not None or args.max_seeds is not None:
-        parser.error("--ci-halfwidth/--max-seeds require --adaptive-ber")
-
     # Validated here (not in argparse) so a bad setting exits with the
     # configuration code (3), not argparse's usage code (2).
     retry = None
@@ -290,11 +249,6 @@ def _figures_main(argv: list[str]) -> int:
         retry = RetryPolicy(**retry_kwargs)
 
     profile = FULL if args.profile == "full" else QUICK
-    if rule is not None:
-        # min_seeds anchors at the profile's configured seed count, so a
-        # settled point's estimate matches the fixed-grid estimate (and
-        # shares its checkpoint entries) exactly.
-        rule = StopRule(min_seeds=len(profile.seeds), **rule)
     engine = make_engine(
         workers=args.workers,
         resume=args.resume,
@@ -314,8 +268,6 @@ def _figures_main(argv: list[str]) -> int:
         extra = {}
         if name == "portfolio":
             extra = {"protection": args.protection}
-        elif name in ("fig2", "fig6", "fig7") and rule is not None:
-            extra = {"adaptive": rule}
         payload = module.run(profile=profile, engine=engine, **extra)
         print(module.format_report(payload))
         print()

@@ -7,7 +7,7 @@ Experiment drivers share five services:
 * :func:`quantized_pair` — int8/int16 standard + Winograd quantizations;
 * :func:`accuracy_curve` — accuracy-vs-BER sweeps on the campaign engine;
 * :func:`accuracy_curve_pair` — the standard/Winograd curve pair of
-  figs 2/6/7, on the fixed grid or adaptive;
+  figs 2/6/7 on the profile's fixed BER grid;
 * :class:`ExperimentProfile` — quick/full evaluation budgets.
 
 Results are stored only in the engine's content-keyed checkpoint
@@ -33,7 +33,6 @@ import numpy as np
 from repro.datasets import SyntheticDataset, make_dataset
 from repro.faultsim import CampaignConfig, CampaignResult
 from repro.runtime import CampaignEngine
-from repro.stats import KneeConfig, StopRule, adaptive_sweep, knee_search
 from repro.models import BENCHMARKS, build_benchmark_model
 from repro.nn import Adam, TrainConfig, evaluate_accuracy, initialize, train
 from repro.quantized import QuantConfig, QuantizedModel, quantize_model
@@ -249,56 +248,23 @@ def accuracy_curve(
     )
 
 
-def _adaptive_meta(mode: str, rule: StopRule, found, **window) -> dict:
-    """One adaptive curve's metadata row (the result rows carry the accuracies)."""
-    meta = {"mode": mode, "rule": rule.identity(), **window, **found.to_dict()}
-    for point in meta["points"]:
-        point.pop("result")
-    return meta
-
-
 def accuracy_curve_pair(
     prep: PreparedBenchmark,
     qm_st: QuantizedModel,
     qm_wg: QuantizedModel,
     profile: ExperimentProfile,
     engine: CampaignEngine | None = None,
-    adaptive: StopRule | None = None,
-) -> tuple[list[CampaignResult], list[CampaignResult], dict | None]:
-    """Standard and Winograd accuracy-vs-BER curves on one BER axis.
+) -> tuple[list[CampaignResult], list[CampaignResult]]:
+    """Standard and Winograd accuracy-vs-BER curves on the profile's grid.
 
-    Returns ``(st_rows, wg_rows, meta)``.  Without ``adaptive`` both
-    curves sweep the profile's fixed grid and ``meta`` is ``None``.
-    With ``adaptive`` (CLI ``--adaptive-ber``) the standard curve's BERs
-    come from a knee bisection over the grid's extremes
-    (:func:`repro.stats.knee_search`, rows BER-ascending) and the
-    Winograd curve is evaluated at those same BERs, each point
-    early-stopped (:func:`repro.stats.adaptive_sweep`); ``meta`` is
-    ``{"standard": ..., "winograd": ...}`` with each curve's per-point
-    seed usage, stop decisions, intervals, the knee bracket and the unit
-    totals.
+    Returns ``(st_rows, wg_rows)``, one row per BER of
+    ``profile.ber_grid`` in grid order.
     """
     config = profile.campaign()
     bers = list(profile.ber_grid)
-    if adaptive is None:
-        st = accuracy_curve(qm_st, prep, bers, config, engine=engine)
-        wg = accuracy_curve(qm_wg, prep, bers, config, engine=engine)
-        return st, wg, None
-    knee = KneeConfig(lo=min(bers), hi=max(bers))
-    found = knee_search(
-        qm_st, prep.eval_x, prep.eval_y, knee,
-        config=config, rule=adaptive, engine=engine,
-    )
-    grid = [p.ber for p in found.points]
-    sweep = adaptive_sweep(
-        qm_wg, prep.eval_x, prep.eval_y, grid,
-        config=config, rule=adaptive, engine=engine,
-    )
-    meta = {
-        "standard": _adaptive_meta("knee", adaptive, found, knee=knee.identity()),
-        "winograd": _adaptive_meta("grid", adaptive, sweep, grid=grid),
-    }
-    return [p.result for p in found.points], [p.result for p in sweep.points], meta
+    st = accuracy_curve(qm_st, prep, bers, config, engine=engine)
+    wg = accuracy_curve(qm_wg, prep, bers, config, engine=engine)
+    return st, wg
 
 
 def pick_cliff_ber(

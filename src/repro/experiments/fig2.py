@@ -16,7 +16,6 @@ from repro.experiments.common import (
     quantized_pair,
     results_dir,
 )
-from repro.stats import StopRule
 from repro.utils.serialization import save_json
 
 __all__ = ["run", "format_report", "DEFAULT_BENCHMARKS"]
@@ -29,18 +28,11 @@ def run(
     benchmarks: tuple[str, ...] = DEFAULT_BENCHMARKS,
     widths: tuple[int, ...] = (8, 16),
     engine=None,
-    adaptive: StopRule | None = None,
 ) -> dict:
     """Execute the Fig. 2 experiment for the selected benchmarks/widths.
 
-    With ``adaptive`` set (CLI ``--adaptive-ber``), the profile's fixed
-    BER grid is replaced per panel: the standard-convolution curve's
-    points are chosen by BER-knee bisection over the grid's extremes
-    (:func:`repro.stats.knee_search`), then the Winograd curve is
-    evaluated at those same BERs (each point early-stopped) so the
-    improvement series shares its axis.  Every point reports its seed
-    usage and confidence interval in the panel's ``adaptive`` block, and
-    the top-level ``bers`` is ``None`` — each panel carries its own axis.
+    Every panel sweeps the profile's fixed BER grid (the top-level
+    ``bers``).
     """
     panels = {}
     for name in benchmarks:
@@ -48,9 +40,7 @@ def run(
         panel: dict = {"paper_label": prep.paper_label, "widths": {}}
         for width in widths:
             qm_st, qm_wg = quantized_pair(prep, width, profile)
-            st, wg, meta = accuracy_curve_pair(
-                prep, qm_st, qm_wg, profile, engine=engine, adaptive=adaptive
-            )
+            st, wg = accuracy_curve_pair(prep, qm_st, qm_wg, profile, engine=engine)
             improvement = [
                 w.mean_accuracy - s.mean_accuracy for s, w in zip(st, wg)
             ]
@@ -60,15 +50,12 @@ def run(
                 "winograd": [r.to_dict() for r in wg],
                 "improvement": improvement,
             }
-            if meta is not None:
-                data["bers"] = [r.ber for r in st]
-                data["adaptive"] = meta
             panel["widths"][str(width)] = data
         panels[name] = panel
 
     payload = {
         "figure": "fig2",
-        "bers": None if adaptive is not None else list(profile.ber_grid),
+        "bers": list(profile.ber_grid),
         "panels": panels,
     }
     save_json(results_dir() / "fig2.json", payload)

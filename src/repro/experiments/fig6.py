@@ -26,7 +26,6 @@ from repro.experiments.common import (
     results_dir,
 )
 from repro.faultsim import expected_faults_per_image
-from repro.stats import StopRule
 from repro.utils.serialization import save_json
 
 __all__ = ["run", "format_report", "calibrated_vber", "as_accuracy_curve"]
@@ -58,15 +57,12 @@ def run(
     width: int = 16,
     voltage_points: int = 21,
     engine=None,
-    adaptive: StopRule | None = None,
 ) -> dict:
     """Execute the Fig. 6 experiment."""
     prep = prepare_benchmark(benchmark, profile)
     qm_st, qm_wg = quantized_pair(prep, width, profile)
     vber = calibrated_vber(qm_st)
-    st, wg, adaptive_meta = accuracy_curve_pair(
-        prep, qm_st, qm_wg, profile, engine=engine, adaptive=adaptive
-    )
+    st, wg = accuracy_curve_pair(prep, qm_st, qm_wg, profile, engine=engine)
     curve_st, curve_wg = as_accuracy_curve(st, qm_st), as_accuracy_curve(wg, qm_wg)
 
     # The paper plots 0.77-0.82 V; sample that window within our range.
@@ -91,8 +87,6 @@ def run(
         "reference_lambda": REFERENCE_LAMBDA,
         "rows": rows,
     }
-    if adaptive_meta is not None:
-        payload["adaptive"] = adaptive_meta
     save_json(results_dir() / "fig6.json", payload)
     return payload
 

@@ -23,7 +23,6 @@ from repro.experiments.common import (
     results_dir,
 )
 from repro.experiments.fig6 import as_accuracy_curve, calibrated_vber
-from repro.stats import StopRule
 from repro.utils.serialization import save_json
 
 __all__ = ["run", "format_report"]
@@ -37,15 +36,12 @@ def run(
     width: int = 16,
     accuracy_losses: tuple[float, ...] = ACCURACY_LOSSES,
     engine=None,
-    adaptive: StopRule | None = None,
 ) -> dict:
     """Execute the Fig. 7 experiment."""
     prep = prepare_benchmark(benchmark, profile)
     qm_st, qm_wg = quantized_pair(prep, width, profile)
     vber = calibrated_vber(qm_st)
-    st, wg, adaptive_meta = accuracy_curve_pair(
-        prep, qm_st, qm_wg, profile, engine=engine, adaptive=adaptive
-    )
+    st, wg = accuracy_curve_pair(prep, qm_st, qm_wg, profile, engine=engine)
     curve_st, curve_wg = as_accuracy_curve(st, qm_st), as_accuracy_curve(wg, qm_wg)
 
     timing_st = simulate_network(qm_st, DNN_ENGINE)
@@ -95,8 +91,6 @@ def run(
         "average_reduction": reductions,
         "paper_reference": {"vs ST-Conv": 0.4289, "vs WG-Conv-W/O-AFT": 0.0719},
     }
-    if adaptive_meta is not None:
-        payload["adaptive"] = adaptive_meta
     save_json(results_dir() / "fig7.json", payload)
     return payload
 

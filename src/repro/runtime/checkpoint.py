@@ -31,10 +31,11 @@ Every record carries a ``crc`` field: the CRC32 of the row's canonical
 JSON serialization *without* the ``crc`` key.  A line that parses as JSON
 but fails (or lacks) its CRC — a bit flip on disk, a torn write whose
 prefix happens to be valid JSON — is treated exactly like an unparseable
-line: dropped at load with a warning, recomputed on resume, and reported
-by :func:`fsck`.  Version 3 is the only format read: any other header
-(the pre-CRC version 2, the headerless single-document version 1)
-raises :class:`~repro.errors.CheckpointError` naming the version, and
+line: dropped at load with a warning, recomputed only if a later batch
+asks for its point, and reported by :func:`fsck`.  Version 3 is the only
+format read: any other header (the pre-CRC version 2, the headerless
+single-document version 1) raises
+:class:`~repro.errors.CheckpointError` naming the version, and
 :func:`fsck` reports such a file as not a checkpoint.  An empty file is
 a fresh store.
 
@@ -253,8 +254,8 @@ class CampaignCheckpoint:
     ``resume`` policy, but completed work is never discarded (recomputed
     tasks simply overwrite their own keys).  Damaged lines are salvaged
     around: loading warns, records their line numbers in
-    :attr:`damaged_lines`, and a resumed engine recomputes exactly those
-    entries.
+    :attr:`damaged_lines`, and a resumed engine recomputes a dropped
+    point only if a later batch asks for it.
 
     Parameters
     ----------
@@ -283,7 +284,8 @@ class CampaignCheckpoint:
             warnings.warn(
                 f"checkpoint {self.path}: salvaged {len(scan.records)} "
                 f"entries, dropped {len(damaged)} damaged line(s) {damaged}; "
-                "the dropped entries will be recomputed",
+                "a dropped point is recomputed only if a later batch asks "
+                "for it",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -313,11 +315,11 @@ class CampaignCheckpoint:
         """Record a completed task and flush it.
 
         Re-putting a key whose identical result is already persisted (or
-        already queued for the next flush) is a no-op: kill/resume loops
-        and adaptive re-submission would otherwise append a duplicate
-        line per pass and grow the store without bound.  A *different*
-        result for an existing key (a ``resume=False`` recompute) is
-        still appended and resolves last-line-wins.
+        already queued for the next flush) is a no-op: kill/resume loops,
+        and fig7 re-running fig6's sweeps, would otherwise append a
+        duplicate line per pass and grow the store without bound.  A
+        *different* result for an existing key (a ``resume=False``
+        recompute) is still appended and resolves last-line-wins.
 
         May raise :class:`~repro.errors.CheckpointWriteError` when the
         flush fails; the record itself is never lost — it stays pending

@@ -50,8 +50,8 @@ result: an engine batch with any worker count — or any mix of live and
 checkpointed points — is **bit-identical** to the serial loops it
 replaces.  ``workers=1`` runs the points in-process without a pool and
 is the serial path itself.  The set of evaluated units is fixed when a
-batch is submitted, so early-stop decisions (:mod:`repro.stats`) happen
-*between* batches, on canonically ordered results.
+batch is submitted, so a caller that decides what to evaluate next (the
+TMR planner) decides *between* batches, on canonically ordered results.
 
 Worker-pool mechanics
 ---------------------

@@ -41,15 +41,6 @@ hash is bound by the engine at dispatch time (tasks are model-relative;
 :meth:`CampaignEngine.evaluate_tasks` evaluates a batch of tasks against
 one model), and the ``tag`` deliberately does not contribute: the same
 evaluation reached from different figures shares one cache entry.
-
-The adaptive drivers (:mod:`repro.stats.adaptive`) lean on exactly that
-identity rule: an adaptive round tags its tasks ``"<tag>:r<round>"`` for
-progress display, but because rounds are scheduling — not content — the
-round number never enters the key.  A (BER, seed) unit evaluated by round
-3 of an adaptive sweep, by a fixed-grid run, or on resume after a kill is
-one checkpoint entry, and legacy keys are untouched.  Seeds an adaptive
-run extends *past* the configured campaign seeds get distinct keys
-naturally, the seed being part of every point key.
 """
 
 from __future__ import annotations

@@ -1,54 +1,27 @@
-"""Sequential statistics for adaptive campaign sampling.
+"""Confidence intervals over campaign correct/total counts.
 
-Confidence intervals over the correct/total counts the campaign runtime
-already produces (:mod:`repro.stats.intervals`), a deterministic
-sequential early-stop rule per (BER, plan) point
-(:mod:`repro.stats.sequential`), and the adaptive sweep / BER-knee
-bisection drivers that replace fixed BER grids
-(:mod:`repro.stats.adaptive`).  The determinism contract — stopping
-decisions depend only on checkpoint-ordered per-seed results, never on
-pool arrival order — is documented in ``docs/RUNTIME.md`` (*Adaptive
-sampling & early stopping*).
+Wilson and empirical-Bernstein intervals over the pooled counts the
+campaign runtime produces, plus :func:`exact_correct_count`, which
+recovers those counts from a checkpointed accuracy
+(:mod:`repro.stats.intervals`).
 """
 
-from repro.stats.adaptive import (
-    AdaptivePoint,
-    AdaptiveSweepResult,
-    KneeConfig,
-    KneeResult,
-    adaptive_sweep,
-    extended_seeds,
-    knee_search,
-)
 from repro.stats.intervals import (
     ConfidenceInterval,
     INTERVAL_METHODS,
     binomial_interval,
     empirical_bernstein_interval,
+    exact_correct_count,
     normal_quantile,
     wilson_interval,
 )
-from repro.stats.sequential import (
-    SequentialAccuracy,
-    StopRule,
-    exact_correct_count,
-)
 
 __all__ = [
-    "AdaptivePoint",
-    "AdaptiveSweepResult",
     "ConfidenceInterval",
     "INTERVAL_METHODS",
-    "KneeConfig",
-    "KneeResult",
-    "SequentialAccuracy",
-    "StopRule",
-    "adaptive_sweep",
     "binomial_interval",
     "empirical_bernstein_interval",
     "exact_correct_count",
-    "extended_seeds",
-    "knee_search",
     "normal_quantile",
     "wilson_interval",
 ]

@@ -22,9 +22,9 @@ confidence intervals without any third-party dependency:
   low-BER regime again), at the cost of a 1/(n-1) additive term.
 
 Both are closed-form float arithmetic — no sampling, no iteration — so an
-interval is a pure function of ``(correct, total, confidence)``.  That
-purity is what the sequential stop rule (:mod:`repro.stats.sequential`)
-builds its determinism contract on.
+interval is a pure function of ``(correct, total, confidence)``.
+:func:`exact_correct_count` recovers those integer counts from a stored
+accuracy.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "INTERVAL_METHODS",
     "binomial_interval",
     "empirical_bernstein_interval",
+    "exact_correct_count",
     "normal_quantile",
     "wilson_interval",
 ]
@@ -68,11 +69,11 @@ class ConfidenceInterval:
 
     @property
     def halfwidth(self) -> float:
-        """Half the interval width — the stop rule's settledness measure."""
+        """Half the interval width."""
         return (self.upper - self.lower) / 2.0
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (figure artifacts, bench reports)."""
+        """JSON-serializable form."""
         return {
             "estimate": self.estimate,
             "lower": self.lower,
@@ -134,6 +135,31 @@ def normal_quantile(p: float) -> float:
     )
 
 
+def exact_correct_count(accuracy: float, total: int) -> int:
+    """Recover the integer correct-count behind a stored accuracy.
+
+    Every accuracy the campaign produces is ``float(correct) / total``
+    for integers ``0 <= correct <= total`` (both
+    ``QuantizedModel.evaluate`` and ``combine_slice_results`` compute
+    exactly that division), and for totals far below 2**52 that mapping
+    is injective in IEEE doubles — so the division can be inverted
+    exactly, and checkpointed :class:`SeedPointResult` rows feed the
+    interval math without any stored-count round trip.  Raises
+    :class:`~repro.errors.ConfigurationError` when ``accuracy`` is not a
+    representable count ratio (a corrupted or foreign value).
+    """
+    total = int(total)
+    if total < 1:
+        raise ConfigurationError(f"exact_correct_count needs total >= 1, got {total}")
+    correct = int(round(accuracy * total))
+    if not 0 <= correct <= total or float(correct) / total != accuracy:
+        raise ConfigurationError(
+            f"accuracy {accuracy!r} is not an exact count ratio over "
+            f"{total} samples"
+        )
+    return correct
+
+
 def _validate_counts(correct: int, total: int, confidence: float) -> tuple[int, int]:
     """Shared argument validation for the interval constructors."""
     correct, total = int(correct), int(total)
@@ -158,7 +184,7 @@ def wilson_interval(
     The score interval inverts the normal test around the *true* p rather
     than the estimate, so it stays inside [0, 1] by construction and keeps
     a sensible (non-zero) width when the observed accuracy is exactly 0 or
-    1 — the standard choice for sequential accuracy monitoring.
+    1 — exactly where low-BER campaign points sit.
     """
     correct, total = _validate_counts(correct, total, confidence)
     z = normal_quantile(1.0 - (1.0 - confidence) / 2.0)
@@ -190,8 +216,7 @@ def empirical_bernstein_interval(
     sqrt term vanishes and the bound shrinks at rate 1/n rather than
     1/sqrt(n).  Requires ``total >= 2`` (the variance term is undefined
     for a single trial); a single-trial request returns the vacuous
-    [0, 1] interval rather than raising, so a sequential consumer can
-    always ask.
+    [0, 1] interval rather than raising, so a caller can always ask.
     """
     correct, total = _validate_counts(correct, total, confidence)
     p = correct / float(total)
@@ -215,7 +240,7 @@ def empirical_bernstein_interval(
     )
 
 
-#: Method name -> interval constructor (the :class:`StopRule` registry).
+#: Method name -> interval constructor (:func:`binomial_interval`'s registry).
 INTERVAL_METHODS = {
     "wilson": wilson_interval,
     "bernstein": empirical_bernstein_interval,

@@ -99,8 +99,14 @@ class TestSubprocessExitCodes:
             ("fig5", "--speculative"),
             ("fig2", "--chaos", "x"),
             ("fig1", "--shard-samples", "4"),
+            ("fig7", "--adaptive-ber"),
+            ("fig2", "--ci-halfwidth", "0.02"),
+            ("fig6", "--max-seeds", "4"),
         ],
-        ids=["speculative", "chaos", "shard-samples"],
+        ids=[
+            "speculative", "chaos", "shard-samples",
+            "adaptive-ber", "ci-halfwidth", "max-seeds",
+        ],
     )
     def test_retired_speculative_flag_exits_two(self, argv):
         proc = run_cli(*argv)

@@ -115,9 +115,7 @@ def test_gate_actually_covers_both_packages():
         "neuron_level.py", "operation_level.py", "protection.py",
         "sampling.py", "sites.py",
     }
-    assert {p.name for p in stats} == {
-        "__init__.py", "adaptive.py", "intervals.py", "sequential.py",
-    }
+    assert {p.name for p in stats} == {"__init__.py", "intervals.py"}
     assert {p.name for p in backends} == {
         "__init__.py", "base.py", "optimized.py", "reference.py",
     }

@@ -4,13 +4,15 @@ A curve is a pure function of the model's content, the data, the
 campaign and the BERs — never of the model's name.  Results are reused
 only through the engine's content-keyed checkpoint under ``resume=True``,
 which the engine's ``last_stats`` reports.  Also covers the standard /
-Winograd curve pair that figs 2/6/7 share, in both of its modes.
+Winograd curve pair that figs 2/6/7 share.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.stats
+from repro.experiments import fig7
 from repro.experiments.common import (
     ExperimentProfile,
     PreparedBenchmark,
@@ -22,7 +24,6 @@ from repro.experiments.common import (
 from repro.faultsim import CampaignConfig, run_sweep
 from repro.nn import initialize
 from repro.quantized import QuantConfig, quantize_model
-from repro.stats import KneeConfig, StopRule, adaptive_sweep, knee_search
 
 from tests._helpers import build_tiny_cnn
 
@@ -101,43 +102,14 @@ class TestCurveFollowsTheModel:
 class TestAccuracyCurvePair:
     def test_fixed_grid(self, results, prep):
         qm_st, qm_wg = quantized_pair(prep, 16, PROFILE)
-        st, wg, meta = accuracy_curve_pair(prep, qm_st, qm_wg, PROFILE)
+        st, wg = accuracy_curve_pair(prep, qm_st, qm_wg, PROFILE)
         bers = list(PROFILE.ber_grid)
         config = PROFILE.campaign()
-        assert meta is None
         assert as_dicts(st) == as_dicts(accuracy_curve(qm_st, prep, bers, config))
         assert as_dicts(wg) == as_dicts(accuracy_curve(qm_wg, prep, bers, config))
 
-    def test_adaptive(self, results, prep):
-        qm_st, qm_wg = quantized_pair(prep, 16, PROFILE)
-        rule = StopRule(halfwidth=0.15, min_seeds=1, max_seeds=2)
-        st, wg, meta = accuracy_curve_pair(
-            prep, qm_st, qm_wg, PROFILE, adaptive=rule
-        )
-        config = PROFILE.campaign()
-        found = knee_search(
-            qm_st, prep.eval_x, prep.eval_y,
-            KneeConfig(lo=min(PROFILE.ber_grid), hi=max(PROFILE.ber_grid)),
-            config=config, rule=rule,
-        )
-        grid = [p.ber for p in found.points]
-        sweep = adaptive_sweep(
-            qm_wg, prep.eval_x, prep.eval_y, grid, config=config, rule=rule
-        )
-        assert as_dicts(st) == as_dicts(p.result for p in found.points)
-        assert as_dicts(wg) == as_dicts(p.result for p in sweep.points)
-        assert grid == sorted(grid) and [r.ber for r in wg] == grid
-
-        assert set(meta) == {"standard", "winograd"}
-        knee, flat = meta["standard"], meta["winograd"]
-        assert knee["mode"] == "knee" and flat["mode"] == "grid"
-        assert knee["rule"] == flat["rule"] == rule.identity()
-        assert knee["knee_ber"] == found.knee_ber
-        assert flat["grid"] == grid
-        for block, run in ((knee, found), (flat, sweep)):
-            assert block["total_units"] == run.total_units
-            assert len(block["points"]) == len(run.points)
-            assert all("result" not in point for point in block["points"])
-            assert [p["seeds_used"] for p in block["points"]] == [
-                p.seeds_used for p in run.points
-            ]
+    def test_retired_adaptive_surface(self):
+        with pytest.raises(TypeError):
+            fig7.run(adaptive=object())
+        for name in ("adaptive_sweep", "knee_search", "StopRule"):
+            assert not hasattr(repro.stats, name)

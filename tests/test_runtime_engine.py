@@ -413,9 +413,9 @@ class TestProgressAndCheckpointStore:
 class TestCheckpointDedupe:
     """``put`` must not append rows for already-persisted identical results.
 
-    Adaptive drivers re-submit settled units every round (the engine
-    consults the checkpoint per batch), so without dedupe a long adaptive
-    run would grow the file linearly with *rounds*, not with work.
+    Kill/resume loops and fig7 re-running fig6's sweeps put the same
+    results again, so without dedupe the file would grow with every
+    pass, not with work.
     """
 
     def _result(self, accuracy=0.5):

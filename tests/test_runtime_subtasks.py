@@ -382,7 +382,11 @@ class TestPointIdentity:
         assert fsck(ckpt).damaged == damaged
 
         engine = CampaignEngine(workers=1, checkpoint_path=ckpt, resume=True)
-        with pytest.warns(RuntimeWarning, match=r"damaged line\(s\) \[3\]"):
+        with pytest.warns(
+            RuntimeWarning,
+            match=r"damaged line\(s\) \[3\]; a dropped point is recomputed "
+            r"only if a later batch asks for it",
+        ):
             results = engine.evaluate_tasks(qm, x, y, tasks, config=self.config)
         assert results[0] == point
         stats = engine.last_stats

@@ -1,9 +1,8 @@
-"""Unit tests for the sequential statistics: intervals and stop rules.
+"""Unit tests for the confidence intervals and exact count recovery.
 
 Pure-math coverage (no models, no campaigns): interval correctness
 against known reference values, edge behavior at the accuracy extremes,
-argument validation, and the :class:`SequentialAccuracy` prefix/overshoot
-semantics the determinism contract builds on.
+and argument validation.
 """
 
 from __future__ import annotations
@@ -14,12 +13,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.stats import (
-    SequentialAccuracy,
-    StopRule,
     binomial_interval,
     empirical_bernstein_interval,
     exact_correct_count,
-    extended_seeds,
     normal_quantile,
     wilson_interval,
 )
@@ -126,87 +122,3 @@ class TestExactCorrectCount:
             exact_correct_count(1.5, 160)
         with pytest.raises(ConfigurationError, match="total"):
             exact_correct_count(0.5, 0)
-
-
-class TestStopRule:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="halfwidth"):
-            StopRule(halfwidth=0.0)
-        with pytest.raises(ConfigurationError, match="halfwidth"):
-            StopRule(halfwidth=0.5)
-        with pytest.raises(ConfigurationError, match="confidence"):
-            StopRule(confidence=1.0)
-        with pytest.raises(ConfigurationError, match="interval method"):
-            StopRule(method="bayes")
-        with pytest.raises(ConfigurationError, match="min_seeds"):
-            StopRule(min_seeds=0)
-        with pytest.raises(ConfigurationError, match="max_seeds"):
-            StopRule(min_seeds=4, max_seeds=3)
-
-
-class TestSequentialAccuracy:
-    def test_stops_at_smallest_qualifying_prefix(self):
-        # 160/160 per seed: Wilson halfwidth at n=320 is ~0.0118 < 0.02,
-        # and min_seeds=2 makes 2 the first prefix even checked.
-        tracker = SequentialAccuracy(StopRule(min_seeds=2, max_seeds=8))
-        assert tracker.push(160, 160) is False
-        assert tracker.push(160, 160) is True
-        assert tracker.stopped and tracker.stopped_at == 2
-        assert tracker.seeds_used == 2
-
-    def test_overshoot_never_moves_the_decision(self):
-        tracker = SequentialAccuracy(StopRule(min_seeds=2, max_seeds=8))
-        tracker.push(160, 160)
-        tracker.push(160, 160)
-        interval_at_stop = tracker.interval()
-        # A round-scheduled driver may deliver extra seeds after the stop.
-        tracker.push(80, 160)
-        assert tracker.stopped_at == 2 and tracker.seeds_used == 2
-        assert tracker.interval() == interval_at_stop
-        assert tracker.seeds_seen == 3
-
-    def test_exhaustion_at_max_seeds(self):
-        # 50% accuracy never reaches a 0.02 halfwidth in 3 seeds of 160.
-        tracker = SequentialAccuracy(StopRule(min_seeds=2, max_seeds=3))
-        assert tracker.push(80, 160) is False
-        assert tracker.push(80, 160) is False
-        assert tracker.push(80, 160) is True
-        assert tracker.exhausted and not tracker.stopped
-        assert tracker.seeds_used == 3
-
-    def test_min_seeds_blocks_early_decision(self):
-        tracker = SequentialAccuracy(StopRule(min_seeds=4, max_seeds=8))
-        for _ in range(3):
-            assert tracker.push(160, 160) is False
-        assert tracker.push(160, 160) is True
-        assert tracker.stopped_at == 4
-
-    def test_push_validation(self):
-        tracker = SequentialAccuracy(StopRule())
-        with pytest.raises(ConfigurationError, match="total"):
-            tracker.push(0, 0)
-        with pytest.raises(ConfigurationError, match="correct"):
-            tracker.push(5, 4)
-
-    def test_interval_at_bounds(self):
-        tracker = SequentialAccuracy(StopRule())
-        tracker.push(10, 10)
-        with pytest.raises(ConfigurationError, match="interval_at"):
-            tracker.interval_at(0)
-        with pytest.raises(ConfigurationError, match="interval_at"):
-            tracker.interval_at(2)
-
-
-class TestExtendedSeeds:
-    def test_extends_past_configured_maximum(self):
-        assert extended_seeds((0, 1), 5) == (0, 1, 2, 3, 4)
-        assert extended_seeds((3, 7), 4) == (3, 7, 8, 9)
-
-    def test_truncates_and_passes_through(self):
-        assert extended_seeds((0, 1, 2), 2) == (0, 1)
-        assert extended_seeds((0, 1, 2), 3) == (0, 1, 2)
-        assert extended_seeds((), 3) == (0, 1, 2)
-
-    def test_rejects_empty_budget(self):
-        with pytest.raises(ConfigurationError, match="count"):
-            extended_seeds((0, 1), 0)
