@@ -9,10 +9,12 @@ Winograd curve pair that figs 2/6/7 share.
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 import repro.stats
-from repro.experiments import fig7
+from repro.experiments import fig2, fig6, fig7
 from repro.experiments.common import (
     ExperimentProfile,
     PreparedBenchmark,
@@ -107,6 +109,39 @@ class TestAccuracyCurvePair:
         config = PROFILE.campaign()
         assert as_dicts(st) == as_dicts(accuracy_curve(qm_st, prep, bers, config))
         assert as_dicts(wg) == as_dicts(accuracy_curve(qm_wg, prep, bers, config))
+
+    def test_rows_follow_the_grid(self, results, prep):
+        qm_st, qm_wg = quantized_pair(prep, 16, PROFILE)
+        st, wg = accuracy_curve_pair(prep, qm_st, qm_wg, PROFILE)
+        grid = list(PROFILE.ber_grid)
+        assert [r.ber for r in st] == grid
+        assert [r.ber for r in wg] == grid
+
+    def test_resume_serves_both_curves(self, results, prep):
+        qm_st, qm_wg = quantized_pair(prep, 16, PROFILE)
+        first = accuracy_curve_pair(prep, qm_st, qm_wg, PROFILE, engine=make_engine())
+        resumed = make_engine(resume=True)
+        computed = []
+
+        def run_sweep(*args, **kwargs):
+            rows = type(resumed).run_sweep(resumed, *args, **kwargs)
+            computed.append(resumed.last_stats.computed_units)
+            return rows
+
+        resumed.run_sweep = run_sweep
+        again = accuracy_curve_pair(prep, qm_st, qm_wg, PROFILE, engine=resumed)
+        assert computed == [0, 0]
+        assert [as_dicts(rows) for rows in again] == [as_dicts(rows) for rows in first]
+
+    @pytest.mark.parametrize("figure", [fig2, fig6], ids=["fig2", "fig6"])
+    def test_curve_figures_reject_adaptive(self, figure):
+        with pytest.raises(TypeError):
+            figure.run(adaptive=object())
+
+    @pytest.mark.parametrize("module", ["repro.stats.adaptive", "repro.stats.sequential"])
+    def test_retired_stats_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
     def test_retired_adaptive_surface(self):
         with pytest.raises(TypeError):

@@ -115,6 +115,14 @@ class TestExactCorrectCount:
                 accuracy = float(correct) / total
                 assert exact_correct_count(accuracy, total) == correct
 
+    @pytest.mark.parametrize("total", [1, 7, 48, 160, 4096])
+    def test_every_count_round_trips(self, total):
+        recovered = [
+            exact_correct_count(float(correct) / total, total)
+            for correct in range(total + 1)
+        ]
+        assert recovered == list(range(total + 1))
+
     def test_rejects_foreign_values(self):
         with pytest.raises(ConfigurationError, match="exact count ratio"):
             exact_correct_count(0.5000001, 160)
