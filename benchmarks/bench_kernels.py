@@ -8,9 +8,11 @@ Two entry points share this file:
   fault-injected forward pass.
 * **standalone backend comparison** (``python benchmarks/bench_kernels.py
   --json out.json``) times the channel-reduce-dominated integer Winograd
-  workload once per registered kernel backend (:mod:`repro.backends`),
-  emits a machine-readable report, and *gates* the ``optimized`` backend
-  at a minimum speedup over ``reference`` (exit status 1 on failure).
+  workload and the direct-conv ``im2col_gemm`` on two VGG19 layer shapes
+  once per registered kernel backend (:mod:`repro.backends`), emits a
+  machine-readable report, and *gates* the ``optimized`` backend at a
+  minimum speedup over ``reference`` on the Winograd workload and on the
+  two GEMM layers together (exit status 1 on failure).
   CI uploads the JSON as an artifact.
 """
 
@@ -40,6 +42,10 @@ N, C, K, H = 4, 32, 32, 32
 # Standalone comparison workload: deeper channels so the channel-reduce
 # GEMM dominates (the stage the optimized backend targets hardest).
 BENCH_N, BENCH_C, BENCH_K, BENCH_H = 4, 64, 64, 32
+
+#: Direct-conv im2col GEMM workloads, VGG19 layer shapes ``(N, C=K, H)``:
+#: a 32x32 layer at fig1's batch and a 2x2 layer at fig5's.
+GEMM_SHAPES = {"k16-32x32-n30": (30, 16, 32), "k128-2x2-n12": (12, 128, 2)}
 
 
 # --- pytest-benchmark suite --------------------------------------------------
@@ -109,6 +115,32 @@ def _bench_inputs(x_bound: int, w_bound: int):
     return x, w
 
 
+def _best_and_mean(run, repeats: int) -> dict:
+    """Best/mean wall-clock of ``run()`` after one warm-up call."""
+    run()  # warm transform/scratch caches so steady-state cost is measured
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return {"best_s": min(times), "mean_s": sum(times) / len(times)}
+
+
+def _time_gemm(backend, shape, repeats: int) -> dict:
+    """Best/mean wall-clock of one int16 direct-conv ``im2col_gemm`` call."""
+    from repro.utils.im2col import im2col_patches
+
+    n, c, h = shape
+    bound = 1 << 15
+    rng = np.random.default_rng(0)
+    x = rng.integers(-bound, bound, size=(n, c, h, h)).astype(np.int64)
+    w = rng.integers(-bound, bound, size=(c, c * 9)).astype(np.int64)
+    cols = im2col_patches(x, (3, 3), 1, 1)
+    return _best_and_mean(
+        lambda: backend.im2col_gemm(w, cols, w_bound=bound, x_bound=bound), repeats
+    )
+
+
 def _time_backend(backend, x, w, x_bound, repeats: int, keep: bool) -> dict:
     """Best/mean wall-clock of the full int Winograd conv on one backend."""
     tf = get_transform(2, 3)
@@ -127,13 +159,7 @@ def _time_backend(backend, x, w, x_bound, repeats: int, keep: bool) -> dict:
             v_bound=v_bound,
         )
 
-    run()  # warm transform/scratch caches so steady-state cost is measured
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - t0)
-    return {"best_s": min(times), "mean_s": sum(times) / len(times)}
+    return _best_and_mean(run, repeats)
 
 
 def run_backend_comparison(
@@ -145,9 +171,11 @@ def run_backend_comparison(
     """Time the kernel backends on the comparison workload.
 
     Returns a JSON-serializable report with per-backend timings, the
-    speedup of each backend over ``reference``, and a ``gate_passed``
-    flag: ``optimized`` must be at least ``min_speedup`` faster than
-    ``reference``.
+    speedup of each backend over ``reference``, the same for
+    ``im2col_gemm`` per :data:`GEMM_SHAPES` entry and over their summed
+    times, and a ``gate_passed`` flag: ``optimized`` must be at least
+    ``min_speedup`` faster than ``reference`` on the Winograd workload and
+    on the summed GEMM times.
     """
     from repro.backends import get_backend
 
@@ -171,6 +199,8 @@ def run_backend_comparison(
         "repeats": repeats,
         "backends": {},
         "speedup_vs_reference": {},
+        "im2col_gemm": {},
+        "im2col_gemm_speedup_vs_reference": {},
         "min_speedup": min_speedup,
         "gate_passed": None,
     }
@@ -183,9 +213,33 @@ def run_backend_comparison(
     for name, timing in report["backends"].items():
         if name != "reference":
             report["speedup_vs_reference"][name] = ref_best / timing["best_s"]
-    if "optimized" in report["speedup_vs_reference"]:
-        report["gate_passed"] = bool(
-            report["speedup_vs_reference"]["optimized"] >= min_speedup
+    totals = dict.fromkeys(names, 0.0)
+    for label, shape in GEMM_SHAPES.items():
+        timings = {name: _time_gemm(get_backend(name), shape, repeats) for name in names}
+        report["im2col_gemm"][label] = {
+            "n_c_h": list(shape),
+            "backends": timings,
+            "speedup_vs_reference": {
+                name: timings["reference"]["best_s"] / timing["best_s"]
+                for name, timing in timings.items() if name != "reference"
+            },
+        }
+        for name, timing in timings.items():
+            totals[name] += timing["best_s"]
+    # The GEMM gate is on the two layers together: the sub-millisecond 2x2
+    # layer alone measured 1.2-1.9x from run to run on a shared 2-core
+    # host, too noisy to gate by itself.
+    report["im2col_gemm_speedup_vs_reference"] = {
+        name: totals["reference"] / total
+        for name, total in totals.items() if name != "reference"
+    }
+    if "optimized" in names:
+        report["gate_passed"] = all(
+            speedups["optimized"] >= min_speedup
+            for speedups in (
+                report["speedup_vs_reference"],
+                report["im2col_gemm_speedup_vs_reference"],
+            )
         )
     return report
 
@@ -224,15 +278,22 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
 
-    for name, timing in report["backends"].items():
-        speed = report["speedup_vs_reference"].get(name)
-        extra = f"  ({speed:.2f}x vs reference)" if speed is not None else ""
-        print(f"{name:>10}: best {timing['best_s'] * 1e3:8.2f} ms{extra}")
+    sections = [("winograd", report["backends"], report["speedup_vs_reference"])]
+    sections += [
+        (f"gemm {label}", entry["backends"], entry["speedup_vs_reference"])
+        for label, entry in report["im2col_gemm"].items()
+    ]
+    for section, timings, speedups in sections:
+        for name, timing in timings.items():
+            speed = speedups.get(name)
+            extra = f"  ({speed:.2f}x vs reference)" if speed is not None else ""
+            print(f"{section:>20} {name:>10}: best {timing['best_s'] * 1e3:8.2f} ms{extra}")
+    for name, speed in report["im2col_gemm_speedup_vs_reference"].items():
+        print(f"{'gemm (both layers)':>20} {name:>10}: {speed:.2f}x vs reference")
     if report["gate_passed"] is False:
         print(
-            f"FAIL: optimized speedup "
-            f"{report['speedup_vs_reference']['optimized']:.2f}x "
-            f"< required {report['min_speedup']:.2f}x",
+            f"FAIL: an optimized speedup is below the required "
+            f"{report['min_speedup']:.2f}x",
             file=sys.stderr,
         )
         return 1

@@ -21,9 +21,10 @@ for every input, from four levers:
   result as is, so int64 appears only at the node boundary
   (``assemble_tiles`` casts during its scatter).  A stage whose probe
   fails runs the exact int64 path on an int64 copy of its input, and the
-  next stage casts back only if its own probe passes.  im2col patches
-  are read straight out of the strided view (zero-copy gather + cast in
-  one pass).  No buffer outlives its call.
+  next stage casts back only if its own probe passes.  The direct-conv
+  GEMM gathers + casts each cache-sized block of images straight out of
+  the strided patches view into one f64 buffer, reused for every block,
+  and runs one 2-D GEMM per block.  No buffer outlives its call.
 * **No redundant rounding** — f64 GEMM results are provably exact
   integers, so the ``np.rint`` pass is skipped and casts truncate
   exactly.
@@ -31,8 +32,8 @@ for every input, from four levers:
   exceeds the f64 window the kernels fall back to cache-blocked 2-D
   int64 matmuls (still exact), and requantization runs the fixedpoint
   fast path in place on one fresh int64 array, rounding half away from
-  zero by one floor division with a sign-dependent offset (no ``|x|``,
-  no masked sign restore).
+  zero by one floor division (a right shift for a power-of-two divisor)
+  with a sign-dependent offset (no ``|x|``, no masked sign restore).
 
 Bounds passed by callers are conservative (derived from quantization
 formats); both probe outcomes select exact paths, so path choice never
@@ -48,6 +49,7 @@ import numpy as np
 from repro.backends.base import BoundedCache, EINSUM_PATHS, KernelBackend
 from repro.backends.reference import ReferenceBackend, filter_transform_int
 from repro.fixedpoint import requantize as _fixedpoint_requantize
+from repro.utils.im2col import per_block
 
 __all__ = ["OptimizedBackend"]
 
@@ -183,7 +185,7 @@ class OptimizedBackend(KernelBackend):
         w_bound: int | None = None,
         x_bound: int | None = None,
     ) -> np.ndarray:
-        """f64 GEMM straight out of the strided patches view when exact."""
+        """f64 GEMM per block of images, gathered from ``cols``, when exact."""
         k, reduction = weight2d.shape
         if cols.ndim == 6:
             n = cols.shape[0]
@@ -199,17 +201,21 @@ class OptimizedBackend(KernelBackend):
             else int(np.abs(cols).max(initial=0))
         )
         if w_max * x_max * reduction < _F64_EXACT:
-            cols_f = np.empty((n, reduction, pq))
-            # Fused gather + cast: reads the strided view (or the
-            # materialized matrix) directly into f64 in one pass.
-            np.copyto(
-                cols_f.reshape(cols.shape) if cols.ndim == 6 else cols_f,
-                cols,
-                casting="unsafe",
-            )
-            acc_f = np.matmul(weight2d.astype(np.float64), cols_f)
-            del cols_f  # the largest temporary; free it before the output exists
-            return acc_f.astype(np.int64)
+            weight_f = weight2d.astype(np.float64)
+            out = np.empty((n, k, pq), dtype=np.int64)
+            step = per_block(reduction * pq * 8)
+            buf = np.empty(reduction * min(step, n) * pq)
+            for a in range(0, n, step):
+                b = min(step, n - a)
+                block = buf[: reduction * b * pq].reshape(reduction, b * pq)
+                # Fused gather + cast of this block of images, batch folded
+                # into the columns: one 2-D GEMM per block.
+                axes = (1, 2, 3, 0, 4, 5) if cols.ndim == 6 else (1, 0, 2)
+                src = cols[a : a + b].transpose(axes)
+                np.copyto(block.reshape(src.shape), src, casting="unsafe")
+                acc_f = np.matmul(weight_f, block).reshape(k, b, pq)
+                np.copyto(out[a : a + b].transpose(1, 0, 2), acc_f, casting="unsafe")
+            return out
         # Blocked exact int64 fallback.
         if cols.ndim == 6:
             cols_i = np.empty((n, reduction, pq), dtype=np.int64)
@@ -264,7 +270,9 @@ class OptimizedBackend(KernelBackend):
         and of every ``x < 0`` too when ``den`` is odd (there are no
         ties).  With an even ``den`` a negative tie must round down, which
         ``floor((x + h - 1) / den)`` does without moving any other
-        negative ``x``.
+        negative ``x``.  A power-of-two ``den`` (every direct conv, F(2,3)
+        Winograd) floors by an arithmetic right shift instead of a
+        division.
         """
         shift = out_fmt.frac - acc_frac
         ratio = extra_ratio * (Fraction(2) ** shift)
@@ -279,7 +287,10 @@ class OptimizedBackend(KernelBackend):
         if den % 2 == 0:
             buf -= buf < 0
         buf += den // 2
-        buf //= den
+        if den & (den - 1):
+            buf //= den
+        else:
+            buf >>= den.bit_length() - 1  # floor division by a power of two
         return np.clip(buf, out_fmt.qmin, out_fmt.qmax, out=buf)
 
     def cache_stats(self) -> dict:

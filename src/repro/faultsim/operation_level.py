@@ -44,7 +44,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.fixedpoint.bits import flip_delta, flip_delta_var  # noqa: F401  (flip_delta re-exported via register_flip_delta)
+from repro.fixedpoint.bits import flip_delta
 from repro.faultsim.model import FaultModelConfig, FaultSemantics
 from repro.faultsim.protection import ProtectionPlan
 from repro.faultsim.sampling import CounterSampler, bit_lengths
@@ -67,15 +67,31 @@ def register_scale_pow(max_abs: int, width: int) -> int:
 
 
 def register_flip_delta(
-    values: np.ndarray, bits: np.ndarray, width: int, scale_pow: int
+    values: np.ndarray, bits: np.ndarray, width, scale_pow: int
 ) -> np.ndarray:
     """Delta caused by flipping register bit ``bits`` of ``values``.
 
     The register holds ``values >> scale_pow``; the returned delta is in the
-    native integer domain (scaled back up by ``2**scale_pow``).
+    native integer domain (scaled back up by ``2**scale_pow``).  ``width``
+    is a scalar or one width per event (see :func:`flip_delta`).
     """
     held = np.asarray(values, dtype=np.int64) >> np.int64(scale_pow)
     return flip_delta(held, bits, width) << np.int64(scale_pow)
+
+
+def gather_flat(view: np.ndarray, index: tuple) -> np.ndarray:
+    """``view[index]`` for a tuple of index arrays, one flat offset each.
+
+    ``view`` is a strided view with non-negative strides over one block
+    of memory: the patches view of the padded input, or a linear layer's
+    ``(N, F, 1, 1, 1, 1)`` input view.  Each element is read at offset
+    ``sum(index_k * stride_k)`` by one 1-D take.
+    """
+    steps = [s // view.itemsize for s in view.strides]
+    offset = sum(i * s for i, s in zip(index, steps))
+    span = 1 + sum((d - 1) * s for d, s in zip(view.shape, steps))
+    flat = np.lib.stride_tricks.as_strided(view, (span,), (view.itemsize,))
+    return flat[offset]
 
 
 class OperationLevelInjector(Injector):
@@ -197,10 +213,7 @@ class OperationLevelInjector(Injector):
     @staticmethod
     def _register_deltas(values, widths, events):
         """Flip-bit deltas for ``events`` with scalar or per-event widths."""
-        bits = events.bits(widths)
-        if np.ndim(widths) == 0:
-            return register_flip_delta(values, bits, int(widths), 0)
-        return flip_delta_var(values, bits, widths)
+        return register_flip_delta(values, events.bits(widths), widths, 0)
 
     def _mul_exposure_bits(self, layer) -> int:
         return self.config.exposure_bits(True, layer.in_fmt.width, layer.acc_width)
@@ -253,7 +266,8 @@ class OperationLevelInjector(Injector):
 
         ``cols`` is the strided ``(N, C, R, S, P, Q)`` patches view; the
         reduction index unravels into ``(c, r, s)`` (the canonical im2col
-        order) and the spatial index into ``(p, q)``.
+        order) and the spatial index into ``(p, q)``.  Each event reads its
+        activation and its weight, and adds its delta, at one flat offset.
         """
         events = self._site_events(
             layer.name,
@@ -272,12 +286,12 @@ class OperationLevelInjector(Injector):
         cc, rr, ss = np.unravel_index(red, cols.shape[1:4])
         pp, qq = np.divmod(pq, cols.shape[5])
 
-        x_vals = cols[img, cc, rr, ss, pp, qq]
-        w_vals = weight2d[kk, red]
+        x_vals = gather_flat(cols, (img, cc, rr, ss, pp, qq))
+        w_vals = weight2d.reshape(-1)[kk * reduction + red]
         products = x_vals * w_vals
         width = self._mul_register_width(layer)
         deltas = self._register_deltas(products, width, events)
-        np.add.at(acc_flat, (img, out_idx), deltas)
+        np.add.at(acc_flat.reshape(-1), img * acc_flat.shape[1] + out_idx, deltas)
 
     def _inject_result_adds(self, layer, category, site, ops_per_sample, acc_flat):
         """Addition faults: flips of sum registers, applied to final outputs."""

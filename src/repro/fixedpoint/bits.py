@@ -3,7 +3,9 @@
 These primitives realize the fault model: a soft error flips one bit of the
 ``width``-bit two's-complement representation of an operation result.  The
 stored values live in int64 arrays; :func:`flip_bit` reproduces exactly what
-an XOR on the hardware register would do, including sign-bit flips.
+an XOR on the hardware register would do, including sign-bit flips, and
+:func:`flip_delta` gives the signed change such a flip makes in one pass,
+from the flipped bit alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ __all__ = [
     "from_twos_complement",
     "flip_bit",
     "flip_delta",
-    "flip_delta_var",
 ]
 
 
@@ -56,49 +57,37 @@ def flip_bit(values: np.ndarray, bits: np.ndarray | int, width: int) -> np.ndarr
     return from_twos_complement(flipped, width)
 
 
-def flip_delta(values: np.ndarray, bits: np.ndarray | int, width: int) -> np.ndarray:
+def flip_delta(
+    values: np.ndarray, bits: np.ndarray | int, width: np.ndarray | int
+) -> np.ndarray:
     """Signed change of a ``width``-bit register when bit ``bits`` flips.
 
     The register holds the ``width``-bit two's-complement *window* of each
-    value; the delta is ``decode(window ^ bit) - decode(window)``: ``+2**b``
-    when the bit was 0, ``-2**b`` when it was 1, and ``∓2**(width-1)`` for
-    the sign bit.  Values wider than the window contribute only through
-    their low ``width`` bits — the register never saw the high bits, so they
-    cannot appear in the delta.  This bounded delta is what propagates
-    linearly through the rest of the layer's computation.
+    value; the delta is ``decode(window ^ bit) - decode(window)``.  Bit
+    ``b`` of the window is bit ``b`` of the value, ``(values >> b) & 1``,
+    so the delta is one closed form: ``+2**b`` when that bit is 0,
+    ``-2**b`` when it is 1, and the opposite sign for the sign bit
+    ``b == width - 1`` (it weighs ``-2**(width-1)``).  Values wider than
+    the window contribute only through that one bit — the register never
+    saw the high bits, so they cannot appear in the delta.  This bounded
+    delta is what propagates linearly through the rest of the layer's
+    computation.
+
+    ``width`` is a scalar or a per-element array broadcastable against
+    ``values``: the counter-based fault sampler sizes each sum register to
+    its own sample's dynamic range (batch-wide maxima would couple a
+    fault's delta to which other samples share its batch, breaking
+    partition invariance), so one vectorized injection carries a width
+    per event.
     """
-    _check_width(width)
-    before = from_twos_complement(to_twos_complement(values, width), width)
-    return flip_bit(values, bits, width) - before
-
-
-def flip_delta_var(
-    values: np.ndarray, bits: np.ndarray, widths: np.ndarray
-) -> np.ndarray:
-    """:func:`flip_delta` with a *per-element* register width.
-
-    The counter-based fault sampler sizes each sum register to its own
-    sample's dynamic range (batch-wide maxima would couple a fault's delta
-    to which other samples share its batch, breaking partition
-    invariance), so one vectorized injection carries a width per event.
-    Semantics per element are exactly :func:`flip_delta`.
-    """
-    widths = np.asarray(widths, dtype=np.int64)
+    widths = np.asarray(width, dtype=np.int64)
     if widths.size and (int(widths.min()) < 1 or int(widths.max()) > 62):
-        raise FaultModelError("widths must be in [1, 62]")
+        raise FaultModelError("width must be in [1, 62]")
     bits = np.asarray(bits, dtype=np.int64)
     if np.any(bits < 0) or np.any(bits >= widths):
-        raise FaultModelError("bit index out of range for per-element width")
-    values = np.asarray(values, dtype=np.int64)
-    mask = (np.int64(1) << widths) - np.int64(1)
-    sign_bit = np.int64(1) << (widths - np.int64(1))
-    full_span = np.int64(1) << widths
-
-    words = values & mask
-    before = np.where(words & sign_bit, words - full_span, words)
-    flipped = words ^ (np.int64(1) << bits)
-    after = np.where(flipped & sign_bit, flipped - full_span, flipped)
-    return (after - before).astype(np.int64)
+        raise FaultModelError("bit index out of range for the register width")
+    down = ((np.asarray(values, dtype=np.int64) >> bits) & 1) ^ (bits == widths - 1)
+    return (np.int64(1) << bits) * (1 - 2 * down)
 
 
 def _check_width(width: int) -> None:

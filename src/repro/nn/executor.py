@@ -82,12 +82,15 @@ def forward_backward(
 
     grad_of: dict[str, np.ndarray] = {graph.output_name: grad_logits}
     param_grads: dict[str, dict[str, np.ndarray]] = {}
+    # Nothing reads the graph input's gradient.
+    inputs = {node.name for node in graph if node.op == "input"}
 
     for node in reversed(graph.nodes):
         if node.op == "input" or node.name not in grad_of:
             continue
         grad_y = grad_of.pop(node.name)
-        p_grads, in_grads = backward_op(node, graph, caches[node.name], grad_y)
+        needed = not inputs.issuperset(node.inputs)
+        p_grads, in_grads = backward_op(node, graph, caches[node.name], grad_y, needed)
         if p_grads:
             param_grads[node.name] = p_grads
         for src, g in zip(node.inputs, in_grads):

@@ -136,7 +136,7 @@ def _conv2d_forward(node: Node, graph: Graph, xs, train):
     return y.reshape(n, p, q, out_c).transpose(0, 3, 1, 2), cache
 
 
-def _conv2d_backward(node: Node, graph: Graph, cache, grad_y):
+def _conv2d_backward(node: Node, graph: Graph, cache, grad_y, input_grads=True):
     weight = graph.params[node.name]["weight"]
     k = node.attrs["kernel"]
     out_c = weight.shape[0]
@@ -149,6 +149,8 @@ def _conv2d_backward(node: Node, graph: Graph, cache, grad_y):
     param_grads = {"weight": grad_w.T.reshape(weight.shape)}
     if node.attrs.get("bias", True):
         param_grads["bias"] = grad_y.sum(axis=(0, 2, 3)).astype(np.float32)
+    if not input_grads:
+        return param_grads, []
 
     grad_cols = (gt @ weight.reshape(out_c, -1)).T  # (C*k*k, N*P*Q)
     grad_x = col2im(
@@ -397,8 +399,16 @@ def forward_op(node: Node, graph: Graph, xs: list[np.ndarray], train: bool):
     return _FORWARD[node.op](node, graph, xs, train)
 
 
-def backward_op(node: Node, graph: Graph, cache, grad_y: np.ndarray):
-    """Run one node backward; returns ``(param_grads, input_grads)``."""
+def backward_op(
+    node: Node, graph: Graph, cache, grad_y: np.ndarray, input_grads: bool = True
+):
+    """Run one node backward; returns ``(param_grads, input_grads)``.
+
+    With ``input_grads=False`` nothing reads the input gradients, and a
+    convolution skips computing them (an empty list).
+    """
+    if not input_grads and node.op == "conv2d":
+        return _conv2d_backward(node, graph, cache, grad_y, input_grads=False)
     return _BACKWARD[node.op](node, graph, cache, grad_y)
 
 

@@ -20,6 +20,7 @@ checkpoint rows.
 
 from __future__ import annotations
 
+import importlib
 import os
 import tracemalloc
 from fractions import Fraction
@@ -185,6 +186,35 @@ class TestStageParity:
         matrix = im2col(x, (3, 3), 1, 1)
         view = im2col_patches(x, (3, 3), 1, 1)
         ref = REFERENCE.im2col_gemm(w, matrix)
+        for cols in (matrix, view):
+            for bounds in ({}, {"w_bound": magnitude, "x_bound": magnitude}):
+                out = alt.im2col_gemm(w, cols, **bounds)
+                assert out.dtype == np.int64
+                np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("magnitude", [1 << 12, 1 << 26], ids=["f64", "int64"])
+    @pytest.mark.parametrize("images_per_block", [1, 2])
+    @pytest.mark.parametrize(
+        "n,kernel,stride,padding",
+        [(5, 3, 1, 1), (1, 3, 1, 1), (4, 3, 2, 0), (3, 1, 1, 0), (3, 5, 2, 2)],
+        ids=["remainder", "n1", "s2-p0", "k1", "k5-s2-p2"],
+    )
+    def test_im2col_gemm_across_image_blocks(
+        self, alt, rng, monkeypatch, magnitude, images_per_block, n, kernel, stride,
+        padding,
+    ):
+        """Image blocks of one and two images: remainders, N=1, odd geometries."""
+        im2col_module = importlib.import_module("repro.utils.im2col")
+        c, k = 3, 4
+        x = rng.integers(-magnitude, magnitude, size=(n, c, 7, 8)).astype(np.int64)
+        w = rng.integers(-magnitude, magnitude, size=(k, c * kernel**2)).astype(np.int64)
+        matrix = im2col_module.im2col(x, (kernel, kernel), stride, padding)
+        view = im2col_module.im2col_patches(x, (kernel, kernel), stride, padding)
+        ref = REFERENCE.im2col_gemm(w, matrix)
+        # per_block() sizes a block by one image's f64 im2col matrix.
+        image_bytes = matrix[0].size * 8
+        monkeypatch.setattr(im2col_module, "BLOCK_BYTES", images_per_block * image_bytes)
+        assert im2col_module.per_block(image_bytes) == images_per_block
         for cols in (matrix, view):
             for bounds in ({}, {"w_bound": magnitude, "x_bound": magnitude}):
                 out = alt.im2col_gemm(w, cols, **bounds)

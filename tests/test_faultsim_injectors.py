@@ -12,8 +12,9 @@ from repro.faultsim import (
     ProtectionPlan,
     expected_faults_per_image,
 )
-from repro.faultsim.operation_level import register_flip_delta
+from repro.faultsim.operation_level import gather_flat, register_flip_delta
 from repro.faultsim.sampling import bit_lengths
+from repro.utils.im2col import im2col_patches
 from repro.winograd.opcount import ALL_CATEGORIES
 
 
@@ -80,6 +81,31 @@ class TestRegisterFlipDelta:
     def test_scale_pow_shifts_delta(self):
         values = np.array([0], dtype=np.int64)
         assert register_flip_delta(values, 0, 8, 5)[0] == 32
+
+
+class TestGatherFlat:
+    """One flat offset per event reads what the six-array index reads."""
+
+    @staticmethod
+    def events(view, rng, count=500):
+        return tuple(rng.integers(0, d, size=count) for d in view.shape)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_patches_view(self, rng, stride, padding):
+        x = rng.integers(-(2**15), 2**15, size=(3, 4, 9, 8)).astype(np.int64)
+        cols = im2col_patches(x, (3, 3), stride, padding)
+        img, cc, rr, ss, pp, qq = index = self.events(cols, rng)
+        np.testing.assert_array_equal(
+            gather_flat(cols, index), cols[img, cc, rr, ss, pp, qq]
+        )
+
+    def test_linear_view(self, rng):
+        x_int = rng.integers(-(2**15), 2**15, size=(5, 11)).astype(np.int64)
+        view = x_int[:, :, None, None, None, None]
+        index = self.events(view, rng)
+        np.testing.assert_array_equal(gather_flat(view, index), view[index])
+        np.testing.assert_array_equal(gather_flat(view, index), x_int[index[:2]])
 
 
 class TestInjectorBasics:

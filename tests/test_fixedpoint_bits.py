@@ -86,3 +86,62 @@ class TestFlipDelta:
     def test_delta_consistent_with_flip_for_in_range(self, value, bit):
         v = np.array([value], dtype=np.int64)
         assert flip_delta(v, bit, 16)[0] == flip_bit(v, bit, 16)[0] - value
+
+
+def _decoded_delta(value: int, bit: int, width: int) -> int:
+    """``decode(window ^ 2**bit) - decode(window)`` in Python integers."""
+
+    def decode(word: int) -> int:
+        return word - (1 << width) if word >> (width - 1) else word
+
+    window = value & ((1 << width) - 1)
+    return decode(window ^ (1 << bit)) - decode(window)
+
+
+def _window_values(width: int) -> list[int]:
+    """Values inside, straddling and wider than a ``width``-bit window."""
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    inside = [lo, hi, 0, -1, lo // 3, hi // 3]
+    straddling = [hi + 1, lo - 1, 2 * hi + 1, 2 * lo]
+    wider = [(1 << 62) - 1, -(1 << 62), 0x5A5A5A5A5A5A5A5, -0x3C3C3C3C3C3C3C3]
+    return inside + straddling + wider
+
+
+class TestFlipDeltaClosedForm:
+    """The one-pass closed form against the encode/flip/decode oracle."""
+
+    def test_every_width_and_bit(self):
+        widths, bits, values, expected = [], [], [], []
+        for width in range(1, 63):
+            vals = _window_values(width)
+            grid_bits = np.repeat(np.arange(width), len(vals))
+            grid_vals = np.tile(np.array(vals, dtype=np.int64), width)
+            want = [_decoded_delta(v, b, width) for b in range(width) for v in vals]
+            assert flip_delta(grid_vals, grid_bits, width).tolist() == want
+            widths += [width] * len(want)
+            bits += grid_bits.tolist()
+            values += grid_vals.tolist()
+            expected += want
+        # The same cases in one call with a per-element width.
+        got = flip_delta(np.array(values), np.array(bits), np.array(widths))
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "bits,width",
+        [
+            (0, 0),
+            (0, 63),
+            (-1, 8),
+            (8, 8),
+            ([0, 0], [8, 0]),
+            ([0, 0], [8, 63]),
+            ([3, 8], [8, 8]),
+            ([3, -1], [8, 8]),
+        ],
+        ids=["w0", "w63", "bit-neg", "bit-eq-width", "var-w0", "var-w63",
+             "var-bit-eq-width", "var-bit-neg"],
+    )
+    def test_rejects_out_of_range(self, bits, width):
+        with pytest.raises(FaultModelError):
+            flip_delta(np.array([5, -5]), np.array(bits), np.array(width))
