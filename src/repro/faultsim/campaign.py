@@ -31,6 +31,7 @@ fresh forward.
 from __future__ import annotations
 
 import math
+import warnings
 import weakref
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ from repro.faultsim.model import FaultModelConfig
 from repro.faultsim.neuron_level import NeuronLevelInjector
 from repro.faultsim.operation_level import OperationLevelInjector
 from repro.faultsim.protection import SCHEME_NONE, ProtectionPlan
+from repro.faultsim.sampling import CounterSampler
 from repro.faultsim.sites import expected_faults_per_image
 from repro.quantized.qmodel import QuantizedModel
 
@@ -190,9 +192,14 @@ class SampleSliceResult:
 
 
 def _make_injector(
-    config: CampaignConfig, ber: float, seed: int, protection, sample_base: int = 0
+    config: CampaignConfig,
+    ber: float,
+    seed: int,
+    protection,
+    sample_base: int = 0,
+    draws: dict | None = None,
 ):
-    """Build the injector for one evaluation unit.
+    """Build the injector for one evaluation unit; returns it and its sampler.
 
     An operation-level campaign whose plan marks ABFT layers gets its base
     injector wrapped in a correcting :class:`~repro.faultsim.abft.AbftChecker`
@@ -201,14 +208,15 @@ def _make_injector(
     accumulator.  Neuron-level faults flip bits *after* requantization,
     outside the accumulator checksum's protection domain, so the neuron
     injector is never wrapped (a wrap would silently change nothing but
-    cost a checksum per layer).
+    cost a checksum per layer).  Given a sibling ``draws`` table, the base
+    injector draws through a :class:`_ReplaySampler` over it.
     """
     if config.injector == INJECTOR_NEURON:
-        return NeuronLevelInjector(
+        injector = base = NeuronLevelInjector(
             ber, seed=seed, config=config.fault_config, sample_base=sample_base
         )
-    if config.injector == INJECTOR_OPERATION:
-        injector = OperationLevelInjector(
+    elif config.injector == INJECTOR_OPERATION:
+        injector = base = OperationLevelInjector(
             ber,
             seed=seed,
             config=config.fault_config,
@@ -219,9 +227,12 @@ def _make_injector(
             protection.abft_layers if protection is not None else frozenset()
         )
         if abft_layers:
-            return AbftChecker(injector, layers=abft_layers, correct=True)
-        return injector
-    raise ValueError(f"unknown injector kind '{config.injector}'")
+            injector = AbftChecker(base, layers=abft_layers, correct=True)
+    else:
+        raise ValueError(f"unknown injector kind '{config.injector}'")
+    if draws is not None:
+        base.sampler = _ReplaySampler(base.sampler, draws)
+    return injector, base.sampler
 
 
 def _sample_count(x: np.ndarray, config: CampaignConfig) -> int:
@@ -315,12 +326,14 @@ class _Trace:
     """One completed batch forward of a unit, kept for its siblings.
 
     ``counts[j]`` holds the per-category events the batch had drawn
-    before resume point ``j`` and ``values`` the node values some resume
-    point reads, each as (read-only copy, original dtype).
+    before resume point ``j``, ``capped[j]`` whether the event cap bound
+    on them, and ``values`` the node values some resume point reads, each
+    as (read-only copy, original dtype).
     """
 
     signature: tuple
     counts: list[dict[str, int]]
+    capped: list[bool]
     values: dict[str, tuple[np.ndarray, np.dtype]]
 
     def resume_point(self, signature: tuple) -> int:
@@ -335,7 +348,54 @@ class _Trace:
         return {name: self.values[name][0].astype(self.values[name][1]) for name in names}
 
 
-class _FaultyPrefixes:
+class _ReplaySampler(CounterSampler):
+    """A unit's sampler that shares unprotected sites' draws with siblings.
+
+    ``draws`` is its family's table for the unit's seed, keyed by (layer,
+    site, batch start, batch size, chunk rate, highs, signs) — everything
+    a draw depends on besides the seed — and holding the frozen events
+    and whether the cap bound on them.  A hit is therefore exactly the
+    fresh draw; a miss is drawn and recorded.  Thinned (protected) sites
+    are drawn fresh and never recorded: their rate follows the plan's
+    fraction, which siblings rarely share, and leaving them out bounds
+    the table by one unit's unprotected draws.
+    """
+
+    def __init__(self, sampler: CounterSampler, draws: dict):
+        super().__init__(
+            sampler.seed, sampler.ber, sampler.config, sample_base=sampler.batch_start
+        )
+        self.draws = draws
+        #: Site draws taken from the table (diagnostics).
+        self.replayed = 0
+
+    def site_events(
+        self, layer_name, site, n_batch, ops_per_sample, exposure, thinning, highs,
+        with_signs=False,
+    ):
+        args = (layer_name, site, n_batch, ops_per_sample, exposure, thinning, highs)
+        if thinning != 1.0:
+            return super().site_events(*args, with_signs=with_signs)
+        key = (
+            layer_name, site, self.batch_start, n_batch,
+            self.chunk_rate(layer_name, site, ops_per_sample, exposure, thinning),
+            highs, with_signs,
+        )
+        entry = self.draws.get(key)
+        if entry is None:
+            capped, self.capped = self.capped, False
+            events = super().site_events(*args, with_signs=with_signs)
+            entry = self.draws[key] = (
+                None if events is None else events.freeze(), self.capped
+            )
+            self.capped = capped
+        else:
+            self.replayed += 1
+        self.capped = self.capped or entry[1]
+        return entry[0]
+
+
+class _Family:
     """Per-process forward state of one unit *family*.
 
     A family is every unit on the same model, evaluation data, sample
@@ -346,44 +406,79 @@ class _FaultyPrefixes:
     thinned only by its own layer's protected fraction, and node forwards
     are pure, so two units of a family with the same seed compute
     bit-identical node values and events up to the first injectable layer
-    where their plans differ.
-    The first completed trace per (seed, batch) is kept and lets later
-    siblings start there; it is replaced only by a unit that shares no
-    prefix with it.  The model and data are held by weak reference and
-    compared by identity, like the engine's fingerprint memo, which
-    assumes they are not mutated while in use.
+    where their plans differ, and draw identical events at every
+    unprotected site after it.
+
+    ``traces`` keeps the first completed trace per (seed, batch), which
+    lets later siblings start there; it is replaced only by a unit that
+    shares no prefix with it.  ``draws`` holds per seed the table of a
+    :class:`_ReplaySampler`, opened once a trace holds for that seed, so
+    a unit with no sibling records no draws.  The data is held by weak
+    reference and compared by identity, like the engine's fingerprint
+    memo, which assumes it is not mutated while in use.
     """
 
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        """Drop the family and everything retained for it."""
-        self._model = self._data = self._rest = None
-        self.layout: _Layout | None = None
-        self.traces: dict[tuple[int, int], _Trace] = {}
-
-    def enter(self, qmodel: QuantizedModel, x: np.ndarray, rest: tuple) -> None:
-        """Switch to the family of a unit, dropping another family's state."""
-        if (
-            self._model is not None
-            and self._model() is qmodel
-            and self._data() is x
-            and self._rest == rest
-        ):
-            return
-        self.clear()
-        self._model, self._data = weakref.ref(qmodel), weakref.ref(x)
-        self._rest = rest
+    def __init__(self, qmodel: QuantizedModel, x: np.ndarray, rest: tuple, on_collect):
+        self.model = weakref.ref(qmodel, on_collect)
+        self.data = weakref.ref(x)
+        self.rest = rest
         self.layout = _Layout.of(qmodel)
+        self.traces: dict[tuple[int, int], _Trace] = {}
+        self.draws: dict[int, dict[tuple, tuple]] = {}
+
+    def draws_for(self, seed: int) -> dict | None:
+        """The seed's sibling draw table, or None while no trace holds for it."""
+        if not any(traced == seed for traced, _ in self.traces):
+            return None
+        return self.draws.setdefault(seed, {})
+
+    def drop(self) -> None:
+        """Forget every trace and draw (a unit raised mid-forward)."""
+        self.traces.clear()
+        self.draws.clear()
 
     @property
     def nbytes(self) -> int:
-        """Bytes of node values retained."""
-        return sum(
+        """Bytes of node values and events retained."""
+        values = sum(
             kept.nbytes for trace in self.traces.values()
             for kept, _ in trace.values.values()
         )
+        return values + sum(
+            events.nbytes for table in self.draws.values()
+            for events, _ in table.values() if events is not None
+        )
+
+
+class _FaultyPrefixes:
+    """Per-process unit families, one per live model.
+
+    Models are keyed by identity and held by weak reference: a model's
+    entry goes when the model is collected, and a unit of another family
+    on the same model replaces only that model's family.
+    """
+
+    def __init__(self) -> None:
+        self.families: dict[int, _Family] = {}
+
+    def clear(self) -> None:
+        """Drop every family and everything retained for it."""
+        self.families.clear()
+
+    def enter(self, qmodel: QuantizedModel, x: np.ndarray, rest: tuple) -> _Family:
+        """The family of a unit, replacing the model's family of other units."""
+        key = id(qmodel)
+        family = self.families.get(key)
+        if family is None or family.data() is not x or family.rest != rest:
+            family = self.families[key] = _Family(
+                qmodel, x, rest, lambda _, key=key: self.families.pop(key, None)
+            )
+        return family
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes retained over all families."""
+        return sum(family.nbytes for family in self.families.values())
 
 
 _PREFIXES = _FaultyPrefixes()
@@ -405,25 +500,31 @@ def _unit_predictions(
     Each batch forward starts at the first injectable layer where the
     plan differs from the retained sibling trace of the same (seed,
     batch), taking the node values before it and the events drawn up to
-    it from that trace (see :class:`_FaultyPrefixes`); results equal a
-    fresh ``qmodel.evaluate`` with a new injector bit for bit.  A unit
-    that raises leaves nothing retained.
+    it from that trace, and takes its unprotected sites' draws from the
+    seed's sibling table (see :class:`_Family`); results equal a fresh
+    ``qmodel.evaluate`` with a new injector bit for bit.  A unit that
+    raises drops its family's traces and draws.  Emits one
+    :class:`RuntimeWarning` when the per-category event cap bound on any
+    of the unit's events, fresh, replayed or carried from a trace.
     """
-    injector = _make_injector(config, ber, seed, protection, sample_base=start)
-    _PREFIXES.enter(
+    family = _PREFIXES.enter(
         qmodel, x,
         (start, stop, config.batch_size, ber, config.injector, config.fault_config,
          qmodel.kernel_backend),
     )
-    layout = _PREFIXES.layout
+    layout = family.layout
+    injector, sampler = _make_injector(
+        config, ber, seed, protection, sample_base=start, draws=family.draws_for(seed)
+    )
     signature = _plan_signature(qmodel, config, protection)
     counts: dict[str, int] = {}
+    capped = False
     preds = []
     completed: dict[tuple[int, int], _Trace] = {}
     try:
         for batch, lo in enumerate(range(start, stop, config.batch_size)):
             xb = x[lo : min(lo + config.batch_size, stop)]
-            trace = _PREFIXES.traces.get((seed, batch))
+            trace = family.traces.get((seed, batch))
             j = trace.resume_point(signature) if trace is not None else 0
             if trace is not None and layout.bounds[j] > 0:
                 values = qmodel.forward_trace(
@@ -432,37 +533,51 @@ def _unit_predictions(
                 )
                 for category, count in trace.counts[j].items():
                     counts[category] = counts.get(category, 0) + count
+                capped = capped or trace.capped[j]
             else:
                 values, completed[(seed, batch)] = _traced_forward(
-                    qmodel, xb, injector, layout, signature
+                    qmodel, xb, injector, sampler, layout, signature
                 )
             preds.append(np.argmax(values[qmodel.output_name], axis=1))
     except BaseException:
-        _PREFIXES.clear()
+        family.drop()
         raise
-    _PREFIXES.traces.update(completed)
+    family.traces.update(completed)
     for category, count in injector.event_counts.items():
         counts[category] = counts.get(category, 0) + count
+    if capped or sampler.capped:
+        warnings.warn(
+            f"fault events capped at {config.fault_config.max_events_per_category} "
+            f"per (layer, site, chunk) at BER {ber!r}, seed {seed}: the point "
+            "undercounts faults",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return np.concatenate(preds), counts
 
 
-def _traced_forward(qmodel, xb, injector, layout: _Layout, signature: tuple):
+def _traced_forward(
+    qmodel, xb, injector, sampler: CounterSampler, layout: _Layout, signature: tuple
+):
     """A full batch forward that records a :class:`_Trace` on the way."""
     before = dict(injector.event_counts)
+    capped, sampler.capped = sampler.capped, False
     position = {bound: j for j, bound in enumerate(layout.bounds)}
-    trace = _Trace(signature, [], {})
+    trace = _Trace(signature, [], [], {})
 
     def observe(index: int, values: dict[str, np.ndarray]) -> None:
         j = position.get(index)
         if j is None:
             return
         trace.counts.append(_event_delta(injector.event_counts, before))
+        trace.capped.append(sampler.capped)
         for name in layout.live[j]:
             if name not in trace.values:
                 trace.values[name] = _retain(values[name], layout.widths[name])
 
     values = qmodel.forward_trace(xb, injector, observe=observe)
     observe(len(qmodel.nodes), values)
+    sampler.capped = capped or sampler.capped
     return values, trace
 
 

@@ -89,7 +89,8 @@ class FaultModelConfig:
         partition-invariant.  BERs past the accuracy cliff can request
         millions of events whose effect saturates long before that; the
         cap is high enough not to bias any reported operating point
-        (campaigns warn when it binds).
+        (a campaign unit warns once, naming its BER and seed, when it
+        binds).
     chunk_samples:
         Sampling granularity: Poisson event counts and fault coordinates
         are drawn per chunk of this many consecutive evaluation samples.

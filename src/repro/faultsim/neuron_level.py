@@ -48,14 +48,16 @@ class NeuronLevelInjector(Injector):
             raise ValueError(f"ber must be non-negative, got {ber}")
         self.ber = float(ber)
         self.config = config or FaultModelConfig()
-        self._sampler = CounterSampler(
+        #: Draws every fault event; a campaign may swap in a subclass that
+        #: takes sibling units' draws (:mod:`repro.faultsim.campaign`).
+        self.sampler = CounterSampler(
             seed, self.ber, self.config, sample_base=sample_base
         )
         self.event_counts: dict[str, int] = defaultdict(int)
 
     def begin_inference(self, batch_size: int) -> None:
         """Track the forward batch's position on the global sample axis."""
-        self._sampler.begin_batch(batch_size)
+        self.sampler.begin_batch(batch_size)
 
     def visit_output(self, layer, y_int: np.ndarray) -> np.ndarray:
         """Flip bits of requantized output neurons (post-accumulator)."""
@@ -64,7 +66,7 @@ class NeuronLevelInjector(Injector):
         n = y_int.shape[0]
         per_sample = y_int.size // n if n else 0
 
-        events = self._sampler.site_events(
+        events = self.sampler.site_events(
             layer.name, "neuron", n, per_sample, exposure, 1.0, (per_sample,)
         )
         if events is None:

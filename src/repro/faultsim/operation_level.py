@@ -128,7 +128,9 @@ class OperationLevelInjector(Injector):
         self.ber = float(ber)
         self.config = config or FaultModelConfig()
         self.protection = protection
-        self._sampler = CounterSampler(
+        #: Draws every fault event; a campaign may swap in a subclass that
+        #: takes sibling units' draws (:mod:`repro.faultsim.campaign`).
+        self.sampler = CounterSampler(
             seed, self.ber, self.config, sample_base=sample_base
         )
         #: Events actually injected, keyed by category (diagnostics).
@@ -139,7 +141,7 @@ class OperationLevelInjector(Injector):
     # ------------------------------------------------------------------ sampling
     def begin_inference(self, batch_size: int) -> None:
         """Track the forward batch's position on the global sample axis."""
-        self._sampler.begin_batch(batch_size)
+        self.sampler.begin_batch(batch_size)
 
     def _protected_fraction(self, layer_name: str, category: str) -> float:
         return (
@@ -167,7 +169,7 @@ class OperationLevelInjector(Injector):
         sub-convolutions — carry distinguishing suffixes so their keyed
         streams never collide).
         """
-        events = self._sampler.site_events(
+        events = self.sampler.site_events(
             layer_name,
             site,
             n_batch,
@@ -179,7 +181,7 @@ class OperationLevelInjector(Injector):
         )
         if events is not None:
             self.event_counts[category] += len(events)
-        self.capped = self.capped or self._sampler.capped
+        self.capped = self.capped or self.sampler.capped
         return events
 
     @staticmethod

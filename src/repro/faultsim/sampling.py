@@ -34,6 +34,18 @@ The per-category expected fault count is
 ``lambda = ber · n_ops · exposure · thinning``; the chunking fixes the
 Monte-Carlo realization, which is why it is part of a campaign's content
 identity (:meth:`repro.faultsim.model.FaultModelConfig.rng_identity`).
+
+Sibling replay
+--------------
+Since a site's events over a batch are a pure function of (seed, layer,
+site, batch window, chunk rate :meth:`CounterSampler.chunk_rate`, coordinate
+highs, signs), a campaign unit need not redraw what a sibling unit of the
+same seed already drew.  The campaign's sampler subclass
+(:class:`repro.faultsim.campaign._ReplaySampler`) keeps the frozen
+(:meth:`SiteEvents.freeze`) events of every unprotected site in a
+per-seed table and serves later siblings from it, together with whether
+the event cap bound on them.  The protocol above is unchanged: a
+replayed site's events are the fresh draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -113,6 +125,22 @@ class SiteEvents:
         """±1 sign per event."""
         return self._sign
 
+    def _arrays(self) -> list[np.ndarray]:
+        arrays = [self.img, *self.coords, self._bit_u]
+        return arrays if self._sign is None else arrays + [self._sign]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored draws."""
+        return sum(array.nbytes for array in self._arrays())
+
+    def freeze(self) -> "SiteEvents":
+        """Make every stored array read-only (for sharing between units)."""
+        self.coords = tuple(self.coords)
+        for array in self._arrays():
+            array.flags.writeable = False
+        return self
+
 
 class CounterSampler:
     """Draws fault events for batches of a larger sample set.
@@ -145,6 +173,28 @@ class CounterSampler:
         """Global index of the current batch's first sample."""
         return self._batch_start
 
+    def chunk_rate(
+        self,
+        layer_name: str,
+        site: str,
+        ops_per_sample: int,
+        exposure: int,
+        thinning: float,
+    ) -> float:
+        """Poisson rate of one site's events per sample chunk."""
+        lam = (
+            self.ber * float(ops_per_sample) * exposure * thinning
+            * self.config.chunk_samples
+        )
+        if not np.isfinite(lam) or lam > _POISSON_LAM_MAX:
+            raise FaultModelError(
+                f"Poisson event rate {lam!r} for layer '{layer_name}' site "
+                f"'{site}' at BER {self.ber!r} exceeds the sampler's limit "
+                f"({_POISSON_LAM_MAX:.1e}); the BER or the site's op census "
+                "is corrupt"
+            )
+        return lam
+
     def site_events(
         self,
         layer_name: str,
@@ -167,14 +217,7 @@ class CounterSampler:
             return None
         chunk = self.config.chunk_samples
         cap = self.config.max_events_per_category
-        lam = self.ber * float(ops_per_sample) * exposure * thinning * chunk
-        if not np.isfinite(lam) or lam > _POISSON_LAM_MAX:
-            raise FaultModelError(
-                f"Poisson event rate {lam!r} for layer '{layer_name}' site "
-                f"'{site}' at BER {self.ber!r} exceeds the sampler's limit "
-                f"({_POISSON_LAM_MAX:.1e}); the BER or the site's op census "
-                "is corrupt"
-            )
+        lam = self.chunk_rate(layer_name, site, ops_per_sample, exposure, thinning)
         start = self._batch_start
         stop = start + n_batch
 

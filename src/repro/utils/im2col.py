@@ -54,16 +54,26 @@ def per_block(item_bytes: int) -> int:
 
 
 def pad_nchw(x: np.ndarray, padding: int | tuple[int, int]) -> np.ndarray:
-    """Zero-pad the spatial dims of an NCHW array."""
+    """Zero-pad the spatial dims of an NCHW array.
+
+    Returns ``x`` itself for zero padding, else a new C-contiguous array of
+    ``x``'s dtype: zeros with ``x`` copied into the interior, which is
+    what ``np.pad(mode="constant")`` returns, in one slice copy.
+    """
     if x.ndim != 4:
         raise ShapeError(f"expected NCHW array, got ndim={x.ndim}")
     if isinstance(padding, int):
         ph = pw = padding
     else:
         ph, pw = padding
+    if ph < 0 or pw < 0:
+        raise ValueError(f"padding must be non-negative, got {padding!r}")
     if ph == 0 and pw == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    out[:, :, ph : ph + h, pw : pw + w] = x
+    return out
 
 
 def im2col_patches(

@@ -3,10 +3,13 @@
 A campaign unit's integer forward starts at the first injectable layer
 where its protection plan differs from the retained trace of a sibling
 (same model, data, sample range, batch size, BER, injector kind and
-fault config; same seed and batch).  Every check here compares against
-the path with no prefix: a fresh ``qmodel.evaluate`` with a new injector
-per unit — accuracy, total events and the per-category counts — and
-also asserts the forward really did resume, so none of it is vacuous.
+fault config; same seed and batch), and takes its unprotected sites'
+fault draws from the table its siblings of the same seed recorded.
+Every check here compares against the path with neither: a fresh
+``qmodel.evaluate`` with a new injector per unit — accuracy, total
+events and the per-category counts — and also asserts the forward
+really did resume or the draws really were replayed, so none of it is
+vacuous.
 
 CI tier-2 re-runs this module with ``REPRO_PARITY_WORKERS=2``: every
 forked worker keeps its own retained state.
@@ -14,7 +17,9 @@ forked worker keeps its own retained state.
 
 from __future__ import annotations
 
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +38,7 @@ from repro.faultsim import (
     evaluate_sample_slice,
     evaluate_seed_point,
 )
-from repro.faultsim import campaign
+from repro.faultsim import FaultModelConfig, campaign
 from repro.nn import GraphBuilder, initialize
 from repro.quantized import QuantConfig, QuantizedModel, quantize_model
 from repro.runtime import CampaignEngine, TaskSpec
@@ -68,6 +73,31 @@ def starts(monkeypatch):
 
     monkeypatch.setattr(QuantizedModel, "forward_trace", spy)
     return seen
+
+
+@pytest.fixture()
+def samplers(monkeypatch):
+    """The sampler of every unit, in call order."""
+    seen: list = []
+    original = campaign._make_injector
+
+    def spy(*args, **kwargs):
+        injector, sampler = original(*args, **kwargs)
+        seen.append(sampler)
+        return injector, sampler
+
+    monkeypatch.setattr(campaign, "_make_injector", spy)
+    return seen
+
+
+def replayed(sampler):
+    """Site draws a unit's sampler took from the table (None: it had no table)."""
+    return getattr(sampler, "replayed", None)
+
+
+def family(qm):
+    """The retained family of a model in this process."""
+    return campaign._PREFIXES.families[id(qm)]
 
 
 def model_for(tiny_quantized, mode):
@@ -303,7 +333,7 @@ class TestGraphsAndPartitions:
         per_unit = assert_units_match_oracle(qm, x, y, config, units, starts)
         last = campaign._Layout.of(qm).bounds[-2]
         assert per_unit == [[0] * 5] * 2 + [[last] * 5] * 2
-        assert len(campaign._PREFIXES.traces) == len(SEEDS) * 5
+        assert len(family(qm).traces) == len(SEEDS) * 5
 
     @pytest.mark.parametrize("mode", MODES)
     def test_sample_slices_recombine(self, tiny_quantized, tiny_eval, starts, mode):
@@ -347,33 +377,203 @@ class TestGraphsAndPartitions:
         assert evaluate_seed_point(qm, x, y, BER, 0, config=config).events > 0
 
 
+class TestDrawReplay:
+    """Siblings take unprotected sites' draws from their seed's table."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_vulnerability_batch(self, tiny_quantized, tiny_eval, starts, samplers, mode):
+        qm = model_for(tiny_quantized, mode)
+        x, y = tiny_eval
+        names = layer_names(qm)
+        plans = [None] + [fault_free(qm, name) for name in names]
+        units = [(seed, p) for p in plans for seed in SEEDS]
+        assert_units_match_oracle(qm, x, y, config_for(), units, starts)
+        per_unit = [replayed(sampler) for sampler in samplers]
+        # The baseline has no sibling, the first-layer unit records what
+        # the second-layer one replays.
+        assert per_unit[:4] == [None, None, 0, 0]
+        assert all(count > 0 for count in per_unit[4:6])
+        # The table never holds more than one unit's unprotected draws.
+        fresh = OperationLevelInjector(BER, seed=0, config=config_for().fault_config)
+        drawn = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                fresh.sampler, "site_events",
+                lambda *args, **kw: drawn.append(args) or None,
+            )
+            qm.evaluate(x[:N_SAMPLES], y[:N_SAMPLES], injector=fresh, batch_size=12)
+        for seed in SEEDS:
+            assert 0 < len(family(qm).draws[seed]) <= len(drawn)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_planner_batches(self, tiny_quantized, tiny_eval, starts, samplers, mode):
+        qm = model_for(tiny_quantized, mode)
+        x, y = tiny_eval
+        names = layer_names(qm)
+        plan, grown = ProtectionPlan(), []
+        for name in names:  # planner-style growth: partial fractions, stepped up
+            for fraction in (0.25, 0.5):
+                plan.set(name, MUL_CATEGORIES[0], fraction)
+                plan.set(name, ADD_CATEGORIES[0], fraction / 2)
+                grown.append(plan.copy())
+        units = [(seed, None) for seed in SEEDS] + [
+            (seed, p) for p in grown for seed in SEEDS
+        ]
+        assert_units_match_oracle(qm, x, y, config_for(batch_size=5), units, starts)
+        assert sum(replayed(sampler) for sampler in samplers[4:]) > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_abft_ladder(self, tiny_quantized, tiny_eval, starts, samplers, mode):
+        qm = model_for(tiny_quantized, mode)
+        x, y = tiny_eval
+        names = layer_names(qm)
+        ladder, plans = ProtectionPlan(), [None]
+        for name in reversed(names):
+            ladder.set_scheme(name, SCHEME_ABFT)
+            plans.append(ladder.copy())
+        units = [(seed, p) for p in plans for seed in SEEDS]
+        assert_units_match_oracle(qm, x, y, config_for(), units, starts)
+        assert sum(replayed(sampler) for sampler in samplers[4:]) > 0
+        _, counts = campaign._unit_predictions(
+            qm, x, 0, N_SAMPLES, BER, 0, config_for(), plans[-1]
+        )
+        assert counts.get("abft_detected", 0) > 0, "ABFT never fired"
+
+    def test_fig1_shaped_sweep_records_nothing(self, tiny_quantized, tiny_eval, samplers):
+        x, y = tiny_eval
+        for injector in ("operation", "neuron"):
+            config = config_for(injector=injector)
+            for qm in tiny_quantized:
+                for ber in (BER / 4, BER / 2, BER):
+                    for seed in SEEDS:
+                        evaluate_seed_point(qm, x, y, ber, seed, config=config)
+        assert len(samplers) == 2 * 2 * 3 * len(SEEDS)
+        assert all(replayed(sampler) is None for sampler in samplers)
+        assert all(family(qm).draws == {} for qm in tiny_quantized)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_thinned_sites_never_recorded(self, tiny_quantized, tiny_eval, mode):
+        qm = model_for(tiny_quantized, mode)
+        x, y = tiny_eval
+        names = layer_names(qm)
+        half_adds = ProtectionPlan()
+        for category in ADD_CATEGORIES:
+            half_adds.set(names[1], category, 0.5)
+        for plan in (None, half_adds):  # the sibling resumes at names[1]
+            evaluate_seed_point(qm, x, y, BER, 0, config=config_for(), protection=plan)
+        table = family(qm).draws[0]
+        sites = {(layer, site) for layer, site, *_ in table}
+        mul = "st_mul" if mode == "standard" else "sub0:wg_mul"
+        assert (names[1], mul) in sites
+        assert {layer for layer, site in sites} == set(names[1:])
+        assert not any(
+            layer == names[1] and "add" in site for layer, site in sites
+        ), "a thinned site was recorded"
+
+    def test_stored_draws_are_read_only(self, tiny_quantized, tiny_eval):
+        qm = tiny_quantized[1]
+        x, y = tiny_eval
+        for plan in (None, fault_free(qm, layer_names(qm)[0])):
+            evaluate_seed_point(qm, x, y, BER, 0, config=config_for(), protection=plan)
+        entries = [events for events, _ in family(qm).draws[0].values() if events]
+        assert entries
+        assert any(events.signs() is not None for events in entries)
+        for events in entries:
+            for array in events._arrays():
+                with pytest.raises(ValueError):
+                    array[...] = 0
+            with pytest.raises(AttributeError):
+                events.coords.append(events.img)
+
+
+class TestEventCapWarning:
+    """A unit warns once when the event cap bound on any of its events."""
+
+    def test_fresh_and_replaying_units_warn(self, tiny_quantized, tiny_eval, samplers):
+        qm = tiny_quantized[0]
+        x, y = tiny_eval
+        capped = FaultModelConfig(max_events_per_category=1)
+        config = CampaignConfig(
+            seeds=SEEDS, batch_size=12, max_samples=N_SAMPLES, fault_config=capped
+        )
+        names = layer_names(qm)
+        first, last = fault_free(qm, names[0]), fault_free(qm, names[-1])
+        # Fresh; recording; replaying only (resumes before the first layer,
+        # which draws nothing); carrying only the trace's cap bit (resumes
+        # at the last layer, which draws nothing).
+        for plan in (None, first, first.copy(), last):
+            mark = len(samplers)
+            with pytest.warns(RuntimeWarning) as caught:
+                point = evaluate_seed_point(
+                    qm, x, y, BER, 1, config=config, protection=plan
+                )
+            messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+            assert len(messages) == 1, messages
+            assert f"BER {BER!r}" in messages[0] and "seed 1" in messages[0]
+            oracle_inj = oracle_injector(config, 1, plan)
+            qm.evaluate(x[:N_SAMPLES], y[:N_SAMPLES], injector=oracle_inj, batch_size=12)
+            assert oracle_inj.capped
+            assert point.events == sum(oracle_inj.event_counts.values())
+            if plan is last:
+                assert not samplers[mark].capped  # the bit came from the trace
+        assert replayed(samplers[2]) > 0
+
+    def test_default_config_does_not_warn(self, tiny_quantized, tiny_eval):
+        x, y = tiny_eval
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for qm in tiny_quantized:
+                for plan in (None, fault_free(qm, layer_names(qm)[0])):
+                    for seed in SEEDS:
+                        evaluate_seed_point(
+                            qm, x, y, BER, seed, config=config_for(), protection=plan
+                        )
+
+
 class TestRetainedState:
     def test_one_family_read_only(self, tiny_quantized, tiny_eval):
+        """One family per live model: a model's family is replaced only by
+        its own units of another family, and goes when the model does."""
         qm_st, qm_wg = tiny_quantized
         x, y = tiny_eval
         config = config_for()
         for seed in SEEDS:
             evaluate_seed_point(qm_st, x, y, BER, seed, config=config)
-        retained = campaign._PREFIXES
-        assert set(retained.traces) == {(s, b) for s in SEEDS for b in (0, 1)}
+        st = family(qm_st)
+        every = {(s, b) for s in SEEDS for b in (0, 1)}
+        assert set(st.traces) == every
         evaluate_seed_point(qm_wg, x, y, BER, 0, config=config)
-        # Another model is another family: the first family's traces are gone.
-        assert set(retained.traces) == {(0, 0), (0, 1)}
+        # Another model has its own family: the ST traces survive.
+        assert family(qm_st) is st and set(st.traces) == every
+        assert set(family(qm_wg).traces) == {(0, 0), (0, 1)}
         evaluate_seed_point(qm_wg, x, y, BER / 2, 0, config=config)
-        assert retained._rest[3] == BER / 2
-        assert set(retained.traces) == {(0, 0), (0, 1)}
+        assert family(qm_wg).rest[3] == BER / 2
+        assert set(family(qm_wg).traces) == {(0, 0), (0, 1)}
+        assert family(qm_st) is st
         try:  # the differential tests' oracle seam is its own family too
             qm_wg.set_kernel_backend("reference")
             evaluate_seed_point(qm_wg, x, y, BER / 2, 1, config=config)
-            assert set(retained.traces) == {(1, 0), (1, 1)}
+            assert set(family(qm_wg).traces) == {(1, 0), (1, 1)}
         finally:
             qm_wg.set_kernel_backend(DEFAULT_BACKEND)
-        assert retained.nbytes > 0
-        for trace in retained.traces.values():
-            for kept, dtype in trace.values.values():
-                assert (kept.dtype, dtype) == (np.int16, np.int64)
-                with pytest.raises(ValueError):
-                    kept.flat[0] = 1
+        assert family(qm_st) is st and set(st.traces) == every
+        assert campaign._PREFIXES.nbytes > 0
+        for qm in tiny_quantized:
+            for trace in family(qm).traces.values():
+                for kept, dtype in trace.values.values():
+                    assert (kept.dtype, dtype) == (np.int16, np.int64)
+                    with pytest.raises(ValueError):
+                        kept.flat[0] = 1
+        # A collected model's state is gone with it.
+        qm = branching_model("standard")
+        xb = np.zeros((4, 3, 8, 8), dtype=np.float32)
+        evaluate_seed_point(qm, xb, np.zeros(4, dtype=np.int64), BER, 0, config=config)
+        key = id(qm)
+        assert key in campaign._PREFIXES.families
+        del qm
+        gc.collect()
+        assert key not in campaign._PREFIXES.families
+        assert set(campaign._PREFIXES.families) == {id(qm_st), id(qm_wg)}
 
     @pytest.mark.parametrize("retained_before", [False, True])
     def test_unit_that_raises_leaves_nothing(
@@ -382,9 +582,11 @@ class TestRetainedState:
         qm = tiny_quantized[0]
         x, y = tiny_eval
         config = config_for()
+        names = layer_names(qm)
         if retained_before:
-            evaluate_seed_point(qm, x, y, BER, 0, config=config)
-            assert campaign._PREFIXES.traces
+            for plan in (None, fault_free(qm, names[0])):
+                evaluate_seed_point(qm, x, y, BER, 0, config=config, protection=plan)
+            assert family(qm).traces and family(qm).draws[0]
 
         def boom(self, layer, *args):
             raise RuntimeError("injected mid-forward failure")
@@ -394,9 +596,9 @@ class TestRetainedState:
             with pytest.raises(RuntimeError, match="mid-forward"):
                 evaluate_seed_point(
                     qm, x, y, BER, 0, config=config,
-                    protection=fault_free(qm, layer_names(qm)[0]),
+                    protection=fault_free(qm, names[1]),
                 )
-        assert campaign._PREFIXES.traces == {}
+        assert family(qm).traces == {} and family(qm).draws == {}
         accuracy, counts = oracle(qm, x, y, config, 0, None)
         point = evaluate_seed_point(qm, x, y, BER, 0, config=config)
         assert (point.accuracy, point.events) == (accuracy, sum(counts.values()))

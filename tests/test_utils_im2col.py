@@ -40,6 +40,23 @@ class TestPadNchw:
     def test_noop_for_zero(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))
         assert pad_nchw(x, 0) is x
+        assert pad_nchw(x, (0, 0)) is x
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.float32])
+    @pytest.mark.parametrize("padding", [1, 2, (1, 0), (0, 2), (2, 1)])
+    def test_matches_np_pad(self, rng, dtype, padding):
+        x = (rng.standard_normal((3, 5, 6, 4)) * 1000).astype(dtype)
+        x = x[:, ::2]  # a non-contiguous input
+        ph, pw = (padding, padding) if isinstance(padding, int) else padding
+        expected = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+        padded = pad_nchw(x, padding)
+        assert padded.dtype == expected.dtype
+        assert padded.flags.c_contiguous
+        np.testing.assert_array_equal(padded, expected)
+
+    def test_rejects_negative_padding(self):
+        with pytest.raises(ValueError):
+            pad_nchw(np.zeros((1, 1, 4, 4)), (1, -1))
 
     def test_pads_spatial_only(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))
