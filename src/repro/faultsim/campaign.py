@@ -5,25 +5,24 @@ one or more bit error rates, averaging over independent seeds.  Results
 carry both the raw BER and the expected-faults-per-inference (lambda),
 which is the axis that transfers across model scales (see DESIGN.md §2).
 
-The module is factored around one *pure* unit of work,
-:func:`evaluate_seed_point`: the accuracy of one (BER, seed, protection)
-evaluation depends only on its arguments, never on any other point of the
-sweep.  That makes each unit independently dispatchable — the parallel
-campaign engine (:mod:`repro.runtime`) wraps it in a
-:class:`~repro.runtime.TaskSpec`, shards task batches across a worker pool
-and recombines them with :func:`combine_seed_results`, bit-identical to
-the serial loop in :func:`run_point`.
+The module is factored around one *pure* evaluator,
+:func:`evaluate_sample_slice`: the correct/total counts of one (BER,
+seed, protection) evaluation over one ``[start, stop)`` window of the
+evaluation set depend only on its arguments, never on any other point of
+the sweep or on how the set is windowed, because every fault draw is
+keyed by (seed, layer, site, sample chunk) rather than by stream
+position.  :func:`combine_slice_results` folds a full cover of windows
+into the :class:`SeedPointResult` of the point, bit-identical for *any*
+window size, and :func:`evaluate_seed_point` is that fold over the one
+window ``[0, N)``.  The parallel campaign engine (:mod:`repro.runtime`)
+dispatches the same windows as its units, folds them per point, and
+recombines points with :func:`combine_seed_results`, bit-identical to
+the serial loop in :func:`run_point`.  :func:`sample_count` is the one
+place ``N`` is worked out (and the evaluation set checked).
 
-The unit splits further: :func:`evaluate_sample_slice` scores
-one contiguous slice of the evaluation samples, and
-:func:`combine_slice_results` folds a full partition of slices back into
-the exact :class:`SeedPointResult` the unsliced evaluation produces —
-bit-identical for *any* slice size, because every fault draw is keyed by
-(seed, layer, site, sample chunk) rather than by stream position.
-
-The same keying makes a unit's faulty prefix reusable: both evaluators
-share :func:`_unit_predictions`, which starts each batch forward at the
-first injectable layer where the unit's plan differs from a retained
+The same keying makes a unit's faulty prefix reusable: the evaluator's
+:func:`_unit_predictions` starts each batch forward at the first
+injectable layer where the unit's plan differs from a retained
 sibling's (:class:`_FaultyPrefixes`), with results bit-identical to a
 fresh forward.
 """
@@ -58,6 +57,7 @@ __all__ = [
     "evaluate_seed_point",
     "evaluate_sample_slice",
     "run_point",
+    "sample_count",
     "run_sweep",
     "validate_ber",
 ]
@@ -167,9 +167,9 @@ class SeedPointResult:
 
 @dataclass(frozen=True)
 class SampleSliceResult:
-    """Outcome of one (BER, seed) evaluation over a sample slice.
+    """Outcome of one (BER, seed) evaluation over a sample window.
 
-    The sub-seed campaign unit: ``[start, stop)`` indexes the
+    The campaign's unit of work: ``[start, stop)`` indexes the
     (``max_samples``-trimmed) evaluation set, and correct/total counts —
     not a ratio — are carried so a partition of slices recombines into the
     *exact* accuracy of the unsliced evaluation
@@ -235,8 +235,20 @@ def _make_injector(
     return injector, base.sampler
 
 
-def _sample_count(x: np.ndarray, config: CampaignConfig) -> int:
-    """Evaluation samples a unit scores: ``len(x)`` trimmed to ``max_samples``."""
+def sample_count(x: np.ndarray, labels: np.ndarray, config: CampaignConfig) -> int:
+    """Evaluation samples a point scores: ``len(x)`` trimmed to ``max_samples``.
+
+    Raises :class:`~repro.errors.ConfigurationError` when the images and
+    labels differ in length or the set is empty: either would otherwise
+    score images against the wrong labels, or leave a point with no
+    sample window to evaluate.
+    """
+    if len(x) != len(labels):
+        raise ConfigurationError(
+            f"evaluation set has {len(x)} images but {len(labels)} labels"
+        )
+    if len(x) == 0:
+        raise ConfigurationError("evaluation set is empty")
     if config.max_samples is None:
         return len(x)
     return min(len(x), config.max_samples)
@@ -592,27 +604,17 @@ def evaluate_seed_point(
 ) -> SeedPointResult:
     """Evaluate accuracy for exactly one (BER, seed) pair.
 
-    Pure with respect to the sweep: the result depends only on the
-    arguments (the injector owns its RNG, seeded here), so units may be
-    executed in any order or on any process and recombined afterwards.
+    The fold of one window over the whole (``max_samples``-trimmed) set:
+    pure with respect to the sweep, so units may be executed in any order
+    or on any process and recombined afterwards.
     """
     config = config or CampaignConfig()
-    ber = validate_ber(ber)
-    if ber == 0.0:
-        if config.max_samples is not None:
-            x, labels = x[: config.max_samples], labels[: config.max_samples]
-        accuracy = qmodel.evaluate(x, labels, batch_size=config.batch_size)
-        return SeedPointResult(ber=ber, seed=seed, accuracy=float(accuracy), events=0)
-    stop = _sample_count(x, config)
-    preds, counts = _unit_predictions(
-        qmodel, x, 0, stop, ber, seed, config, protection
+    n_samples = sample_count(x, labels, config)
+    window = evaluate_sample_slice(
+        qmodel, x, labels, ber, seed, (0, n_samples),
+        config=config, protection=protection,
     )
-    return SeedPointResult(
-        ber=ber,
-        seed=seed,
-        accuracy=float((preds == labels[:stop]).mean()),
-        events=int(sum(counts.values())),
-    )
+    return combine_slice_results([window], expected_total=n_samples)
 
 
 def evaluate_sample_slice(
@@ -625,42 +627,40 @@ def evaluate_sample_slice(
     config: CampaignConfig | None = None,
     protection: ProtectionPlan | None = None,
 ) -> SampleSliceResult:
-    """Evaluate one (BER, seed) pair over one slice of the sample set.
+    """Evaluate one (BER, seed) pair over one window of the sample set.
 
-    ``sample_slice`` is a ``[start, stop)`` window into the
-    (``max_samples``-trimmed) evaluation set.  Pure like
-    :func:`evaluate_seed_point`, and additionally *partition-invariant*:
-    the faults a sample receives depend only on its dataset-global index,
-    never on which slice or batch carries it, so any disjoint cover of
-    ``[0, N)`` recombines (:func:`combine_slice_results`) into exactly the
-    unsliced result.
+    The one evaluator body: ``sample_slice`` is a ``[start, stop)`` window
+    into the (``max_samples``-trimmed) evaluation set, and the result
+    depends only on the arguments (the injector owns its RNG, seeded
+    here).  It is also *partition-invariant*: the faults a sample receives
+    depend only on its dataset-global index, never on which window or
+    batch carries it, so any disjoint cover of ``[0, N)`` recombines
+    (:func:`combine_slice_results`) into exactly the whole-set result.
     """
     config = config or CampaignConfig()
     ber = validate_ber(ber)
-    n_samples = _sample_count(x, config)
+    n_samples = sample_count(x, labels, config)
     start, stop = int(sample_slice[0]), int(sample_slice[1])
     if not 0 <= start < stop <= n_samples:
         raise ConfigurationError(
             f"sample slice [{start}, {stop}) out of range for {n_samples} samples"
         )
-    ys = labels[start:stop]
     if ber == 0.0:
         preds = qmodel.predict(x[start:stop], batch_size=config.batch_size)
-        return SampleSliceResult(
-            ber=ber, seed=seed, start=start, stop=stop,
-            correct=int((preds == ys).sum()), total=stop - start, events=0,
+        events = 0
+    else:
+        preds, counts = _unit_predictions(
+            qmodel, x, start, stop, ber, seed, config, protection
         )
-    preds, counts = _unit_predictions(
-        qmodel, x, start, stop, ber, seed, config, protection
-    )
+        events = int(sum(counts.values()))
     return SampleSliceResult(
         ber=ber,
         seed=seed,
         start=start,
         stop=stop,
-        correct=int((preds == ys).sum()),
+        correct=int((preds == labels[start:stop]).sum()),
         total=stop - start,
-        events=int(sum(counts.values())),
+        events=events,
     )
 
 

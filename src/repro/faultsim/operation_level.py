@@ -32,9 +32,10 @@ Fault sampling
 Draws are pure functions of ``(campaign seed, layer, site, sample chunk)``
 via :class:`repro.faultsim.sampling.CounterSampler`, and sum-register
 widths are sized per *sample*.  Results are therefore invariant under any
-partition of the sample axis (slice sizes, batch sizes, worker counts),
-which is what enables sample-level sharding
-(:func:`repro.faultsim.campaign.evaluate_sample_slice`).
+partition of the sample axis (window sizes, batch sizes, worker counts),
+which is what lets the campaign score a point in sample windows
+(:func:`repro.faultsim.campaign.evaluate_sample_slice`, the one
+evaluator).
 """
 
 from __future__ import annotations

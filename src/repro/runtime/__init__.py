@@ -7,8 +7,10 @@ parallel service.  :class:`CampaignEngine` dispatches independent
 under an optional protection plan — across a process pool via
 :meth:`CampaignEngine.evaluate_tasks`.  Scheduling and checkpointing
 happen per *point* (one entry per (BER, seed, plan) evaluation in a
-content-addressed JSON-lines file; the engine slices a pending point
-along the sample axis when a batch is too small to fill its pool), so a
+content-addressed JSON-lines file); the engine's one unit of work is a
+sample window of a pending point — the whole evaluation set unless a
+batch is too small to fill its pool — scored by one evaluator and
+folded back per point, so a
 single seed-batch task shards across the whole pool and an interrupted
 batch resumes with only its missing seeds recomputed, while results
 stay bit-identical to serial execution.  Accuracy sweeps

@@ -26,28 +26,32 @@ missing seeds.  Seed-batch tasks are reduced back (in seed order, with
 :func:`repro.faultsim.combine_seed_results` — the exact serial
 statistics code) into one :class:`CampaignResult` per task.
 
-Sample slicing
+Sample windows
 --------------
-When a batch has fewer pending points than workers — the TMR planner's
-one-candidate iterations, a resumed batch with one point left — the
-engine splits each pending point into **sample slices**
-(:meth:`TaskSpec.sample_subtasks`) sized by :func:`auto_sample_shard`,
-so even a single point fills the pool.  Slicing is pure scheduling:
-slices are dispatched, retried, deadline-guarded and reported in
-progress like any unit, but never keyed or stored.  When a point's last
-slice lands, :func:`repro.faultsim.combine_slice_results` folds its
-slices into one :class:`SeedPointResult`, which is checkpointed under the
-plain point key.  Because fault draws do not depend on how the sample
-axis is partitioned, results and checkpoint entries are
-**bit-identical for any worker count and any slicing**.  A serial
-engine never slices.
+The engine's one unit of *work* is a **sample window of one point**: a
+pending point of ``n`` samples is dispatched as the windows
+``range(0, n, shard or n)``, so an unsliced point is the single window
+``[0, n)``.  ``shard`` comes from :func:`auto_sample_shard`, which splits
+points only when a batch has fewer pending points than workers — the
+TMR planner's one-candidate iterations, a resumed batch with one point
+left — so even a single point fills the pool.  Every window is scored
+by :func:`repro.faultsim.evaluate_sample_slice`, dispatched, retried,
+deadline-guarded and reported in progress, but never keyed or stored.
+When a point's last window lands,
+:func:`repro.faultsim.combine_slice_results` folds its windows into one
+:class:`SeedPointResult`, which is checkpointed under the point key.
+Because fault draws do not depend on how the sample axis is
+partitioned, results and checkpoint entries are **bit-identical for any
+worker count and any window size**.  A serial engine never splits a
+point.
 
 Determinism contract
 --------------------
-Each point (:func:`repro.faultsim.evaluate_seed_point`) owns its RNG
-seed and touches no shared mutable state, so scheduling cannot change any
-result: an engine batch with any worker count — or any mix of live and
-checkpointed points — is **bit-identical** to the serial loops it
+Each window owns its point's RNG seed and touches no shared mutable
+state, so scheduling cannot change any result: an engine batch with any
+worker count — or any mix of live and checkpointed points — is
+**bit-identical** to the serial loops
+(:func:`repro.faultsim.evaluate_seed_point`, one window per point) it
 replaces.  ``workers=1`` runs the points in-process without a pool and
 is the serial path itself.  The set of evaluated units is fixed when a
 batch is submitted, so a caller that decides what to evaluate next (the
@@ -56,10 +60,10 @@ TMR planner) decides *between* batches, on canonically ordered results.
 Worker-pool mechanics
 ---------------------
 Workers are forked (POSIX) *after* the parent publishes the evaluation
-payload (model, data, config, task table) in a module global, so the
+payload (model, data, config, unit table) in a module global, so the
 payload crosses into children via copy-on-write page sharing rather than
 per-task pickling — the model and evaluation batch are megabytes, the
-dispatched unit a single integer index into the task table.  On platforms
+dispatched unit a single integer index into the unit table.  On platforms
 without ``fork`` the engine degrades to the serial path rather than
 failing.  The serial path and the pool are the engine's only executors,
 and both run every unit through :func:`_attempt_unit`.  Each process
@@ -94,7 +98,7 @@ from repro.faultsim.campaign import (
     combine_seed_results,
     combine_slice_results,
     evaluate_sample_slice,
-    evaluate_seed_point,
+    sample_count,
 )
 from repro.faultsim.protection import ProtectionPlan
 from repro.quantized.qmodel import QuantizedModel
@@ -175,7 +179,7 @@ class SweepStats:
     """Bookkeeping for the engine's most recent task batch.
 
     Units are counted per point — one per (BER, seed, plan) evaluation,
-    however it was sliced — so a seed-batch task contributes
+    however many sample windows scored it — so a seed-batch task contributes
     ``len(seeds)`` units and a partially checkpointed batch reports
     exactly how many seeds were served from cache versus recomputed.
     """
@@ -210,16 +214,20 @@ class _UnitFailure:
     transient: bool = False
 
 
-def _evaluate_unit(qmodel, x, labels, config, task: TaskSpec):
-    """Evaluate one unit: a (BER, seed) point or one of its sample slices."""
-    if task.sample_slice is None:
-        return evaluate_seed_point(
-            qmodel, x, labels, task.ber, task.seed,
-            config=config, protection=task.protection,
-        )
+@dataclass(frozen=True)
+class _Unit:
+    """The engine's unit of work: one sample window of one point."""
+
+    point: TaskSpec
+    window: tuple[int, int]
+
+
+def _evaluate_unit(qmodel, x, labels, config, unit: _Unit) -> SampleSliceResult:
+    """Score one unit's window of its (BER, seed) point."""
+    point = unit.point
     return evaluate_sample_slice(
-        qmodel, x, labels, task.ber, task.seed, task.sample_slice,
-        config=config, protection=task.protection,
+        qmodel, x, labels, point.ber, point.seed, unit.window,
+        config=config, protection=point.protection,
     )
 
 
@@ -233,12 +241,12 @@ def _attempt_unit(payload: tuple, index: int, attempt: int):
     not change what runs: a unit is a pure function of its spec.  It is
     passed so that wrappers of this function can observe retries.
     """
-    qmodel, x, labels, config, tasks, keys, retry = payload
+    qmodel, x, labels, config, units, keys, retry = payload
     start = time.perf_counter()
     try:
         deadline = retry.deadline if retry is not None else None
         with unit_deadline(deadline, what=f"unit {keys[index] or index}"):
-            result = _evaluate_unit(qmodel, x, labels, config, tasks[index])
+            result = _evaluate_unit(qmodel, x, labels, config, units[index])
     except Exception as exc:
         result = _UnitFailure(
             message=f"{type(exc).__name__}: {exc}",
@@ -277,7 +285,7 @@ class CampaignEngine:
         entries are preserved (recomputed tasks overwrite their own keys).
     progress:
         Optional callable receiving a :class:`ProgressEvent` per completed
-        unit — a point, or a sample slice of one (see
+        unit — a sample window of a point, or a cached point (see
         :func:`repro.runtime.progress.stream_reporter`).
     retry:
         Optional :class:`repro.runtime.RetryPolicy` governing attempt
@@ -332,26 +340,20 @@ class CampaignEngine:
         point under its content hash, so ``resume`` recomputes only the
         missing seeds of an interrupted batch.  The pending points —
         whatever mix of (BER, seed) points and protection plans they
-        carry — shard across one worker pool, each split into sample
-        slices when there are fewer pending points than workers (see
-        *Sample slicing* in the module docs).
+        carry — are dispatched as sample windows across one worker pool
+        (see *Sample windows* in the module docs).  An evaluation set
+        whose images and labels differ in length, or which is empty,
+        raises :class:`~repro.errors.ConfigurationError` before any key
+        is hashed.
 
         Each result slot matches its task's shape: a point task yields
         its :class:`SeedPointResult`, a seed-batch task the
         :class:`CampaignResult` reduced from its per-seed results in seed
         order.  All of it is bit-identical to evaluating the tasks
-        serially in order, for any worker count.  Slice tasks are the
-        engine's own scheduling units and are rejected here.
+        serially in order, for any worker count.
         """
         config = config or CampaignConfig()
-        if any(task.sample_slice is not None for task in tasks):
-            raise ConfigurationError(
-                "evaluate_tasks takes point and seed-batch tasks; the engine "
-                "slices pending points itself"
-            )
-        n_samples = (
-            len(x) if config.max_samples is None else min(len(x), config.max_samples)
-        )
+        n_samples = sample_count(x, labels, config)
         per_task_points = [task.subtasks() for task in tasks]
         points = [point for subtasks in per_task_points for point in subtasks]
         keys = self._point_keys(qmodel, x, labels, points, config)
@@ -369,21 +371,18 @@ class CampaignEngine:
             else:
                 pending.append(index)
 
-        # Only pending points are scheduled, sliced when too few to fill
-        # the pool; owner[u] is the point that unit u computes (part of).
-        shard = auto_sample_shard(n_samples, self.workers, len(pending))
-        units: list[TaskSpec] = []
-        owner: list[int] = []
-        n_slices: dict[int, int] = {}
-        for index in pending:
-            expanded = (
-                points[index].sample_subtasks(n_samples, shard)
-                if shard is not None
-                else (points[index],)
-            )
-            units.extend(expanded)
-            owner.extend([index] * len(expanded))
-            n_slices[index] = len(expanded)
+        # Only pending points are scheduled, each as the same sample
+        # windows (one, [0, n), unless too few points fill the pool);
+        # owner[u] is the point that unit u scores a window of.
+        step = auto_sample_shard(n_samples, self.workers, len(pending)) or n_samples
+        windows = [
+            (start, min(start + step, n_samples))
+            for start in range(0, n_samples, step)
+        ]
+        units = [
+            _Unit(points[index], window) for index in pending for window in windows
+        ]
+        owner = [index for index in pending for _ in windows]
         landed: dict[int, list[SampleSliceResult]] = {}
 
         total = len(points) - len(pending) + len(units)
@@ -399,25 +398,21 @@ class CampaignEngine:
         unit_keys = [keys[index] for index in owner]
         payload = (qmodel, x, labels, config, units, unit_keys, self.retry)
 
-        def absorb(unit: int, result, elapsed: float) -> None:
-            """Fold one completed live unit into slots/checkpoint/progress.
+        def absorb(unit: int, result: SampleSliceResult, elapsed: float) -> None:
+            """Fold one completed unit into slots/checkpoint/progress.
 
-            A slice is held until its point's last slice lands; the
-            folded point is then stored like an unsliced one.
+            A window is held until its point's last window lands; the
+            folded point is then stored under the point key.
             """
             nonlocal done
             done += 1
             index = owner[unit]
-            point = result
-            if isinstance(result, SampleSliceResult):
-                landed.setdefault(index, []).append(result)
-                point = None
-                if len(landed[index]) == n_slices[index]:
-                    point = combine_slice_results(
-                        landed.pop(index), expected_total=n_samples
-                    )
-            if point is not None:
-                slots[index] = point
+            parts = landed.setdefault(index, [])
+            parts.append(result)
+            if len(parts) == len(windows):
+                point = slots[index] = combine_slice_results(
+                    landed.pop(index), expected_total=n_samples
+                )
                 if checkpoint is not None:
                     try:
                         checkpoint.put(keys[index], point)
@@ -427,7 +422,7 @@ class CampaignEngine:
                         # degrades loudly if the disk never recovers.
                         pass
             self._report(
-                done, total, result, units[unit].tag,
+                done, total, result, points[index].tag,
                 cached=False, elapsed=elapsed,
             )
 
@@ -435,16 +430,16 @@ class CampaignEngine:
             """(point key, tag, sample window) naming a failed unit.
 
             The key is computed on demand when the batch ran keyless (no
-            checkpoint).
+            checkpoint); the window is named only when the point was split.
             """
             index = owner[unit]
             key = keys[index]
             if not key:
                 model_fp, data_fp = self._fingerprint(qmodel, x, labels, config)
                 key = points[index].key(model_fp, data_fp, config)
-            window = units[unit].sample_slice
-            where = "" if window is None else f" samples [{window[0]}, {window[1]})"
-            return key, units[unit].tag, where
+            start, stop = units[unit].window
+            where = f" samples [{start}, {stop})" if len(windows) > 1 else ""
+            return key, points[index].tag, where
 
         # Completed work is persisted even when the batch ultimately
         # raises (a permanent failure or a quarantine): the flush sits in
@@ -608,7 +603,7 @@ class CampaignEngine:
         """Raise exhausted-budget units as one :class:`TaskQuarantinedError`.
 
         The error names the first quarantined unit's key and tag plus
-        *every* quarantined point's key, once each (the slices of one
+        *every* quarantined point's key, once each (the windows of one
         point share its key).
         """
         first, first_failure = quarantined[0]
@@ -650,16 +645,13 @@ class CampaignEngine:
         memo = (id(qmodel), id(x), id(labels), config.max_samples)
         cached = self._fingerprints.get(memo)
         if cached is None:
-            trim_x, trim_labels = x, labels
-            if config.max_samples is not None:
-                # Hash what the task actually evaluates (post-trim).
-                trim_x = x[: config.max_samples]
-                trim_labels = labels[: config.max_samples]
+            # Hash what the points actually evaluate (post-trim).
+            n_samples = sample_count(x, labels, config)
             # The keyed objects ride along in the entry so their ids
             # cannot be recycled onto new objects while the cache lives.
             cached = (
                 model_fingerprint(qmodel),
-                data_fingerprint(trim_x, trim_labels),
+                data_fingerprint(x[:n_samples], labels[:n_samples]),
                 (qmodel, x, labels),
             )
             self._fingerprints[memo] = cached

@@ -18,23 +18,19 @@ evaluates a freshly grown plan every iteration.
   statistics code) into one
   :class:`~repro.faultsim.campaign.CampaignResult`.
 
-The engine splits a pending point once more, along the *sample* axis,
-when a batch has too few points to fill its pool:
-:meth:`TaskSpec.sample_subtasks` expands a (BER, seed) point into
-**slice tasks** (``sample_slice=(start, stop)``), each scoring one
-contiguous window of the evaluation set via
-:func:`~repro.faultsim.campaign.evaluate_sample_slice`.  The engine folds
-a point's slices back with
-:func:`~repro.faultsim.campaign.combine_slice_results` — bit-identical to
-the unsliced point for any slice size.  Slices are scheduling only: they
-have no identity of their own.
+The engine dispatches each pending point as sample windows of the
+evaluation set, scored by
+:func:`~repro.faultsim.campaign.evaluate_sample_slice` and folded back
+with :func:`~repro.faultsim.campaign.combine_slice_results` (see
+:mod:`repro.runtime.engine`).  Windows are the engine's own scheduling
+units, not tasks: they have no identity of their own.
 
 The task's *identity* — what makes a checkpoint entry reusable — always
 lives at point granularity: each (BER, seed) point is keyed by the
 content hash produced by :meth:`TaskSpec.key`, which binds the model
 fingerprint, the evaluation-data fingerprint, the campaign configuration,
-the point and the plan.  Seed-batch and slice tasks therefore have no
-key of their own; a resumed engine recomputes only the *missing seeds*
+the point and the plan.  Seed-batch tasks therefore have no key of their
+own; a resumed engine recomputes only the *missing seeds*
 of an interrupted batch, and a batch task shares its per-seed checkpoint
 entries with the equivalent point tasks.  The model
 hash is bound by the engine at dispatch time (tasks are model-relative;
@@ -67,8 +63,8 @@ class TaskSpec:
     ber:
         Bit error rate of the fault injection.
     seed:
-        RNG seed owned by this unit; together with ``ber`` and the plan it
-        fully determines the result (the unit is pure).  Mutually
+        RNG seed owned by this point; together with ``ber`` and the plan it
+        fully determines the result (the point is pure).  Mutually
         exclusive with ``seeds``.
     protection:
         Optional :class:`ProtectionPlan` applied during this evaluation
@@ -81,12 +77,6 @@ class TaskSpec:
         into one per-seed subtask each (see :meth:`subtasks`) and reduces
         the results into a single
         :class:`~repro.faultsim.campaign.CampaignResult` in seed order.
-    sample_slice:
-        Optional ``(start, stop)`` window into the evaluation samples:
-        the task scores only those samples
-        (:class:`~repro.faultsim.campaign.SampleSliceResult`).  Only valid
-        on point tasks; produced by :meth:`sample_subtasks` when the
-        engine slices a pending point.
     """
 
     ber: float
@@ -94,7 +84,6 @@ class TaskSpec:
     protection: ProtectionPlan | None = None
     tag: str = field(default="", compare=False)
     seeds: tuple[int, ...] | None = None
-    sample_slice: tuple[int, int] | None = None
 
     def __post_init__(self):
         """Validate the BER and the point/seed-batch shape invariant.
@@ -114,19 +103,6 @@ class TaskSpec:
             if len(self.seeds) == 0:
                 raise ConfigurationError("TaskSpec seeds= must be non-empty")
             object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if self.sample_slice is not None:
-            if self.seed is None:
-                raise ConfigurationError(
-                    "sample_slice= is only valid on point tasks (seed=); "
-                    "expand a seed batch with subtasks() first"
-                )
-            start, stop = (int(v) for v in self.sample_slice)
-            if start < 0 or stop <= start:
-                raise ConfigurationError(
-                    f"sample_slice must satisfy 0 <= start < stop, "
-                    f"got ({start}, {stop})"
-                )
-            object.__setattr__(self, "sample_slice", (start, stop))
 
     @property
     def is_batch(self) -> bool:
@@ -138,7 +114,7 @@ class TaskSpec:
 
         A point task is its own (singleton) subtask; a seed-batch task
         yields one point task per seed, sharing its BER, plan and tag.
-        The engine dispatches and checkpoints at this granularity.
+        The engine keys and checkpoints at this granularity.
         """
         if self.seeds is None:
             return (self,)
@@ -149,53 +125,18 @@ class TaskSpec:
             for seed in self.seeds
         )
 
-    def sample_subtasks(self, n_samples: int, shard: int) -> tuple["TaskSpec", ...]:
-        """The sample-slice tasks this point task shards into.
-
-        Splits the ``[0, n_samples)`` evaluation window into consecutive
-        slices of ``shard`` samples (the last slice may be shorter).  A
-        shard at least as large as the sample set returns the task
-        unchanged (no slicing overhead).  Seed-batch tasks must be expanded with
-        :meth:`subtasks` first; tasks already carrying a slice are their
-        own singleton expansion.
-        """
-        if self.is_batch:
-            raise ConfigurationError(
-                "expand a seed-batch TaskSpec with subtasks() before "
-                "sample-sharding"
-            )
-        if shard < 1:
-            raise ConfigurationError(f"sample shard must be >= 1, got {shard}")
-        if self.sample_slice is not None or shard >= n_samples:
-            return (self,)
-        return tuple(
-            TaskSpec(
-                ber=self.ber,
-                seed=self.seed,
-                protection=self.protection,
-                tag=self.tag,
-                sample_slice=(start, min(start + shard, n_samples)),
-            )
-            for start in range(0, n_samples, shard)
-        )
-
     def key(self, model_fp: str, data_fp: str, config: CampaignConfig) -> str:
         """Content-addressed checkpoint key for this point task.
 
         ``model_fp``/``data_fp`` come from :func:`model_fingerprint` /
         :func:`data_fingerprint`; the engine computes them once per batch.
         Seed-batch tasks have no key of their own — their identity lives
-        in their :meth:`subtasks` — and neither do slice tasks, which are
-        scheduling parts of their point; calling this on either raises
+        in their :meth:`subtasks` — and calling this on one raises
         :class:`~repro.errors.ConfigurationError`.
         """
         if self.is_batch:
             raise ConfigurationError(
                 "a seed-batch TaskSpec has no single key; key its subtasks()"
-            )
-        if self.sample_slice is not None:
-            raise ConfigurationError(
-                "a slice TaskSpec has no key of its own; key its point"
             )
         return task_key(
             model_fp, data_fp, config, self.ber, self.seed, self.protection

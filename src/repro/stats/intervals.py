@@ -1,12 +1,13 @@
 """Binomial confidence intervals for pooled correct/total counts.
 
 The campaign's atomic observations are Bernoulli: each evaluated sample is
-either classified correctly or not, and every execution granularity the
-runtime produces — :class:`~repro.faultsim.campaign.SampleSliceResult`
-(explicit ``correct``/``total`` counts) and
+either classified correctly or not, and both result shapes the runtime
+produces — the unit of work's
+:class:`~repro.faultsim.campaign.SampleSliceResult` (explicit
+``correct``/``total`` counts over one sample window) and the point's
 :class:`~repro.faultsim.campaign.SeedPointResult` (an accuracy that *is*
 ``correct / total`` for a known total, exactly invertible in IEEE floats)
-— reduces to integer counts.  This module turns pooled counts into
+— reduce to integer counts.  This module turns pooled counts into
 confidence intervals without any third-party dependency:
 
 * :func:`wilson_interval` — the Wilson score interval.  Well-behaved at
@@ -139,9 +140,9 @@ def exact_correct_count(accuracy: float, total: int) -> int:
     """Recover the integer correct-count behind a stored accuracy.
 
     Every accuracy the campaign produces is ``float(correct) / total``
-    for integers ``0 <= correct <= total`` (both
-    ``QuantizedModel.evaluate`` and ``combine_slice_results`` compute
-    exactly that division), and for totals far below 2**52 that mapping
+    for integers ``0 <= correct <= total`` (every point is folded from
+    its sample windows by ``combine_slice_results``, which computes
+    exactly that division, as ``QuantizedModel.evaluate`` does), and for totals far below 2**52 that mapping
     is injective in IEEE doubles — so the division can be inverted
     exactly, and checkpointed :class:`SeedPointResult` rows feed the
     interval math without any stored-count round trip.  Raises

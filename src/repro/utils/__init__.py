@@ -1,6 +1,6 @@
 """Shared utilities: RNG management, im2col, integer math, serialization."""
 
-from repro.utils.rng import RngFactory, as_rng, spawn_rng
+from repro.utils.rng import as_rng
 from repro.utils.im2col import (
     conv_output_size,
     im2col,
@@ -16,9 +16,7 @@ from repro.utils.serialization import (
 )
 
 __all__ = [
-    "RngFactory",
     "as_rng",
-    "spawn_rng",
     "conv_output_size",
     "im2col",
     "col2im",

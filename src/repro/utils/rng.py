@@ -5,10 +5,6 @@ requires that every stochastic component draw from an explicitly seeded
 :class:`numpy.random.Generator`.  This module centralizes the conventions:
 
 * :func:`as_rng` normalizes ``None`` / ``int`` / ``Generator`` arguments.
-* :func:`spawn_rng` derives an independent child stream from a parent, keyed
-  by a string label, so that e.g. per-layer fault sampling is decorrelated
-  but still reproducible.
-* :class:`RngFactory` hands out named, independent streams from one seed.
 * :func:`site_rng` builds a **counter-based** stream: a Philox generator
   that is a pure function of ``(seed, *labels)``.  Unlike a sequential
   stream, two call sites keyed by different labels can draw in any order —
@@ -26,7 +22,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["as_rng", "spawn_rng", "site_rng", "shared_site_rng", "RngFactory"]
+__all__ = ["as_rng", "site_rng", "shared_site_rng"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -127,47 +123,3 @@ def shared_site_rng(seed: int, *labels: int | str) -> np.random.Generator:
     _SHARED_BITGEN.state = _SHARED_STATE
     return _SHARED_RNG
 
-
-def spawn_rng(parent: np.random.Generator, label: str) -> np.random.Generator:
-    """Derive an independent child generator from ``parent`` keyed by ``label``.
-
-    The child is seeded from fresh draws of the parent combined with a hash
-    of the label, so distinct labels produce decorrelated streams while the
-    (parent seed, label) pair fully determines the child.
-    """
-    mix = int(parent.integers(0, 2**63 - 1))
-    return np.random.default_rng((mix, _label_to_int(label)))
-
-
-class RngFactory:
-    """Produce named, independent random streams from a single root seed.
-
-    Repeated requests for the same name return *new* generators seeded
-    identically, so components may re-request their stream without sharing
-    mutable state.
-
-    Example
-    -------
-    >>> factory = RngFactory(1234)
-    >>> a = factory.get("layer0")
-    >>> b = factory.get("layer0")
-    >>> float(a.random()) == float(b.random())
-    True
-    """
-
-    def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)):
-            raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-        self._seed = int(seed)
-
-    @property
-    def seed(self) -> int:
-        """The root seed this factory was constructed with."""
-        return self._seed
-
-    def get(self, name: str) -> np.random.Generator:
-        """Return a generator deterministically keyed by ``(seed, name)``."""
-        return np.random.default_rng((self._seed, _label_to_int(name)))
-
-    def __repr__(self) -> str:
-        return f"RngFactory(seed={self._seed})"

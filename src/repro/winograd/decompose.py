@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.utils.im2col import conv_output_size
 from repro.utils.mathx import ceil_div
 
 __all__ = ["SubConvSpec", "decompose_conv", "extract_sub_kernel", "extract_sub_input"]
@@ -157,12 +156,3 @@ def extract_sub_input(
     view = x_padded[:, :, h0 : h_last + 1 : stride, w0 : w_last + 1 : stride]
     return np.ascontiguousarray(view)
 
-
-def decomposed_output_size(
-    in_h: int, in_w: int, kernel: tuple[int, int], stride: int, padding: int
-) -> tuple[int, int]:
-    """Output size of the original convolution (sub-convs all match it)."""
-    return (
-        conv_output_size(in_h, kernel[0], stride, padding),
-        conv_output_size(in_w, kernel[1], stride, padding),
-    )

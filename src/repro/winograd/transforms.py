@@ -141,11 +141,6 @@ class WinogradTransform:
         """
         return (self.at_scale * self.bt_scale * self.g_scale) ** 2
 
-    @property
-    def output_ratio_2d(self) -> Fraction:
-        """Exact rational ``1 / output_scale_2d`` for requantization."""
-        return Fraction(1, self.output_scale_2d)
-
     # --- op-count metadata ------------------------------------------------------
     def input_transform_adds_per_tile(self) -> int:
         """Additions to compute ``B^T d B`` for one t×t tile of one channel."""

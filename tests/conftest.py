@@ -115,10 +115,11 @@ class _RuntimeFaults:
     def units(self, seed=0, slow_unit=0.0, slow_seconds=0.02, transient=0.0, poison=()):
         """Slow units, poison tags and transient unit errors.
 
-        A unit's identity is ``repr`` of its :class:`TaskSpec`.  Faults
-        are raised inside ``_attempt_unit``'s ``try``, so the engine
-        classifies them exactly like real errors.  A unit tagged with a
-        ``poison`` tag fails every attempt and ends up quarantined.
+        A unit's identity is ``repr`` of the engine's unit (its point's
+        :class:`TaskSpec` and its sample window).  Faults are raised
+        inside ``_attempt_unit``'s ``try``, so the engine classifies them
+        exactly like real errors.  A unit whose point carries a ``poison``
+        tag fails every attempt and ends up quarantined.
         """
         attempt_unit = engine_module._attempt_unit
         evaluate_unit = engine_module._evaluate_unit
@@ -128,15 +129,16 @@ class _RuntimeFaults:
             current["attempt"] = attempt
             return attempt_unit(payload, index, attempt)
 
-        def evaluate_with_faults(qmodel, x, labels, config, task):
-            where = (repr(task), current["attempt"])
+        def evaluate_with_faults(qmodel, x, labels, config, unit):
+            where = (repr(unit), current["attempt"])
+            tag = unit.point.tag
             if self.fires(seed, "slow_unit", *where, slow_unit):
                 time.sleep(slow_seconds)
-            if task.tag in poison:
-                raise InjectedFault(f"poison tag {task.tag!r} fails every attempt")
+            if tag in poison:
+                raise InjectedFault(f"poison tag {tag!r} fails every attempt")
             if self.fires(seed, "transient", *where, transient):
                 raise InjectedFault(f"injected transient unit error at {where}")
-            return evaluate_unit(qmodel, x, labels, config, task)
+            return evaluate_unit(qmodel, x, labels, config, unit)
 
         self._patch.setattr(engine_module, "_attempt_unit", attempt_with_faults)
         self._patch.setattr(engine_module, "_evaluate_unit", evaluate_with_faults)

@@ -57,19 +57,19 @@ class TestResilienceMatrix:
     @pytest.mark.parametrize(
         "unit_faults, write_faults",
         [
-            # Seed 8 fails two units' first attempts (and one retry),
-            # slows a unit and tears two appends.
+            # Unit seed 14 fails two units' first attempts (and one
+            # retry) and slows a unit; write seed 8 tears two appends.
             (
-                dict(seed=8, transient=0.25, slow_unit=0.3, slow_seconds=0.02),
+                dict(seed=14, transient=0.25, slow_unit=0.3, slow_seconds=0.02),
                 dict(seed=8, torn_write=0.25),
             ),
             # Seed 5 fails two of the four units' first attempts, at a
             # rate that makes repeated retries likely.
             (dict(seed=5, transient=0.5, slow_unit=0.25, slow_seconds=0.01), {}),
-            # Seed 1 fills the disk on three appends, one of them a
-            # retried flush, and slows units.
+            # Write seed 1 fills the disk on three appends, one of them a
+            # retried flush; unit seed 2 slows three units.
             (
-                dict(seed=1, slow_unit=0.5, slow_seconds=0.01),
+                dict(seed=2, slow_unit=0.5, slow_seconds=0.01),
                 dict(seed=1, enospc=0.5),
             ),
             # Control: the wrappers armed at rate zero change nothing.

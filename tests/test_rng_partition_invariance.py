@@ -29,7 +29,7 @@ from repro.faultsim import (
     evaluate_seed_point,
     run_point,
 )
-from repro.runtime import CampaignEngine, TaskSpec
+from repro.runtime import CampaignEngine
 
 #: Worker count for the multi-worker regime (CI tier-2 sets this to 2).
 PARITY_WORKERS = int(os.environ.get("REPRO_PARITY_WORKERS", "4"))
@@ -234,29 +234,6 @@ class TestEngineSampleSharding:
         assert resumed.last_stats.cached_units == 1
         assert resumed.last_stats.computed_units == 1
         assert result.to_dict() == serial.to_dict()
-
-    def test_slice_tasks_have_no_identity(self, tiny_quantized, tiny_eval):
-        """A slice is keyless and never accepted as a submitted task."""
-        qm, _ = tiny_quantized
-        x, y = tiny_eval
-        config = counter_config(seeds=(0,))
-        (part, *_) = TaskSpec(ber=BER, seed=0).sample_subtasks(N_SAMPLES, 7)
-        with pytest.raises(ConfigurationError, match="slice"):
-            part.key("m", "d", config)
-        with pytest.raises(ConfigurationError, match="slices"):
-            CampaignEngine(workers=1).evaluate_tasks(
-                qm, x, y, [part], config=config
-            )
-
-    def test_task_spec_slice_shape_validation(self):
-        with pytest.raises(ConfigurationError, match="point tasks"):
-            TaskSpec(ber=BER, seeds=(0, 1), sample_slice=(0, 7))
-        with pytest.raises(ConfigurationError, match="start < stop"):
-            TaskSpec(ber=BER, seed=0, sample_slice=(7, 7))
-        with pytest.raises(ConfigurationError, match="subtasks"):
-            TaskSpec(ber=BER, seeds=(0, 1)).sample_subtasks(N_SAMPLES, 7)
-        sliced = TaskSpec(ber=BER, seed=0, sample_slice=(0, 7))
-        assert sliced.sample_subtasks(N_SAMPLES, 3) == (sliced,)
 
 
 class _FakeFmt:

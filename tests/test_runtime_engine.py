@@ -685,7 +685,7 @@ class TestFailurePropagation:
         # Patching the engine module's reference survives fork, so the
         # pool path exercises the same failure route as workers=1.
         monkeypatch.setattr(
-            "repro.runtime.engine.evaluate_seed_point", explode
+            "repro.runtime.engine.evaluate_sample_slice", explode
         )
         # Two units, so workers=2 really dispatches through the pool.
         tasks = [

@@ -70,16 +70,17 @@ class TestUnitFaults:
 
     def test_poison_tag_fails_every_attempt(self, runtime_faults):
         runtime_faults.units(poison=("doomed",))
-        task = TaskSpec(ber=1e-5, seed=0, tag="doomed")
+        unit = engine_module._Unit(TaskSpec(ber=1e-5, seed=0, tag="doomed"), (0, 1))
         for _ in range(3):
             with pytest.raises(TransientError, match="poison"):
-                engine_module._evaluate_unit(None, None, None, None, task)
+                engine_module._evaluate_unit(None, None, None, None, unit)
 
     def test_injected_unit_error_is_transient(self, runtime_faults):
         runtime_faults.units(transient=1.0)
         with pytest.raises(TransientError) as info:
             engine_module._evaluate_unit(
-                None, None, None, None, TaskSpec(ber=1e-5, seed=0)
+                None, None, None, None,
+                engine_module._Unit(TaskSpec(ber=1e-5, seed=0), (0, 1)),
             )
         assert RetryPolicy.is_transient(info.value)
 

@@ -16,7 +16,7 @@ import json
 import pytest
 
 import repro.runtime
-from repro.errors import ConfigurationError
+from repro.errors import EXIT_CONFIG, ConfigurationError, exit_code_for
 from repro.experiments.common import make_engine
 from repro.faultsim import CampaignConfig, evaluate_seed_point
 from repro.faultsim.campaign import CampaignResult, run_point, run_sweep
@@ -27,6 +27,7 @@ from repro.runtime import (
     fsck,
     model_fingerprint,
 )
+from repro.runtime import engine as engine_module
 from repro.runtime.checkpoint import record_crc
 
 BER = 1e-4
@@ -86,6 +87,12 @@ class TestTaskSpecShapes:
         assert keys == [
             TaskSpec(ber=BER, seed=s).key("m", "d", config) for s in (0, 1)
         ]
+
+    def test_slice_task_surface_is_retired(self):
+        """Sample windows are the engine's own units, never tasks."""
+        with pytest.raises(TypeError):
+            TaskSpec(ber=BER, seed=0, sample_slice=(0, 7))
+        assert not hasattr(TaskSpec, "sample_subtasks")
 
 
 class TestSeedBatchEvaluation:
@@ -316,6 +323,81 @@ class TestAutoSampleShard:
         assert [event.cached for event in events] == [True, False, False]
         stats = engine.last_stats
         assert (stats.cached_units, stats.computed_units) == (1, 1)
+
+
+class TestSampleWindows:
+    """Every pending point runs as sample windows folded by one reduction."""
+
+    @pytest.mark.parametrize(
+        "shard, windows",
+        [(None, [(0, 24)]), (7, [(0, 7), (7, 14), (14, 21), (21, 24)])],
+        ids=["whole", "sliced"],
+    )
+    def test_one_evaluator_call_per_window_and_one_fold_per_point(
+        self, tiny_quantized, tiny_eval, config, monkeypatch, force_slices,
+        shard, windows,
+    ):
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+        serial = evaluate_seed_point(qm, x, y, BER, 0, config=config)
+        evaluate_unit = engine_module._evaluate_unit
+        combine = engine_module.combine_slice_results
+        scored, folded = [], []
+
+        def counted_unit(qmodel, x, labels, config, unit):
+            scored.append((unit.point.seed, unit.window))
+            return evaluate_unit(qmodel, x, labels, config, unit)
+
+        def counted_fold(slices, expected_total=None):
+            folded.append((sorted((s.start, s.stop) for s in slices), expected_total))
+            return combine(slices, expected_total=expected_total)
+
+        monkeypatch.setattr(engine_module, "_evaluate_unit", counted_unit)
+        monkeypatch.setattr(engine_module, "combine_slice_results", counted_fold)
+        force_slices(shard)
+        results = CampaignEngine(workers=1).evaluate_tasks(
+            qm, x, y, [TaskSpec(ber=BER, seed=0)], config=config
+        )
+        assert results == [serial]
+        assert scored == [(0, window) for window in windows]
+        assert folded == [(windows, 24)]
+
+
+class TestEvaluationSetGuard:
+    """A mismatched or empty evaluation set is a configuration error,
+    raised before any key is hashed rather than scored or failed as a
+    task."""
+
+    @pytest.mark.parametrize(
+        "ber, images, labels",
+        [(1e-4, 24, 30), (0.0, 24, 30), (1e-4, 24, 20), (1e-4, 0, 0)],
+        ids=["more-labels", "more-labels-ber0", "fewer-labels", "empty"],
+    )
+    def test_engine_raises_before_hashing(
+        self, tiny_quantized, tiny_eval, tmp_path, monkeypatch, ber, images, labels
+    ):
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+
+        def no_hashing(*_):
+            raise AssertionError("a key was hashed")
+
+        monkeypatch.setattr(engine_module, "model_fingerprint", no_hashing)
+        monkeypatch.setattr(engine_module, "data_fingerprint", no_hashing)
+        engine = CampaignEngine(workers=1, checkpoint_path=tmp_path / "c.json")
+        config = CampaignConfig(seeds=(0, 1), batch_size=12)
+        with pytest.raises(ConfigurationError, match="labels|empty") as info:
+            engine.run_sweep(qm, x[:images], y[:labels], [ber], config=config)
+        assert exit_code_for(info.value) == EXIT_CONFIG
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("ber", [0.0, 1e-4])
+    def test_serial_point_raises(self, tiny_quantized, tiny_eval, ber):
+        qm, _ = tiny_quantized
+        x, y = tiny_eval
+        config = CampaignConfig(seeds=(0,), batch_size=12)
+        with pytest.raises(ConfigurationError, match="24 images but 30 labels"):
+            evaluate_seed_point(qm, x[:24], y[:30], ber, 0, config=config)
 
 
 class TestPointIdentity:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngFactory, as_rng, shared_site_rng, site_rng, spawn_rng
+from repro.utils.rng import as_rng, shared_site_rng, site_rng
 
 
 class TestAsRng:
@@ -21,20 +21,6 @@ class TestAsRng:
 
     def test_none_gives_generator(self):
         assert isinstance(as_rng(None), np.random.Generator)
-
-
-class TestSpawnRng:
-    def test_labels_decorrelate(self):
-        parent_a = np.random.default_rng(0)
-        parent_b = np.random.default_rng(0)
-        child_a = spawn_rng(parent_a, "alpha")
-        child_b = spawn_rng(parent_b, "beta")
-        assert not np.array_equal(child_a.random(8), child_b.random(8))
-
-    def test_same_label_same_parent_state_reproduces(self):
-        child_1 = spawn_rng(np.random.default_rng(0), "layer3")
-        child_2 = spawn_rng(np.random.default_rng(0), "layer3")
-        assert np.array_equal(child_1.random(8), child_2.random(8))
 
 
 class TestSiteRng:
@@ -101,24 +87,3 @@ class TestSharedSiteRng:
         shared_site_rng(1, "a", 0).random(3)
         assert _draws(shared_site_rng(1, "a", 0)) == expected
 
-
-class TestRngFactory:
-    def test_named_streams_reproducible(self):
-        factory = RngFactory(99)
-        assert np.array_equal(factory.get("x").random(4), factory.get("x").random(4))
-
-    def test_named_streams_independent(self):
-        factory = RngFactory(99)
-        assert not np.array_equal(
-            factory.get("x").random(4), factory.get("y").random(4)
-        )
-
-    def test_seed_property(self):
-        assert RngFactory(5).seed == 5
-
-    def test_rejects_non_int_seed(self):
-        with pytest.raises(TypeError):
-            RngFactory("not-a-seed")
-
-    def test_repr_mentions_seed(self):
-        assert "seed=7" in repr(RngFactory(7))
